@@ -3,8 +3,15 @@
 Descriptors are immutable value objects for compact subsets ``A`` of R^N.
 Every descriptor supports Euclidean distance evaluation ``d(x, A)`` and
 tube-volume measurement ``|A_t|`` (Lebesgue volume of the open
-t-neighborhood).  Where the geometry allows it the tube volume is computed
-exactly:
+t-neighborhood).
+
+Distances to the Sierpinski gasket and the three-dimensional carpet are
+exact, with no tolerance parameter: every removed hole is convex and its
+boundary belongs to the set, so a point lies in the set or in exactly one
+hole, and one pass over its base-2 barycentric (gasket) or base-3 (carpet)
+digits finds that hole.
+
+Where the geometry allows it the tube volume is computed exactly:
 
 * 1D sets (point sets, Cantor-type sets, fractal-string boundaries) via
   interval sweeps or closed-form gap sums;
@@ -364,162 +371,94 @@ def _string_distances(x: np.ndarray, s: FractalStringBoundary) -> np.ndarray:
     return np.minimum(d, d_seg)
 
 
-def _gasket_edge_min(qx, qy, ox, oy, s):
-    """Min distance to the three outline edges of upright triangles (o, s)."""
+def _gasket_edge_min(qx, qy):
+    """Distance to the outline of the unit triangle (0,0), (1,0), (1/2, sqrt3/2)."""
     # bottom edge, direction (1, 0)
-    ux = qx - ox
-    uy = qy - oy
-    tt = np.clip(ux, 0.0, s)
-    e = np.hypot(ux - tt, uy)
-    # right edge from (o_x + s, o_y), direction (-1/2, sqrt3/2)
-    wx = ux - s
-    tt = np.clip(-0.5 * wx + (SQRT3 / 2.0) * uy, 0.0, s)
-    np.minimum(e, np.hypot(wx + 0.5 * tt, uy - (SQRT3 / 2.0) * tt), out=e)
+    tt = np.clip(qx, 0.0, 1.0)
+    e = np.hypot(qx - tt, qy)
+    # right edge from (1, 0), direction (-1/2, sqrt3/2)
+    wx = qx - 1.0
+    tt = np.clip(-0.5 * wx + (SQRT3 / 2.0) * qy, 0.0, 1.0)
+    np.minimum(e, np.hypot(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
     # left edge from the apex, direction (-1/2, -sqrt3/2)
-    wx = ux - 0.5 * s
-    wy = uy - (SQRT3 / 2.0) * s
-    tt = np.clip(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0, s)
+    wx = qx - 0.5
+    wy = qy - SQRT3 / 2.0
+    tt = np.clip(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0, 1.0)
     np.minimum(e, np.hypot(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
     return e
 
 
-def _gasket_descend(pts: np.ndarray, eps: float, band=None, max_depth: int = 64) -> np.ndarray:
-    """Upper distance bounds to the gasket, within ``eps`` of the true value.
+# Below this cell side every remaining point is within one ulp of the set.
+_RESOLUTION = float(np.finfo(float).eps)
 
-    ``band=(lo, hi)`` enables early classification: refinement of a point
-    stops as soon as its distance is provably below ``lo`` or above ``hi``;
-    the returned value then only supports that comparison.
+
+def _gasket_distances(pts: np.ndarray) -> np.ndarray:
+    """Exact distances to the gasket by descent over base-2 barycentric digits.
+
+    A point in the big triangle is in the set or in exactly one hole, an open
+    triangle whose outline lies in the set, so its distance is the distance
+    to that hole's edges.  The step ``lam <- 2 lam - e_i`` is exact.
     """
-    px = np.ascontiguousarray(pts[:, 0], dtype=float)
-    py = np.ascontiguousarray(pts[:, 1], dtype=float)
-    n = px.size
-    # the outline of every construction triangle belongs to the set
-    best = _gasket_edge_min(px, py, 0.0, 0.0, 1.0)
-    idx = np.arange(n)
-    ox = np.zeros(n)
-    oy = np.zeros(n)
+    px, py = pts[:, 0], pts[:, 1]
+    # the outline of the big triangle belongs to the set
+    out = _gasket_edge_min(px, py)
+    lam = np.stack([1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py])
+    idx = np.flatnonzero((lam > 0.0).all(axis=0))
+    out[idx] = 0.0
+    lam = lam[:, idx]
     s = 1.0
-    lo, hi = (band if band is not None else (None, None))
-    for _ in range(max_depth):
-        if idx.size == 0 or s < eps:
-            break
-        # cheap circumdisk prune first, then the exact filled-triangle
-        # distance: a triangle whose filled distance equals the achieved
-        # best cannot improve it (its outline is already in the set), so
-        # the frontier collapses onto triangles that still might
-        cx = ox + 0.5 * s
-        cy = oy + s * (SQRT3 / 6.0)
-        lb = np.hypot(px[idx] - cx, py[idx] - cy) - s / SQRT3
-        keep = lb < best[idx]
-        if hi is not None:
-            keep &= lb < hi
-        if lo is not None:
-            keep &= best[idx] >= lo
-        idx = idx[keep]
-        ox = ox[keep]
-        oy = oy[keep]
-        if idx.size == 0:
-            break
-        qx = px[idx]
-        qy = py[idx]
-        e = _gasket_edge_min(qx, qy, ox, oy, s)
-        np.minimum.at(best, idx, e)
-        rx = qx - ox
-        ry = qy - oy
-        inside = (ry >= 0.0) & (ry <= SQRT3 * rx) & (ry <= -SQRT3 * (rx - s))
-        fill = np.where(inside, 0.0, e)
-        keep = fill < best[idx]
-        if hi is not None:
-            keep &= fill < hi
-        if lo is not None:
-            keep &= best[idx] >= lo
-        idx = idx[keep]
-        ox = ox[keep]
-        oy = oy[keep]
-        if idx.size == 0:
-            break
-        # children: three corner triangles of half size (index-sorted order)
-        h = 0.5 * s
-        idx = np.repeat(idx, 3)
-        ox = (ox[:, None] + np.array([0.0, h, 0.5 * h])).ravel()
-        oy = (oy[:, None] + np.array([0.0, 0.0, h * (SQRT3 / 2.0)])).ravel()
-        s = h
-    return best
+    while idx.size and s >= _RESOLUTION:
+        corner = lam.argmax(axis=0)
+        lmax = lam[corner, np.arange(idx.size)]
+        hole = lmax < 0.5
+        # the middle hole is {lam_i < 1/2}; its edges lie on lam_i = 1/2
+        out[idx[hole]] = (s * SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
+        keep = ~hole
+        idx, lam, corner = idx[keep], 2.0 * lam[:, keep], corner[keep]
+        lam[corner, np.arange(idx.size)] -= 1.0
+        s *= 0.5
+    return out
 
 
-_CARPET_OFFSETS = np.array(
-    [(i, j, k) for i in range(3) for j in range(3) for k in range(3) if (i, j, k) != (1, 1, 1)],
-    dtype=float,
-)
+def _carpet_distances(pts: np.ndarray) -> np.ndarray:
+    """Exact distances to the 3D carpet by descent over base-3 digits.
 
-
-def _box_surface_and_fill(px, py, pz, ox, oy, oz, s):
-    """Distance to the surface and to the filled body of axis cubes [o, o+s]^3."""
-    h = 0.5 * s
-    qx = np.abs(px - (ox + h)) - h
-    qy = np.abs(py - (oy + h)) - h
-    qz = np.abs(pz - (oz + h)) - h
-    outside = np.sqrt(
-        np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 + np.maximum(qz, 0.0) ** 2
-    )
-    inner = np.minimum(np.maximum(qx, np.maximum(qy, qz)), 0.0)
-    sdf = outside + inner
-    return np.abs(sdf), np.maximum(sdf, 0.0)
-
-
-def _carpet_descend(pts: np.ndarray, eps: float, band=None, max_depth: int = 42) -> np.ndarray:
-    """Carpet analogue of :func:`_gasket_descend` (faces of kept cubes lie in the set)."""
-    px = np.ascontiguousarray(pts[:, 0], dtype=float)
-    py = np.ascontiguousarray(pts[:, 1], dtype=float)
-    pz = np.ascontiguousarray(pts[:, 2], dtype=float)
-    n = px.size
-    surf, _ = _box_surface_and_fill(px, py, pz, 0.0, 0.0, 0.0, 1.0)
-    best = surf
-    idx = np.arange(n)
-    ox = np.zeros(n)
-    oy = np.zeros(n)
-    oz = np.zeros(n)
+    A point in the unit cube is in the set or in exactly one hole, an open
+    cube whose faces lie in the set; it is in a hole when all three digits
+    of a level are 1.
+    """
+    # the surface of the unit cube belongs to the set
+    out = np.linalg.norm(np.maximum(np.maximum(-pts, pts - 1.0), 0.0), axis=1)
+    idx = np.flatnonzero(((pts > 0.0) & (pts < 1.0)).all(axis=1))
+    y = pts[idx].T.copy()
     s = 1.0
-    lo, hi = (band if band is not None else (None, None))
-    for _ in range(max_depth):
-        if idx.size == 0 or s < eps:
-            break
-        surf, fill = _box_surface_and_fill(px[idx], py[idx], pz[idx], ox, oy, oz, s)
-        np.minimum.at(best, idx, surf)
-        # prune with the exact filled-cube distance against the fresh best:
-        # the cube whose surface achieves the minimum prunes itself
-        keep = fill < best[idx]
-        if hi is not None:
-            keep &= fill < hi
-        if lo is not None:
-            keep &= best[idx] >= lo
-        idx = idx[keep]
-        ox = ox[keep]
-        oy = oy[keep]
-        oz = oz[keep]
-        if idx.size == 0:
-            break
-        h = s / 3.0
-        m = idx.size
-        idx = np.repeat(idx, 26)
-        ox = (np.repeat(ox, 26).reshape(m, 26) + h * _CARPET_OFFSETS[:, 0]).ravel()
-        oy = (np.repeat(oy, 26).reshape(m, 26) + h * _CARPET_OFFSETS[:, 1]).ravel()
-        oz = (np.repeat(oz, 26).reshape(m, 26) + h * _CARPET_OFFSETS[:, 2]).ravel()
-        s = h
-    return best
+    while idx.size and s >= _RESOLUTION:
+        y *= 3.0
+        dig = np.floor(y)
+        np.clip(dig, 0.0, 2.0, out=dig)
+        y -= dig
+        hole = (dig[0] == 1.0) & (dig[1] == 1.0) & (dig[2] == 1.0)
+        if hole.any():
+            f = y[:, hole]
+            out[idx[hole]] = (s / 3.0) * np.minimum(f, 1.0 - f).min(axis=0)
+            keep = ~hole
+            idx, y = idx[keep], y[:, keep]
+        s /= 3.0
+    return out
 
 
-def distances_to_set(points, set_: CompactSet, eps: float = 1e-12, band=None) -> np.ndarray:
-    """Vectorized distances from an ``(n, N)`` array of points to the set.
+def distances_to_set(points, set_: CompactSet) -> np.ndarray:
+    """Vectorized distances from an ``(n, N)`` array of finite points to the set.
 
-    The result overestimates the true distance by at most ``eps`` for the
-    recursive fractal descents and is exact for point-based and 1D sets.
-    ``band`` is an optional early-classification interval, see
-    :func:`_gasket_descend`.
+    Exact (to rounding) for point sets, Cantor sets, the gasket and the
+    carpet; self-similar string boundaries list their points down to gaps
+    of ``1e-12 * scale`` and treat the rest as a segment.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != set_.ambient_dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, set has {set_.ambient_dim}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     if isinstance(set_, (PointSet, PointCloud)):
         return _point_cloud_distances(pts, np.asarray(set_.points, dtype=float))
     if isinstance(set_, CantorLike):
@@ -527,15 +466,15 @@ def distances_to_set(points, set_: CompactSet, eps: float = 1e-12, band=None) ->
     if isinstance(set_, FractalStringBoundary):
         return _string_distances(pts[:, 0], set_)
     if isinstance(set_, SierpinskiGasket):
-        return _gasket_descend(pts, eps=eps, band=band)
+        return _gasket_distances(pts)
     if isinstance(set_, SierpinskiCarpet3D):
-        return _carpet_descend(pts, eps=eps, band=band)
+        return _carpet_distances(pts)
     raise TypeError(f"unknown set descriptor {type(set_)!r}")
 
 
 def distance_to_set(x, set_: CompactSet) -> float:
     """Euclidean distance from the point ``x`` to the set."""
-    return float(distances_to_set([x], set_, eps=1e-14)[0])
+    return float(distances_to_set([x], set_)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +592,6 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     origin = lo - cell * _GRID_OFFSET
     ncell = np.ceil((hi - origin) / cell).astype(np.int64) + 1
     margin = cell * math.sqrt(n_dim) / 2.0
-    eps = cell / 8.0  # distance overestimate budget; miscounts land in the boundary band
     blo = np.zeros((1, n_dim), dtype=np.int64)
     bsz = ncell[None, :].copy()
     inside_cells = 0
@@ -668,25 +606,9 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
         centers = origin + (blo + 0.5 * bsz) * cell
         rc = cell * np.linalg.norm(0.5 * (bsz - 1), axis=1)
         fine = rc == 0.0
-        d = np.empty(blo.shape[0])
-        eps_used = np.full(blo.shape[0], eps)
-        if fine.any():
-            d[fine] = distances_to_set(
-                centers[fine], set_, eps=eps, band=(t - margin - 2 * eps, t + margin + 2 * eps)
-            )
-        coarse = ~fine
-        if coarse.any():
-            # block tests tolerate accuracy proportional to the block radius
-            eps_c = max(eps, 0.05 * float(rc[coarse].min()))
-            rc_max = float(rc[coarse].max())
-            d[coarse] = distances_to_set(
-                centers[coarse], set_, eps=eps_c,
-                band=(t - margin - rc_max - 2 * eps_c, t + margin + rc_max + 2 * eps_c),
-            )
-            eps_used[coarse] = eps_c
-        # d overestimates the true distance by at most eps_used
+        d = distances_to_set(centers, set_)
         all_in = d + rc < t - margin
-        all_out = d - eps_used - rc >= t + margin
+        all_out = d - rc >= t + margin
         if all_in.any():
             inside_cells += int(np.prod(bsz[all_in].astype(object), axis=1).sum())
         undecided = ~(all_in | all_out)
@@ -694,7 +616,7 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
         if fine_cells.any():
             df = d[fine_cells]
             inside_cells += int((df < t).sum())
-            boundary_cells += int((np.abs(df - t) <= margin + eps).sum())
+            boundary_cells += int((np.abs(df - t) <= margin).sum())
         split = undecided & ~fine
         blo = blo[split]
         bsz = bsz[split]
@@ -737,7 +659,7 @@ def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
         g = next(streams)
         m = min(_MC_CHUNK, remaining)
         x = lo + (hi - lo) * g.random((m, len(lo)))
-        d = distances_to_set(x, set_, eps=max(t * 1e-9, 1e-15), band=(t, t))
+        d = distances_to_set(x, set_)
         hits += int((d < t).sum())
         remaining -= m
     p = hits / n_samples
@@ -794,10 +716,12 @@ def tube_volume(
     one-standard-error confidence half-width.
 
     Raises :class:`ResolutionTooCoarse` when the grid refinement (or an
-    exact sweep) cannot finish within its cell/segment budget.
+    exact sweep) cannot finish within its cell/segment budget, and
+    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``
+    and for ``mc_samples < 1``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
@@ -825,10 +749,14 @@ def tube_volume(
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
         if cell is None:
             cell = t / 64.0
+        elif not (math.isfinite(cell) and cell > 0):
+            raise ValueError("cell must be positive and finite")
         volume, error = _grid_tube(set_, t, cell, budget_rows=budget_rows)
         return TubeSample(t, volume, TubeMethod.GRID_COUNT, error)
 
     if chosen == TubeMethod.MONTE_CARLO:
+        if not (math.isfinite(mc_samples) and mc_samples >= 1):
+            raise ValueError("mc_samples must be at least 1")
         volume, hw = _mc_tube(set_, t, mc_samples, seed)
         return TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw)
 

@@ -468,8 +468,9 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     """Monte Carlo estimate of the distance zeta function.
 
     Samples uniformly in a bounding box of ``A_delta`` and averages
-    ``1[d < delta] * d^(s - N)``; exact zeros of ``d`` are discarded (they
-    occur with probability zero on the measure-zero sets of interest).
+    ``1[d < delta] * d^(s - N)``; samples with ``d = 0`` (within one ulp of
+    the set) are discarded, which drops a weight below ``ulp^(Re s - N)``
+    when ``Re s > N``.
     Raises :class:`VarianceOverflow` when a single sample dominates the
     weight sum, the signature of ``Re s`` at or below the abscissa of
     convergence.
@@ -493,7 +494,7 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
         stream += 1
         m = min(_MC_CHUNK, cfg.mc_samples - n_done)
         x = lo + (hi - lo) * g.random((m, n_dim))
-        d = distances_to_set(x, set_, eps=min(1e-12, delta * 1e-9))
+        d = distances_to_set(x, set_)
         w = np.zeros(m, dtype=complex)
         ok = (d > 1e-280) & (d < delta)
         w[ok] = np.exp((s - n_dim) * np.log(d[ok]))

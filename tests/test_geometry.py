@@ -101,7 +101,7 @@ def test_gasket_distance_against_subdivision_vertices():
     vs = np.unique(np.round(np.array(tris), 12), axis=0)
     rng = np.random.default_rng(11)
     pts = rng.uniform([-0.2, -0.2], [1.2, 1.1], size=(300, 2))
-    d_exact = distances_to_set(pts, SierpinskiGasket(), eps=1e-13)
+    d_exact = distances_to_set(pts, SierpinskiGasket())
     from scipy.spatial import cKDTree
 
     d_brute, _ = cKDTree(vs).query(pts)
@@ -128,12 +128,52 @@ def test_carpet_distance_against_subdivision_corners():
     vs = np.unique(np.round(np.array(corners), 12), axis=0)
     rng = np.random.default_rng(13)
     pts = rng.uniform(-0.1, 1.1, size=(150, 3))
-    d_exact = distances_to_set(pts, SierpinskiCarpet3D(), eps=1e-12)
+    d_exact = distances_to_set(pts, SierpinskiCarpet3D())
     from scipy.spatial import cKDTree
 
     d_brute, _ = cKDTree(vs).query(pts)
     assert np.all(d_exact <= d_brute + 1e-10)
     assert np.all(d_brute - d_exact <= SQRT3 * 3.0**-3)
+
+
+def test_gasket_distance_at_deep_hole_centres():
+    # a level-k hole is the middle triangle of a level-(k-1) triangle of side
+    # s; it shares that triangle's centroid and has inradius s / (4 sqrt3)
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.5, SQRT3 / 2.0)]
+    rng = np.random.default_rng(17)
+    for k in range(1, 31):
+        path = rng.integers(0, 3, size=k - 1)
+        ox = math.fsum(corners[c][0] * 2.0**-j for j, c in enumerate(path, 1))
+        oy = math.fsum(corners[c][1] * 2.0**-j for j, c in enumerate(path, 1))
+        s = 2.0 ** -(k - 1)
+        centre = [ox + s / 2.0, oy + s * SQRT3 / 6.0]
+        inradius = 2.0**-k / (2.0 * SQRT3)
+        assert distance_to_set(centre, SierpinskiGasket()) == pytest.approx(inradius, abs=1e-15)
+
+
+def test_carpet_distance_at_deep_hole_centres():
+    # a level-k hole is the middle cube of a kept level-(k-1) cube of side s;
+    # its centre is that cube's centre, at 3^-k / 2 from the hole's faces
+    kept = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if (a, b, c) != (1, 1, 1)]
+    rng = np.random.default_rng(19)
+    for k in range(1, 31):
+        path = [kept[i] for i in rng.integers(0, 26, size=k - 1)]
+        s = 3.0 ** -(k - 1)
+        centre = [math.fsum(d[ax] * 3.0**-j for j, d in enumerate(path, 1)) + s / 2.0 for ax in range(3)]
+        d = distance_to_set(centre, SierpinskiCarpet3D())
+        assert d == pytest.approx(3.0**-k / 2.0, abs=1e-15)
+
+
+def test_distance_outside_the_hull():
+    g = SierpinskiGasket()
+    # nearest points: the vertex (0,0), the bottom edge, the apex, the right edge
+    right_mid = np.array([0.75, SQRT3 / 4.0])
+    outward = np.array([SQRT3 / 2.0, 0.5])
+    pts = [[-0.3, -0.4], [0.5, -0.3], [0.5, SQRT3 / 2.0 + 0.25], right_mid + 0.2 * outward]
+    assert distances_to_set(pts, g) == pytest.approx([0.5, 0.3, 0.25, 0.2], abs=1e-15)
+    c = SierpinskiCarpet3D()
+    pts = [[1.5, 0.5, 0.5], [0.5, 0.5, -0.25], [-0.3, -0.4, 0.5], [2.0, 2.0, 2.0]]
+    assert distances_to_set(pts, c) == pytest.approx([0.5, 0.25, 0.5, SQRT3], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +316,32 @@ def test_gasket_grid_curve_reports_error_bounds():
         assert abs(s.volume - exact) <= s.error_bound
 
 
-def test_grid_blocked_equals_flat_bruteforce():
-    ps = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
-    t, cell = 0.21, 0.02
-    blocked = tube_volume(ps, t, method="grid", cell=cell)
-    # honest flat count over every center with the same lattice and rule
-    lo, hi = geo.bounding_box(ps)
+def _flat_grid_volume(set_, t, cell):
+    """Honest flat count over every center with the grid oracle's lattice and rule."""
+    lo, hi = geo.bounding_box(set_)
     lo = lo - t
     hi = hi + t
     origin = lo - cell * (math.sqrt(2.0) - 1.0)
     ncell = np.ceil((hi - origin) / cell).astype(int) + 1
-    ii, jj = np.meshgrid(np.arange(ncell[0]), np.arange(ncell[1]), indexing="ij")
-    centers = origin + (np.stack([ii.ravel(), jj.ravel()], axis=1) + 0.5) * cell
-    d = distances_to_set(centers, ps)
-    flat = (d < t).sum() * cell**2
+    idx = np.meshgrid(*(np.arange(m) for m in ncell), indexing="ij")
+    centers = origin + (np.stack([i.ravel() for i in idx], axis=1) + 0.5) * cell
+    d = distances_to_set(centers, set_)
+    return (d < t).sum() * cell ** set_.ambient_dim
+
+
+def test_grid_blocked_equals_flat_bruteforce():
+    ps = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
+    t, cell = 0.21, 0.02
+    blocked = tube_volume(ps, t, method="grid", cell=cell)
+    flat = _flat_grid_volume(ps, t, cell)
+    assert blocked.volume == pytest.approx(flat, abs=1e-12)
+
+
+def test_grid_blocked_equals_flat_bruteforce_gasket():
+    g = SierpinskiGasket()
+    t, cell = 0.05, 1e-2
+    blocked = tube_volume(g, t, method="grid", cell=cell)
+    flat = _flat_grid_volume(g, t, cell)
     assert blocked.volume == pytest.approx(flat, abs=1e-12)
 
 
@@ -313,6 +365,31 @@ def test_tube_volume_validation():
         tube_volume(PointSet([[0.0]]), 0.1, method="nonsense")
     with pytest.raises(ValueError):
         sample_tube_curve(PointSet([[0.0]]), [0.2, 0.1])
+
+
+def test_distances_reject_non_finite_points():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            distances_to_set([[0.5, bad]], SierpinskiGasket())
+        with pytest.raises(ValueError):
+            distances_to_set([[bad]], PointSet([[0.0]]))
+
+
+def test_tube_volume_rejects_non_finite_t():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tube_volume(SierpinskiGasket(), bad)
+
+
+def test_grid_rejects_bad_cell():
+    for bad in (math.nan, math.inf, 0.0, -1e-2):
+        with pytest.raises(ValueError):
+            tube_volume(SierpinskiGasket(), 0.05, method="grid", cell=bad)
+
+
+def test_monte_carlo_rejects_zero_samples():
+    with pytest.raises(ValueError):
+        tube_volume(SierpinskiGasket(), 0.05, method="monte_carlo", mc_samples=0)
 
 
 # ---------------------------------------------------------------------------
