@@ -42,6 +42,7 @@ from .geometry import (
     set_from_json,
     set_to_json,
     tube_volume,
+    tube_volumes,
 )
 from .intervals import IntervalUnion, fatten_intervals
 from .zeta import (

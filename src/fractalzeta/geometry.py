@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -509,46 +510,91 @@ def _unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _cantor_tube_exact(set_: CantorLike, t: float) -> float:
-    # number of gap generations still wider than 2t
-    n = 0
-    g = set_.largest_gap
-    while g * set_.ratio**n > 2.0 * t:
-        n += 1
-    return 2.0 * t * 2.0**n + set_.scale * (2.0 * set_.ratio) ** n
+def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
+    """``2t * cover(n) + tail(n)``, ``n`` the number of gap levels wider than ``2t``.
+
+    Thresholds and tables are Python floats; the running minimum makes ``n``
+    the first level with ``gap(n) <= 2t`` even where rounding breaks monotonicity.
+    """
+    floor = float(two_t.min(initial=math.inf))
+    thr = []
+    while (g := gap(len(thr))) > floor:
+        thr.append(g)
+    n = np.searchsorted(-np.minimum.accumulate(np.array(thr)), -two_t, side="left")
+    levels = range(len(thr) + 1)
+    return two_t * np.array([cover(k) for k in levels])[n] + np.array([tail(k) for k in levels])[n]
 
 
-def _string_tube_exact(set_: FractalStringBoundary, t: float) -> float:
+def _cantor_volumes(set_: CantorLike, ts: np.ndarray) -> np.ndarray:
+    # n gap generations wider than 2t leave 2^n intervals of length scale r^n
+    r = set_.ratio
+    return _level_volumes(
+        2.0 * ts, lambda k: set_.largest_gap * r**k, lambda k: 2.0**k, lambda k: set_.scale * (2.0 * r) ** k
+    )
+
+
+def _string_volumes(set_: FractalStringBoundary, ts: np.ndarray) -> np.ndarray:
+    two_t = 2.0 * ts
     if not set_.is_self_similar:
         ls = np.asarray(set_.lengths)
-        return float(2.0 * t + np.minimum(ls, 2.0 * t).sum())
+        step = max(1, (1 << 20) // ls.size)  # radius x length tables of about 2^20 entries
+        chunks = np.split(two_t, range(step, ts.size, step))
+        return np.concatenate([c + np.minimum(ls, c[:, None]).sum(axis=1) for c in chunks])
     b, m = set_.base, int(set_.multiplicity)
-    n = 0
-    while set_.scale * b ** -(n + 1) > 2.0 * t:
-        n += 1
-    open_gaps = n if m == 1 else (m**n - 1) // (m - 1)
-    tail = set_.level_tail(n)
-    return 2.0 * t * (open_gaps + 1) + tail
+    # each open gap fattens into 2t; the points below level n fill [0, tail(n)]
+    return _level_volumes(
+        two_t,
+        lambda k: set_.scale * b ** -(k + 1),
+        lambda k: float((k if m == 1 else (m**k - 1) // (m - 1)) + 1),
+        set_.level_tail,
+    )
 
 
-def _gasket_tube_exact(t: float) -> float:
-    total = SQRT3 / 4.0 + 3.0 * t + math.pi * t * t
+def _hole_levels(a_t: np.ndarray, width):
+    """Per hole level ``k``: the radii whose holes of side ``width(k)`` keep a core, and its side."""
+    idx = np.arange(a_t.size)
     k = 1
-    while 2.0**-k > 2.0 * SQRT3 * t:
-        side = 2.0**-k - 2.0 * SQRT3 * t
-        total -= 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
+    while idx.size:
+        w = width(k)
+        idx = idx[a_t[idx] < w]
+        yield k, idx, w - a_t[idx]
         k += 1
+
+
+def _gasket_volumes(set_: SierpinskiGasket, ts: np.ndarray) -> np.ndarray:
+    total = SQRT3 / 4.0 + 3.0 * ts + math.pi * ts * ts
+    for k, idx, side in _hole_levels(2.0 * SQRT3 * ts, lambda k: 2.0**-k):
+        try:
+            holes = 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
+        except OverflowError:
+            holes = (SQRT3 / 4.0) * np.exp((k - 1) * math.log(3.0) + 2.0 * np.log(side))
+        total[idx] -= holes
     return total
 
 
-def _carpet_tube_exact(t: float) -> float:
-    total = 1.0 + 6.0 * t + 3.0 * math.pi * t * t + (4.0 / 3.0) * math.pi * t**3
-    k = 1
-    while 3.0**-k > 2.0 * t:
-        side = 3.0**-k - 2.0 * t
-        total -= 26.0 ** (k - 1) * side**3
-        k += 1
+def _libm_cubes(a: np.ndarray) -> np.ndarray:
+    # libm pow, which numpy's vectorized power does not match to the last bit
+    return np.fromiter(map(math.pow, a.tolist(), repeat(3.0)), float, a.size)
+
+
+def _carpet_volumes(set_: SierpinskiCarpet3D, ts: np.ndarray) -> np.ndarray:
+    total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_cubes(ts)
+    for k, idx, side in _hole_levels(2.0 * ts, lambda k: 3.0**-k):
+        try:
+            holes = 26.0 ** (k - 1) * _libm_cubes(side)
+        except OverflowError:
+            holes = np.exp((k - 1) * math.log(26.0) + 3.0 * np.log(side))
+        total[idx] -= holes
     return total
+
+
+# Exact tube volumes over an array of radii, and the method they report.
+_EXACT_VOLUMES = {
+    CantorLike: (_cantor_volumes, TubeMethod.EXACT_1D),
+    FractalStringBoundary: (_string_volumes, TubeMethod.EXACT_1D),
+    SierpinskiGasket: (_gasket_volumes, TubeMethod.EXACT_CLOSED),
+    SierpinskiCarpet3D: (_carpet_volumes, TubeMethod.EXACT_CLOSED),
+}
 
 
 def _sweep_1d_points(points: Sequence[float], t: float) -> float:
@@ -637,14 +683,14 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     return volume, error
 
 
-def _mc_streams(seed: int):
-    i = 0
-    while True:
-        yield np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), i))))
-        i += 1
-
-
 _MC_CHUNK = 1 << 17
+
+
+def _mc_points(lo: np.ndarray, hi: np.ndarray, n_samples: int, seed: int):
+    """Uniform points in ``[lo, hi]``, chunk ``i`` from the Philox stream ``(seed, i)``."""
+    for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), i))))
+        yield lo + (hi - lo) * g.random((min(_MC_CHUNK, n_samples - start), len(lo)))
 
 
 def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
@@ -652,16 +698,7 @@ def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
     lo = lo - t
     hi = hi + t
     box_vol = float(np.prod(hi - lo))
-    hits = 0
-    streams = _mc_streams(seed)
-    remaining = n_samples
-    while remaining > 0:
-        g = next(streams)
-        m = min(_MC_CHUNK, remaining)
-        x = lo + (hi - lo) * g.random((m, len(lo)))
-        d = distances_to_set(x, set_)
-        hits += int((d < t).sum())
-        remaining -= m
+    hits = sum(int((distances_to_set(x, set_) < t).sum()) for x in _mc_points(lo, hi, n_samples, seed))
     p = hits / n_samples
     volume = box_vol * p
     half_width = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
@@ -715,6 +752,9 @@ def tube_volume(
     reports the conservative boundary-cell bound; Monte Carlo reports a
     one-standard-error confidence half-width.
 
+    Exact volumes of Cantor-type sets, string boundaries, the gasket and the
+    carpet run the array code of :func:`tube_volumes` on ``[t]``.
+
     Raises :class:`ResolutionTooCoarse` when the grid refinement (or an
     exact sweep) cannot finish within its cell/segment budget, and
     :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``
@@ -728,17 +768,12 @@ def tube_volume(
     chosen = _auto_method(set_, t) if req is None else req
 
     if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):
-        if isinstance(set_, CantorLike):
-            return TubeSample(t, _cantor_tube_exact(set_, t), TubeMethod.EXACT_1D)
-        if isinstance(set_, FractalStringBoundary):
-            return TubeSample(t, _string_tube_exact(set_, t), TubeMethod.EXACT_1D)
+        if type(set_) in _EXACT_VOLUMES:
+            volumes, kind = _EXACT_VOLUMES[type(set_)]
+            return TubeSample(t, float(volumes(set_, np.array([t]))[0]), kind)
         if isinstance(set_, (PointSet, PointCloud)) and set_.ambient_dim == 1:
             pts = [p[0] for p in set_.points]
             return TubeSample(t, _sweep_1d_points(pts, t), TubeMethod.EXACT_1D)
-        if isinstance(set_, SierpinskiGasket):
-            return TubeSample(t, _gasket_tube_exact(t), TubeMethod.EXACT_CLOSED)
-        if isinstance(set_, SierpinskiCarpet3D):
-            return TubeSample(t, _carpet_tube_exact(t), TubeMethod.EXACT_CLOSED)
         if isinstance(set_, PointSet) and set_.min_gap() >= 2.0 * t:
             vol = len(set_.points) * _unit_ball_volume(set_.ambient_dim) * t**set_.ambient_dim
             return TubeSample(t, vol, TubeMethod.EXACT_CLOSED)
@@ -761,6 +796,22 @@ def tube_volume(
         return TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw)
 
     raise ValueError(f"unhandled method {chosen!r}")
+
+
+def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
+    """``tube_volume(set_, t).volume`` for every ``t`` in an array, bit for bit.
+
+    Sets with exact hole or gap sums take the whole array at once (levels
+    whose hole count overflows a float are summed in logarithms); other sets
+    loop over ``tube_volume``.  Raises :class:`ValueError` for a non-finite
+    or non-positive radius.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not (np.isfinite(ts).all() and (ts > 0).all()):
+        raise ValueError("t values must be positive and finite")
+    if type(set_) in _EXACT_VOLUMES:
+        return _EXACT_VOLUMES[type(set_)][0](set_, ts.ravel()).reshape(ts.shape)
+    return np.array([tube_volume(set_, t).volume for t in ts.ravel().tolist()]).reshape(ts.shape)
 
 
 def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, **kwargs) -> list[TubeSample]:
@@ -823,9 +874,12 @@ def set_from_json(data: dict) -> CompactSet:
     if variant == "string_boundary":
         if "lengths" in data:
             return FractalStringBoundary(lengths=tuple(data["lengths"]))
+        multiplicity = float(data["multiplicity"])
+        if not multiplicity.is_integer():
+            raise ValueError("multiplicity must be an integer")
         return FractalStringBoundary(
             base=float(data["base"]),
-            multiplicity=int(data["multiplicity"]),
+            multiplicity=int(multiplicity),
             scale=float(data.get("scale", 1.0)),
         )
     if variant == "sierpinski_gasket":

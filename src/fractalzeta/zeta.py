@@ -21,7 +21,9 @@ All complex powers use the principal branch on positive real bases.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -36,7 +38,7 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import CompactSet, bounding_box, distances_to_set, tube_volume
+from .geometry import CompactSet, _mc_points, bounding_box, distances_to_set, tube_volume, tube_volumes
 
 TWO_PI = 2.0 * math.pi
 
@@ -366,8 +368,8 @@ def catalog_zeta(set_: CompactSet, delta: Optional[float] = None) -> ClosedFormZ
         raise NoClosedForm("point clouds have no canonical closed-form zeta function")
     if delta is None:
         delta = default_delta(set_)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError("delta must be positive and finite")
 
     if isinstance(set_, geometry.PointSet):
         n = len(set_.points)
@@ -448,20 +450,26 @@ class NumericZetaConfig:
     quadrature_points: int = 64
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000 for any reported value")
         if self.quadrature_points < 64:
             raise ValueError("quadrature_points must be at least 64")
 
 
+def _finite_s(s) -> complex:
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValueError(f"s must be finite, got {s}")
+    return s
+
+
 class ZetaEstimate(NamedTuple):
     value: complex
     half_width: float
-
-
-_MC_CHUNK = 1 << 17
 
 
 def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> ZetaEstimate:
@@ -473,9 +481,9 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     when ``Re s > N``.
     Raises :class:`VarianceOverflow` when a single sample dominates the
     weight sum, the signature of ``Re s`` at or below the abscissa of
-    convergence.
+    convergence, and :class:`ValueError` for non-finite ``s``.
     """
-    s = complex(s)
+    s = _finite_s(s)
     n_dim = set_.ambient_dim
     delta = cfg.delta
     lo, hi = bounding_box(set_)
@@ -488,12 +496,8 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     abs_sum = 0.0
     abs_max = 0.0
     n_done = 0
-    stream = 0
-    while n_done < cfg.mc_samples:
-        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(cfg.seed), stream))))
-        stream += 1
-        m = min(_MC_CHUNK, cfg.mc_samples - n_done)
-        x = lo + (hi - lo) * g.random((m, n_dim))
+    for x in _mc_points(lo, hi, cfg.mc_samples, cfg.seed):
+        m = len(x)
         d = distances_to_set(x, set_)
         w = np.zeros(m, dtype=complex)
         ok = (d > 1e-280) & (d < delta)
@@ -518,8 +522,9 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     return ZetaEstimate(box_vol * mean, half_width)
 
 
-def _tube_volume_for_quadrature(set_: CompactSet, t: float) -> float:
-    return tube_volume(set_, t).volume
+# Panels per tube_volumes call: the first block, then doubling up to the cap.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 512
 
 
 def tube_zeta_numeric(
@@ -532,14 +537,19 @@ def tube_zeta_numeric(
     """Quadrature of ``integral_0^delta t^(s-N-1) |A_t| dt``.
 
     Integrates in ``u = ln t`` with composite Gauss-Legendre panels; panels
-    extend toward ``u -> -inf`` until their contribution is negligible,
-    which requires ``Re s`` above the box dimension for convergence.  Node
-    counts double until the relative change is below ``rtol``; raises
-    :class:`QuadratureNonconvergent` otherwise.
+    extend toward ``u -> -inf`` until three in a row are negligible, and
+    panel widths halve until two passes agree to ``rtol``.  Each
+    :func:`tube_volumes` call covers a block of panels (8, doubling to 512)
+    whose contributions the stop rule then takes one by one, as if panel by
+    panel.  Raises :class:`QuadratureNonconvergent` when passes do not agree
+    or a pass reaches ``t = 1e-280`` with its tail still not negligible,
+    which is how ``Re s`` at or below the upper box dimension shows, and
+    :class:`ValueError` for non-finite ``s``.
     """
-    s = complex(s)
+    s = _finite_s(s)
     n_dim = set_.ambient_dim
     u_hi = math.log(cfg.delta)
+    u_floor = math.log(1e-280)
     nodes = max(16, cfg.quadrature_points // 4)
     x, w = np.polynomial.legendre.leggauss(nodes)
     # per-panel stop threshold scales with the panel width so the truncated
@@ -550,26 +560,36 @@ def tube_zeta_numeric(
         acc = 0.0 + 0.0j
         u_top = u_hi
         quiet = 0
-        max_panels = int(math.ceil(1200.0 / panel_width))
-        for _ in range(max_panels):
-            u_bot = u_top - panel_width
-            um = 0.5 * (u_top + u_bot)
-            uh = 0.5 * (u_top - u_bot)
-            u = um + uh * x
-            vols = np.array([_tube_volume_for_quadrature(set_, math.exp(ui)) for ui in u])
-            vals = np.exp((s - n_dim) * u) * vols
-            contrib = uh * np.sum(w * vals)
-            acc += contrib
-            u_top = u_bot
-            if abs(contrib) <= tail_tol * panel_width * max(abs(acc), 1e-300):
-                quiet += 1
-                if quiet >= 3:
-                    break
-            else:
-                quiet = 0
-            if u_top < math.log(1e-280):
-                break
-        return acc
+        tol = tail_tol * panel_width
+        panels_left = int(math.ceil(1200.0 / panel_width))
+        block = _FIRST_BLOCK
+        while panels_left and u_top >= u_floor:
+            # edges step down one subtraction at a time, as panel by panel,
+            # and stop after the first panel that crosses the floor
+            tops = [u_top]
+            while len(tops) <= min(block, panels_left) and tops[-1] >= u_floor:
+                tops.append(tops[-1] - panel_width)
+            edges = np.array(tops)
+            uh = 0.5 * (edges[:-1] - edges[1:])
+            u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + uh[:, None] * x
+            # libm exp, which numpy's vectorized exp does not match to the last bit
+            t = np.fromiter(map(math.exp, u.ravel().tolist()), float, u.size).reshape(u.shape)
+            vals = np.exp((s - n_dim) * u) * tube_volumes(set_, t)
+            for contrib in (uh * np.sum(w * vals, axis=1)).tolist():
+                acc += contrib
+                if abs(contrib) <= tol * max(abs(acc), 1e-300):
+                    quiet += 1
+                    if quiet >= 3:
+                        return acc
+                else:
+                    quiet = 0
+            u_top = tops[-1]
+            panels_left -= len(tops) - 1
+            block = min(2 * block, _MAX_BLOCK)
+        raise QuadratureNonconvergent(
+            f"tube zeta quadrature at s={s} reached t={math.exp(u_top):.3g} without a negligible "
+            "tail: Re s is at or below the abscissa of convergence, or rounding in |A_t| dominates"
+        )
 
     # halving the panel width (rather than raising the node count) also
     # converges when |A_t| has derivative kinks inside a panel
@@ -597,9 +617,11 @@ def functional_equation_residual(
     The distance-zeta side comes from the closed form when the catalog has
     one (Monte Carlo otherwise); the tube side is always assembled from the
     tube-volume oracle and the tube-zeta quadrature.  Returns
-    ``|LHS - RHS| / (1 + |LHS|)``.
+    ``|LHS - RHS| / (1 + |LHS|)``; raises :class:`ValueError` for
+    non-finite ``s`` and :class:`QuadratureNonconvergent` where the
+    quadrature does (see :func:`tube_zeta_numeric`).
     """
-    s = complex(s)
+    s = _finite_s(s)
     n_dim = set_.ambient_dim
     lhs = None
     if prefer_closed_form:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalzeta import geometry as geo
 from fractalzeta.errors import DeltaTooSmall, FractalZetaError, ResolutionTooCoarse
@@ -20,6 +22,7 @@ from fractalzeta.geometry import (
     set_from_json,
     set_to_json,
     tube_volume,
+    tube_volumes,
 )
 from fractalzeta.intervals import union_measure_of_fattened_points
 
@@ -393,6 +396,129 @@ def test_monte_carlo_rejects_zero_samples():
 
 
 # ---------------------------------------------------------------------------
+# array-valued exact tube volumes
+# ---------------------------------------------------------------------------
+
+# Scalar level loops that computed the exact volumes one t at a time; the
+# array code must reproduce them bit for bit.
+
+
+def _cantor_tube_loop(set_, t):
+    n = 0
+    g = set_.largest_gap
+    while g * set_.ratio**n > 2.0 * t:
+        n += 1
+    return 2.0 * t * 2.0**n + set_.scale * (2.0 * set_.ratio) ** n
+
+
+def _string_tube_loop(set_, t):
+    if not set_.is_self_similar:
+        ls = np.asarray(set_.lengths)
+        return float(2.0 * t + np.minimum(ls, 2.0 * t).sum())
+    b, m = set_.base, int(set_.multiplicity)
+    n = 0
+    while set_.scale * b ** -(n + 1) > 2.0 * t:
+        n += 1
+    open_gaps = n if m == 1 else (m**n - 1) // (m - 1)
+    tail = set_.level_tail(n)
+    return 2.0 * t * (open_gaps + 1) + tail
+
+
+def _gasket_tube_loop(set_, t):
+    total = SQRT3 / 4.0 + 3.0 * t + math.pi * t * t
+    k = 1
+    while 2.0**-k > 2.0 * SQRT3 * t:
+        side = 2.0**-k - 2.0 * SQRT3 * t
+        total -= 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
+        k += 1
+    return total
+
+
+def _carpet_tube_loop(set_, t):
+    total = 1.0 + 6.0 * t + 3.0 * math.pi * t * t + (4.0 / 3.0) * math.pi * t**3
+    k = 1
+    while 3.0**-k > 2.0 * t:
+        side = 3.0**-k - 2.0 * t
+        total -= 26.0 ** (k - 1) * side**3
+        k += 1
+    return total
+
+
+def _point_sweep(set_, t):
+    return union_measure_of_fattened_points(np.array([p[0] for p in set_.points]), t)
+
+
+_LOOP_CASES = [
+    (CantorLike(), _cantor_tube_loop),
+    (CantorLike(ratio=0.21, scale=3.7), _cantor_tube_loop),
+    (FractalStringBoundary.cantor_string(), _string_tube_loop),
+    (FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7), _string_tube_loop),
+    (FractalStringBoundary(base=2.5, multiplicity=1, scale=2.0), _string_tube_loop),
+    (FractalStringBoundary(lengths=tuple(np.sort(np.random.default_rng(5).random(300))[::-1])), _string_tube_loop),
+    (SierpinskiGasket(), _gasket_tube_loop),
+    (SierpinskiCarpet3D(), _carpet_tube_loop),
+]
+
+
+@pytest.mark.parametrize("set_, loop", _LOOP_CASES, ids=lambda v: type(v).__name__)
+def test_exact_volumes_array_equals_scalar_loop(set_, loop):
+    ts = np.exp(np.random.default_rng(11).uniform(math.log(1e-100), math.log(2.0), 400))
+    want = np.array([loop(set_, t) for t in ts.tolist()])
+    assert np.array_equal(tube_volumes(set_, ts), want)
+    assert [tube_volume(set_, t, "exact").volume for t in ts[:40].tolist()] == want[:40].tolist()
+    assert np.array_equal(tube_volumes(set_, ts.reshape(20, 20)), want.reshape(20, 20))
+
+
+def test_tube_volumes_loops_over_other_sets():
+    ps = PointSet([[0.0], [0.3], [0.35]])
+    ts = np.array([0.01, 0.04, 0.2])
+    assert tube_volumes(ps, ts).tolist() == [tube_volume(ps, t).volume for t in ts.tolist()]
+    assert tube_volumes(ps, ts).tolist() == pytest.approx([_point_sweep(ps, t) for t in ts.tolist()], rel=1e-14)
+    cloud = PointCloud([[0.1, 0.2], [0.4, 0.9]])
+    assert tube_volumes(cloud, [0.05]).tolist() == [tube_volume(cloud, 0.05).volume]
+
+
+def test_tube_volumes_rejects_bad_radii():
+    for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3]):
+        with pytest.raises(ValueError):
+            tube_volumes(CantorLike(), bad)
+    assert tube_volumes(CantorLike(), []).shape == (0,)
+
+
+def test_exact_volumes_past_hole_count_overflow():
+    # 26^(k-1) and 3^(k-1) overflow a float at these radii; the deep levels
+    # are summed in logarithms instead of raising OverflowError
+    for set_, t, t_ok in [(SierpinskiCarpet3D(), 1e-150, 1e-100), (SierpinskiGasket(), 1e-196, 1e-150)]:
+        v = tube_volume(set_, t, "exact").volume
+        assert math.isfinite(v) and v >= 0.0
+        assert v <= tube_volume(set_, t_ok, "exact").volume
+        assert np.isfinite(tube_volumes(set_, [5e-324, 1e-300, t, 0.1])).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ratio=st.floats(0.05, 0.45),
+    scale=st.floats(0.1, 10.0),
+    base=st.floats(2.0, 9.0),
+    multiplicity=st.integers(1, 8),
+    lo=st.floats(-60.0, 0.0),
+)
+def test_exact_volume_nondecreasing_in_t(ratio, scale, base, multiplicity, lo):
+    # a grid plus both sides of every level jump; at a jump the two closed
+    # forms agree only to rounding, so allow a decrease of 1e-14 relative
+    sets = [(CantorLike(ratio=ratio, scale=scale), lambda n: (1.0 - 2.0 * ratio) * scale * ratio**n / 2.0)]
+    if multiplicity < base:
+        string = FractalStringBoundary(base=base, multiplicity=multiplicity, scale=scale)
+        sets.append((string, lambda n: scale * base ** -(n + 1) / 2.0))
+    for set_, jump in sets:
+        jumps = np.array([jump(n) for n in range(60)])
+        ts = np.concatenate([np.exp(np.linspace(lo, lo + 3.0, 100)), jumps, np.nextafter(jumps, 0.0)])
+        ts = np.sort(ts[ts > 0.0])
+        vols = tube_volumes(set_, ts)
+        assert (np.diff(vols) >= -1e-14 * vols[1:]).all()
+
+
+# ---------------------------------------------------------------------------
 # descriptors and serialization
 # ---------------------------------------------------------------------------
 
@@ -440,3 +566,11 @@ def test_json_round_trip():
         assert decoded == set_
     with pytest.raises(ValueError):
         set_from_json({"variant": "dodecahedron"})
+
+
+def test_json_rejects_fractional_multiplicity():
+    for bad in (2.7, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            set_from_json({"variant": "string_boundary", "base": 3.0, "multiplicity": bad})
+    again = set_from_json({"variant": "string_boundary", "base": 3.0, "multiplicity": 2.0})
+    assert again == FractalStringBoundary.cantor_string()

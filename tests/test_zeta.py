@@ -170,6 +170,22 @@ def test_config_validation():
         NumericZetaConfig(delta=-1.0, seed=1)
 
 
+def test_config_rejects_non_finite_delta_and_bad_seed():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            NumericZetaConfig(delta=bad, seed=1)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            NumericZetaConfig(delta=1.0, seed=bad)
+    assert NumericZetaConfig(delta=1.0, seed=np.int64(3)).seed == 3
+
+
+def test_catalog_zeta_rejects_non_finite_delta():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            catalog_zeta(SierpinskiGasket(), bad)
+
+
 # ---------------------------------------------------------------------------
 # numeric evaluators
 # ---------------------------------------------------------------------------
@@ -220,6 +236,41 @@ def test_quadrature_nonconvergent_at_unreachable_tolerance():
     cfg = cfg_for(c, delta=0.5)
     with pytest.raises(QuadratureNonconvergent):
         tube_zeta_numeric(c, 1.4 + 0.3j, cfg, rtol=1e-13, max_refinements=3)
+
+
+def test_quadrature_below_abscissa_raises():
+    # D = log 2 / log 3 = 0.63: every pass runs to the t = 1e-280 floor
+    from fractalzeta.errors import QuadratureNonconvergent
+
+    with pytest.raises(QuadratureNonconvergent):
+        tube_zeta_numeric(CantorLike(), 0.3 + 1.0j, NumericZetaConfig(delta=0.5, seed=1))
+
+
+def test_non_finite_s_is_rejected_up_front():
+    cfg = NumericZetaConfig(delta=0.5, seed=1)
+    for bad in (complex(math.nan, 0.0), complex(1.0, math.inf)):
+        with pytest.raises(ValueError):
+            tube_zeta_numeric(CantorLike(), bad, cfg)
+        with pytest.raises(ValueError):
+            functional_equation_residual(CantorLike(), bad, cfg)
+        with pytest.raises(ValueError):
+            distance_zeta_numeric(CantorLike(), bad, cfg)
+
+
+def test_functional_equation_near_abscissa_past_hole_count_overflow():
+    # the quadrature reaches radii where 3^(k-1) (gasket) and 26^(k-1)
+    # (carpet) overflow; a value or QuadratureNonconvergent, no bare error
+    from fractalzeta.errors import QuadratureNonconvergent
+
+    for set_, s in [
+        (SierpinskiGasket(), math.log(3.0) / math.log(2.0) + 0.1 + 1.0j),
+        (SierpinskiCarpet3D(), math.log(26.0) / math.log(3.0) + 0.05 + 1.0j),
+    ]:
+        try:
+            residual = functional_equation_residual(set_, s, cfg_for(set_))
+        except QuadratureNonconvergent:
+            continue
+        assert math.isfinite(residual)
 
 
 def test_functional_equation_point_set():
