@@ -38,7 +38,15 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import CompactSet, _mc_points, bounding_box, distances_to_set, tube_volume, tube_volumes
+from .geometry import (
+    _EXACT_VOLUMES,
+    CompactSet,
+    _mc_points,
+    bounding_box,
+    distances_to_set,
+    tube_volume,
+    tube_volumes,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -538,10 +546,10 @@ def tube_zeta_numeric(
 
     Integrates in ``u = ln t`` with composite Gauss-Legendre panels; panels
     extend toward ``u -> -inf`` until three in a row are negligible, and
-    panel widths halve until two passes agree to ``rtol``.  Each
-    :func:`tube_volumes` call covers a block of panels (8, doubling to 512)
-    whose contributions the stop rule then takes one by one, as if panel by
-    panel.  Raises :class:`QuadratureNonconvergent` when passes do not agree
+    panel widths halve until two passes agree to ``rtol``.  For sets with
+    array-valued exact volumes each :func:`tube_volumes` call covers a
+    block of panels (8, doubling to 512) whose contributions the stop rule
+    then takes one by one, as if panel by panel.  Raises :class:`QuadratureNonconvergent` when passes do not agree
     or a pass reaches ``t = 1e-280`` with its tail still not negligible,
     which is how ``Re s`` at or below the upper box dimension shows, and
     :class:`ValueError` for non-finite ``s``.
@@ -555,6 +563,9 @@ def tube_zeta_numeric(
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 rtol regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * rtol)
+    # blocks pay off where tube_volumes is array code; elsewhere the panels
+    # past the stop would cost one scalar tube_volume per node
+    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if type(set_) in _EXACT_VOLUMES else (1, 1)
 
     def integrate(panel_width: float) -> complex:
         acc = 0.0 + 0.0j
@@ -562,7 +573,7 @@ def tube_zeta_numeric(
         quiet = 0
         tol = tail_tol * panel_width
         panels_left = int(math.ceil(1200.0 / panel_width))
-        block = _FIRST_BLOCK
+        block = first_block
         while panels_left and u_top >= u_floor:
             # edges step down one subtraction at a time, as panel by panel,
             # and stop after the first panel that crosses the floor
@@ -585,7 +596,7 @@ def tube_zeta_numeric(
                     quiet = 0
             u_top = tops[-1]
             panels_left -= len(tops) - 1
-            block = min(2 * block, _MAX_BLOCK)
+            block = min(2 * block, max_block)
         raise QuadratureNonconvergent(
             f"tube zeta quadrature at s={s} reached t={math.exp(u_top):.3g} without a negligible "
             "tail: Re s is at or below the abscissa of convergence, or rounding in |A_t| dominates"
