@@ -38,15 +38,7 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import (
-    _EXACT_VOLUMES,
-    CompactSet,
-    _mc_points,
-    bounding_box,
-    distances_to_set,
-    tube_volume,
-    tube_volumes,
-)
+from .geometry import CompactSet, bounding_box, distances_to_set, tube_volume, tube_volumes
 
 TWO_PI = 2.0 * math.pi
 
@@ -504,7 +496,7 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     abs_sum = 0.0
     abs_max = 0.0
     n_done = 0
-    for x in _mc_points(lo, hi, cfg.mc_samples, cfg.seed):
+    for x in geometry._mc_points(lo, hi, cfg.mc_samples, cfg.seed):
         m = len(x)
         d = distances_to_set(x, set_)
         w = np.zeros(m, dtype=complex)
@@ -549,9 +541,11 @@ def tube_zeta_numeric(
     panel widths halve until two passes agree to ``rtol``.  For sets with
     array-valued exact volumes each :func:`tube_volumes` call covers a
     block of panels (8, doubling to 512) whose contributions the stop rule
-    then takes one by one, as if panel by panel.  Raises :class:`QuadratureNonconvergent` when passes do not agree
-    or a pass reaches ``t = 1e-280`` with its tail still not negligible,
-    which is how ``Re s`` at or below the upper box dimension shows, and
+    then takes one by one, as if panel by panel.
+
+    Raises :class:`QuadratureNonconvergent` when passes do not agree or a
+    pass reaches ``t = 1e-280`` with its tail still not negligible, which
+    is how ``Re s`` at or below the upper box dimension shows, and
     :class:`ValueError` for non-finite ``s``.
     """
     s = _finite_s(s)
@@ -565,7 +559,7 @@ def tube_zeta_numeric(
     tail_tol = min(1e-9, 1e-3 * rtol)
     # blocks pay off where tube_volumes is array code; elsewhere the panels
     # past the stop would cost one scalar tube_volume per node
-    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if type(set_) in _EXACT_VOLUMES else (1, 1)
+    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if type(set_) in geometry._EXACT_VOLUMES else (1, 1)
 
     def integrate(panel_width: float) -> complex:
         acc = 0.0 + 0.0j

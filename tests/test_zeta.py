@@ -238,6 +238,62 @@ def test_quadrature_nonconvergent_at_unreachable_tolerance():
         tube_zeta_numeric(c, 1.4 + 0.3j, cfg, rtol=1e-13, max_refinements=3)
 
 
+def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
+    # the quadrature as it ran before block evaluation: one panel and 16
+    # scalar tube volumes at a time, stopping quietly at the 1e-280 floor
+    from fractalzeta.geometry import tube_volume
+
+    x, w = np.polynomial.legendre.leggauss(max(16, cfg.quadrature_points // 4))
+    tail_tol = min(1e-9, 1e-3 * rtol)
+
+    def integrate(panel_width):
+        acc = 0.0 + 0.0j
+        u_top = math.log(cfg.delta)
+        quiet = 0
+        for _ in range(int(math.ceil(1200.0 / panel_width))):
+            u_bot = u_top - panel_width
+            um = 0.5 * (u_top + u_bot)
+            uh = 0.5 * (u_top - u_bot)
+            u = um + uh * x
+            vols = np.array([tube_volume(set_, math.exp(ui)).volume for ui in u])
+            vals = np.exp((s - set_.ambient_dim) * u) * vols
+            contrib = uh * np.sum(w * vals)
+            acc += contrib
+            u_top = u_bot
+            if abs(contrib) <= tail_tol * panel_width * max(abs(acc), 1e-300):
+                quiet += 1
+                if quiet >= 3:
+                    break
+            else:
+                quiet = 0
+            if u_top < math.log(1e-280):
+                break
+        return acc
+
+    width = 2.0
+    prev = integrate(width)
+    for _ in range(max_refinements):
+        width *= 0.5
+        cur = integrate(width)
+        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+            return cur
+        prev = cur
+    raise AssertionError("reference quadrature did not converge")
+
+
+def test_block_quadrature_equals_panel_loop():
+    # at these s, node radii from numpy's exp in place of libm's change the last bit
+    for set_, s in [
+        (CantorLike(), 1.29 - 5.6j),
+        (FractalStringBoundary.cantor_string(), 1.3 + 0.5j),
+        (SierpinskiGasket(), 2.49 + 6.96j),
+        (SierpinskiCarpet3D(), 3.59 + 7.27j),
+        (PointSet([[0.2]]), 0.97 + 6.24j),
+    ]:
+        cfg = cfg_for(set_)
+        assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+
+
 def test_quadrature_below_abscissa_raises():
     # D = log 2 / log 3 = 0.63: every pass runs to the t = 1e-280 floor
     from fractalzeta.errors import QuadratureNonconvergent
