@@ -21,7 +21,6 @@ All complex powers use the principal branch on positive real bases.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -462,7 +461,7 @@ class NumericZetaConfig:
 
 def _finite_s(s) -> complex:
     s = complex(s)
-    if not cmath.isfinite(s):
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s must be finite, got {s}")
     return s
 
