@@ -6,7 +6,8 @@ Subcommands: ``catalog`` (known sets and their dimensions), ``zeta-eval``
 (criterion verdict).  All runs are driven by a JSON experiment config with
 a mandatory seed; identical config and seed give byte-identical outputs.
 
-Exit codes: 0 success, 1 numeric threshold breached, 2 usage/config error.
+Exit codes: 0 success, 1 numeric threshold breached or computation failed,
+2 usage/config error (see :func:`main`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import geometry, zeta
 from .dimensions import Pole, languidity_probe
-from .errors import FractalZetaError
+from .errors import DeltaTooSmall, FractalZetaError
 from .geometry import CompactSet, set_from_json
 from .tube import (
     compare_tube_formula,
@@ -381,6 +382,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Exit 2 when the command line or the config is wrong: a missing or
+    malformed file, a value out of its domain, or a ``delta`` below the
+    closed form's bound (:class:`DeltaTooSmall`); rerunning cannot help
+    until the input changes.  Exit 1 when a valid config's computation
+    fails (any other :class:`FractalZetaError`) or breaches its numeric
+    threshold.  Exit 0 otherwise.
+    """
     ap = _build_parser()
     args = ap.parse_args(argv)
     if args.command == "catalog":
@@ -402,7 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "measurability":
             return cmd_measurability(cfg, out_dir)
         raise ValueError(f"unknown command {args.command}")
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError, DeltaTooSmall) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except FractalZetaError as exc:

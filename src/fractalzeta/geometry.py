@@ -112,8 +112,8 @@ class CantorLike:
     def __post_init__(self):
         if not (0.0 < self.ratio < 0.5):
             raise ValueError("ratio must lie in (0, 1/2)")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be positive and finite")
 
     ambient_dim = 1
 
@@ -152,20 +152,22 @@ class FractalStringBoundary:
             raise ValueError("give either explicit lengths or a self-similar generator")
         if self.lengths is not None:
             ls = tuple(float(v) for v in self.lengths)
-            if not ls or any(v <= 0 for v in ls):
-                raise ValueError("lengths must be positive")
+            if not ls or not all(math.isfinite(v) and v > 0 for v in ls):
+                raise ValueError("lengths must be positive and finite")
             if any(a < b for a, b in zip(ls, ls[1:])):
                 raise ValueError("lengths must be nonincreasing")
             object.__setattr__(self, "lengths", ls)
         else:
             if self.base is None or self.multiplicity is None:
                 raise ValueError("self-similar mode needs base and multiplicity")
+            if not (math.isfinite(self.base) and math.isfinite(self.multiplicity)):
+                raise ValueError("base and multiplicity must be finite")
             if self.base <= 1.0 or self.multiplicity < 1:
                 raise ValueError("need base > 1 and multiplicity >= 1")
             if self.multiplicity >= self.base:
                 raise ValueError("multiplicity must be < base for a summable string")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be positive and finite")
 
     @classmethod
     def cantor_string(cls) -> "FractalStringBoundary":
@@ -401,22 +403,25 @@ def _gasket_distances(pts: np.ndarray) -> np.ndarray:
     to that hole's edges.  The step ``lam <- 2 lam - e_i`` is exact.
     """
     px, py = pts[:, 0], pts[:, 1]
+    l0, l1, l2 = 1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py
+    inside = (l0 > 0.0) & (l1 > 0.0) & (l2 > 0.0)
+    out = np.zeros(px.size)
     # the outline of the big triangle belongs to the set
-    out = _gasket_edge_min(px, py)
-    lam = np.stack([1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py])
-    idx = np.flatnonzero((lam > 0.0).all(axis=0))
-    out[idx] = 0.0
-    lam = lam[:, idx]
+    out[~inside] = _gasket_edge_min(px[~inside], py[~inside])
+    idx = np.flatnonzero(inside)
+    l0, l1, l2 = l0[idx], l1[idx], l2[idx]
     s = 1.0
     while idx.size and s >= _RESOLUTION:
-        corner = lam.argmax(axis=0)
-        lmax = lam[corner, np.arange(idx.size)]
+        # the corner of the largest coordinate, the first one on ties
+        c0 = (l0 >= l1) & (l0 >= l2)
+        c1 = (l1 >= l2) & ~c0
+        lmax = np.maximum(np.maximum(l0, l1), l2)
         hole = lmax < 0.5
         # the middle hole is {lam_i < 1/2}; its edges lie on lam_i = 1/2
         out[idx[hole]] = (s * SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
-        keep = ~hole
-        idx, lam, corner = idx[keep], 2.0 * lam[:, keep], corner[keep]
-        lam[corner, np.arange(idx.size)] -= 1.0
+        k = np.flatnonzero(~hole)
+        idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
+        l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
         s *= 0.5
     return out
 
@@ -513,8 +518,12 @@ def _unit_ball_volume(n: int) -> float:
 def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
     """``2t * cover(n) + tail(n)``, ``n`` the number of gap levels wider than ``2t``.
 
-    Thresholds and tables are Python floats; the running minimum makes ``n``
-    the first level with ``gap(n) <= 2t`` even where rounding breaks monotonicity.
+    Thresholds and tails are Python floats and covers exact integers; the
+    running minimum makes ``n`` the first level with ``gap(n) <= 2t`` even
+    where rounding breaks monotonicity.  Covers past the float range enter
+    as ``(2t 2^e) (cover / 2^e)``: power-of-two scaling is exact, so the
+    product is the one rounding of ``2t * cover``, and ``e = 0`` short of
+    that range.
     """
     floor = float(two_t.min(initial=math.inf))
     thr = []
@@ -522,14 +531,17 @@ def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
         thr.append(g)
     n = np.searchsorted(-np.minimum.accumulate(np.array(thr)), -two_t, side="left")
     levels = range(len(thr) + 1)
-    return two_t * np.array([cover(k) for k in levels])[n] + np.array([tail(k) for k in levels])[n]
+    covers = [cover(k) for k in levels]
+    e = max(0, covers[-1].bit_length() - 1000)
+    scaled = np.array([c / (1 << e) for c in covers]) if e else np.array(covers, dtype=float)
+    return np.ldexp(two_t, e) * scaled[n] + np.array([tail(k) for k in levels])[n]
 
 
 def _cantor_volumes(set_: CantorLike, ts: np.ndarray) -> np.ndarray:
     # n gap generations wider than 2t leave 2^n intervals of length scale r^n
     r = set_.ratio
     return _level_volumes(
-        2.0 * ts, lambda k: set_.largest_gap * r**k, lambda k: 2.0**k, lambda k: set_.scale * (2.0 * r) ** k
+        2.0 * ts, lambda k: set_.largest_gap * r**k, lambda k: 1 << k, lambda k: set_.scale * (2.0 * r) ** k
     )
 
 
@@ -545,7 +557,7 @@ def _string_volumes(set_: FractalStringBoundary, ts: np.ndarray) -> np.ndarray:
     return _level_volumes(
         two_t,
         lambda k: set_.scale * b ** -(k + 1),
-        lambda k: float((k if m == 1 else (m**k - 1) // (m - 1)) + 1),
+        lambda k: (k if m == 1 else (m**k - 1) // (m - 1)) + 1,
         set_.level_tail,
     )
 
@@ -624,60 +636,49 @@ def _cantor_tube_sweep(set_: CantorLike, t: float) -> float:
 
 
 def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000_000):
-    """Flat grid count (centers within distance t), evaluated blockwise.
+    """Flat grid count (centers within distance t), by level-synchronous refinement.
 
-    Blocks of cells that are provably entirely inside or outside ``A_t``
-    (with a margin covering the boundary-adjacency band) are resolved
-    without visiting their cells, which reproduces the flat count exactly
-    at a cost proportional to the boundary.
+    The cell lattice, padded to a power of two, is refined as a quadtree (2D)
+    or octree (3D) one level at a time, so all blocks of a level share one
+    side ``2^k`` and one Lipschitz radius.  Blocks provably entirely inside or
+    outside ``A_t`` (with a margin covering the boundary-adjacency band) are
+    resolved without visiting their cells; the others split into their
+    ``2^N`` children, less those past the lattice.  Single cells take the flat
+    rule, so the result is the flat count exactly, at a cost proportional to
+    the boundary.
     """
     n_dim = set_.ambient_dim
     lo, hi = bounding_box(set_)
-    lo = lo - t
-    hi = hi + t
-    origin = lo - cell * _GRID_OFFSET
-    ncell = np.ceil((hi - origin) / cell).astype(np.int64) + 1
+    origin = lo - t - cell * _GRID_OFFSET
+    # block lower corners, child offsets and the lattice size hold one row per axis
+    ncell = (np.ceil((hi + t - origin) / cell).astype(np.int64) + 1)[:, None]
+    corners = np.indices((2,) * n_dim).reshape(n_dim, -1, 1)
+    side = 1 << int(ncell.max() - 1).bit_length()
+    blo = np.zeros((n_dim, 1), dtype=np.int64)
     margin = cell * math.sqrt(n_dim) / 2.0
-    blo = np.zeros((1, n_dim), dtype=np.int64)
-    bsz = ncell[None, :].copy()
     inside_cells = 0
     boundary_cells = 0
     rows_seen = 0
-    while blo.shape[0]:
-        rows_seen += blo.shape[0]
+    while blo.shape[1]:
+        rows_seen += blo.shape[1]
         if rows_seen > budget_rows:
             raise ResolutionTooCoarse(
                 f"grid refinement exceeded the {budget_rows} block budget at cell={cell}"
             )
-        centers = origin + (blo + 0.5 * bsz) * cell
-        rc = cell * np.linalg.norm(0.5 * (bsz - 1), axis=1)
-        fine = rc == 0.0
-        d = distances_to_set(centers, set_)
+        d = distances_to_set((origin[:, None] + (blo + 0.5 * side) * cell).T, set_)
+        rc = 0.5 * (side - 1) * cell * math.sqrt(n_dim)
         all_in = d + rc < t - margin
-        all_out = d - rc >= t + margin
-        if all_in.any():
-            inside_cells += int(np.prod(bsz[all_in].astype(object), axis=1).sum())
-        undecided = ~(all_in | all_out)
-        fine_cells = undecided & fine
-        if fine_cells.any():
-            df = d[fine_cells]
+        # an all-in block lies within the lattice: past it, centers are over t from the set
+        inside_cells += int(all_in.sum()) * side**n_dim
+        undecided = ~all_in & (d - rc < t + margin)
+        if side == 1:
+            df = d[undecided]
             inside_cells += int((df < t).sum())
             boundary_cells += int((np.abs(df - t) <= margin).sum())
-        split = undecided & ~fine
-        blo = blo[split]
-        bsz = bsz[split]
-        for ax in range(n_dim):
-            need = bsz[:, ax] > 1
-            if not need.any():
-                continue
-            h1 = bsz[need, ax] // 2
-            left_lo, left_sz = blo.copy(), bsz.copy()
-            left_sz[need, ax] = h1
-            right_lo, right_sz = blo[need].copy(), bsz[need].copy()
-            right_lo[:, ax] += h1
-            right_sz[:, ax] -= h1
-            blo = np.concatenate([left_lo, right_lo])
-            bsz = np.concatenate([left_sz, right_sz])
+            break
+        side //= 2
+        blo = (blo[:, None, undecided] + side * corners).reshape(n_dim, -1)
+        blo = blo[:, (blo < ncell).all(axis=0)]
     volume = inside_cells * cell**n_dim
     error = boundary_cells * cell**n_dim
     return volume, error
@@ -757,16 +758,37 @@ def tube_volume(
 
     Raises :class:`ResolutionTooCoarse` when the grid refinement (or an
     exact sweep) cannot finish within its cell/segment budget, and
-    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``
-    and for ``mc_samples < 1``.
+    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
+    for a ``t`` at which the set's bounding box fattened by ``t`` has a
+    volume past the float range, and for ``mc_samples < 1``.
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
+    _check_fattened_box(set_, t)
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
     chosen = _auto_method(set_, t) if req is None else req
+    return _measure_tube(set_, t, chosen, cell, mc_samples, seed, budget_rows)
 
+
+def _check_fattened_box(set_: CompactSet, t: float) -> None:
+    lo, hi = bounding_box(set_)
+    # Python floats overflow to inf where numpy would warn
+    if not math.isfinite(math.prod(h - l + 2.0 * t for l, h in zip(lo.tolist(), hi.tolist()))):
+        raise ValueError(f"t = {t!r} is too large: the fattened bounding box has no float volume")
+
+
+def _measure_tube(
+    set_: CompactSet,
+    t: float,
+    chosen,
+    cell: Optional[float] = None,
+    mc_samples: int = 200_000,
+    seed: int = 0,
+    budget_rows: int = 8_000_000,
+) -> TubeSample:
+    """:func:`tube_volume` by a resolved method, for a radius already checked."""
     if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):
         if type(set_) in _EXACT_VOLUMES:
             volumes, kind = _EXACT_VOLUMES[type(set_)]
@@ -803,15 +825,19 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
 
     Sets with exact hole or gap sums take the whole array at once (levels
     whose hole count overflows a float are summed in logarithms); other sets
-    loop over ``tube_volume``.  Raises :class:`ValueError` for a non-finite
-    or non-positive radius.
+    loop over the methods of ``tube_volume``.  Raises :class:`ValueError`
+    for a non-finite or non-positive radius and, as ``tube_volume`` does,
+    for one too large for a float volume.
     """
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (ts > 0).all()):
         raise ValueError("t values must be positive and finite")
+    if ts.size:
+        _check_fattened_box(set_, float(ts.max()))
     if type(set_) in _EXACT_VOLUMES:
         return _EXACT_VOLUMES[type(set_)][0](set_, ts.ravel()).reshape(ts.shape)
-    return np.array([tube_volume(set_, t).volume for t in ts.ravel().tolist()]).reshape(ts.shape)
+    flat = ts.ravel().tolist()
+    return np.array([_measure_tube(set_, t, _auto_method(set_, t)).volume for t in flat]).reshape(ts.shape)
 
 
 def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, **kwargs) -> list[TubeSample]:

@@ -117,10 +117,11 @@ def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
     """Evaluate the truncated tube formula at ``t`` (must be a real value).
 
     Conjugate pairs combine as twice the real part; the total's imaginary
-    residue is checked against a 1e-10 relative bound.
+    residue is checked against a 1e-10 relative bound.  Raises
+    :class:`ValueError` unless ``0 < t < series.t_valid_max``.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     if t >= series.t_valid_max:
         raise ValueError(
             f"t={t} is outside the formula's validity range (t < {series.t_valid_max})"

@@ -56,6 +56,15 @@ def test_invalid_config_is_usage_error(tmp_path):
     assert main(["poles", "--config", str(path)]) == 2
 
 
+def test_delta_below_closed_form_bound_is_config_error(tmp_path, capsys):
+    # the gasket closed form needs delta > 1/(4 sqrt 3); this exited 1 before
+    path = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, delta=0.01)
+    for command in ("poles", "measurability", "tube-compare"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(
         set={"variant": "cantor_like", "ratio": 1.0 / 3.0, "scale": 1.0},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,7 +321,11 @@ def test_gasket_grid_curve_reports_error_bounds():
 
 
 def _flat_grid_volume(set_, t, cell):
-    """Honest flat count over every center with the grid oracle's lattice and rule."""
+    """Honest flat count over every center with the grid oracle's lattice and rule.
+
+    Returns the volume of the centers within ``t`` and that of the boundary
+    cells, those with ``|d - t|`` at most half a cell diagonal.
+    """
     lo, hi = geo.bounding_box(set_)
     lo = lo - t
     hi = hi + t
@@ -329,14 +334,16 @@ def _flat_grid_volume(set_, t, cell):
     idx = np.meshgrid(*(np.arange(m) for m in ncell), indexing="ij")
     centers = origin + (np.stack([i.ravel() for i in idx], axis=1) + 0.5) * cell
     d = distances_to_set(centers, set_)
-    return (d < t).sum() * cell ** set_.ambient_dim
+    margin = cell * math.sqrt(set_.ambient_dim) / 2.0
+    unit = cell**set_.ambient_dim
+    return (d < t).sum() * unit, (np.abs(d - t) <= margin).sum() * unit
 
 
 def test_grid_blocked_equals_flat_bruteforce():
     ps = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
     t, cell = 0.21, 0.02
     blocked = tube_volume(ps, t, method="grid", cell=cell)
-    flat = _flat_grid_volume(ps, t, cell)
+    flat, _ = _flat_grid_volume(ps, t, cell)
     assert blocked.volume == pytest.approx(flat, abs=1e-12)
 
 
@@ -344,8 +351,84 @@ def test_grid_blocked_equals_flat_bruteforce_gasket():
     g = SierpinskiGasket()
     t, cell = 0.05, 1e-2
     blocked = tube_volume(g, t, method="grid", cell=cell)
-    flat = _flat_grid_volume(g, t, cell)
+    flat, _ = _flat_grid_volume(g, t, cell)
     assert blocked.volume == pytest.approx(flat, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "set_, t, cell",
+    [
+        (SierpinskiGasket(), 0.05, 7e-3),
+        (SierpinskiGasket(), 0.013, 3e-3),
+        (SierpinskiCarpet3D(), 0.05, 0.021),
+        (PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]]), 0.21, 0.013),
+    ],
+    ids=["gasket", "gasket-small-t", "carpet", "point-set"],
+)
+def test_grid_quadtree_equals_flat_count_exactly(set_, t, cell):
+    lo, hi = geo.bounding_box(set_)
+    ncell = np.ceil((hi + t - (lo - t - cell * (math.sqrt(2.0) - 1.0))) / cell).astype(int) + 1
+    # lattices that are not a power of two on any axis, so padding blocks occur
+    assert all(m & (m - 1) for m in ncell.tolist())
+    blocked = tube_volume(set_, t, method="grid", cell=cell)
+    assert (blocked.volume, blocked.error_bound) == _flat_grid_volume(set_, t, cell)
+
+
+def _axis_split_grid_tube(set_, t, cell, budget_rows=8_000_000):
+    """The grid oracle's earlier refinement: blocks of any shape, split in halves axis by axis."""
+    n_dim = set_.ambient_dim
+    lo, hi = geo.bounding_box(set_)
+    lo = lo - t
+    hi = hi + t
+    origin = lo - cell * (math.sqrt(2.0) - 1.0)
+    ncell = np.ceil((hi - origin) / cell).astype(np.int64) + 1
+    margin = cell * math.sqrt(n_dim) / 2.0
+    blo = np.zeros((1, n_dim), dtype=np.int64)
+    bsz = ncell[None, :].copy()
+    inside_cells = 0
+    boundary_cells = 0
+    rows_seen = 0
+    while blo.shape[0]:
+        rows_seen += blo.shape[0]
+        if rows_seen > budget_rows:
+            raise ResolutionTooCoarse("block budget exceeded")
+        centers = origin + (blo + 0.5 * bsz) * cell
+        rc = cell * np.linalg.norm(0.5 * (bsz - 1), axis=1)
+        fine = rc == 0.0
+        d = distances_to_set(centers, set_)
+        all_in = d + rc < t - margin
+        all_out = d - rc >= t + margin
+        if all_in.any():
+            inside_cells += int(np.prod(bsz[all_in].astype(object), axis=1).sum())
+        undecided = ~(all_in | all_out)
+        fine_cells = undecided & fine
+        if fine_cells.any():
+            df = d[fine_cells]
+            inside_cells += int((df < t).sum())
+            boundary_cells += int((np.abs(df - t) <= margin).sum())
+        split = undecided & ~fine
+        blo = blo[split]
+        bsz = bsz[split]
+        for ax in range(n_dim):
+            need = bsz[:, ax] > 1
+            if not need.any():
+                continue
+            h1 = bsz[need, ax] // 2
+            left_lo, left_sz = blo.copy(), bsz.copy()
+            left_sz[need, ax] = h1
+            right_lo, right_sz = blo[need].copy(), bsz[need].copy()
+            right_lo[:, ax] += h1
+            right_sz[:, ax] -= h1
+            blo = np.concatenate([left_lo, right_lo])
+            bsz = np.concatenate([left_sz, right_sz])
+    return inside_cells * cell**n_dim, boundary_cells * cell**n_dim
+
+
+def test_grid_quadtree_equals_axis_split_on_readme_gasket_grid():
+    g = SierpinskiGasket()
+    for t in (0.01, 0.0268, 0.0517, 0.1):
+        s = tube_volume(g, t, method="grid", cell=5e-4)
+        assert (s.volume, s.error_bound) == _axis_split_grid_tube(g, t, 5e-4)
 
 
 def test_grid_budget_raises():
@@ -485,6 +568,35 @@ def test_tube_volumes_rejects_bad_radii():
     assert tube_volumes(CantorLike(), []).shape == (0,)
 
 
+def test_deep_cantor_levels_past_the_float_range_of_their_count():
+    # 2^n with n > 1023 gap levels wider than 2t raised OverflowError
+    c = CantorLike(ratio=0.4999)
+    t = 1e-315
+    n = 0
+    while c.largest_gap * c.ratio**n > 2.0 * t:
+        n += 1
+    assert n > 1023
+    want = math.ldexp(2.0 * t, n) + c.scale * (2.0 * c.ratio) ** n
+    assert tube_volume(c, t).volume == want
+    assert tube_volumes(c, [t, 1e-300]).tolist() == [want, tube_volume(c, 1e-300).volume]
+    assert want <= tube_volume(c, 1e-300).volume
+    s = FractalStringBoundary(base=2.01, multiplicity=2)
+    v = tube_volumes(s, [1e-320, 1e-300, 1e-200])
+    assert np.isfinite(v).all() and (np.diff(v) > 0).all()
+
+
+@pytest.mark.parametrize("set_, t", [(SierpinskiCarpet3D(), 1e103), (SierpinskiGasket(), 1e160)], ids=["carpet", "gasket"])
+def test_tube_volume_rejects_radius_past_float_volume(set_, t):
+    # the carpet raised OverflowError from pow(t, 3); the gasket returned inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            tube_volume(set_, t)
+        with pytest.raises(ValueError):
+            tube_volumes(set_, [0.1, t])
+        assert math.isfinite(tube_volume(set_, t * 1e-10).volume)
+
+
 def test_exact_volumes_past_hole_count_overflow():
     # 26^(k-1) and 3^(k-1) overflow a float at these radii; the deep levels
     # are summed in logarithms instead of raising OverflowError
@@ -544,6 +656,21 @@ def test_descriptor_validation():
         PointCloud([[0.0, 1.0]], ambient_dim=3)
     with pytest.raises(ValueError):
         PointSet([[math.inf]])
+
+
+def test_cantor_rejects_infinite_scale():
+    with pytest.raises(ValueError):
+        CantorLike(scale=math.inf)
+
+
+def test_string_rejects_nan_base():
+    with pytest.raises(ValueError):
+        FractalStringBoundary(base=math.nan, multiplicity=2)
+
+
+def test_string_rejects_infinite_length():
+    with pytest.raises(ValueError):
+        FractalStringBoundary(lengths=(math.inf, 1.0))
 
 
 def test_string_boundary_points():

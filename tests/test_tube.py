@@ -122,6 +122,12 @@ def test_formula_validity_range_enforced():
         tube_formula_truncated(series, -0.1)
 
 
+def test_formula_rejects_nan_t():
+    # NaN slipped past both range checks and came back as a NaN total
+    with pytest.raises(ValueError):
+        tube_formula_truncated(gasket_series(5), math.nan)
+
+
 def test_gasket_formula_matches_exact_oracle():
     series = gasket_series(20)
     for t in [0.005, 0.02, 0.1, 0.25]:
