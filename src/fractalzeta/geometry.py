@@ -522,8 +522,7 @@ def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
     running minimum makes ``n`` the first level with ``gap(n) <= 2t`` even
     where rounding breaks monotonicity.  Covers past the float range enter
     as ``(2t 2^e) (cover / 2^e)``: power-of-two scaling is exact, so the
-    product is the one rounding of ``2t * cover``, and ``e = 0`` short of
-    that range.
+    product is still the one rounding of ``2t * cover``.
     """
     floor = float(two_t.min(initial=math.inf))
     thr = []
@@ -532,9 +531,10 @@ def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
     n = np.searchsorted(-np.minimum.accumulate(np.array(thr)), -two_t, side="left")
     levels = range(len(thr) + 1)
     covers = [cover(k) for k in levels]
-    e = max(0, covers[-1].bit_length() - 1000)
-    scaled = np.array([c / (1 << e) for c in covers]) if e else np.array(covers, dtype=float)
-    return np.ldexp(two_t, e) * scaled[n] + np.array([tail(k) for k in levels])[n]
+    e = covers[-1].bit_length() - 1000
+    if e > 0:
+        two_t, covers = np.ldexp(two_t, e), [c / (1 << e) for c in covers]
+    return two_t * np.array(covers, dtype=float)[n] + np.array([tail(k) for k in levels])[n]
 
 
 def _cantor_volumes(set_: CantorLike, ts: np.ndarray) -> np.ndarray:
@@ -650,8 +650,11 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     n_dim = set_.ambient_dim
     lo, hi = bounding_box(set_)
     origin = lo - t - cell * _GRID_OFFSET
+    span = (hi + t - origin) / cell
+    if not (span < 2.0**61).all():
+        raise ResolutionTooCoarse(f"grid lattice at cell={cell} exceeds 2^61 cells per axis")
     # block lower corners, child offsets and the lattice size hold one row per axis
-    ncell = (np.ceil((hi + t - origin) / cell).astype(np.int64) + 1)[:, None]
+    ncell = (np.ceil(span).astype(np.int64) + 1)[:, None]
     corners = np.indices((2,) * n_dim).reshape(n_dim, -1, 1)
     side = 1 << int(ncell.max() - 1).bit_length()
     blo = np.zeros((n_dim, 1), dtype=np.int64)
@@ -780,13 +783,7 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
 
 
 def _measure_tube(
-    set_: CompactSet,
-    t: float,
-    chosen,
-    cell: Optional[float] = None,
-    mc_samples: int = 200_000,
-    seed: int = 0,
-    budget_rows: int = 8_000_000,
+    set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0, budget_rows=8_000_000
 ) -> TubeSample:
     """:func:`tube_volume` by a resolved method, for a radius already checked."""
     if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):

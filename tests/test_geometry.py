@@ -431,6 +431,12 @@ def test_grid_quadtree_equals_axis_split_on_readme_gasket_grid():
         assert (s.volume, s.error_bound) == _axis_split_grid_tube(g, t, 5e-4)
 
 
+def test_grid_lattice_past_int64_raises():
+    # 1e19 cells per axis hung the axis-split refinement on a wrapped int64 size
+    with pytest.raises(ResolutionTooCoarse):
+        tube_volume(CantorLike(), 0.1, method="grid", cell=1e-19)
+
+
 def test_grid_budget_raises():
     with pytest.raises(ResolutionTooCoarse):
         tube_volume(SierpinskiGasket(), 0.05, method="grid", cell=1e-4, budget_rows=500)
