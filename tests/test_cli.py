@@ -38,6 +38,43 @@ def test_catalog_json(capsys):
     assert len(entries) == 5
     gasket = [e for e in entries if e["variant"] == "sierpinski_gasket"][0]
     assert gasket["dimension"] == pytest.approx(math.log(3.0) / math.log(2.0))
+    assert main(["catalog", "--json"]) == 0
+    # the full listing, digit for digit, as printed before the descriptors built it
+    assert capsys.readouterr().out == json.dumps(CATALOG_JSON, indent=2, sort_keys=True) + "\n"
+
+
+CATALOG_JSON = [
+    {
+        "delta_bound": "half the minimal point separation (none for a single point)",
+        "dimension": 0.0,
+        "oscillatory_period": None,
+        "variant": "point_set",
+    },
+    {
+        "delta_bound": "half the largest gap: (1 - 2 ratio) * scale / 2",
+        "dimension": 0.6309297535714574,
+        "oscillatory_period": 5.7192017347602535,
+        "variant": "cantor_like",
+    },
+    {
+        "delta_bound": "half the first length: l_1 / 2",
+        "dimension": 0.6309297535714574,
+        "oscillatory_period": 5.7192017347602535,
+        "variant": "string_boundary",
+    },
+    {
+        "delta_bound": "1 / (4 sqrt 3)",
+        "dimension": 1.5849625007211563,
+        "oscillatory_period": 9.064720283654388,
+        "variant": "sierpinski_gasket",
+    },
+    {
+        "delta_bound": "1/6",
+        "dimension": 2.96564727304425,
+        "oscillatory_period": 5.7192017347602535,
+        "variant": "sierpinski_carpet_3d",
+    },
+]
 
 
 def test_unknown_flag_exits_2():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fractalzeta import cli
 from fractalzeta import geometry as geo
 from fractalzeta.errors import DeltaTooSmall, FractalZetaError, ResolutionTooCoarse
 from fractalzeta.geometry import (
@@ -26,6 +27,7 @@ from fractalzeta.geometry import (
     tube_volumes,
 )
 from fractalzeta.intervals import union_measure_of_fattened_points
+from fractalzeta.zeta import default_delta
 
 SQRT3 = math.sqrt(3.0)
 
@@ -699,6 +701,51 @@ def test_json_round_trip():
         assert decoded == set_
     with pytest.raises(ValueError):
         set_from_json({"variant": "dodecahedron"})
+
+
+# (bounding box lo, hi, diameter, default delta, t_valid_max, box dimension, JSON),
+# one row per ALL_SETS entry, as computed before the descriptor protocol existed
+PINNED_FACTS = [
+    ([0.0], [0.0], 0.0, 1.0, math.inf, 0.0, {"variant": "point_set", "points": [[0.0]]}),
+    (
+        [0.0, 0.0], [1.0, 0.5], 1.118033988749895, 1.0, 0.5590169943749475, 0.0,
+        {"variant": "point_set", "points": [[0.0, 0.0], [1.0, 0.5]]},
+    ),
+    (
+        [0.0], [1.0], 1.0, 0.5, 0.16666666666666669, 0.6309297535714574,
+        {"variant": "cantor_like", "ratio": 0.3333333333333333, "scale": 1.0},
+    ),
+    (
+        [0.0], [1.0], 1.0, 0.3333333333333333, 0.16666666666666666, 0.6309297535714574,
+        {"variant": "string_boundary", "base": 3.0, "multiplicity": 2, "scale": 1.0},
+    ),
+    (
+        [0.0], [1.125], 1.125, 0.5, 0.0625, 0.0,
+        {"variant": "string_boundary", "lengths": [0.5, 0.25, 0.25, 0.125]},
+    ),
+    (
+        [0.0, 0.0], [1.0, 0.8660254037844386], 1.0, 0.5, 0.2886751345948129, 1.5849625007211563,
+        {"variant": "sierpinski_gasket"},
+    ),
+    (
+        [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1.7320508075688772, 0.25, 0.5, 2.96564727304425,
+        {"variant": "sierpinski_carpet_3d"},
+    ),
+    (
+        [0.1, 0.2], [0.7, 0.9], 0.7615773105863908, 1.0, math.inf, 0.0,
+        {"variant": "point_cloud", "points": [[0.1, 0.2], [0.4, 0.9], [0.7, 0.3]], "ambient_dim": 2},
+    ),
+]
+
+
+@pytest.mark.parametrize("index", range(len(ALL_SETS)))
+def test_descriptor_facts_pinned(index):
+    set_ = ALL_SETS[index]
+    lo, hi = geo.bounding_box(set_)
+    t_valid, dim = cli._t_valid_max(set_), getattr(set_, "box_dimension", 0.0)
+    facts = (lo.tolist(), hi.tolist(), diameter(set_), default_delta(set_), t_valid, dim, set_to_json(set_))
+    # repr tells 0.0 from 0 and keeps every float digit
+    assert repr(facts) == repr(PINNED_FACTS[index])
 
 
 def test_json_rejects_fractional_multiplicity():
