@@ -83,8 +83,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mc_samples <= 0 or self.quadrature_points <= 0 or self.truncation < 0:
             raise ValueError("numeric budgets must be positive")
-        if self.band <= 0:
-            raise ValueError("band must be positive")
+        if not (math.isfinite(self.band) and self.band > 0):
+            raise ValueError("band must be positive and finite")
         if self.rel_error_threshold <= 0:
             raise ValueError("rel_error_threshold must be positive")
         if self.zeta_method not in ("closed_form", "monte_carlo"):
@@ -127,42 +127,23 @@ def _dump_json(obj, path: Path) -> None:
 # Catalog metadata
 # ---------------------------------------------------------------------------
 
-_CATALOG = [
-    {
-        "variant": "point_set",
-        "dimension": 0.0,
-        "oscillatory_period": None,
-        "delta_bound": "half the minimal point separation (none for a single point)",
-    },
-    {
-        "variant": "cantor_like",
-        "dimension": math.log(2.0) / math.log(3.0),
-        "oscillatory_period": 2.0 * math.pi / math.log(3.0),
-        "delta_bound": "half the largest gap: (1 - 2 ratio) * scale / 2",
-    },
-    {
-        "variant": "string_boundary",
-        "dimension": math.log(2.0) / math.log(3.0),
-        "oscillatory_period": 2.0 * math.pi / math.log(3.0),
-        "delta_bound": "half the first length: l_1 / 2",
-    },
-    {
-        "variant": "sierpinski_gasket",
-        "dimension": math.log(3.0) / math.log(2.0),
-        "oscillatory_period": 2.0 * math.pi / math.log(2.0),
-        "delta_bound": "1 / (4 sqrt 3)",
-    },
-    {
-        "variant": "sierpinski_carpet_3d",
-        "dimension": math.log(26.0) / math.log(3.0),
-        "oscillatory_period": 2.0 * math.pi / math.log(3.0),
-        "delta_bound": "1/6",
-    },
-]
-
 
 def cmd_catalog(args) -> int:
-    entries = [dict(e) for e in _CATALOG]
+    entries = []
+    for set_ in (
+        geometry.PointSet([[0.0]]),
+        geometry.CantorLike(),
+        geometry.FractalStringBoundary.cantor_string(),
+        geometry.SierpinskiGasket(),
+        geometry.SierpinskiCarpet3D(),
+    ):
+        periods = catalog_zeta(set_).lattice_periods()
+        entries.append({
+            "variant": set_.variant,
+            "dimension": set_.box_dimension,
+            "oscillatory_period": periods[0] if periods else None,
+            "delta_bound": set_.delta_bound,
+        })
     if args.json:
         print(json.dumps(entries, indent=2, sort_keys=True))
         return 0
@@ -244,31 +225,6 @@ def cmd_poles(cfg: ExperimentConfig, out_dir: Path) -> int:
 # tube-compare
 # ---------------------------------------------------------------------------
 
-_T_VALID = {
-    geometry.SierpinskiGasket: 1.0 / (2.0 * math.sqrt(3.0)),
-    geometry.SierpinskiCarpet3D: 0.5,
-}
-
-
-def _t_valid_max(set_: CompactSet) -> float:
-    for klass, bound in _T_VALID.items():
-        if isinstance(set_, klass):
-            return bound
-    if isinstance(set_, geometry.FractalStringBoundary):
-        if set_.is_self_similar:
-            return set_.first_length / 2.0
-        # a finite string's zeta only has the pole at 0; the residue sum
-        # reproduces |A_t| on the first linear piece, below half the
-        # smallest length
-        return min(set_.lengths) / 2.0
-    if isinstance(set_, geometry.CantorLike):
-        return set_.largest_gap / 2.0
-    if isinstance(set_, geometry.PointSet):
-        gap = set_.min_gap()
-        return math.inf if gap == math.inf else gap / 2.0
-    return math.inf
-
-
 def write_tube_samples_csv(samples, path: Path) -> None:
     """TubeSample rows as CSV: (t, volume, method, error_bound)."""
     with open(path, "w", newline="") as fh:
@@ -281,7 +237,7 @@ def write_tube_samples_csv(samples, path: Path) -> None:
 def cmd_tube_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     set_ = cfg.the_set()
     form = catalog_zeta(set_, cfg.the_delta())
-    series = series_from_zeta(form, truncation=cfg.truncation, t_valid_max=_t_valid_max(set_))
+    series = series_from_zeta(form, truncation=cfg.truncation, t_valid_max=set_.t_valid_max)
     method = None if cfg.oracle == "auto" else cfg.oracle
     kwargs = {}
     if cfg.grid_cell is not None:

@@ -5,6 +5,17 @@ Every descriptor supports Euclidean distance evaluation ``d(x, A)`` and
 tube-volume measurement ``|A_t|`` (Lebesgue volume of the open
 t-neighborhood).
 
+Each descriptor class owns its geometry, and the module functions check
+their input and call it.  A descriptor class defines its JSON tag
+``variant``, ``ambient_dim``, ``bounds()``, ``diameter``, ``distances(pts)``
+on checked points, ``exact_tube(t)`` (plus ``exact_volumes(ts)`` over an
+array of radii, or ``array_volumes = False`` and ``auto_method(t)``),
+``box_dimension``, ``default_delta``, ``t_valid_max`` (the largest radius
+at which its closed form's residue sum gives ``|A_t|``) and, for catalog
+sets, the ``delta_bound`` text; :class:`CompactSet` holds the defaults.  A
+new set is registered in ``_VARIANTS`` below and, if it has a closed-form
+zeta function, in ``zeta._CLOSED_FORMS``.
+
 Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
 boundary belongs to the set, so a point lies in the set or in exactly one
@@ -29,10 +40,11 @@ half-width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,10 +59,59 @@ SQRT3 = math.sqrt(3.0)
 # triadic face planes of the catalog fractals.
 _GRID_OFFSET = math.sqrt(2.0) - 1.0
 
+# Below this cell side every remaining point is within one ulp of the set.
+_RESOLUTION = float(np.finfo(float).eps)
+
+
+class TubeMethod(str, Enum):
+    EXACT_1D = "exact_1d"
+    EXACT_CLOSED = "exact_closed"
+    GRID_COUNT = "grid_count"
+    MONTE_CARLO = "monte_carlo"
+
+
+@dataclass(frozen=True)
+class TubeSample:
+    """One tube-volume measurement: ``|A_t|`` at radius ``t``."""
+
+    t: float
+    volume: float
+    method: TubeMethod
+    error_bound: float = 0.0
+
+    def __post_init__(self):
+        if self.t <= 0:
+            raise ValueError("t must be positive")
+        if self.volume < 0:
+            raise ValueError("volume must be nonnegative")
+
 
 # ---------------------------------------------------------------------------
 # Descriptors
 # ---------------------------------------------------------------------------
+
+
+class CompactSet:
+    """A compact subset of R^N: the defaults of the descriptor protocol."""
+
+    exact_kind = TubeMethod.EXACT_CLOSED
+    array_volumes = True
+    box_dimension = 0.0
+    default_delta = 1.0
+    t_valid_max = math.inf
+
+    def auto_method(self, t: float) -> TubeMethod:
+        return self.exact_kind
+
+    def exact_tube(self, t: float) -> TubeSample:
+        return TubeSample(t, float(self.exact_volumes(np.array([t]))[0]), self.exact_kind)
+
+    def to_json(self) -> dict:
+        return {"variant": self.variant, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def _as_point_tuple(points) -> tuple[tuple[float, ...], ...]:
@@ -64,15 +125,19 @@ def _as_point_tuple(points) -> tuple[tuple[float, ...], ...]:
 
 
 @dataclass(frozen=True)
-class PointSet:
+class PointSet(CompactSet):
     """A finite set of points in R^N."""
 
     points: tuple[tuple[float, ...], ...]
 
+    variant = "point_set"
+    delta_bound = "half the minimal point separation (none for a single point)"
+    array_volumes = False
+
     def __init__(self, points):
         object.__setattr__(self, "points", _as_point_tuple(points))
         if not self.points:
-            raise ValueError("PointSet needs at least one point")
+            raise ValueError(f"{type(self).__name__} needs at least one point")
         dims = {len(p) for p in self.points}
         if len(dims) != 1:
             raise ValueError("all points must share one ambient dimension")
@@ -80,6 +145,10 @@ class PointSet:
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
+
+    @property
+    def t_valid_max(self) -> float:
+        return self.min_gap() / 2.0
 
     def min_gap(self) -> float:
         """Smallest pairwise distance (inf for a single point)."""
@@ -95,9 +164,75 @@ class PointSet:
         np.fill_diagonal(d, np.inf)
         return float(d.min())
 
+    def _balls_disjoint(self, t: float) -> bool:
+        return self.min_gap() >= 2.0 * t
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        arr = np.asarray(self.points, dtype=float)
+        return arr.min(axis=0), arr.max(axis=0)
+
+    @property
+    def diameter(self) -> float:
+        arr = np.asarray(self.points, dtype=float)
+        if len(arr) == 1:
+            return 0.0
+        if len(arr) <= 4000:
+            diff = arr[:, None, :] - arr[None, :, :]
+            return float(np.sqrt((diff**2).sum(-1)).max())
+        lo, hi = bounding_box(self)
+        return float(np.linalg.norm(hi - lo))
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        d, _ = cKDTree(np.asarray(self.points, dtype=float)).query(pts)
+        return np.asarray(d, dtype=float)
+
+    def auto_method(self, t: float) -> TubeMethod:
+        if self.ambient_dim == 1:
+            return TubeMethod.EXACT_1D
+        if self._balls_disjoint(t):
+            return TubeMethod.EXACT_CLOSED
+        return TubeMethod.GRID_COUNT if self.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
+
+    def exact_tube(self, t: float) -> TubeSample:
+        if self.ambient_dim == 1:
+            union = IntervalUnion.from_points([p[0] for p in self.points])
+            return TubeSample(t, fatten_intervals(union, t).total_length, TubeMethod.EXACT_1D)
+        if self._balls_disjoint(t):
+            vol = len(self.points) * _unit_ball_volume(self.ambient_dim) * t**self.ambient_dim
+            return TubeSample(t, vol, TubeMethod.EXACT_CLOSED)
+        raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
+
+    def to_json(self) -> dict:
+        return {**super().to_json(), "points": [list(p) for p in self.points]}
+
 
 @dataclass(frozen=True)
-class CantorLike:
+class PointCloud(PointSet):
+    """A sampled point cloud with a declared ambient dimension.
+
+    Supported for measurement operations only; there is no canonical
+    continuum limit and hence no closed-form zeta function, and its tube
+    volume takes no disjoint-ball shortcut.
+    """
+
+    ambient_dim: int = 0
+
+    variant = "point_cloud"
+    t_valid_max = math.inf
+
+    def __init__(self, points, ambient_dim=None):
+        super().__init__(points)
+        dim = len(self.points[0])
+        if ambient_dim is not None and ambient_dim != dim:
+            raise ValueError("declared ambient_dim does not match point dimension")
+        object.__setattr__(self, "ambient_dim", dim)
+
+    def _balls_disjoint(self, t: float) -> bool:
+        return False
+
+
+@dataclass(frozen=True)
+class CantorLike(CompactSet):
     """Middle-gap Cantor set on ``[0, scale]``.
 
     Each interval of length L splits into two end intervals of length
@@ -115,7 +250,10 @@ class CantorLike:
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
 
+    variant = "cantor_like"
+    delta_bound = "half the largest gap: (1 - 2 ratio) * scale / 2"
     ambient_dim = 1
+    exact_kind = TubeMethod.EXACT_1D
 
     @property
     def box_dimension(self) -> float:
@@ -125,9 +263,60 @@ class CantorLike:
     def largest_gap(self) -> float:
         return (1.0 - 2.0 * self.ratio) * self.scale
 
+    @property
+    def default_delta(self) -> float:
+        return self.scale / 2.0
+
+    @property
+    def t_valid_max(self) -> float:
+        return self.largest_gap / 2.0
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([0.0]), np.array([self.scale])
+
+    @property
+    def diameter(self) -> float:
+        return self.scale
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        ratio, scale = self.ratio, self.scale
+        x = pts[:, 0]
+        out = np.maximum(np.maximum(-x, x - scale), 0.0)
+        inside = (x > 0.0) & (x < scale)
+        xi = x[inside]
+        res = np.full(xi.shape, np.inf)
+        idx = np.arange(xi.size)
+        a = np.zeros(xi.size)
+        L = scale
+        for _ in range(256):
+            if idx.size == 0 or L < 1e-18 * scale:
+                break
+            xa = xi[idx]
+            g1 = a + ratio * L
+            g2 = a + (1.0 - ratio) * L
+            in_gap = (xa >= g1) & (xa <= g2)
+            res[idx[in_gap]] = np.minimum(xa[in_gap] - g1[in_gap], g2[in_gap] - xa[in_gap])
+            stay = ~in_gap
+            right = xa > g2
+            a = np.where(right, g2, a)[stay]
+            idx = idx[stay]
+            L *= ratio
+        if idx.size:
+            xa = xi[idx]
+            res[idx] = np.minimum(xa - a, a + L - xa)
+        out[inside] = res
+        return out
+
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+        # n gap generations wider than 2t leave 2^n intervals of length scale r^n
+        r = self.ratio
+        return _level_volumes(
+            2.0 * ts, lambda k: self.largest_gap * r**k, lambda k: 1 << k, lambda k: self.scale * (2.0 * r) ** k
+        )
+
 
 @dataclass(frozen=True)
-class FractalStringBoundary:
+class FractalStringBoundary(CompactSet):
     """The boundary set ``{a_k = sum_{j >= k} l_j} ∪ {0}`` of a fractal string.
 
     Two construction modes:
@@ -145,7 +334,10 @@ class FractalStringBoundary:
     multiplicity: Optional[int] = None
     scale: float = 1.0
 
+    variant = "string_boundary"
+    delta_bound = "half the first length: l_1 / 2"
     ambient_dim = 1
+    exact_kind = TubeMethod.EXACT_1D
 
     def __post_init__(self):
         if (self.lengths is None) == (self.base is None):
@@ -195,6 +387,19 @@ class FractalStringBoundary:
             return math.log(self.multiplicity) / math.log(self.base)
         return 0.0
 
+    @property
+    def default_delta(self) -> float:
+        return self.first_length
+
+    @property
+    def t_valid_max(self) -> float:
+        if self.is_self_similar:
+            return self.first_length / 2.0
+        # a finite string's zeta only has the pole at 0; the residue sum
+        # reproduces |A_t| on the first linear piece, below half the
+        # smallest length
+        return min(self.lengths) / 2.0
+
     def level_tail(self, n: int) -> float:
         """Sum of all lengths strictly below level ``n`` (self-similar mode)."""
         b, m = self.base, self.multiplicity
@@ -228,150 +433,194 @@ class FractalStringBoundary:
         points = np.concatenate([[self.total_length]] + pts) if pts else np.array([self.total_length])
         return points, top
 
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([0.0]), np.array([self.total_length])
+
+    @property
+    def diameter(self) -> float:
+        return self.total_length
+
+    @cached_property
+    def _distance_points(self) -> tuple[np.ndarray, float]:
+        # listed down to gaps of 1e-12 * scale (up to 2M points): built once
+        pts, tail_top = self.materialize_points(min_length=1e-12 * self.scale)
+        return np.sort(pts), tail_top
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        x = pts[:, 0]
+        asc, tail_top = self._distance_points
+        j = np.searchsorted(asc, x)
+        d = np.full(x.shape, np.inf)
+        has_left = j > 0
+        d[has_left] = np.abs(x[has_left] - asc[j[has_left] - 1])
+        has_right = j < asc.size
+        d[has_right] = np.minimum(d[has_right], np.abs(asc[j[has_right]] - x[has_right]))
+        # remaining points fill [0, tail_top] densely (gaps below resolution)
+        d_seg = np.maximum(np.maximum(-x, x - tail_top), 0.0)
+        return np.minimum(d, d_seg)
+
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+        two_t = 2.0 * ts
+        if not self.is_self_similar:
+            ls = np.asarray(self.lengths)
+            step = max(1, (1 << 20) // ls.size)  # radius x length tables of about 2^20 entries
+            chunks = np.split(two_t, range(step, ts.size, step))
+            return np.concatenate([c + np.minimum(ls, c[:, None]).sum(axis=1) for c in chunks])
+        b, m = self.base, int(self.multiplicity)
+        # each open gap fattens into 2t; the points below level n fill [0, tail(n)]
+        return _level_volumes(
+            two_t,
+            lambda k: self.scale * b ** -(k + 1),
+            lambda k: (k if m == 1 else (m**k - 1) // (m - 1)) + 1,
+            self.level_tail,
+        )
+
+    def to_json(self) -> dict:
+        if self.is_self_similar:
+            return {k: v for k, v in super().to_json().items() if k != "lengths"}
+        return {"variant": self.variant, "lengths": list(self.lengths)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "FractalStringBoundary":
+        if "lengths" in data:
+            return cls(lengths=tuple(data["lengths"]))
+        multiplicity = float(data["multiplicity"])
+        if not multiplicity.is_integer():
+            raise ValueError("multiplicity must be an integer")
+        return cls(
+            base=float(data["base"]), multiplicity=int(multiplicity), scale=float(data.get("scale", 1.0))
+        )
+
 
 @dataclass(frozen=True)
-class SierpinskiGasket:
+class SierpinskiGasket(CompactSet):
     """The Sierpinski gasket in the unit triangle (0,0), (1,0), (1/2, sqrt3/2)."""
 
+    variant = "sierpinski_gasket"
+    delta_bound = "1 / (4 sqrt 3)"
     ambient_dim = 2
+    box_dimension = math.log(3.0) / math.log(2.0)
+    default_delta = 0.5
+    t_valid_max = 1.0 / (2.0 * SQRT3)
+    diameter = 1.0
 
-    @property
-    def box_dimension(self) -> float:
-        return math.log(3.0) / math.log(2.0)
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        """Exact distances by descent over base-2 barycentric digits.
+
+        A point in the big triangle is in the set or in exactly one hole, an
+        open triangle whose outline lies in the set, so its distance is the
+        distance to that hole's edges.  The step ``lam <- 2 lam - e_i`` is
+        exact.
+        """
+        px, py = pts[:, 0], pts[:, 1]
+        l0, l1, l2 = 1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py
+        inside = (l0 > 0.0) & (l1 > 0.0) & (l2 > 0.0)
+        out = np.zeros(px.size)
+        # the outline of the big triangle belongs to the set
+        out[~inside] = _gasket_edge_min(px[~inside], py[~inside])
+        idx = np.flatnonzero(inside)
+        l0, l1, l2 = l0[idx], l1[idx], l2[idx]
+        s = 1.0
+        while idx.size and s >= _RESOLUTION:
+            # the corner of the largest coordinate, the first one on ties
+            c0 = (l0 >= l1) & (l0 >= l2)
+            c1 = (l1 >= l2) & ~c0
+            lmax = np.maximum(np.maximum(l0, l1), l2)
+            hole = lmax < 0.5
+            # the middle hole is {lam_i < 1/2}; its edges lie on lam_i = 1/2
+            out[idx[hole]] = (s * SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
+            k = np.flatnonzero(~hole)
+            idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
+            l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
+            s *= 0.5
+        return out
+
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+        total = SQRT3 / 4.0 + 3.0 * ts + math.pi * ts * ts
+        for k, idx, side in _hole_levels(2.0 * SQRT3 * ts, lambda k: 2.0**-k):
+            try:
+                holes = 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
+            except OverflowError:
+                holes = (SQRT3 / 4.0) * np.exp((k - 1) * math.log(3.0) + 2.0 * np.log(side))
+            total[idx] -= holes
+        return total
 
 
 @dataclass(frozen=True)
-class SierpinskiCarpet3D:
+class SierpinskiCarpet3D(CompactSet):
     """Three-dimensional carpet: unit cube, remove the open middle 27th, iterate on the 26 others."""
 
+    variant = "sierpinski_carpet_3d"
+    delta_bound = "1/6"
     ambient_dim = 3
+    box_dimension = math.log(26.0) / math.log(3.0)
+    default_delta = 0.25
+    t_valid_max = 0.5
+    diameter = SQRT3
 
-    @property
-    def box_dimension(self) -> float:
-        return math.log(26.0) / math.log(3.0)
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(3), np.ones(3)
+
+    def distances(self, pts: np.ndarray) -> np.ndarray:
+        """Exact distances by descent over base-3 digits.
+
+        A point in the unit cube is in the set or in exactly one hole, an
+        open cube whose faces lie in the set; it is in a hole when all three
+        digits of a level are 1.
+        """
+        # the surface of the unit cube belongs to the set
+        out = np.linalg.norm(np.maximum(np.maximum(-pts, pts - 1.0), 0.0), axis=1)
+        idx = np.flatnonzero(((pts > 0.0) & (pts < 1.0)).all(axis=1))
+        y = pts[idx].T.copy()
+        s = 1.0
+        while idx.size and s >= _RESOLUTION:
+            y *= 3.0
+            dig = np.floor(y)
+            np.clip(dig, 0.0, 2.0, out=dig)
+            y -= dig
+            hole = (dig[0] == 1.0) & (dig[1] == 1.0) & (dig[2] == 1.0)
+            if hole.any():
+                f = y[:, hole]
+                out[idx[hole]] = (s / 3.0) * np.minimum(f, 1.0 - f).min(axis=0)
+                keep = ~hole
+                idx, y = idx[keep], y[:, keep]
+            s /= 3.0
+        return out
+
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+        total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_cubes(ts)
+        for k, idx, side in _hole_levels(2.0 * ts, lambda k: 3.0**-k):
+            try:
+                holes = 26.0 ** (k - 1) * _libm_cubes(side)
+            except OverflowError:
+                holes = np.exp((k - 1) * math.log(26.0) + 3.0 * np.log(side))
+            total[idx] -= holes
+        return total
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """A sampled point cloud with a declared ambient dimension.
-
-    Supported for measurement operations only; there is no canonical
-    continuum limit and hence no closed-form zeta function.
-    """
-
-    points: tuple[tuple[float, ...], ...]
-    ambient_dim: int = 0
-
-    def __init__(self, points, ambient_dim=None):
-        object.__setattr__(self, "points", _as_point_tuple(points))
-        if not self.points:
-            raise ValueError("PointCloud needs at least one point")
-        dim = len(self.points[0])
-        if any(len(p) != dim for p in self.points):
-            raise ValueError("all points must share one ambient dimension")
-        if ambient_dim is None:
-            ambient_dim = dim
-        if ambient_dim != dim:
-            raise ValueError("declared ambient_dim does not match point dimension")
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
-
-
-CompactSet = Union[
-    PointSet, CantorLike, FractalStringBoundary, SierpinskiGasket, SierpinskiCarpet3D, PointCloud
-]
+# JSON variant tag -> descriptor class
+_VARIANTS = {
+    cls.variant: cls
+    for cls in (PointSet, CantorLike, FractalStringBoundary, SierpinskiGasket, SierpinskiCarpet3D, PointCloud)
+}
 
 
 def bounding_box(set_: CompactSet) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounding box (lo, hi) of the set itself."""
-    if isinstance(set_, (PointSet, PointCloud)):
-        arr = np.asarray(set_.points, dtype=float)
-        return arr.min(axis=0), arr.max(axis=0)
-    if isinstance(set_, CantorLike):
-        return np.array([0.0]), np.array([set_.scale])
-    if isinstance(set_, FractalStringBoundary):
-        return np.array([0.0]), np.array([set_.total_length])
-    if isinstance(set_, SierpinskiGasket):
-        return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
-    if isinstance(set_, SierpinskiCarpet3D):
-        return np.zeros(3), np.ones(3)
-    raise TypeError(f"unknown set descriptor {type(set_)!r}")
+    return set_.bounds()
 
 
 def diameter(set_: CompactSet) -> float:
     """Diameter of the set (exact for catalog sets, hull-based for clouds)."""
-    if isinstance(set_, (PointSet, PointCloud)):
-        arr = np.asarray(set_.points, dtype=float)
-        if len(arr) == 1:
-            return 0.0
-        if len(arr) <= 4000:
-            diff = arr[:, None, :] - arr[None, :, :]
-            return float(np.sqrt((diff**2).sum(-1)).max())
-        lo, hi = bounding_box(set_)
-        return float(np.linalg.norm(hi - lo))
-    if isinstance(set_, CantorLike):
-        return set_.scale
-    if isinstance(set_, FractalStringBoundary):
-        return set_.total_length
-    if isinstance(set_, SierpinskiGasket):
-        return 1.0
-    if isinstance(set_, SierpinskiCarpet3D):
-        return SQRT3
-    raise TypeError(f"unknown set descriptor {type(set_)!r}")
+    return set_.diameter
 
 
 # ---------------------------------------------------------------------------
 # Distance evaluation
 # ---------------------------------------------------------------------------
-
-
-def _point_cloud_distances(pts: np.ndarray, cloud: np.ndarray) -> np.ndarray:
-    tree = cKDTree(cloud)
-    d, _ = tree.query(pts)
-    return np.asarray(d, dtype=float)
-
-
-def _cantor_distances(x: np.ndarray, ratio: float, scale: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    out = np.maximum(np.maximum(-x, x - scale), 0.0)
-    inside = (x > 0.0) & (x < scale)
-    xi = x[inside]
-    res = np.full(xi.shape, np.inf)
-    idx = np.arange(xi.size)
-    a = np.zeros(xi.size)
-    L = scale
-    for _ in range(256):
-        if idx.size == 0 or L < 1e-18 * scale:
-            break
-        xa = xi[idx]
-        g1 = a + ratio * L
-        g2 = a + (1.0 - ratio) * L
-        in_gap = (xa >= g1) & (xa <= g2)
-        res[idx[in_gap]] = np.minimum(xa[in_gap] - g1[in_gap], g2[in_gap] - xa[in_gap])
-        stay = ~in_gap
-        right = xa > g2
-        a = np.where(right, g2, a)[stay]
-        idx = idx[stay]
-        L *= ratio
-    if idx.size:
-        xa = xi[idx]
-        res[idx] = np.minimum(xa - a, a + L - xa)
-    out[inside] = res
-    return out
-
-
-def _string_distances(x: np.ndarray, s: FractalStringBoundary) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    pts, tail_top = s.materialize_points(min_length=1e-12 * s.scale)
-    asc = np.sort(pts)
-    j = np.searchsorted(asc, x)
-    d = np.full(x.shape, np.inf)
-    has_left = j > 0
-    d[has_left] = np.abs(x[has_left] - asc[j[has_left] - 1])
-    has_right = j < asc.size
-    d[has_right] = np.minimum(d[has_right], np.abs(asc[j[has_right]] - x[has_right]))
-    # remaining points fill [0, tail_top] densely (gaps below resolution)
-    d_seg = np.maximum(np.maximum(-x, x - tail_top), 0.0)
-    return np.minimum(d, d_seg)
 
 
 def _gasket_edge_min(qx, qy):
@@ -391,91 +640,20 @@ def _gasket_edge_min(qx, qy):
     return e
 
 
-# Below this cell side every remaining point is within one ulp of the set.
-_RESOLUTION = float(np.finfo(float).eps)
-
-
-def _gasket_distances(pts: np.ndarray) -> np.ndarray:
-    """Exact distances to the gasket by descent over base-2 barycentric digits.
-
-    A point in the big triangle is in the set or in exactly one hole, an open
-    triangle whose outline lies in the set, so its distance is the distance
-    to that hole's edges.  The step ``lam <- 2 lam - e_i`` is exact.
-    """
-    px, py = pts[:, 0], pts[:, 1]
-    l0, l1, l2 = 1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py
-    inside = (l0 > 0.0) & (l1 > 0.0) & (l2 > 0.0)
-    out = np.zeros(px.size)
-    # the outline of the big triangle belongs to the set
-    out[~inside] = _gasket_edge_min(px[~inside], py[~inside])
-    idx = np.flatnonzero(inside)
-    l0, l1, l2 = l0[idx], l1[idx], l2[idx]
-    s = 1.0
-    while idx.size and s >= _RESOLUTION:
-        # the corner of the largest coordinate, the first one on ties
-        c0 = (l0 >= l1) & (l0 >= l2)
-        c1 = (l1 >= l2) & ~c0
-        lmax = np.maximum(np.maximum(l0, l1), l2)
-        hole = lmax < 0.5
-        # the middle hole is {lam_i < 1/2}; its edges lie on lam_i = 1/2
-        out[idx[hole]] = (s * SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
-        k = np.flatnonzero(~hole)
-        idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
-        l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
-        s *= 0.5
-    return out
-
-
-def _carpet_distances(pts: np.ndarray) -> np.ndarray:
-    """Exact distances to the 3D carpet by descent over base-3 digits.
-
-    A point in the unit cube is in the set or in exactly one hole, an open
-    cube whose faces lie in the set; it is in a hole when all three digits
-    of a level are 1.
-    """
-    # the surface of the unit cube belongs to the set
-    out = np.linalg.norm(np.maximum(np.maximum(-pts, pts - 1.0), 0.0), axis=1)
-    idx = np.flatnonzero(((pts > 0.0) & (pts < 1.0)).all(axis=1))
-    y = pts[idx].T.copy()
-    s = 1.0
-    while idx.size and s >= _RESOLUTION:
-        y *= 3.0
-        dig = np.floor(y)
-        np.clip(dig, 0.0, 2.0, out=dig)
-        y -= dig
-        hole = (dig[0] == 1.0) & (dig[1] == 1.0) & (dig[2] == 1.0)
-        if hole.any():
-            f = y[:, hole]
-            out[idx[hole]] = (s / 3.0) * np.minimum(f, 1.0 - f).min(axis=0)
-            keep = ~hole
-            idx, y = idx[keep], y[:, keep]
-        s /= 3.0
-    return out
-
-
 def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     """Vectorized distances from an ``(n, N)`` array of finite points to the set.
 
     Exact (to rounding) for point sets, Cantor sets, the gasket and the
     carpet; self-similar string boundaries list their points down to gaps
-    of ``1e-12 * scale`` and treat the rest as a segment.
+    of ``1e-12 * scale`` (once per descriptor) and treat the rest as a
+    segment.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != set_.ambient_dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, set has {set_.ambient_dim}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    if isinstance(set_, (PointSet, PointCloud)):
-        return _point_cloud_distances(pts, np.asarray(set_.points, dtype=float))
-    if isinstance(set_, CantorLike):
-        return _cantor_distances(pts[:, 0], set_.ratio, set_.scale)
-    if isinstance(set_, FractalStringBoundary):
-        return _string_distances(pts[:, 0], set_)
-    if isinstance(set_, SierpinskiGasket):
-        return _gasket_distances(pts)
-    if isinstance(set_, SierpinskiCarpet3D):
-        return _carpet_distances(pts)
-    raise TypeError(f"unknown set descriptor {type(set_)!r}")
+    return set_.distances(pts)
 
 
 def distance_to_set(x, set_: CompactSet) -> float:
@@ -486,29 +664,6 @@ def distance_to_set(x, set_: CompactSet) -> float:
 # ---------------------------------------------------------------------------
 # Tube volumes
 # ---------------------------------------------------------------------------
-
-
-class TubeMethod(str, Enum):
-    EXACT_1D = "exact_1d"
-    EXACT_CLOSED = "exact_closed"
-    GRID_COUNT = "grid_count"
-    MONTE_CARLO = "monte_carlo"
-
-
-@dataclass(frozen=True)
-class TubeSample:
-    """One tube-volume measurement: ``|A_t|`` at radius ``t``."""
-
-    t: float
-    volume: float
-    method: TubeMethod
-    error_bound: float = 0.0
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.volume < 0:
-            raise ValueError("volume must be nonnegative")
 
 
 def _unit_ball_volume(n: int) -> float:
@@ -537,31 +692,6 @@ def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
     return two_t * np.array(covers, dtype=float)[n] + np.array([tail(k) for k in levels])[n]
 
 
-def _cantor_volumes(set_: CantorLike, ts: np.ndarray) -> np.ndarray:
-    # n gap generations wider than 2t leave 2^n intervals of length scale r^n
-    r = set_.ratio
-    return _level_volumes(
-        2.0 * ts, lambda k: set_.largest_gap * r**k, lambda k: 1 << k, lambda k: set_.scale * (2.0 * r) ** k
-    )
-
-
-def _string_volumes(set_: FractalStringBoundary, ts: np.ndarray) -> np.ndarray:
-    two_t = 2.0 * ts
-    if not set_.is_self_similar:
-        ls = np.asarray(set_.lengths)
-        step = max(1, (1 << 20) // ls.size)  # radius x length tables of about 2^20 entries
-        chunks = np.split(two_t, range(step, ts.size, step))
-        return np.concatenate([c + np.minimum(ls, c[:, None]).sum(axis=1) for c in chunks])
-    b, m = set_.base, int(set_.multiplicity)
-    # each open gap fattens into 2t; the points below level n fill [0, tail(n)]
-    return _level_volumes(
-        two_t,
-        lambda k: set_.scale * b ** -(k + 1),
-        lambda k: (k if m == 1 else (m**k - 1) // (m - 1)) + 1,
-        set_.level_tail,
-    )
-
-
 def _hole_levels(a_t: np.ndarray, width):
     """Per hole level ``k``: the radii whose holes of side ``width(k)`` keep a core, and its side."""
     idx = np.arange(a_t.size)
@@ -573,44 +703,9 @@ def _hole_levels(a_t: np.ndarray, width):
         k += 1
 
 
-def _gasket_volumes(set_: SierpinskiGasket, ts: np.ndarray) -> np.ndarray:
-    total = SQRT3 / 4.0 + 3.0 * ts + math.pi * ts * ts
-    for k, idx, side in _hole_levels(2.0 * SQRT3 * ts, lambda k: 2.0**-k):
-        try:
-            holes = 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
-        except OverflowError:
-            holes = (SQRT3 / 4.0) * np.exp((k - 1) * math.log(3.0) + 2.0 * np.log(side))
-        total[idx] -= holes
-    return total
-
-
 def _libm_cubes(a: np.ndarray) -> np.ndarray:
     # libm pow, which numpy's vectorized power does not match to the last bit
     return np.fromiter(map(math.pow, a.tolist(), repeat(3.0)), float, a.size)
-
-
-def _carpet_volumes(set_: SierpinskiCarpet3D, ts: np.ndarray) -> np.ndarray:
-    total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_cubes(ts)
-    for k, idx, side in _hole_levels(2.0 * ts, lambda k: 3.0**-k):
-        try:
-            holes = 26.0 ** (k - 1) * _libm_cubes(side)
-        except OverflowError:
-            holes = np.exp((k - 1) * math.log(26.0) + 3.0 * np.log(side))
-        total[idx] -= holes
-    return total
-
-
-# Exact tube volumes over an array of radii, and the method they report.
-_EXACT_VOLUMES = {
-    CantorLike: (_cantor_volumes, TubeMethod.EXACT_1D),
-    FractalStringBoundary: (_string_volumes, TubeMethod.EXACT_1D),
-    SierpinskiGasket: (_gasket_volumes, TubeMethod.EXACT_CLOSED),
-    SierpinskiCarpet3D: (_carpet_volumes, TubeMethod.EXACT_CLOSED),
-}
-
-
-def _sweep_1d_points(points: Sequence[float], t: float) -> float:
-    return fatten_intervals(IntervalUnion.from_points(points), t).total_length
 
 
 def _cantor_segments(set_: CantorLike, t: float, max_segments: int = 1 << 22):
@@ -709,24 +804,6 @@ def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
     return volume, half_width
 
 
-def _auto_method(set_: CompactSet, t: float) -> TubeMethod:
-    if isinstance(set_, PointSet):
-        if set_.ambient_dim == 1:
-            return TubeMethod.EXACT_1D
-        if set_.min_gap() >= 2.0 * t:
-            return TubeMethod.EXACT_CLOSED
-        return TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
-    if isinstance(set_, (CantorLike, FractalStringBoundary)):
-        return TubeMethod.EXACT_1D
-    if isinstance(set_, (SierpinskiGasket, SierpinskiCarpet3D)):
-        return TubeMethod.EXACT_CLOSED
-    if isinstance(set_, PointCloud):
-        if set_.ambient_dim == 1:
-            return TubeMethod.EXACT_1D
-        return TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
-    raise TypeError(f"unknown set descriptor {type(set_)!r}")
-
-
 _METHOD_ALIASES = {
     "auto": None,
     "exact": "exact",
@@ -771,7 +848,7 @@ def tube_volume(
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
-    chosen = _auto_method(set_, t) if req is None else req
+    chosen = set_.auto_method(t) if req is None else req
     return _measure_tube(set_, t, chosen, cell, mc_samples, seed, budget_rows)
 
 
@@ -787,16 +864,7 @@ def _measure_tube(
 ) -> TubeSample:
     """:func:`tube_volume` by a resolved method, for a radius already checked."""
     if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):
-        if type(set_) in _EXACT_VOLUMES:
-            volumes, kind = _EXACT_VOLUMES[type(set_)]
-            return TubeSample(t, float(volumes(set_, np.array([t]))[0]), kind)
-        if isinstance(set_, (PointSet, PointCloud)) and set_.ambient_dim == 1:
-            pts = [p[0] for p in set_.points]
-            return TubeSample(t, _sweep_1d_points(pts, t), TubeMethod.EXACT_1D)
-        if isinstance(set_, PointSet) and set_.min_gap() >= 2.0 * t:
-            vol = len(set_.points) * _unit_ball_volume(set_.ambient_dim) * t**set_.ambient_dim
-            return TubeSample(t, vol, TubeMethod.EXACT_CLOSED)
-        raise FractalZetaError(f"no exact tube volume available for {type(set_).__name__} at t={t}")
+        return set_.exact_tube(t)
 
     if chosen == TubeMethod.GRID_COUNT:
         if set_.ambient_dim > 3:
@@ -831,10 +899,10 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
         raise ValueError("t values must be positive and finite")
     if ts.size:
         _check_fattened_box(set_, float(ts.max()))
-    if type(set_) in _EXACT_VOLUMES:
-        return _EXACT_VOLUMES[type(set_)][0](set_, ts.ravel()).reshape(ts.shape)
+    if set_.array_volumes:
+        return set_.exact_volumes(ts.ravel()).reshape(ts.shape)
     flat = ts.ravel().tolist()
-    return np.array([_measure_tube(set_, t, _auto_method(set_, t)).volume for t in flat]).reshape(ts.shape)
+    return np.array([_measure_tube(set_, t, set_.auto_method(t)).volume for t in flat]).reshape(ts.shape)
 
 
 def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, **kwargs) -> list[TubeSample]:
@@ -854,6 +922,7 @@ def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, 
     return samples
 
 
+
 # ---------------------------------------------------------------------------
 # JSON descriptor schema
 # ---------------------------------------------------------------------------
@@ -861,54 +930,12 @@ def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, 
 
 def set_to_json(set_: CompactSet) -> dict:
     """Serialize a descriptor to the tagged-variant JSON schema."""
-    if isinstance(set_, PointSet):
-        return {"variant": "point_set", "points": [list(p) for p in set_.points]}
-    if isinstance(set_, CantorLike):
-        return {"variant": "cantor_like", "ratio": set_.ratio, "scale": set_.scale}
-    if isinstance(set_, FractalStringBoundary):
-        if set_.is_self_similar:
-            return {
-                "variant": "string_boundary",
-                "base": set_.base,
-                "multiplicity": set_.multiplicity,
-                "scale": set_.scale,
-            }
-        return {"variant": "string_boundary", "lengths": list(set_.lengths)}
-    if isinstance(set_, SierpinskiGasket):
-        return {"variant": "sierpinski_gasket"}
-    if isinstance(set_, SierpinskiCarpet3D):
-        return {"variant": "sierpinski_carpet_3d"}
-    if isinstance(set_, PointCloud):
-        return {
-            "variant": "point_cloud",
-            "points": [list(p) for p in set_.points],
-            "ambient_dim": set_.ambient_dim,
-        }
-    raise TypeError(f"unknown set descriptor {type(set_)!r}")
+    return set_.to_json()
 
 
 def set_from_json(data: dict) -> CompactSet:
     """Parse the tagged-variant JSON schema back into a descriptor."""
     variant = data.get("variant")
-    if variant == "point_set":
-        return PointSet(data["points"])
-    if variant == "cantor_like":
-        return CantorLike(ratio=data.get("ratio", 1.0 / 3.0), scale=data.get("scale", 1.0))
-    if variant == "string_boundary":
-        if "lengths" in data:
-            return FractalStringBoundary(lengths=tuple(data["lengths"]))
-        multiplicity = float(data["multiplicity"])
-        if not multiplicity.is_integer():
-            raise ValueError("multiplicity must be an integer")
-        return FractalStringBoundary(
-            base=float(data["base"]),
-            multiplicity=int(multiplicity),
-            scale=float(data.get("scale", 1.0)),
-        )
-    if variant == "sierpinski_gasket":
-        return SierpinskiGasket()
-    if variant == "sierpinski_carpet_3d":
-        return SierpinskiCarpet3D()
-    if variant == "point_cloud":
-        return PointCloud(data["points"], ambient_dim=data.get("ambient_dim"))
-    raise ValueError(f"unknown set variant {variant!r}")
+    if not (isinstance(variant, str) and variant in _VARIANTS):
+        raise ValueError(f"unknown set variant {variant!r}")
+    return _VARIANTS[variant].from_json(data)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -40,6 +41,9 @@ from .errors import (
 from .geometry import CompactSet, bounding_box, distances_to_set, tube_volume, tube_volumes
 
 TWO_PI = 2.0 * math.pi
+
+# Most lattice poles per family and sign that a pole listing may enumerate.
+_MAX_LATTICE_K = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +196,10 @@ class ClosedFormZeta:
         for term in self.lattice_terms:
             locs.extend(complex(rho) for rho in term.roots)
             if term.lattice is not None:
-                if lattice_k is not None:
-                    kmax = lattice_k
-                else:
-                    kmax = int(math.floor(imag_band / term.period + 1e-12))
+                kmax = lattice_k if lattice_k is not None else imag_band / term.period + 1e-12
+                if not kmax <= _MAX_LATTICE_K:
+                    raise ValueError(f"more than {_MAX_LATTICE_K} lattice poles per family requested")
+                kmax = int(math.floor(kmax))
                 locs.extend(term.lattice_pole(k) for k in range(-kmax, kmax + 1))
         locs.extend(complex(term.pole) for term in self.elementary_terms)
         uniq: list[complex] = []
@@ -261,7 +265,8 @@ class ClosedFormZeta:
         """(location, residue) pairs with ``|Im| <= imag_band``.
 
         Candidates whose residues cancel between terms (removable points)
-        are dropped.
+        are dropped.  Raises :class:`ValueError` for a band holding more
+        than ``10^6`` lattice poles per family and sign.
         """
         scale = self._residue_scale()
         out = []
@@ -338,15 +343,7 @@ def scale_zeta(zeta: ClosedFormZeta, lam: float) -> ClosedFormZeta:
 
 def default_delta(set_: CompactSet) -> float:
     """Default integration cutoff per catalog set (all above the closed-form bounds)."""
-    if isinstance(set_, geometry.SierpinskiGasket):
-        return 0.5
-    if isinstance(set_, geometry.SierpinskiCarpet3D):
-        return 0.25
-    if isinstance(set_, geometry.FractalStringBoundary):
-        return set_.first_length
-    if isinstance(set_, geometry.CantorLike):
-        return set_.scale / 2.0
-    return 1.0
+    return set_.default_delta
 
 
 def _sphere_area(n: int) -> float:
@@ -354,84 +351,95 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
+def _point_set_zeta(set_: geometry.PointSet, delta: float) -> ClosedFormZeta:
+    n = len(set_.points)
+    dim = set_.ambient_dim
+    if n > 1 and delta > set_.min_gap() / 2.0:
+        raise DeltaTooSmall(
+            "delta exceeds half the minimal point separation; balls overlap and the "
+            "closed form no longer holds"
+        )
+    coeff = n * _sphere_area(dim)
+    return ClosedFormZeta(dim, delta, (), (ElementaryTerm(coeff, 0, 0.0),))
+
+
+def _cantor_zeta(set_: geometry.CantorLike, delta: float) -> ClosedFormZeta:
+    bound = set_.largest_gap / 2.0
+    if delta < bound:
+        raise DeltaTooSmall(f"CantorLike closed form needs delta >= {bound}")
+    m = 1.0 / set_.ratio
+    beta = 2.0 * set_.ratio / ((1.0 - 2.0 * set_.ratio) * set_.scale)
+    lat = LatticeTerm(2.0, beta, (0.0,), (m, 2.0))
+    return ClosedFormZeta(1, delta, (lat,), (ElementaryTerm(2.0, 0, 0.0),))
+
+
+def _string_zeta(set_: geometry.FractalStringBoundary, delta: float) -> ClosedFormZeta:
+    bound = set_.first_length / 2.0
+    if delta <= bound:
+        raise DeltaTooSmall(f"string-boundary closed form needs delta > {bound}")
+    ele = (ElementaryTerm(2.0, 0, 0.0),)
+    if set_.is_self_similar:
+        if set_.multiplicity == 1:
+            raise NoClosedForm(
+                "multiplicity-1 strings put a double pole at s = 0, outside the "
+                "supported simple-pole term shapes"
+            )
+        lat = LatticeTerm(2.0, 2.0 / set_.scale, (0.0,), (set_.base, float(set_.multiplicity)))
+        return ClosedFormZeta(1, delta, (lat,), ele)
+    lat_terms = tuple(
+        LatticeTerm(2.0 * count, 2.0 / l, (0.0,), None) for l, count in sorted(Counter(set_.lengths).items())
+    )
+    return ClosedFormZeta(1, delta, lat_terms, ele)
+
+
+def _gasket_zeta(set_: geometry.SierpinskiGasket, delta: float) -> ClosedFormZeta:
+    bound = 1.0 / (4.0 * math.sqrt(3.0))
+    if delta <= bound:
+        raise DeltaTooSmall(f"gasket closed form needs delta > {bound}")
+    lat = LatticeTerm(6.0 * math.sqrt(3.0), 2.0 * math.sqrt(3.0), (0.0, 1.0), (2.0, 3.0))
+    ele = (ElementaryTerm(2.0 * math.pi, 0, 0.0), ElementaryTerm(3.0, 1, 1.0))
+    return ClosedFormZeta(2, delta, (lat,), ele)
+
+
+def _carpet_zeta(set_: geometry.SierpinskiCarpet3D, delta: float) -> ClosedFormZeta:
+    bound = 1.0 / 6.0
+    if delta <= bound:
+        raise DeltaTooSmall(f"3D carpet closed form needs delta > {bound}")
+    lat = LatticeTerm(48.0, 2.0, (0.0, 1.0, 2.0), (3.0, 26.0))
+    ele = (
+        ElementaryTerm(4.0 * math.pi, 0, 0.0),
+        ElementaryTerm(6.0 * math.pi, 1, 1.0),
+        ElementaryTerm(6.0, 2, 2.0),
+    )
+    return ClosedFormZeta(3, delta, (lat,), ele)
+
+
+# Closed-form builders, (set_, delta) -> ClosedFormZeta, by descriptor class.
+# Point clouds have no canonical continuum limit and so no entry.
+_CLOSED_FORMS = {
+    geometry.PointSet: _point_set_zeta,
+    geometry.CantorLike: _cantor_zeta,
+    geometry.FractalStringBoundary: _string_zeta,
+    geometry.SierpinskiGasket: _gasket_zeta,
+    geometry.SierpinskiCarpet3D: _carpet_zeta,
+}
+
+
 def catalog_zeta(set_: CompactSet, delta: Optional[float] = None) -> ClosedFormZeta:
     """Closed-form distance zeta function for a catalog set.
 
     Raises :class:`NoClosedForm` for point clouds and
     :class:`DeltaTooSmall` when ``delta`` violates the validity bound of
-    the closed form (gasket ``1/(4 sqrt 3)``, carpet ``1/6``, strings and
-    Cantor sets half their largest gap, point sets half the minimal point
-    separation).
+    the closed form (the descriptor's ``delta_bound``).
     """
-    if isinstance(set_, geometry.PointCloud):
-        raise NoClosedForm("point clouds have no canonical closed-form zeta function")
+    build = _CLOSED_FORMS.get(type(set_))
+    if build is None:
+        raise NoClosedForm(f"no closed form for {type(set_).__name__}")
     if delta is None:
         delta = default_delta(set_)
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be positive and finite")
-
-    if isinstance(set_, geometry.PointSet):
-        n = len(set_.points)
-        dim = set_.ambient_dim
-        if n > 1 and delta > set_.min_gap() / 2.0:
-            raise DeltaTooSmall(
-                "delta exceeds half the minimal point separation; balls overlap and the "
-                "closed form no longer holds"
-            )
-        coeff = n * _sphere_area(dim)
-        return ClosedFormZeta(dim, delta, (), (ElementaryTerm(coeff, 0, 0.0),))
-
-    if isinstance(set_, geometry.CantorLike):
-        bound = set_.largest_gap / 2.0
-        if delta < bound:
-            raise DeltaTooSmall(f"CantorLike closed form needs delta >= {bound}")
-        m = 1.0 / set_.ratio
-        beta = 2.0 * set_.ratio / ((1.0 - 2.0 * set_.ratio) * set_.scale)
-        lat = LatticeTerm(2.0, beta, (0.0,), (m, 2.0))
-        return ClosedFormZeta(1, delta, (lat,), (ElementaryTerm(2.0, 0, 0.0),))
-
-    if isinstance(set_, geometry.FractalStringBoundary):
-        bound = set_.first_length / 2.0
-        if delta <= bound:
-            raise DeltaTooSmall(f"string-boundary closed form needs delta > {bound}")
-        ele = (ElementaryTerm(2.0, 0, 0.0),)
-        if set_.is_self_similar:
-            if set_.multiplicity == 1:
-                raise NoClosedForm(
-                    "multiplicity-1 strings put a double pole at s = 0, outside the "
-                    "supported simple-pole term shapes"
-                )
-            lat = LatticeTerm(2.0, 2.0 / set_.scale, (0.0,), (set_.base, float(set_.multiplicity)))
-            return ClosedFormZeta(1, delta, (lat,), ele)
-        groups: dict[float, int] = {}
-        for l in set_.lengths:
-            groups[l] = groups.get(l, 0) + 1
-        lat_terms = tuple(
-            LatticeTerm(2.0 * count, 2.0 / l, (0.0,), None) for l, count in sorted(groups.items())
-        )
-        return ClosedFormZeta(1, delta, lat_terms, ele)
-
-    if isinstance(set_, geometry.SierpinskiGasket):
-        bound = 1.0 / (4.0 * math.sqrt(3.0))
-        if delta <= bound:
-            raise DeltaTooSmall(f"gasket closed form needs delta > {bound}")
-        lat = LatticeTerm(6.0 * math.sqrt(3.0), 2.0 * math.sqrt(3.0), (0.0, 1.0), (2.0, 3.0))
-        ele = (ElementaryTerm(2.0 * math.pi, 0, 0.0), ElementaryTerm(3.0, 1, 1.0))
-        return ClosedFormZeta(2, delta, (lat,), ele)
-
-    if isinstance(set_, geometry.SierpinskiCarpet3D):
-        bound = 1.0 / 6.0
-        if delta <= bound:
-            raise DeltaTooSmall(f"3D carpet closed form needs delta > {bound}")
-        lat = LatticeTerm(48.0, 2.0, (0.0, 1.0, 2.0), (3.0, 26.0))
-        ele = (
-            ElementaryTerm(4.0 * math.pi, 0, 0.0),
-            ElementaryTerm(6.0 * math.pi, 1, 1.0),
-            ElementaryTerm(6.0, 2, 2.0),
-        )
-        return ClosedFormZeta(3, delta, (lat,), ele)
-
-    raise NoClosedForm(f"no closed form for {type(set_).__name__}")
+    return build(set_, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +486,17 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     ``1[d < delta] * d^(s - N)``; samples with ``d = 0`` (within one ulp of
     the set) are discarded, which drops a weight below ``ulp^(Re s - N)``
     when ``Re s > N``.
-    Raises :class:`VarianceOverflow` when a single sample dominates the
-    weight sum, the signature of ``Re s`` at or below the abscissa of
-    convergence, and :class:`ValueError` for non-finite ``s``.
+    Raises :class:`VarianceOverflow` before sampling when ``Re s`` is at or
+    below the set's box dimension, where the integral diverges, and when a
+    single sample dominates the weight sum; :class:`ValueError` for
+    non-finite ``s``.
     """
     s = _finite_s(s)
+    if s.real <= set_.box_dimension:
+        raise VarianceOverflow(
+            f"Re s = {s.real} is at or below the box dimension {set_.box_dimension}; "
+            "the distance zeta integral diverges"
+        )
     n_dim = set_.ambient_dim
     delta = cfg.delta
     lo, hi = bounding_box(set_)
@@ -558,7 +572,7 @@ def tube_zeta_numeric(
     tail_tol = min(1e-9, 1e-3 * rtol)
     # blocks pay off where tube_volumes is array code; elsewhere the panels
     # past the stop would cost one scalar tube_volume per node
-    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if type(set_) in geometry._EXACT_VOLUMES else (1, 1)
+    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if set_.array_volumes else (1, 1)
 
     def integrate(panel_width: float) -> complex:
         acc = 0.0 + 0.0j

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -98,6 +99,18 @@ def test_delta_below_closed_form_bound_is_config_error(tmp_path, capsys):
     path = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, delta=0.01)
     for command in ("poles", "measurability", "tube-compare"):
         assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("band", [math.inf, 1e308])
+def test_unbounded_pole_band_is_config_error(tmp_path, capsys, band):
+    # inf raised a bare OverflowError; 1e308 listed poles until memory ran out
+    path = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, band=band)
+    for command in ("poles", "measurability"):
+        start = time.perf_counter()
+        assert main([command, "--config", path]) == 2
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalzeta import cli
 from fractalzeta import geometry as geo
 from fractalzeta.errors import DeltaTooSmall, FractalZetaError, ResolutionTooCoarse
 from fractalzeta.geometry import (
@@ -694,6 +693,22 @@ def test_string_boundary_points():
     assert tail <= pts[-1] + 1e-12
 
 
+def test_string_distance_points_built_once(monkeypatch):
+    builds = []
+    materialize = FractalStringBoundary.materialize_points
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        return materialize(self, *args, **kwargs)
+
+    monkeypatch.setattr(FractalStringBoundary, "materialize_points", counted)
+    s = FractalStringBoundary.cantor_string()
+    xs = np.linspace(-0.1, 1.1, 101)[:, None]
+    first = distances_to_set(xs, s)
+    assert np.array_equal(distances_to_set(xs, s), first)
+    assert len(builds) == 1
+
+
 def test_json_round_trip():
     for set_ in ALL_SETS:
         encoded = set_to_json(set_)
@@ -742,7 +757,7 @@ PINNED_FACTS = [
 def test_descriptor_facts_pinned(index):
     set_ = ALL_SETS[index]
     lo, hi = geo.bounding_box(set_)
-    t_valid, dim = cli._t_valid_max(set_), getattr(set_, "box_dimension", 0.0)
+    t_valid, dim = set_.t_valid_max, set_.box_dimension
     facts = (lo.tolist(), hi.tolist(), diameter(set_), default_delta(set_), t_valid, dim, set_to_json(set_))
     # repr tells 0.0 from 0 and keeps every float digit
     assert repr(facts) == repr(PINNED_FACTS[index])
