@@ -54,8 +54,8 @@ class TGrid:
     log: bool = True
 
     def values(self) -> np.ndarray:
-        if self.min <= 0 or self.max <= self.min or self.count < 1:
-            raise ValueError("t grid needs 0 < min < max and count >= 1")
+        if not (0 < self.min < self.max and math.isfinite(self.max) and self.count >= 1):
+            raise ValueError("t grid needs 0 < min < max < inf and count >= 1")
         if self.log:
             return np.geomspace(self.min, self.max, self.count)
         return np.linspace(self.min, self.max, self.count)
@@ -81,12 +81,12 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.mc_samples <= 0 or self.quadrature_points <= 0 or self.truncation < 0:
+        if not (self.mc_samples > 0 and self.quadrature_points > 0 and self.truncation >= 0):
             raise ValueError("numeric budgets must be positive")
-        if not (math.isfinite(self.band) and self.band > 0):
-            raise ValueError("band must be positive and finite")
-        if self.rel_error_threshold <= 0:
-            raise ValueError("rel_error_threshold must be positive")
+        for name in ("band", "rel_error_threshold", "delta", "grid_cell"):
+            value = getattr(self, name)
+            if not ((value is None and name in ("delta", "grid_cell")) or (math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be positive and finite")
         if self.zeta_method not in ("closed_form", "monte_carlo"):
             raise ValueError("zeta_method must be closed_form or monte_carlo")
 

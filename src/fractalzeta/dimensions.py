@@ -4,10 +4,11 @@ Complex dimensions of a compact set are the poles of its meromorphically
 continued distance zeta function.  For lattice closed forms they form
 arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
-principle on recursively subdivided rectangles and refined by Newton
-iteration on the reciprocal.  Residues come either from the closed-form
-term algebra or from trapezoidal contour quadrature on circles (which
-converges geometrically for analytic integrands).
+principle on recursively subdivided rectangles, walked a subdivision
+level at a time with an extrapolated first moment of ``d log f``, and
+refined by Newton iteration on the reciprocal.  Residues come either
+from the closed-form term algebra or from trapezoidal contour quadrature
+on circles (which converges geometrically for analytic integrands).
 """
 
 from __future__ import annotations
@@ -189,67 +190,96 @@ def _principal_part_contour(
     return tuple(coeffs)
 
 
-def _boundary_log_walk(
-    f: Callable[[np.ndarray], np.ndarray],
-    corners: tuple[complex, ...],
-    moment_tol: float,
-) -> tuple[int, complex]:
-    """Winding number and centered first moment along a closed polygon.
+def _successors(cell: np.ndarray) -> np.ndarray:
+    """Index of each sample's successor on its cell's closed polyline (cells stored contiguously)."""
+    nxt = np.arange(1, len(cell) + 1)
+    last = np.flatnonzero(cell[1:] != cell[:-1])
+    nxt[np.append(last, -1)] = np.append(0, last + 1)
+    return nxt
 
-    Returns ``(W, M1)`` where ``W = (1/2 pi i) contour d log f`` counts
-    zeros minus poles and ``M1 = (1/2 pi i) contour (s - c) d log f`` sums
-    ``(z - c)`` over zeros minus ``(p - c)`` over poles, with ``c`` the
-    polygon centroid.  ``M1`` is the pair detector: a zero-pole pair hidden
-    inside leaves ``W = 0`` but ``M1 = z - p != 0``.
 
-    The walk refines until phase steps are below pi/2 and the moment is
-    stable to ``moment_tol``; failure raises :class:`BoundaryPole`.
+def _refine(f, z, vals, cell, split):
+    """Insert the midpoint of segment ``i`` after sample ``i`` wherever ``split[i]``; one call of ``f``."""
+    idx = np.flatnonzero(split)
+    zm = 0.5 * (z[idx] + z[_successors(cell)[idx]])
+    pos = np.arange(len(z)) + np.cumsum(split) - split
+    order = np.empty(len(z) + len(idx), dtype=int)
+    order[pos], order[pos[idx] + 1] = np.arange(len(z)), len(z) + np.arange(len(idx))
+    return [np.concatenate(p)[order] for p in ((z, zm), (vals, f(zm)), (cell, cell[idx]))]
+
+
+def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
+    """Winding number and centered first moment along each closed polygon, all walked together.
+
+    Returns ``(W, M1)`` per polygon, or a :class:`BoundaryPole` where a
+    singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
+    counts zeros minus poles and ``M1 = (1/2 pi i) contour (s - c) d log f``
+    sums ``(z - c)`` over zeros minus ``(p - c)`` over poles, ``c`` the
+    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but ``M1 = z - p``.
+
+    The samples of all polygons share flat arrays, so a refinement round is
+    one call of ``f``.  Segments with a large phase or log-modulus step are
+    halved; once none is, all are.  ``M1`` is a midpoint sum with O(h^2)
+    error, so ``R_k = M1_k + (M1_k - M1_(k-1))/3`` over a full split is
+    O(h^4).  A walk returns ``R`` once it moved by at most ``moment_tol / 4``
+    over a full split, else ``M1`` once it did since the last smooth round;
+    after 28 rounds it gets a :class:`BoundaryPole`.
     """
-    center = sum(corners) / len(corners)
-    pts: list[complex] = []
-    n0 = 24
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        pts.extend(a + (b - a) * np.arange(n0) / n0)
-    z = np.array(pts + [pts[0]], dtype=complex)
+    corners = np.asarray(polygons, dtype=complex)
+    n_poly, n_corner = corners.shape
+    center = corners.sum(axis=1) / n_corner
+    edges = np.roll(corners, -1, axis=1) - corners
+    z = (corners[..., None] + edges[..., None] * np.arange(24) / 24).ravel()
+    cell = np.repeat(np.arange(n_poly), z.size // n_poly)
     vals = f(z)
-    prev_m1 = None
-    for _ in range(28):
-        if not np.isfinite(vals).all():
-            raise BoundaryPole("evaluator blows up on a cell boundary")
-        av = np.abs(vals)
-        if av.min() < 1e-280:
-            raise BoundaryPole("evaluator vanishes on a cell boundary")
-        ratio = vals[1:] / vals[:-1]
+    out: list = [None] * n_poly
+    done = np.zeros(n_poly, dtype=bool)
+    # M1 of the last round with a resolved winding; M1 and R of the previous
+    # round, NaN unless it resolved its winding (and so split every segment)
+    prev_m1, last_m1, last_r = (np.full(n_poly, np.nan, dtype=complex) for _ in range(3))
+    for rnd in range(28):
+        singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
+        if singular.any():
+            for c in np.unique(cell[singular]):
+                out[c], done[c] = BoundaryPole("evaluator blows up or vanishes on a cell boundary"), True
+            if done.all():
+                break
+            keep = ~done[cell]
+            z, vals, cell = z[keep], vals[keep], cell[keep]
+        nxt = _successors(cell)
+        ratio = vals[nxt] / vals
         dphi = np.angle(ratio)
         dlnr = np.log(np.abs(ratio))
         bad = (np.abs(dphi) > 0.5 * math.pi) | (np.abs(dlnr) > 0.7)
-        if not bad.any():
-            total = float(dphi.sum()) / (2.0 * math.pi)
-            w = round(total)
-            if abs(total - w) <= 0.25:
-                dlog = dlnr + 1j * dphi
-                mid = 0.5 * (z[1:] + z[:-1]) - center
-                m1 = complex(np.sum(mid * dlog) / (2j * math.pi))
-                if prev_m1 is not None and abs(m1 - prev_m1) <= 0.25 * moment_tol:
-                    return int(w), m1
-                prev_m1 = m1
-            # refine everywhere once more for moment stability
-            bad = np.ones(dphi.shape, dtype=bool)
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (z[idx] + z[idx + 1])
-        mvals = f(mids)
-        z = np.insert(z, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, mvals)
-    raise BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary")
+        smooth = ~done & (np.bincount(cell, bad, n_poly) == 0)
+        total = np.bincount(cell, dphi, n_poly) / (2.0 * math.pi)
+        w = np.round(total)
+        ok = smooth & (np.abs(total - w) <= 0.25)
+        terms = (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi)
+        m1 = np.bincount(cell, terms.real, n_poly) + 1j * np.bincount(cell, terms.imag, n_poly)
+        r = m1 + (m1 - last_m1) / 3.0
+        by_r = ok & (np.abs(r - last_r) <= 0.25 * moment_tol)
+        by_m1 = ok & ~by_r & (np.abs(m1 - prev_m1) <= 0.25 * moment_tol)
+        for c in np.flatnonzero(by_r | by_m1):
+            out[c] = (int(w[c]), complex(r[c] if by_r[c] else m1[c]))
+        done |= by_r | by_m1
+        prev_m1 = np.where(ok, m1, prev_m1)
+        last_m1 = np.where(ok, m1, np.nan)
+        last_r = np.where(ok, r, np.nan)
+        if rnd == 27 or done.all():
+            break
+        split = bad | smooth[cell]
+        if by_r.any() or by_m1.any():
+            keep = ~done[cell]
+            z, vals, cell, split = z[keep], vals[keep], cell[keep], split[keep]
+        z, vals, cell = _refine(f, z, vals, cell, split)
+    for c in np.flatnonzero(~done):
+        out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary")
+    return out
 
 
 def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
-    return (
-        complex(re_lo, im_lo),
-        complex(re_hi, im_lo),
-        complex(re_hi, im_hi),
-        complex(re_lo, im_hi),
-    )
+    return complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)
 
 
 def _newton_on_reciprocal(
@@ -305,23 +335,34 @@ def find_poles_argument_principle(
     in the count (zeta functions grow such zeros near every lattice pole)
     and localizes lone poles for Newton refinement on ``1/f``.  Cells are
     subdivided with irrational split fractions so singularities stay off
-    shared edges.
+    shared edges.  All cells of one subdivision level are walked together
+    (see :func:`_boundary_log_walks`); each walk stops once its moment, or
+    the moment's Richardson extrapolation, is stable to ``moment_floor / 4``.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
     :class:`BoundaryPole` when a singularity obstructs the outer boundary
     walk and :class:`NonIsolable` when subdivision stalls or an order
-    exceeds ``max_order``.
+    exceeds ``max_order``; :class:`ValueError` for a ``rect`` that is not
+    finite with ``lo < hi`` on both axes, a ``tol``, ``initial_cell`` or
+    ``moment_floor`` that is not positive and finite, or ``max_order < 1``.
     """
     re_lo, re_hi, im_lo, im_hi = map(float, rect)
+    if not (all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))) and re_lo < re_hi and im_lo < im_hi):
+        raise ValueError(f"rect {rect} must be finite with re_lo < re_hi and im_lo < im_hi")
+    if moment_floor is None:
+        moment_floor = max(1e-4, 64.0 * tol)
+    for name, value in (("tol", tol), ("initial_cell", initial_cell), ("moment_floor", moment_floor)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if not max_order >= 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     f = _vectorized(evaluator)
     fprime = (lambda s: complex(evaluator.derivative(s))) if isinstance(
         evaluator, ClosedFormZeta
     ) else None
 
     diag = math.hypot(re_hi - re_lo, im_hi - im_lo)
-    if moment_floor is None:
-        moment_floor = max(1e-4, 64.0 * tol)
     min_cell = max(16.0 * tol, 1e-9 * diag)
 
     def split(cell, depth):
@@ -335,73 +376,73 @@ def find_poles_argument_principle(
         mid = c + (d - c) * frac
         return [(a, b, c, mid), (a, b, mid, d)]
 
-    stack: list[tuple[tuple[float, float, float, float], int]] = [
-        ((re_lo, re_hi, im_lo, im_hi), 0)
-    ]
+    extent = lambda cell: max(cell[1] - cell[0], cell[3] - cell[2])
+    cells = [(re_lo, re_hi, im_lo, im_hi)]
     found: list[tuple[complex, int]] = []
-
-    while stack:
-        cell, depth = stack.pop()
-        a, b, c, d = cell
-        size = max(b - a, d - c)
-        if size > initial_cell:
-            stack.extend((sc, depth + 1) for sc in split(cell, depth))
-            continue
-        try:
-            w, m1 = _boundary_log_walk(f, _rect_corners(a, b, c, d), moment_floor)
-        except BoundaryPole:
-            if size > min_cell and depth > 0:
-                stack.extend((sc, depth + 1) for sc in split(cell, depth))
+    depth = 0
+    while cells:
+        # one level at a time: its cells are walked in one batch, and their
+        # children, if any, form the next level
+        walk = [cell for cell in cells if extent(cell) <= initial_cell]
+        below = [sc for cell in cells if extent(cell) > initial_cell for sc in split(cell, depth)]
+        walks = _boundary_log_walks(f, [_rect_corners(*cell) for cell in walk], moment_floor) if walk else []
+        for cell, res in zip(walk, walks):
+            a, b, c, d = cell
+            size = extent(cell)
+            if isinstance(res, BoundaryPole):
+                if size > min_cell and depth > 0:
+                    below.extend(split(cell, depth))
+                    continue
+                raise res
+            w, m1 = res
+            if w == 0:
+                if abs(m1) <= moment_floor:
+                    continue
+                if size <= max(64.0 * tol, min_cell):
+                    raise NonIsolable(f"cell {cell} hides a zero-pole pair below the resolution floor")
+                below.extend(split(cell, depth))
                 continue
-            raise
-        if w == 0:
-            if abs(m1) <= moment_floor:
+            if w > 0:
+                # net zeros; treated as a zero cluster (a pole co-located with
+                # two or more zeros below the cell scale is out of contract)
                 continue
-            if size <= max(64.0 * tol, min_cell):
-                raise NonIsolable(
-                    f"cell {cell} hides a zero-pole pair below the resolution floor"
-                )
-            stack.extend((sc, depth + 1) for sc in split(cell, depth))
-            continue
-        if w > 0:
-            # net zeros; treated as a zero cluster (a pole co-located with
-            # two or more zeros below the cell scale is out of contract)
-            continue
-        # net poles: the moment centroid seeds Newton refinement
-        centroid = complex(0.5 * (a + b), 0.5 * (c + d))
-        seed = centroid - m1 / (-w)
-        if not (a <= seed.real <= b and c <= seed.imag <= d):
-            seed = centroid
-        loc = _newton_on_reciprocal(f, fprime, seed, tol)
-        in_cell = loc is not None and a - tol <= loc.real <= b + tol and c - tol <= loc.imag <= d + tol
-        if not in_cell:
-            if size > min_cell:
-                stack.extend((sc, depth + 1) for sc in split(cell, depth))
-                continue
-            raise NonIsolable(f"Newton refinement failed in cell {cell}")
-        order = None
-        radius = 0.3 * size
-        for _ in range(8):
-            if radius < 4.0 * tol:
-                break
-            try:
-                order = -_winding_circle(f, loc, radius)
-            except BoundaryPole:
-                radius *= 0.5
-                continue
-            if order == -w:
-                break
-            radius *= 0.5
+            # net poles: the moment centroid seeds Newton refinement
+            centroid = complex(0.5 * (a + b), 0.5 * (c + d))
+            seed = centroid - m1 / (-w)
+            if not (a <= seed.real <= b and c <= seed.imag <= d):
+                seed = centroid
+            loc = _newton_on_reciprocal(f, fprime, seed, tol)
+            in_cell = loc is not None and a - tol <= loc.real <= b + tol and c - tol <= loc.imag <= d + tol
+            if not in_cell:
+                if size > min_cell:
+                    below.extend(split(cell, depth))
+                    continue
+                raise NonIsolable(f"Newton refinement failed in cell {cell}")
             order = None
-        if order is None or order != -w:
-            # mixed content (extra zero or second pole inside): separate it
-            if size > min_cell:
-                stack.extend((sc, depth + 1) for sc in split(cell, depth))
-                continue
-            raise NonIsolable(f"could not isolate the pole content of cell {cell}")
-        if order > max_order:
-            raise NonIsolable(f"pole at {loc} has order {order} > max_order={max_order}")
-        found.append((loc, order))
+            radius = 0.3 * size
+            for _ in range(8):
+                if radius < 4.0 * tol:
+                    break
+                try:
+                    order = -_winding_circle(f, loc, radius)
+                except BoundaryPole:
+                    radius *= 0.5
+                    continue
+                if order == -w:
+                    break
+                radius *= 0.5
+                order = None
+            if order is None or order != -w:
+                # mixed content (extra zero or second pole inside): separate it
+                if size > min_cell:
+                    below.extend(split(cell, depth))
+                    continue
+                raise NonIsolable(f"could not isolate the pole content of cell {cell}")
+            if order > max_order:
+                raise NonIsolable(f"pole at {loc} has order {order} > max_order={max_order}")
+            found.append((loc, order))
+        cells = below
+        depth += 1
 
     # quantized deterministic ordering: location errors are O(tol), far below
     # the quantum, so equal poles sort equally across runs
@@ -428,23 +469,20 @@ def find_poles_argument_principle(
 
 
 def _winding_circle(f, center: complex, radius: float, nodes: int = 128) -> int:
-    theta = 2.0 * math.pi * np.arange(nodes + 1) / nodes
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
     z = center + radius * np.exp(1j * theta)
     vals = f(z)
+    cell = np.zeros(nodes, dtype=int)
     for _ in range(20):
         if not np.isfinite(vals).all():
             raise BoundaryPole("evaluator blows up on the order-check circle")
-        av = np.abs(vals)
-        if av.min() < 1e-280:
+        if np.abs(vals).min() < 1e-280:
             raise BoundaryPole("evaluator vanishes on the order-check circle")
-        dphi = np.angle(vals[1:] / vals[:-1])
+        dphi = np.angle(vals[_successors(cell)] / vals)
         bad = np.abs(dphi) > 0.5 * math.pi
         if not bad.any():
             return int(round(float(dphi.sum()) / (2.0 * math.pi)))
-        idx = np.nonzero(bad)[0]
-        mids = 0.5 * (z[idx] + z[idx + 1])
-        z = np.insert(z, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, f(mids))
+        z, vals, cell = _refine(f, z, vals, cell, bad)
     raise BoundaryPole("could not resolve phase on the order-check circle")
 
 

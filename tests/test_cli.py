@@ -115,6 +115,26 @@ def test_unbounded_pole_band_is_config_error(tmp_path, capsys, band):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"rel_error_threshold": math.nan},  # exited 1 and wrote NaN into the summary
+        {"delta": math.nan},
+        {"grid_cell": math.inf},
+        {"mc_samples": math.nan},
+        {"t_grid": {"min": math.nan, "max": 0.1, "count": 4, "log": True}},
+        {"t_grid": {"min": 1e-3, "max": math.inf, "count": 4, "log": True}},
+    ],
+    ids=["threshold", "delta", "grid_cell", "mc_samples", "t_min", "t_max"],
+)
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, override):
+    path = write_config(tmp_path, **override)
+    assert main(["tube-compare", "--config", path]) == 2
+    assert not (tmp_path / "out" / "tube_compare_summary.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_config_round_trip():
     cfg = ExperimentConfig(
         set={"variant": "cantor_like", "ratio": 1.0 / 3.0, "scale": 1.0},

@@ -135,6 +135,153 @@ def test_find_poles_rejects_order_above_max():
         )
 
 
+def test_find_poles_resolves_a_close_zero_pole_pair():
+    # W = 0 on every cell that holds both; only the moment M1 = z - p exposes the pair
+    poles = find_poles_argument_principle(
+        lambda s: (s - 0.501) / (s - 0.5), (0.03, 0.97, -0.47, 0.53), tol=1e-9
+    )
+    assert len(poles) == 1
+    assert poles[0].order == 1
+    assert abs(poles[0].location - 0.5) < 1e-9
+    assert poles[0].residue == pytest.approx(-1e-3, rel=1e-9)
+
+
+def test_find_poles_treats_a_pair_below_the_moment_floor_as_cancelled():
+    poles = find_poles_argument_principle(
+        lambda s: (s - 0.5 - 1e-7) / (s - 0.5),
+        (0.03, 0.97, -0.47, 0.53),
+        tol=1e-9,
+        moment_floor=1e-6,
+    )
+    assert poles == []
+
+
+class _PointBudget:
+    """Scalar evaluator that raises after ``limit`` points, so a missing guard fails instead of hanging."""
+
+    def __init__(self, form, limit=10**5):
+        self.form, self.left = form, limit
+
+    def __call__(self, s):
+        self.left -= 1
+        if self.left < 0:
+            raise RuntimeError("evaluator point budget exhausted")
+        return complex(self.form.evaluate(s))
+
+
+@pytest.mark.parametrize(
+    "rect, kwargs",
+    [
+        ((1.0, -0.5, -3.0, 3.0), {}),  # returned [] and missed the pole at log_3 2
+        ((-0.5, 1.0, 3.0, -3.0), {}),
+        ((-0.5, 1.0, -3.0, -3.0), {}),
+        ((-0.5, math.nan, -3.0, 3.0), {}),
+        ((-0.5, 1.0, -math.inf, 3.0), {}),
+        ((-0.5, 1.0, -3.0, 3.0), {"tol": 0.0}),
+        ((-0.5, 1.0, -3.0, 3.0), {"tol": math.nan}),
+        ((-0.5, 1.0, -3.0, 3.0), {"tol": math.inf}),
+        ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": math.nan}),  # split every cell forever
+        ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": -1e-6}),
+        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": 0.0}),
+        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": math.nan}),
+        ((-0.5, 1.0, -3.0, 3.0), {"max_order": 0}),
+    ],
+)
+def test_find_poles_rejects_bad_input(rect, kwargs):
+    evaluator = _PointBudget(catalog_zeta(CantorLike(), 0.5))
+    with pytest.raises(ValueError):
+        find_poles_argument_principle(evaluator, rect, **kwargs)
+
+
+def _reference_log_walk(f, corners, moment_tol):
+    # the single-cell walk as it ran before cells were walked level by level:
+    # its own sample list, np.insert refinement, and the plain moment stop
+    center = sum(corners) / len(corners)
+    pts = []
+    n0 = 24
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        pts.extend(a + (b - a) * np.arange(n0) / n0)
+    z = np.array(pts + [pts[0]], dtype=complex)
+    vals = f(z)
+    prev_m1 = None
+    for _ in range(28):
+        if not np.isfinite(vals).all() or np.abs(vals).min() < 1e-280:
+            raise BoundaryPole("singular on the boundary")
+        ratio = vals[1:] / vals[:-1]
+        dphi = np.angle(ratio)
+        dlnr = np.log(np.abs(ratio))
+        bad = (np.abs(dphi) > 0.5 * math.pi) | (np.abs(dlnr) > 0.7)
+        if not bad.any():
+            total = float(dphi.sum()) / (2.0 * math.pi)
+            w = round(total)
+            if abs(total - w) <= 0.25:
+                mid = 0.5 * (z[1:] + z[:-1]) - center
+                m1 = complex(np.sum(mid * (dlnr + 1j * dphi)) / (2j * math.pi))
+                if prev_m1 is not None and abs(m1 - prev_m1) <= 0.25 * moment_tol:
+                    return int(w), m1
+                prev_m1 = m1
+            bad = np.ones(dphi.shape, dtype=bool)
+        idx = np.nonzero(bad)[0]
+        mids = 0.5 * (z[idx] + z[idx + 1])
+        mvals = f(mids)
+        z = np.insert(z, idx + 1, mids)
+        vals = np.insert(vals, idx + 1, mvals)
+    raise BoundaryPole("phase refinement exhausted")
+
+
+@pytest.mark.parametrize(
+    "set_, delta, re_range",
+    [
+        (SierpinskiGasket(), 0.5, (-0.5, 2.0)),
+        (SierpinskiCarpet3D(), 0.25, (-0.5, 3.5)),
+        (CantorLike(), 0.5, (-0.5, 1.0)),
+        (FractalStringBoundary.cantor_string(), 1.0 / 3.0, (-0.5, 1.0)),
+    ],
+    ids=["gasket", "carpet", "cantor", "string"],
+)
+def test_batched_walks_match_single_cell_reference(set_, delta, re_range):
+    from fractalzeta.dimensions import _boundary_log_walks, _rect_corners, _vectorized
+
+    form = catalog_zeta(set_, delta)
+    f = _vectorized(form)
+    rng = np.random.default_rng(7)
+    period = min(form.lattice_periods())
+    poles = [w for w, _ in form.poles(3.0 * period) if re_range[0] < w.real < re_range[1]]
+    rects = []
+    for k in range(24):
+        w, h = rng.uniform(0.05, 1.0, size=2)
+        if k % 3:
+            a = rng.uniform(re_range[0], re_range[1] - w)
+            c = rng.uniform(-3.0 * period, 3.0 * period)
+        else:  # around a pole
+            pole = poles[rng.integers(len(poles))]
+            a, c = pole.real - w * rng.uniform(0.1, 0.9), pole.imag - h * rng.uniform(0.1, 0.9)
+        rects.append((a, a + w, c, c + h))
+    moment_floor = 1e-6
+    walks = _boundary_log_walks(f, [_rect_corners(*r) for r in rects], moment_floor)
+    windings = set()
+    for rect, got in zip(rects, walks):
+        want = _reference_log_walk(f, _rect_corners(*rect), moment_floor)
+        assert got[0] == want[0], rect
+        assert abs(got[1] - want[1]) <= moment_floor, rect
+        windings.add(got[0])
+    assert -1 in windings and 0 in windings  # cells with a pole and cells without
+
+
+def test_walk_returns_the_extrapolated_moment():
+    # M1 = z - p exactly (e^s adds nothing); the plain midpoint moment stops
+    # about 1e-7 off, its Richardson extrapolation about 1e-12
+    from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
+
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        z0, p0 = rng.uniform(0.2, 0.8, 2) + 1j * rng.uniform(0.2, 0.8, 2)
+        f = lambda s: (s - z0) / (s - p0) * np.exp(s)
+        [(w, m1)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+        assert w == 0
+        assert abs(m1 - (z0 - p0)) <= 1e-9
+
+
 def test_completeness_gasket_band_20():
     form = catalog_zeta(SierpinskiGasket(), 0.5)
     poles = find_poles_argument_principle(form, (-0.5, 2.0, -20.0, 20.0), tol=1e-9)
