@@ -335,17 +335,16 @@ def find_poles_argument_principle(
     in the count (zeta functions grow such zeros near every lattice pole)
     and localizes lone poles for Newton refinement on ``1/f``.  Cells are
     subdivided with irrational split fractions so singularities stay off
-    shared edges.  All cells of one subdivision level are walked together
-    (see :func:`_boundary_log_walks`); each walk stops once its moment, or
-    the moment's Richardson extrapolation, is stable to ``moment_floor / 4``.
+    shared edges.  A level's cells are walked together, each walk stopping
+    once its moment or that moment's Richardson extrapolation is stable.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
     :class:`BoundaryPole` when a singularity obstructs the outer boundary
     walk and :class:`NonIsolable` when subdivision stalls or an order
-    exceeds ``max_order``; :class:`ValueError` for a ``rect`` that is not
-    finite with ``lo < hi`` on both axes, a ``tol``, ``initial_cell`` or
-    ``moment_floor`` that is not positive and finite, or ``max_order < 1``.
+    exceeds ``max_order``; :class:`ValueError` for a non-finite or empty
+    ``rect``, a ``tol``, ``initial_cell`` or ``moment_floor`` that is not
+    positive and finite, ``max_order < 1``, or over 10^5 initial cells.
     """
     re_lo, re_hi, im_lo, im_hi = map(float, rect)
     if not (all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))) and re_lo < re_hi and im_lo < im_hi):
@@ -357,6 +356,8 @@ def find_poles_argument_principle(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if not max_order >= 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
+    if (re_hi - re_lo) * (im_hi - im_lo) > 1e5 * initial_cell**2:  # a level's cells are listed at once
+        raise ValueError(f"initial_cell {initial_cell} would split rect {rect} into over 10^5 cells")
     f = _vectorized(evaluator)
     fprime = (lambda s: complex(evaluator.derivative(s))) if isinstance(
         evaluator, ClosedFormZeta
@@ -381,11 +382,12 @@ def find_poles_argument_principle(
     found: list[tuple[complex, int]] = []
     depth = 0
     while cells:
-        # one level at a time: its cells are walked in one batch, and their
-        # children, if any, form the next level
+        # one level at a time; children of its cells form the next level
         walk = [cell for cell in cells if extent(cell) <= initial_cell]
         below = [sc for cell in cells if extent(cell) > initial_cell for sc in split(cell, depth)]
-        walks = _boundary_log_walks(f, [_rect_corners(*cell) for cell in walk], moment_floor) if walk else []
+        walks = []
+        for k in range(0, len(walk), 256):  # batches of 256 cells bound the samples held at once
+            walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in walk[k : k + 256]], moment_floor)
         for cell, res in zip(walk, walks):
             a, b, c, d = cell
             size = extent(cell)

@@ -184,7 +184,12 @@ class _PointBudget:
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": -1e-6}),
         ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": 0.0}),
         ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": math.nan}),
+        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": 9e-3}),  # over 10^5 cells in one level
         ((-0.5, 1.0, -3.0, 3.0), {"max_order": 0}),
+    ],
+    ids=[
+        "reversed_re", "reversed_im", "empty_im", "nan_re", "inf_im", "tol_0", "tol_nan", "tol_inf",
+        "floor_nan", "floor_negative", "cell_0", "cell_nan", "cell_count", "max_order_0",
     ],
 )
 def test_find_poles_rejects_bad_input(rect, kwargs):
