@@ -44,7 +44,6 @@ from .geometry import (
     tube_volume,
     tube_volumes,
 )
-from .intervals import IntervalUnion, fatten_intervals
 from .zeta import (
     ClosedFormZeta,
     ElementaryTerm,

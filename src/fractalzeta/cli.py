@@ -53,9 +53,11 @@ class TGrid:
     count: int
     log: bool = True
 
-    def values(self) -> np.ndarray:
+    def __post_init__(self):
         if not (0 < self.min < self.max and math.isfinite(self.max) and self.count >= 1):
             raise ValueError("t grid needs 0 < min < max < inf and count >= 1")
+
+    def values(self) -> np.ndarray:
         if self.log:
             return np.geomspace(self.min, self.max, self.count)
         return np.linspace(self.min, self.max, self.count)

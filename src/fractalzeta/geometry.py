@@ -8,13 +8,13 @@ t-neighborhood).
 Each descriptor class owns its geometry, and the module functions check
 their input and call it.  A descriptor class defines its JSON tag
 ``variant``, ``ambient_dim``, ``bounds()``, ``diameter``, ``distances(pts)``
-on checked points, ``exact_tube(t)`` (plus ``exact_volumes(ts)`` over an
-array of radii, or ``array_volumes = False`` and ``auto_method(t)``),
-``box_dimension``, ``default_delta``, ``t_valid_max`` (the largest radius
-at which its closed form's residue sum gives ``|A_t|``) and, for catalog
-sets, the ``delta_bound`` text; :class:`CompactSet` holds the defaults.  A
-new set is registered in ``_VARIANTS`` below and, if it has a closed-form
-zeta function, in ``zeta._CLOSED_FORMS``.
+on checked points, ``exact_volumes(ts)`` over an array of radii (with
+``array_volumes = False`` and ``auto_method(t)`` where some radii have no
+exact volume), ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
+largest radius at which its closed form's residue sum gives ``|A_t|``)
+and, for catalog sets, the ``delta_bound`` text; :class:`CompactSet` holds
+the defaults.  A new set is registered in ``_VARIANTS`` below and, if it
+has a closed-form zeta function, in ``zeta._CLOSED_FORMS``.
 
 Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
@@ -25,7 +25,10 @@ digits finds that hole.
 Where the geometry allows it the tube volume is computed exactly:
 
 * 1D sets (point sets, Cantor-type sets, fractal-string boundaries) via
-  interval sweeps or closed-form gap sums;
+  gap sums: one kernel, :func:`intervals.gap_volumes`, over the gaps of a
+  finite point set or an explicit string, and level sums for Cantor sets
+  and self-similar strings;
+* point sets in R^N while their balls are disjoint, as ``n omega_N t^N``;
 * the Sierpinski gasket and the three-dimensional carpet via exact
   hole-decomposition sums (the removed holes are bounded by surfaces that
   belong to the set, so the uncovered core of every hole is an explicit
@@ -50,7 +53,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ResolutionTooCoarse, FractalZetaError
-from .intervals import IntervalUnion, fatten_intervals
+from .intervals import gap_volumes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -132,7 +135,6 @@ class PointSet(CompactSet):
 
     variant = "point_set"
     delta_bound = "half the minimal point separation (none for a single point)"
-    array_volumes = False
 
     def __init__(self, points):
         object.__setattr__(self, "points", _as_point_tuple(points))
@@ -147,11 +149,20 @@ class PointSet(CompactSet):
         return len(self.points[0])
 
     @property
-    def t_valid_max(self) -> float:
-        return self.min_gap() / 2.0
+    def array_volumes(self) -> bool:
+        return self.ambient_dim == 1
 
+    @property
+    def exact_kind(self) -> TubeMethod:
+        return TubeMethod.EXACT_1D if self.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
+
+    @property
+    def t_valid_max(self) -> float:
+        return self.min_gap / 2.0
+
+    @cached_property
     def min_gap(self) -> float:
-        """Smallest pairwise distance (inf for a single point)."""
+        """Smallest pairwise distance (inf for a single point), computed once."""
         if len(self.points) < 2:
             return math.inf
         arr = np.asarray(self.points)
@@ -165,7 +176,7 @@ class PointSet(CompactSet):
         return float(d.min())
 
     def _balls_disjoint(self, t: float) -> bool:
-        return self.min_gap() >= 2.0 * t
+        return self.min_gap >= 2.0 * t
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.points, dtype=float)
@@ -187,20 +198,17 @@ class PointSet(CompactSet):
         return np.asarray(d, dtype=float)
 
     def auto_method(self, t: float) -> TubeMethod:
-        if self.ambient_dim == 1:
-            return TubeMethod.EXACT_1D
-        if self._balls_disjoint(t):
-            return TubeMethod.EXACT_CLOSED
+        if self.ambient_dim == 1 or self._balls_disjoint(t):
+            return self.exact_kind
         return TubeMethod.GRID_COUNT if self.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
 
-    def exact_tube(self, t: float) -> TubeSample:
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         if self.ambient_dim == 1:
-            union = IntervalUnion.from_points([p[0] for p in self.points])
-            return TubeSample(t, fatten_intervals(union, t).total_length, TubeMethod.EXACT_1D)
-        if self._balls_disjoint(t):
-            vol = len(self.points) * _unit_ball_volume(self.ambient_dim) * t**self.ambient_dim
-            return TubeSample(t, vol, TubeMethod.EXACT_CLOSED)
-        raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
+            return gap_volumes(2.0 * ts, np.diff(np.sort(np.asarray(self.points)[:, 0])))
+        t = float(ts.max(initial=0.0))
+        if not self._balls_disjoint(t):
+            raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
+        return len(self.points) * _unit_ball_volume(self.ambient_dim) * _libm_pow(ts, self.ambient_dim)
 
     def to_json(self) -> dict:
         return {**super().to_json(), "points": [list(p) for p in self.points]}
@@ -462,10 +470,8 @@ class FractalStringBoundary(CompactSet):
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         two_t = 2.0 * ts
         if not self.is_self_similar:
-            ls = np.asarray(self.lengths)
-            step = max(1, (1 << 20) // ls.size)  # radius x length tables of about 2^20 entries
-            chunks = np.split(two_t, range(step, ts.size, step))
-            return np.concatenate([c + np.minimum(ls, c[:, None]).sum(axis=1) for c in chunks])
+            # the lengths are the gaps between consecutive boundary points
+            return gap_volumes(two_t, np.asarray(self.lengths))
         b, m = self.base, int(self.multiplicity)
         # each open gap fattens into 2t; the points below level n fill [0, tail(n)]
         return _level_volumes(
@@ -591,10 +597,10 @@ class SierpinskiCarpet3D(CompactSet):
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_cubes(ts)
+        total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_pow(ts, 3)
         for k, idx, side in _hole_levels(2.0 * ts, lambda k: 3.0**-k):
             try:
-                holes = 26.0 ** (k - 1) * _libm_cubes(side)
+                holes = 26.0 ** (k - 1) * _libm_pow(side, 3)
             except OverflowError:
                 holes = np.exp((k - 1) * math.log(26.0) + 3.0 * np.log(side))
             total[idx] -= holes
@@ -703,31 +709,9 @@ def _hole_levels(a_t: np.ndarray, width):
         k += 1
 
 
-def _libm_cubes(a: np.ndarray) -> np.ndarray:
+def _libm_pow(a: np.ndarray, p: int) -> np.ndarray:
     # libm pow, which numpy's vectorized power does not match to the last bit
-    return np.fromiter(map(math.pow, a.tolist(), repeat(3.0)), float, a.size)
-
-
-def _cantor_segments(set_: CantorLike, t: float, max_segments: int = 1 << 22):
-    """Level-n construction segments whose internal gaps are all <= 2t."""
-    n = 0
-    while set_.largest_gap * set_.ratio**n > 2.0 * t:
-        n += 1
-        if 2**n > max_segments:
-            raise ResolutionTooCoarse("Cantor sweep would need too many segments at this t")
-    starts = np.array([0.0])
-    L = set_.scale
-    for _ in range(n):
-        starts = np.concatenate([starts, starts + (1.0 - set_.ratio) * L])
-        L *= set_.ratio
-    starts.sort()
-    return starts, L
-
-
-def _cantor_tube_sweep(set_: CantorLike, t: float) -> float:
-    starts, L = _cantor_segments(set_, t)
-    union = IntervalUnion.from_intervals((a, a + L) for a in starts)
-    return fatten_intervals(union, t).total_length
+    return np.fromiter(map(math.pow, a.tolist(), repeat(float(p))), float, a.size)
 
 
 def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000_000):
@@ -833,11 +817,12 @@ def tube_volume(
     reports the conservative boundary-cell bound; Monte Carlo reports a
     one-standard-error confidence half-width.
 
-    Exact volumes of Cantor-type sets, string boundaries, the gasket and the
-    carpet run the array code of :func:`tube_volumes` on ``[t]``.
+    Exact volumes run the array code of :func:`tube_volumes` on ``[t]``.
 
-    Raises :class:`ResolutionTooCoarse` when the grid refinement (or an
-    exact sweep) cannot finish within its cell/segment budget, and
+    Raises :class:`ResolutionTooCoarse` when the grid refinement cannot
+    finish within its block budget, :class:`FractalZetaError` for an exact
+    volume the set does not have (point-set balls that overlap in R^N,
+    N > 1), and
     :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
     for a ``t`` at which the set's bounding box fattened by ``t`` has a
     volume past the float range, and for ``mc_samples < 1``.

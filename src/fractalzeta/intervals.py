@@ -1,91 +1,21 @@
-"""Unions of intervals on the real line with exact sweep-line merging.
+"""The exact tube volume of a finite set of points on the real line.
 
-This is the exact 1D tube-volume oracle: fattening every interval of a
-union by ``t`` and re-merging gives the Lebesgue measure of the open
-t-neighborhood of the underlying closed set.
+Fattening points with consecutive gaps ``g_i`` by ``t`` covers the span of
+one point, ``2t``, plus ``min(g_i, 2t)`` per gap: each gap is either
+bridged or left open with ``2t`` of it covered.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import numpy as np
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A sorted union of disjoint intervals ``(a_i, b_i)`` on the real line.
+def gap_volumes(two_t: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """``2t + sum_i min(g_i, 2t)`` for every ``2t`` in a flat array.
 
-    Degenerate intervals with ``a_i == b_i`` are admitted so that finite
-    point sets can be represented directly; they carry zero length and
-    become genuine intervals after fattening.
+    Only the multiset of gaps matters, but the sum runs in their given
+    order.  Radius x gap tables are built about 2^20 entries at a time.
     """
-
-    intervals: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        prev_b = None
-        for a, b in self.intervals:
-            if not (a <= b):
-                raise ValueError(f"interval ({a}, {b}) has negative length")
-            if prev_b is not None and a <= prev_b:
-                raise ValueError("intervals must be sorted and disjoint")
-            prev_b = b
-
-    @classmethod
-    def from_intervals(cls, raw: Iterable[tuple[float, float]]) -> "IntervalUnion":
-        """Build a normalized union from (possibly overlapping, unsorted) intervals."""
-        items = sorted((float(a), float(b)) for a, b in raw)
-        merged: list[tuple[float, float]] = []
-        for a, b in items:
-            if b < a:
-                raise ValueError(f"interval ({a}, {b}) has negative length")
-            if merged and a <= merged[-1][1]:
-                la, lb = merged[-1]
-                merged[-1] = (la, max(lb, b))
-            else:
-                merged.append((a, b))
-        return cls(tuple(merged))
-
-    @classmethod
-    def from_points(cls, points: Sequence[float]) -> "IntervalUnion":
-        """Represent a finite point set as degenerate intervals."""
-        return cls.from_intervals((p, p) for p in points)
-
-    @property
-    def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
-    def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __iter__(self):
-        return iter(self.intervals)
-
-
-def fatten_intervals(base: IntervalUnion, t: float) -> IntervalUnion:
-    """Fatten every interval of ``base`` by ``t`` on both sides and merge.
-
-    The total length of the result is the measure of the open
-    t-neighborhood of the closed set encoded by ``base``.
-    """
-    if t <= 0:
-        raise ValueError("fattening radius t must be positive")
-    return IntervalUnion.from_intervals((a - t, b + t) for a, b in base.intervals)
-
-
-def union_measure_of_fattened_points(points: Sequence[float], t: float) -> float:
-    """Measure of ``union of (p - t, p + t)`` by direct overlap accounting.
-
-    Independent of the sweep-line merge: ``2 t n`` minus the overlap
-    ``max(0, 2t - gap)`` of each consecutive pair.  Used as a cross-check
-    oracle in tests.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    ps = sorted(float(p) for p in points)
-    total = 2.0 * t * len(ps)
-    for lo, hi in zip(ps, ps[1:]):
-        gap = hi - lo
-        if gap < 2.0 * t:
-            total -= 2.0 * t - gap
-    return total
+    step = max(1, (1 << 20) // max(gaps.size, 1))
+    chunks = np.split(two_t, range(step, two_t.size, step))
+    return np.concatenate([c + np.minimum(gaps, c[:, None]).sum(axis=1) for c in chunks])

@@ -354,7 +354,7 @@ def _sphere_area(n: int) -> float:
 def _point_set_zeta(set_: geometry.PointSet, delta: float) -> ClosedFormZeta:
     n = len(set_.points)
     dim = set_.ambient_dim
-    if n > 1 and delta > set_.min_gap() / 2.0:
+    if n > 1 and delta > set_.min_gap / 2.0:
         raise DeltaTooSmall(
             "delta exceeds half the minimal point separation; balls overlap and the "
             "closed form no longer holds"

@@ -129,10 +129,12 @@ def test_unbounded_pole_band_is_config_error(tmp_path, capsys, band):
 )
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, override):
     path = write_config(tmp_path, **override)
-    assert main(["tube-compare", "--config", path]) == 2
+    # a NaN t_grid exited 0 from poles and measurability
+    for command in ("poles", "measurability", "tube-compare"):
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
     assert not (tmp_path / "out" / "tube_compare_summary.json").exists()
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
 
 
 def test_config_round_trip():

@@ -25,8 +25,8 @@ from fractalzeta.geometry import (
     tube_volume,
     tube_volumes,
 )
-from fractalzeta.intervals import union_measure_of_fattened_points
 from fractalzeta.zeta import default_delta
+from references import cantor_segments, fattened_length, union_measure_of_fattened_points
 
 SQRT3 = math.sqrt(3.0)
 
@@ -190,6 +190,10 @@ def test_tube_point_is_2t():
     s = tube_volume(PointSet([[0.0]]), 0.25)
     assert s.volume == pytest.approx(0.5, abs=1e-15)
     assert s.method == TubeMethod.EXACT_1D
+    # (p + t) - (p - t) rounds to 0 for a point off the origin at these t
+    for p in (0.0, 0.5, -0.9):
+        for t in (1e-17, 1e-200):
+            assert tube_volume(PointSet([[p]]), t).volume == 2.0 * t
 
 
 def test_tube_cantor_examples():
@@ -234,11 +238,10 @@ def test_tube_carpet_large_t_covers_cube():
 
 def test_cantor_closed_form_matches_sweep():
     c = CantorLike(ratio=0.3, scale=2.0)
-    from fractalzeta.geometry import _cantor_tube_sweep
-
     for t in [0.5, 0.1, 0.03, 0.011, 0.004]:
-        closed = tube_volume(c, t).volume
-        assert closed == pytest.approx(_cantor_tube_sweep(c, t), rel=1e-12)
+        starts, length = cantor_segments(c, t)
+        sweep = fattened_length(((a, a + length) for a in starts), t)
+        assert tube_volume(c, t).volume == pytest.approx(sweep, rel=1e-12)
 
 
 def test_explicit_string_exact_vs_bruteforce():
@@ -559,19 +562,33 @@ def test_exact_volumes_array_equals_scalar_loop(set_, loop):
     assert np.array_equal(tube_volumes(set_, ts.reshape(20, 20)), want.reshape(20, 20))
 
 
-def test_tube_volumes_loops_over_other_sets():
-    ps = PointSet([[0.0], [0.3], [0.35]])
+def test_tube_volumes_loops_over_other_sets(monkeypatch):
+    measured = []
+    measure = geo._measure_tube
+
+    def counted(set_, t, *args):
+        measured.append(t)
+        return measure(set_, t, *args)
+
+    monkeypatch.setattr(geo, "_measure_tube", counted)
+    # 1D point sets take the array path, a repeated point included
     ts = np.array([0.01, 0.04, 0.2])
-    assert tube_volumes(ps, ts).tolist() == [tube_volume(ps, t).volume for t in ts.tolist()]
-    assert tube_volumes(ps, ts).tolist() == pytest.approx([_point_sweep(ps, t) for t in ts.tolist()], rel=1e-14)
+    for ps in (PointSet([[0.0], [0.3], [0.35]]), PointSet([[0.3], [0.0], [0.35], [0.3]])):
+        vols = tube_volumes(ps, ts).tolist()
+        assert not measured
+        assert vols == [tube_volume(ps, t).volume for t in ts.tolist()]
+        assert vols == pytest.approx([_point_sweep(ps, t) for t in ts.tolist()], rel=1e-14)
+        measured.clear()
     cloud = PointCloud([[0.1, 0.2], [0.4, 0.9]])
     assert tube_volumes(cloud, [0.05]).tolist() == [tube_volume(cloud, 0.05).volume]
+    assert measured == [0.05, 0.05]
 
 
 def test_tube_volumes_rejects_bad_radii():
     for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3]):
-        with pytest.raises(ValueError):
-            tube_volumes(CantorLike(), bad)
+        for set_ in (CantorLike(), PointSet([[0.0]])):
+            with pytest.raises(ValueError):
+                tube_volumes(set_, bad)
     assert tube_volumes(CantorLike(), []).shape == (0,)
 
 

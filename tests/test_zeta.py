@@ -347,6 +347,11 @@ def test_functional_equation_point_set():
     ps = PointSet([[0.0]])
     cfg = cfg_for(ps, delta=1.0)
     assert functional_equation_residual(ps, 2.0 + 0.0j, cfg) < 1e-6
+    # near the abscissa the quadrature reaches radii where |A_t| = 2t needs
+    # to hold off the origin too
+    cfg = NumericZetaConfig(delta=1.0, seed=1)
+    for p in (0.5, -0.9):
+        assert functional_equation_residual(PointSet([[p]]), 0.3 + 1.0j, cfg) <= 1e-8
 
 
 def test_functional_equation_catalog_sets():
