@@ -26,7 +26,7 @@ from .errors import (
     NotAPole,
     PoleOnLine,
 )
-from .zeta import ClosedFormZeta
+from .zeta import ClosedFormZeta, LatticeTerm, _lattice_ks
 
 Evaluator = Union[ClosedFormZeta, Callable[[complex], complex]]
 
@@ -115,15 +115,14 @@ def _vectorized(evaluator: Evaluator) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def lattice_poles(m: float, r: float, window: Window) -> list[complex]:
-    """Arithmetic pole family ``log_m r + (2 pi / ln m) k i`` inside the window."""
-    if m <= 1.0 or r <= 0.0:
-        raise ValueError("need m > 1 and r > 0")
-    period = 2.0 * math.pi / math.log(m)
-    re = math.log(r) / math.log(m)
+    """Arithmetic pole family ``log_m r + (2 pi / ln m) k i`` inside the window.
+
+    Raises :class:`ValueError` unless ``m > 1`` and ``r > 0`` are finite,
+    and for a window that is unbounded or over ``2 * 10^6`` periods tall.
+    """
+    family = LatticeTerm(1.0, 1.0, (), (m, r))
     lo, hi = window.imag_range
-    k_lo = math.ceil(lo / period - 1e-12)
-    k_hi = math.floor(hi / period + 1e-12)
-    out = [complex(re, period * k) for k in range(k_lo, k_hi + 1)]
+    out = map(family.lattice_pole, _lattice_ks(lo / family.period, hi / family.period))
     return [w for w in out if window.contains(w)]
 
 
@@ -157,17 +156,11 @@ def residue_contour(
     if radius <= 0:
         raise ValueError("contour radius must be positive")
 
-    def estimate(n: int) -> complex:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        ring = np.exp(1j * theta)
-        vals = f(omega + radius * ring)
-        return radius * complex(np.mean(vals * ring))
-
-    prev = estimate(nodes)
+    prev = _circle_coefficients(f, omega, radius, 1, nodes)[0]
     n = nodes
     while n < max_nodes:
         n *= 2
-        cur = estimate(n)
+        cur = _circle_coefficients(f, omega, radius, 1, n)[0]
         if abs(cur - prev) <= tol * max(1.0, abs(cur)):
             return cur
         prev = cur
@@ -177,17 +170,15 @@ def residue_contour(
     )
 
 
-def _principal_part_contour(
-    f: Callable[[np.ndarray], np.ndarray], omega: complex, order: int, radius: float, nodes: int = 512
+def _circle_coefficients(
+    f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, order: int, nodes: int
 ) -> tuple[complex, ...]:
+    """``(c_-order, ..., c_-1)`` of ``f`` at ``omega``: trapezoidal rule on ``nodes`` points of a circle."""
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     ring = np.exp(1j * theta)
     vals = f(omega + radius * ring)
-    coeffs = []
-    for j in range(order, 0, -1):
-        # c_{-j} = (1/2 pi i) contour f(s) (s - omega)^(j-1) ds
-        coeffs.append(radius**j * complex(np.mean(vals * ring**j)))
-    return tuple(coeffs)
+    # c_{-j} = (1/2 pi i) contour f(s) (s - omega)^(j-1) ds
+    return tuple(radius**j * complex(np.mean(vals * ring**j)) for j in range(order, 0, -1))
 
 
 def _successors(cell: np.ndarray) -> np.ndarray:
@@ -462,10 +453,8 @@ def find_poles_argument_principle(
         gaps = [abs(z - other) for other in locs if abs(z - other) > 1e-12]
         radius = min(0.05, 0.25 * min(gaps)) if gaps else 0.05
         residue = residue_contour(evaluator, z, radius=radius)
-        principal: tuple[complex, ...] = ()
-        if order > 1:
-            principal = _principal_part_contour(f, z, order, radius)
-            residue = principal[-1]
+        principal = _circle_coefficients(f, z, radius, order, 512) if order > 1 else ()
+        residue = principal[-1] if principal else residue
         poles.append(Pole(z, order=order, residue=residue, principal_part=principal))
     return poles
 
@@ -489,13 +478,14 @@ def _winding_circle(f, center: complex, radius: float, nodes: int = 128) -> int:
 
 
 def residues_closed_form(zeta: ClosedFormZeta, omega: complex) -> Pole:
-    """Residue of a closed form at a structural pole, as a :class:`Pole`.
+    """Residue of a closed form at a genuine pole, as a :class:`Pole`.
 
     Raises :class:`NotAPole` when ``omega`` is not within 1e-9 of a pole
-    candidate or when the candidate's residue cancels between terms.
+    candidate or when the candidate is a removable point by the rule that
+    :meth:`ClosedFormZeta.poles` applies.
     """
-    residue = zeta.residue_at(omega, tol=1e-9)
-    if abs(residue) <= 1e-11 * zeta._residue_scale():
+    residue = zeta._genuine_residue(omega)
+    if residue is None:
         raise NotAPole(f"{omega} is a removable point (term residues cancel)")
     return Pole(complex(omega), order=1, residue=residue)
 
@@ -512,13 +502,16 @@ def languidity_probe(
     heights (at least 8, spanning at least two decades); the slope
     estimates the languidity exponent kappa.  Heights within 1 of a pole
     ordinate whose pole is near the line are skipped; a sample within
-    1e-3 of a pole raises :class:`PoleOnLine`.
+    1e-3 of a pole raises :class:`PoleOnLine`.  Raises :class:`ValueError`
+    for a non-finite abscissa or height.
     """
+    if not math.isfinite(screen_abscissa):
+        raise ValueError(f"screen abscissa must be finite, got {screen_abscissa}")
     hs = [float(h) for h in heights]
     if len(hs) < 8:
         raise ValueError("need at least 8 heights")
-    if any(h <= 0 for h in hs) or any(b <= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("heights must be positive and increasing")
+    if not (all(0 < h < math.inf for h in hs) and all(a < b for a, b in zip(hs, hs[1:]))):
+        raise ValueError("heights must be positive, finite and increasing")
     if hs[-1] / hs[0] < 100.0:
         raise ValueError("heights must span at least two decades")
 

@@ -166,14 +166,8 @@ class PointSet(CompactSet):
         if len(self.points) < 2:
             return math.inf
         arr = np.asarray(self.points)
-        if len(arr) > 2000:
-            tree = cKDTree(arr)
-            d, _ = tree.query(arr, k=2)
-            return float(d[:, 1].min())
-        diff = arr[:, None, :] - arr[None, :, :]
-        d = np.sqrt((diff**2).sum(-1))
-        np.fill_diagonal(d, np.inf)
-        return float(d.min())
+        d, _ = cKDTree(arr).query(arr, k=2)
+        return float(d[:, 1].min())
 
     def _balls_disjoint(self, t: float) -> bool:
         return self.min_gap >= 2.0 * t
@@ -182,16 +176,16 @@ class PointSet(CompactSet):
         arr = np.asarray(self.points, dtype=float)
         return arr.min(axis=0), arr.max(axis=0)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
+        """Largest pairwise distance up to 4000 points, else the bounding-box diagonal; computed once."""
         arr = np.asarray(self.points, dtype=float)
-        if len(arr) == 1:
-            return 0.0
-        if len(arr) <= 4000:
-            diff = arr[:, None, :] - arr[None, :, :]
-            return float(np.sqrt((diff**2).sum(-1)).max())
-        lo, hi = bounding_box(self)
-        return float(np.linalg.norm(hi - lo))
+        if len(arr) > 4000:
+            lo, hi = bounding_box(self)
+            return float(np.linalg.norm(hi - lo))
+        # 256 rows at a time bound the memory of the n x n distance table
+        rows = (arr[i : i + 256, None, :] - arr[None, :, :] for i in range(0, len(arr), 256))
+        return max(float(np.sqrt((diff**2).sum(-1)).max()) for diff in rows)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         d, _ = cKDTree(np.asarray(self.points, dtype=float)).query(pts)
@@ -620,7 +614,11 @@ def bounding_box(set_: CompactSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def diameter(set_: CompactSet) -> float:
-    """Diameter of the set (exact for catalog sets, hull-based for clouds)."""
+    """Diameter of the set.
+
+    Exact for catalog sets and for point sets and clouds of up to 4000
+    points; past that, the diagonal of the bounding box, an upper bound.
+    """
     return set_.diameter
 
 

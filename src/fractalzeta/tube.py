@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dimensions import Pole, _vectorized, conjugate_closed
+from .dimensions import Pole, _circle_coefficients, _vectorized, conjugate_closed
 from .errors import (
     DimensionCollision,
     FractalZetaError,
@@ -91,8 +91,8 @@ def tube_term(pole: Pole, t: float, ambient_dim: int, evaluator=None) -> complex
     come out real).  Higher orders need ``evaluator`` and use contour
     quadrature around the pole.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     n = ambient_dim
     w = pole.location
     if abs(n - w) < 1e-10:
@@ -105,12 +105,8 @@ def tube_term(pole: Pole, t: float, ambient_dim: int, evaluator=None) -> complex
         raise ValueError("higher-order tube terms need the zeta evaluator")
     f = _vectorized(evaluator)
     radius = min(0.05, 0.45 * abs(n - w))
-    nodes = 512
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    s = w + radius * ring
-    vals = np.exp((n - s) * math.log(t)) * f(s) / (n - s)
-    return radius * complex(np.mean(vals * ring))
+    term = lambda s: np.exp((n - s) * math.log(t)) * f(s) / (n - s)
+    return _circle_coefficients(term, w, radius, 1, 512)[0]
 
 
 def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
@@ -149,10 +145,11 @@ def truncation_tail_estimate(series: TubeFormulaSeries, t: float) -> float:
 
     Uses the observed power-law decay of the term magnitudes along the
     lattice family; reported, not certified.  Zero when the series has no
-    nonreal poles.
+    nonreal poles.  Raises :class:`ValueError` unless ``t`` is positive
+    and finite.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("t must be positive and finite")
     n = series.ambient_dim
     nonreal = [p for p in series.poles if p.location.imag > 1e-12]
     if not nonreal:
@@ -184,10 +181,11 @@ def minkowski_content_from_residue(residue_at_d: float, ambient_dim: int, d: flo
 
     Equals the Minkowski content when the set is measurable; in general the
     residue is only bracketed between the lower and upper contents, so the
-    value is reported without a measurability claim.
+    value is reported without a measurability claim.  Raises
+    :class:`ValueError` for non-finite input or ``D >= N``.
     """
-    if ambient_dim <= d:
-        raise ValueError("requires D < N")
+    if not (math.isfinite(residue_at_d) and math.isfinite(d) and d < ambient_dim):
+        raise ValueError(f"requires a finite residue and a finite D < N, got {residue_at_d} and {d}")
     if residue_at_d <= 0:
         raise NonpositiveContent(f"residue {residue_at_d} is not positive")
     return residue_at_d / (ambient_dim - d)

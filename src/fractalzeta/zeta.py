@@ -25,6 +25,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -65,14 +66,14 @@ class LatticeTerm:
     lattice: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if self.base_scale <= 0:
-            raise ValueError("base_scale must be positive")
+        if not (math.isfinite(self.base_scale) and self.base_scale > 0):
+            raise ValueError("base_scale must be positive and finite")
         if len(set(self.roots)) != len(self.roots):
             raise ValueError("denominator roots must be distinct")
         if self.lattice is not None:
             m, r = self.lattice
-            if m <= 1.0 or r <= 0.0:
-                raise ValueError("lattice needs m > 1 and r > 0")
+            if not (math.isfinite(m) and math.isfinite(r) and m > 1.0 and r > 0.0):
+                raise ValueError("lattice needs finite m > 1 and r > 0")
             for rho in self.roots:
                 if abs(m**rho - r) < 1e-12:
                     raise ValueError(
@@ -87,6 +88,13 @@ class LatticeTerm:
     def lattice_pole(self, k: int) -> complex:
         m, r = self.lattice
         return math.log(r) / math.log(m) + 1j * self.period * k
+
+
+def _lattice_ks(k_lo: float, k_hi: float) -> range:
+    """Integers in ``[k_lo, k_hi]`` widened by 1e-12; ValueError if not finite or over 2*10^6 wide."""
+    if not k_hi - k_lo <= 2 * _MAX_LATTICE_K:
+        raise ValueError(f"more than {_MAX_LATTICE_K} lattice poles per family and sign requested")
+    return range(math.ceil(k_lo - 1e-12), math.floor(k_hi + 1e-12) + 1)
 
 
 @dataclass(frozen=True)
@@ -108,8 +116,8 @@ class ClosedFormZeta:
     elementary_terms: tuple[ElementaryTerm, ...] = ()
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive and finite")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -141,24 +149,20 @@ class ClosedFormZeta:
         s = np.atleast_1d(s)
         with np.errstate(divide="ignore", invalid="ignore"):
             total = self._evaluate_raw(s)
-        bad = ~np.isfinite(total)
-        if bad.any():
-            scale = self._residue_scale()
-            for i in np.nonzero(bad)[0]:
-                si = complex(s[i])
-                try:
-                    res = self.residue_at(si, tol=1e-9)
-                except NotAPole:
-                    total[i] = complex(np.inf, np.inf)
-                    continue
-                if abs(res) > 1e-11 * scale:
-                    total[i] = complex(np.inf, np.inf)
-                else:
-                    # removable point: second-order symmetric limit
-                    h = 1e-7 * (1.0 + abs(si))
-                    probes = si + np.array([h, -h, 1j * h, -1j * h])
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        total[i] = complex(np.mean(self._evaluate_raw(probes)))
+        for i in np.flatnonzero(~np.isfinite(total)):
+            si = complex(s[i])
+            try:
+                removable = self._genuine_residue(si) is None
+            except NotAPole:
+                removable = False
+            if not removable:
+                total[i] = complex(np.inf, np.inf)
+                continue
+            # removable point: second-order symmetric limit
+            h = 1e-7 * (1.0 + abs(si))
+            probes = si + np.array([h, -h, 1j * h, -1j * h])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                total[i] = complex(np.mean(self._evaluate_raw(probes)))
         if scalar:
             return complex(total[0])
         return total
@@ -191,16 +195,14 @@ class ClosedFormZeta:
 
     # -- pole structure -----------------------------------------------------
 
-    def _candidates(self, imag_band: float, lattice_k: Optional[int] = None) -> list[complex]:
+    def _genuine_poles(self, imag_band: float, lattice_k: Optional[int] = None) -> list:
+        """The pairs of :meth:`poles`, or of :meth:`poles_for_truncation` given ``lattice_k``."""
         locs: list[complex] = []
         for term in self.lattice_terms:
             locs.extend(complex(rho) for rho in term.roots)
             if term.lattice is not None:
-                kmax = lattice_k if lattice_k is not None else imag_band / term.period + 1e-12
-                if not kmax <= _MAX_LATTICE_K:
-                    raise ValueError(f"more than {_MAX_LATTICE_K} lattice poles per family requested")
-                kmax = int(math.floor(kmax))
-                locs.extend(term.lattice_pole(k) for k in range(-kmax, kmax + 1))
+                reach = imag_band / term.period if lattice_k is None else lattice_k
+                locs.extend(term.lattice_pole(k) for k in _lattice_ks(-reach, reach))
         locs.extend(complex(term.pole) for term in self.elementary_terms)
         uniq: list[complex] = []
         for w in sorted(locs, key=lambda z: (z.real, z.imag)):
@@ -208,7 +210,8 @@ class ClosedFormZeta:
                 uniq.append(w)
         if lattice_k is None:
             uniq = [w for w in uniq if abs(w.imag) <= imag_band + 1e-12]
-        return uniq
+        pairs = [(w, self._genuine_residue(w)) for w in uniq]
+        return [(w, res) for w, res in pairs if res is not None]
 
     def residue_at(self, omega: complex, tol: float = 1e-9) -> complex:
         """Residue at a candidate pole by term-wise simple-pole algebra.
@@ -256,40 +259,40 @@ class ClosedFormZeta:
             raise NotAPole(f"{omega} is not a pole candidate of this closed form")
         return complex(res)
 
+    @cached_property
     def _residue_scale(self) -> float:
         mags = [abs(t.amplitude) for t in self.lattice_terms]
-        mags += [abs(t.coefficient) for t in self.elementary_terms]
-        return max(1.0, *mags) if mags else 1.0
+        return max([1.0] + mags + [abs(t.coefficient) for t in self.elementary_terms])
 
-    def poles(self, imag_band: float, drop_tol: float = 1e-11) -> list[tuple[complex, complex]]:
-        """(location, residue) pairs with ``|Im| <= imag_band``.
+    def _genuine_residue(self, omega: complex) -> Optional[complex]:
+        """Residue at a pole candidate, or None at a removable point.
 
-        Candidates whose residues cancel between terms (removable points)
-        are dropped.  Raises :class:`ValueError` for a band holding more
-        than ``10^6`` lattice poles per family and sign.
+        A point is removable when its residue is at most 1e-11 of the largest
+        term amplitude (or 1).  Raises :class:`NotAPole` as :meth:`residue_at`.
         """
-        scale = self._residue_scale()
-        out = []
-        for w in self._candidates(imag_band):
-            res = self.residue_at(w)
-            if abs(res) > drop_tol * scale:
-                out.append((w, res))
-        return out
+        res = self.residue_at(omega)
+        return res if abs(res) > 1e-11 * self._residue_scale else None
 
-    def poles_for_truncation(self, k_band: int, drop_tol: float = 1e-11) -> list[tuple[complex, complex]]:
-        """All real poles plus lattice poles with ``|k| <= k_band`` per family."""
-        scale = self._residue_scale()
-        out = []
-        for w in self._candidates(0.0, lattice_k=k_band):
-            res = self.residue_at(w)
-            if abs(res) > drop_tol * scale:
-                out.append((w, res))
-        return out
+    def poles(self, imag_band: float) -> list[tuple[complex, complex]]:
+        """(location, residue) of the genuine poles with ``|Im| <= imag_band``.
+
+        Removable points (candidates whose term residues cancel) are left
+        out.  Raises :class:`ValueError` for a band holding more than
+        ``10^6`` lattice poles per family and sign.
+        """
+        return self._genuine_poles(imag_band)
+
+    def poles_for_truncation(self, k_band: int) -> list[tuple[complex, complex]]:
+        """(location, residue) of every genuine real pole and of the lattice poles with ``|k| <= k_band``.
+
+        Removable points are left out, as in :meth:`poles`; raises
+        :class:`ValueError` for ``k_band`` over ``10^6``.
+        """
+        return self._genuine_poles(0.0, lattice_k=k_band)
 
     def nearest_pole_distance(self, s: complex) -> float:
         """Distance to the nearest genuine pole (removable candidates excluded)."""
         s = complex(s)
-        scale = self._residue_scale()
         candidates: list[complex] = []
         for term in self.lattice_terms:
             candidates.extend(complex(rho) for rho in term.roots)
@@ -297,11 +300,7 @@ class ClosedFormZeta:
                 k = round(s.imag / term.period)
                 candidates.extend(term.lattice_pole(kk) for kk in (k - 1, k, k + 1))
         candidates.extend(complex(term.pole) for term in self.elementary_terms)
-        best = math.inf
-        for w in candidates:
-            if abs(self.residue_at(w)) > 1e-11 * scale:
-                best = min(best, abs(s - w))
-        return best
+        return min((abs(s - w) for w in candidates if self._genuine_residue(w) is not None), default=math.inf)
 
     def lattice_periods(self) -> list[float]:
         return [t.period for t in self.lattice_terms if t.lattice is not None]
@@ -310,9 +309,11 @@ class ClosedFormZeta:
 def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
     """Evaluate a closed form away from its poles.
 
-    Raises :class:`NearPole` when ``s`` is within 1e-12 of a pole; residue
-    machinery must be used there instead.
+    Raises :class:`NearPole` when ``s`` is within 1e-12 of a pole, where
+    residue machinery must be used instead, and :class:`ValueError` for
+    non-finite ``s``.
     """
+    s = _finite_s(s)
     if zeta.nearest_pole_distance(s) < 1e-12:
         raise NearPole(f"s={s} is within 1e-12 of a pole")
     return complex(zeta.evaluate(s))
@@ -325,8 +326,8 @@ def scale_zeta(zeta: ClosedFormZeta, lam: float) -> ClosedFormZeta:
     are unchanged and each simple-pole residue is multiplied by
     ``lam**omega``.
     """
-    if lam <= 0:
-        raise ValueError("scaling factor must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("scaling factor must be positive and finite")
     lat = tuple(
         LatticeTerm(t.amplitude, t.base_scale / lam, t.roots, t.lattice) for t in zeta.lattice_terms
     )

@@ -1,9 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
-from fractalzeta.dimensions import Pole
+from fractalzeta.dimensions import Pole, Window, languidity_probe, lattice_poles
 from fractalzeta.errors import (
     DimensionCollision,
     InsufficientSamples,
@@ -32,7 +33,7 @@ from fractalzeta.tube import (
     tube_formula_truncated,
     tube_term,
 )
-from fractalzeta.zeta import catalog_zeta
+from fractalzeta.zeta import ClosedFormZeta, LatticeTerm, catalog_zeta, closed_form_eval, scale_zeta
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_2 = math.log(2.0) / math.log(3.0)
@@ -344,3 +345,42 @@ def test_series_construction_validations():
     assert series.max_real_part == pytest.approx(LOG2_3)
     assert len(series.real_poles) == 2  # 0 and log2(3)
     assert len(series.poles) == 2 + 2 * 3  # real poles + K conjugate pairs
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+_HEIGHTS = list(np.geomspace(10.0, 1100.0, 16))
+
+NON_FINITE_CASES = {
+    "closed_form_eval(s=nan)": lambda: closed_form_eval(catalog_zeta(SierpinskiGasket(), 0.5), math.nan),
+    "ClosedFormZeta(delta=nan)": lambda: ClosedFormZeta(2, math.nan),
+    "scale_zeta(lam=nan)": lambda: scale_zeta(catalog_zeta(SierpinskiGasket(), 0.5), math.nan),
+    "LatticeTerm(base_scale=nan)": lambda: LatticeTerm(1.0, math.nan, (0.0,)),
+    "tube_term(t=nan)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), math.nan, 2),
+    "minkowski_content_from_residue(nan)": lambda: minkowski_content_from_residue(math.nan, 2, 1.0),
+    "languidity_probe(abscissa=nan)": lambda: languidity_probe(
+        catalog_zeta(SierpinskiGasket(), 0.5), math.nan, _HEIGHTS
+    ),
+    "languidity_probe(height=inf)": lambda: languidity_probe(
+        catalog_zeta(SierpinskiGasket(), 0.5), LOG2_3 + 0.5, _HEIGHTS[:-1] + [math.inf], pole_locations=[]
+    ),
+    "truncation_tail_estimate(t=nan)": lambda: truncation_tail_estimate(gasket_series(3), math.nan),
+    "lattice_poles(infinite window)": lambda: lattice_poles(2.0, 3.0, Window((-math.inf, math.inf))),
+    "lattice_poles(1e300 window)": lambda: lattice_poles(2.0, 3.0, Window((-1e300, 1e300))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_non_finite_or_unbounded_input_raises_value_error(name):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        NON_FINITE_CASES[name]()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lattice_poles_accepts_a_narrow_window_high_on_the_axis():
+    # the 10^6 limit counts the window's k range, not |k|
+    got = lattice_poles(2.0, 3.0, Window((1e8, 1e8 + 20.0)))
+    assert len(got) == 2 and all(1e8 <= w.imag <= 1e8 + 20.0 for w in got)
