@@ -24,15 +24,15 @@ digits finds that hole.
 
 Where the geometry allows it the tube volume is computed exactly:
 
-* 1D sets (point sets, Cantor-type sets, fractal-string boundaries) via
-  gap sums: one kernel, :func:`intervals.gap_volumes`, over the gaps of a
-  finite point set or an explicit string, and level sums for Cantor sets
-  and self-similar strings;
+* finite point sets and explicit strings on the line via the sum over
+  their gaps, :func:`intervals.gap_volumes`;
 * point sets in R^N while their balls are disjoint, as ``n omega_N t^N``;
-* the Sierpinski gasket and the three-dimensional carpet via exact
-  hole-decomposition sums (the removed holes are bounded by surfaces that
-  belong to the set, so the uncovered core of every hole is an explicit
-  inner parallel body).
+* Cantor sets, self-similar strings, the Sierpinski gasket and the
+  three-dimensional carpet by one hole-sum kernel, :func:`_hole_volumes`:
+  each fills its hull with holes (gaps in 1D) whose boundary belongs to
+  the set, so the tube covers a polynomial share of every hole (the
+  uncovered core is an explicit inner parallel body), and the covered
+  measure is a sum of bounded terms that never cancels against the hull.
 
 For everything else there is a deterministic grid-count oracle (cells whose
 center lies within distance t, with a conservative boundary-cell error
@@ -310,11 +310,9 @@ class CantorLike(CompactSet):
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        # n gap generations wider than 2t leave 2^n intervals of length scale r^n
-        r = self.ratio
-        return _level_volumes(
-            2.0 * ts, lambda k: self.largest_gap * r**k, lambda k: 1 << k, lambda k: self.scale * (2.0 * r) ** k
-        )
+        # level-k gaps: 2^(k-1) of width largest_gap r^(k-1), filled at half their width
+        r, g = self.ratio, self.largest_gap
+        return _hole_volumes(ts, self.scale, g / 2.0, r, 2.0 * r, (g,)) + 2.0 * ts
 
 
 @dataclass(frozen=True)
@@ -462,18 +460,11 @@ class FractalStringBoundary(CompactSet):
         return np.minimum(d, d_seg)
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        two_t = 2.0 * ts
         if not self.is_self_similar:
             # the lengths are the gaps between consecutive boundary points
-            return gap_volumes(two_t, np.asarray(self.lengths))
-        b, m = self.base, int(self.multiplicity)
-        # each open gap fattens into 2t; the points below level n fill [0, tail(n)]
-        return _level_volumes(
-            two_t,
-            lambda k: self.scale * b ** -(k + 1),
-            lambda k: (k if m == 1 else (m**k - 1) // (m - 1)) + 1,
-            self.level_tail,
-        )
+            return gap_volumes(2.0 * ts, np.asarray(self.lengths))
+        b, l1 = self.base, self.first_length
+        return _hole_volumes(ts, self.total_length, l1 / 2.0, 1.0 / b, self.multiplicity / b, (l1,)) + 2.0 * ts
 
     def to_json(self) -> dict:
         if self.is_self_similar:
@@ -539,14 +530,10 @@ class SierpinskiGasket(CompactSet):
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        total = SQRT3 / 4.0 + 3.0 * ts + math.pi * ts * ts
-        for k, idx, side in _hole_levels(2.0 * SQRT3 * ts, lambda k: 2.0**-k):
-            try:
-                holes = 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
-            except OverflowError:
-                holes = (SQRT3 / 4.0) * np.exp((k - 1) * math.log(3.0) + 2.0 * np.log(side))
-            total[idx] -= holes
-        return total
+        # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
+        # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
+        holes = _hole_volumes(ts, SQRT3 / 4.0, 1.0 / (4.0 * SQRT3), 0.5, 0.75, (SQRT3 / 8.0, -SQRT3 / 16.0))
+        return holes + 3.0 * ts + math.pi * ts * ts
 
 
 @dataclass(frozen=True)
@@ -591,14 +578,10 @@ class SierpinskiCarpet3D(CompactSet):
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        total = 1.0 + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_pow(ts, 3)
-        for k, idx, side in _hole_levels(2.0 * ts, lambda k: 3.0**-k):
-            try:
-                holes = 26.0 ** (k - 1) * _libm_pow(side, 3)
-            except OverflowError:
-                holes = np.exp((k - 1) * math.log(26.0) + 3.0 * np.log(side))
-            total[idx] -= holes
-        return total
+        # level-k holes: 26^(k-1) cubes of side 3^-k, filled at half their side; the
+        # uncovered core of a side-w hole is a cube of side w - 2t
+        holes = _hole_volumes(ts, 1.0, 1.0 / 6.0, 1.0 / 3.0, 26.0 / 27.0, (1.0 / 9.0, -1.0 / 9.0, 1.0 / 27.0))
+        return holes + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_pow(ts, 3)
 
 
 # JSON variant tag -> descriptor class
@@ -674,37 +657,42 @@ def _unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _level_volumes(two_t: np.ndarray, gap, cover, tail) -> np.ndarray:
-    """``2t * cover(n) + tail(n)``, ``n`` the number of gap levels wider than ``2t``.
+def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, cover) -> np.ndarray:
+    """Measure of the hull that the tube of radius ``t`` covers, for every ``t``.
 
-    Thresholds and tails are Python floats and covers exact integers; the
-    running minimum makes ``n`` the first level with ``gap(n) <= 2t`` even
-    where rounding breaks monotonicity.  Covers past the float range enter
-    as ``(2t 2^e) (cover / 2^e)``: power-of-two scaling is exact, so the
-    product is still the one rounding of ``2t * cover``.
+    The set fills its hull, of measure ``hull``, with holes: the level-``k``
+    holes fill at radius ``r_k = r1 rho^(k-1)`` and measure ``q^(k-1)`` times
+    those of level 1.  A tube of radius ``t < r_k`` covers
+    ``sum_j cover[j-1] x^j q^(k-1)`` of level ``k``, ``x = t / r_k``, and all of
+    every level with ``r_k <= t``.  With ``n`` levels that fill above ``t``
+    and ``y = t / r_n`` that sums to
+
+        hull q^n + sum_j cover[j-1] y^j T_j(n),   T_j(n) = sum_{i<n} q^(n-1-i) rho^(j i),
+
+    where ``T_j(n+1) = rho^j T_j(n) + q^n``: every table entry is bounded,
+    so nothing overflows and no term cancels against the hull.  The running
+    minimum keeps ``n`` a count of leading levels even where rounding
+    breaks the monotonicity of ``r_k``.
     """
-    floor = float(two_t.min(initial=math.inf))
-    thr = []
-    while (g := gap(len(thr))) > floor:
-        thr.append(g)
-    n = np.searchsorted(-np.minimum.accumulate(np.array(thr)), -two_t, side="left")
-    levels = range(len(thr) + 1)
-    covers = [cover(k) for k in levels]
-    e = covers[-1].bit_length() - 1000
-    if e > 0:
-        two_t, covers = np.ldexp(two_t, e), [c / (1 << e) for c in covers]
-    return two_t * np.array(covers, dtype=float)[n] + np.array([tail(k) for k in levels])[n]
-
-
-def _hole_levels(a_t: np.ndarray, width):
-    """Per hole level ``k``: the radii whose holes of side ``width(k)`` keep a core, and its side."""
-    idx = np.arange(a_t.size)
-    k = 1
-    while idx.size:
-        w = width(k)
-        idx = idx[a_t[idx] < w]
-        yield k, idx, w - a_t[idx]
-        k += 1
+    floor = float(ts.min(initial=math.inf))
+    if floor < 2.0**-1022 and r1 < 2.0**959:
+        # subnormal radii keep their digits against radii scaled by 2^64, an
+        # exact scaling; a radius past r1 fills every level, whatever its size
+        return _hole_volumes(np.minimum(ts, r1) * 2.0**64, hull, r1 * 2.0**64, rho, q, cover)
+    # r_k from two powers of rho, each normal where rho^(k-1) may not be
+    fill = []
+    while (r := r1 * rho ** (len(fill) // 2) * rho ** (len(fill) - len(fill) // 2)) > floor:
+        fill.append(r)
+    n = np.searchsorted(-np.minimum.accumulate(np.array(fill)), -ts, side="left")
+    y = ts / np.array([math.inf] + fill)[n]
+    qn = [q**k for k in range(len(fill) + 1)]
+    total = np.zeros(ts.shape)
+    for j in range(len(cover), 0, -1):
+        rj, tj = rho**j, [0.0]
+        for qk in qn[:-1]:
+            tj.append(rj * tj[-1] + qk)
+        total = y * (cover[j - 1] * np.array(tj)[n] + total)
+    return hull * np.array(qn)[n] + total
 
 
 def _libm_pow(a: np.ndarray, p: int) -> np.ndarray:
@@ -871,8 +859,8 @@ def _measure_tube(
 def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     """``tube_volume(set_, t).volume`` for every ``t`` in an array, bit for bit.
 
-    Sets with exact hole or gap sums take the whole array at once (levels
-    whose hole count overflows a float are summed in logarithms); other sets
+    Sets with exact hole or gap sums take the whole array at once (the
+    self-similar sets by one gather from their level tables); other sets
     loop over the methods of ``tube_volume``.  Raises :class:`ValueError`
     for a non-finite or non-positive radius and, as ``tube_volume`` does,
     for one too large for a float volume.

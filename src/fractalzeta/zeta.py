@@ -21,6 +21,7 @@ All complex powers use the principal branch on positive real bases.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from collections import Counter
@@ -33,6 +34,7 @@ import numpy as np
 from . import geometry
 from .errors import (
     DeltaTooSmall,
+    FractalZetaError,
     NearPole,
     NoClosedForm,
     NotAPole,
@@ -147,7 +149,7 @@ class ClosedFormZeta:
         s = np.asarray(s, dtype=complex)
         scalar = not s.shape
         s = np.atleast_1d(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             total = self._evaluate_raw(s)
         for i in np.flatnonzero(~np.isfinite(total)):
             si = complex(s[i])
@@ -310,13 +312,17 @@ def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
     """Evaluate a closed form away from its poles.
 
     Raises :class:`NearPole` when ``s`` is within 1e-12 of a pole, where
-    residue machinery must be used instead, and :class:`ValueError` for
-    non-finite ``s``.
+    residue machinery must be used instead, :class:`FractalZetaError` when
+    the value overflows a float, and :class:`ValueError` for non-finite
+    ``s``.
     """
     s = _finite_s(s)
     if zeta.nearest_pole_distance(s) < 1e-12:
         raise NearPole(f"s={s} is within 1e-12 of a pole")
-    return complex(zeta.evaluate(s))
+    value = complex(zeta.evaluate(s))
+    if not cmath.isfinite(value):
+        raise FractalZetaError(f"the closed form overflows a float at s={s}")
+    return value
 
 
 def scale_zeta(zeta: ClosedFormZeta, lam: float) -> ClosedFormZeta:

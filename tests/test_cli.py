@@ -164,6 +164,12 @@ def test_zeta_eval_closed_form(tmp_path, capsys):
     assert float(first[2]) == pytest.approx(math.sqrt(3.0) / 4.0 + math.pi + 3.0, rel=1e-15)
 
 
+def test_zeta_eval_overflow_fails_without_csv(tmp_path):
+    cfg = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, delta=0.5, s_values=[[-1000.0, 0.0]])
+    assert main(["zeta-eval", "--config", cfg]) == 1
+    assert not (tmp_path / "out" / "zeta_eval.csv").exists()
+
+
 def test_zeta_eval_monte_carlo(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -26,7 +27,15 @@ from fractalzeta.geometry import (
     tube_volumes,
 )
 from fractalzeta.zeta import default_delta
-from references import cantor_segments, fattened_length, union_measure_of_fattened_points
+from references import (
+    cantor_segments,
+    cantor_volume,
+    carpet_volume,
+    fattened_length,
+    gasket_volume,
+    string_volume,
+    union_measure_of_fattened_points,
+)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -492,49 +501,14 @@ def test_monte_carlo_rejects_zero_samples():
 # array-valued exact tube volumes
 # ---------------------------------------------------------------------------
 
-# Scalar level loops that computed the exact volumes one t at a time; the
-# array code must reproduce them bit for bit.
-
-
-def _cantor_tube_loop(set_, t):
-    n = 0
-    g = set_.largest_gap
-    while g * set_.ratio**n > 2.0 * t:
-        n += 1
-    return 2.0 * t * 2.0**n + set_.scale * (2.0 * set_.ratio) ** n
+# The self-similar sets are checked against their true volumes (300-digit
+# decimals, see references.py); the explicit string against the float loop
+# of its gap sum, bit for bit.
 
 
 def _string_tube_loop(set_, t):
-    if not set_.is_self_similar:
-        ls = np.asarray(set_.lengths)
-        return float(2.0 * t + np.minimum(ls, 2.0 * t).sum())
-    b, m = set_.base, int(set_.multiplicity)
-    n = 0
-    while set_.scale * b ** -(n + 1) > 2.0 * t:
-        n += 1
-    open_gaps = n if m == 1 else (m**n - 1) // (m - 1)
-    tail = set_.level_tail(n)
-    return 2.0 * t * (open_gaps + 1) + tail
-
-
-def _gasket_tube_loop(set_, t):
-    total = SQRT3 / 4.0 + 3.0 * t + math.pi * t * t
-    k = 1
-    while 2.0**-k > 2.0 * SQRT3 * t:
-        side = 2.0**-k - 2.0 * SQRT3 * t
-        total -= 3.0 ** (k - 1) * (SQRT3 / 4.0) * side * side
-        k += 1
-    return total
-
-
-def _carpet_tube_loop(set_, t):
-    total = 1.0 + 6.0 * t + 3.0 * math.pi * t * t + (4.0 / 3.0) * math.pi * t**3
-    k = 1
-    while 3.0**-k > 2.0 * t:
-        side = 3.0**-k - 2.0 * t
-        total -= 26.0 ** (k - 1) * side**3
-        k += 1
-    return total
+    ls = np.asarray(set_.lengths)
+    return float(2.0 * t + np.minimum(ls, 2.0 * t).sum())
 
 
 def _point_sweep(set_, t):
@@ -542,24 +516,33 @@ def _point_sweep(set_, t):
 
 
 _LOOP_CASES = [
-    (CantorLike(), _cantor_tube_loop),
-    (CantorLike(ratio=0.21, scale=3.7), _cantor_tube_loop),
-    (FractalStringBoundary.cantor_string(), _string_tube_loop),
-    (FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7), _string_tube_loop),
-    (FractalStringBoundary(base=2.5, multiplicity=1, scale=2.0), _string_tube_loop),
+    (CantorLike(), cantor_volume),
+    (CantorLike(ratio=0.21, scale=3.7), cantor_volume),
+    (FractalStringBoundary.cantor_string(), string_volume),
+    (FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7), string_volume),
+    (FractalStringBoundary(base=2.5, multiplicity=1, scale=2.0), string_volume),
     (FractalStringBoundary(lengths=tuple(np.sort(np.random.default_rng(5).random(300))[::-1])), _string_tube_loop),
-    (SierpinskiGasket(), _gasket_tube_loop),
-    (SierpinskiCarpet3D(), _carpet_tube_loop),
+    (SierpinskiGasket(), gasket_volume),
+    (SierpinskiCarpet3D(), carpet_volume),
 ]
 
 
 @pytest.mark.parametrize("set_, loop", _LOOP_CASES, ids=lambda v: type(v).__name__)
 def test_exact_volumes_array_equals_scalar_loop(set_, loop):
-    ts = np.exp(np.random.default_rng(11).uniform(math.log(1e-100), math.log(2.0), 400))
-    want = np.array([loop(set_, t) for t in ts.tolist()])
-    assert np.array_equal(tube_volumes(set_, ts), want)
-    assert [tube_volume(set_, t, "exact").volume for t in ts[:40].tolist()] == want[:40].tolist()
-    assert np.array_equal(tube_volumes(set_, ts.reshape(20, 20)), want.reshape(20, 20))
+    ts = np.exp(np.random.default_rng(11).uniform(math.log(1e-150), math.log(2.0), 400))
+    got = tube_volumes(set_, ts)
+    assert [tube_volume(set_, t, "exact").volume for t in ts[:40].tolist()] == got[:40].tolist()
+    assert np.array_equal(tube_volumes(set_, ts.reshape(20, 20)), got.reshape(20, 20))
+    want = [loop(set_, t) for t in ts.tolist()]
+    if not isinstance(want[0], Decimal):
+        assert np.array_equal(got, want)
+        return
+    # 8 ulp from t = 1e-6 up, 1e-13 relative below, down to t = 1e-150
+    err = np.array([float(abs(Decimal(g) - w)) for g, w in zip(got.tolist(), want)])
+    want = np.array([float(w) for w in want])
+    large = ts >= 1e-6
+    assert (err[large] <= 8.0 * np.spacing(want[large])).all()
+    assert (err[~large] <= 1e-13 * want[~large]).all()
 
 
 def test_tube_volumes_loops_over_other_sets(monkeypatch):
@@ -622,12 +605,19 @@ def test_tube_volume_rejects_radius_past_float_volume(set_, t):
 
 
 def test_exact_volumes_past_hole_count_overflow():
-    # 26^(k-1) and 3^(k-1) overflow a float at these radii; the deep levels
-    # are summed in logarithms instead of raising OverflowError
-    for set_, t, t_ok in [(SierpinskiCarpet3D(), 1e-150, 1e-100), (SierpinskiGasket(), 1e-196, 1e-150)]:
+    # the hole counts 26^(k-1), 3^(k-1) and 2^(k-1) overflow a float at these
+    # radii; the hole sums hold only bounded powers of the level ratios, and
+    # the Cantor set's hull is too large to scale its subnormal radii by 2^64
+    for set_, t, t_ok, reference in [
+        (SierpinskiCarpet3D(), 1e-150, 1e-100, carpet_volume),
+        (SierpinskiGasket(), 1e-196, 1e-150, gasket_volume),
+        (CantorLike(scale=1e300), 1e-320, 1e-300, cantor_volume),
+    ]:
         v = tube_volume(set_, t, "exact").volume
         assert math.isfinite(v) and v >= 0.0
         assert v <= tube_volume(set_, t_ok, "exact").volume
+        # unscaled, the subnormal radius keeps only part of its digits
+        assert v == pytest.approx(float(reference(set_, t)), rel=1e-4)
         assert np.isfinite(tube_volumes(set_, [5e-324, 1e-300, t, 0.1])).all()
 
 
@@ -642,12 +632,17 @@ def test_exact_volumes_past_hole_count_overflow():
 def test_exact_volume_nondecreasing_in_t(ratio, scale, base, multiplicity, lo):
     # a grid plus both sides of every level jump; at a jump the two closed
     # forms agree only to rounding, so allow a decrease of 1e-14 relative
-    sets = [(CantorLike(ratio=ratio, scale=scale), lambda n: (1.0 - 2.0 * ratio) * scale * ratio**n / 2.0)]
+    sets = [
+        (CantorLike(ratio=ratio, scale=scale), lambda n: (1.0 - 2.0 * ratio) * scale * ratio**n / 2.0),
+        # the holes fill at their inradius
+        (SierpinskiGasket(), lambda n: 2.0 ** -(n + 1) / (2.0 * SQRT3)),
+        (SierpinskiCarpet3D(), lambda n: 3.0 ** -(n + 1) / 2.0),
+    ]
     if multiplicity < base:
         string = FractalStringBoundary(base=base, multiplicity=multiplicity, scale=scale)
         sets.append((string, lambda n: scale * base ** -(n + 1) / 2.0))
     for set_, jump in sets:
-        jumps = np.array([jump(n) for n in range(60)])
+        jumps = np.array([jump(n) for n in range(500)])
         ts = np.concatenate([np.exp(np.linspace(lo, lo + 3.0, 100)), jumps, np.nextafter(jumps, 0.0)])
         ts = np.sort(ts[ts > 0.0])
         vols = tube_volumes(set_, ts)

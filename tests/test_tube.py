@@ -19,6 +19,7 @@ from fractalzeta.geometry import (
     TubeSample,
     sample_tube_curve,
     tube_volume,
+    tube_volumes,
 )
 from fractalzeta.tube import (
     TubeFormulaSeries,
@@ -143,6 +144,23 @@ def test_carpet_formula_matches_exact_oracle():
         direct = tube_volume(SierpinskiCarpet3D(), t).volume
         formula = tube_formula_truncated(series, t)
         assert abs(formula - direct) / direct < 1e-8
+
+
+@pytest.mark.parametrize("set_, base", [(SierpinskiGasket(), 2.0), (SierpinskiCarpet3D(), 3.0)], ids=["gasket", "carpet"])
+def test_tube_formula_remainder_log_periodic_down_to_1e_150(set_, base):
+    # below t_valid_max, |A_t| is the residue sum: take off the real poles
+    # other than D and t^(N-D) times a function of period log(base) is left
+    n_dim, dim = set_.ambient_dim, set_.box_dimension
+    real = [
+        (w.real, res.real)
+        for w, res in catalog_zeta(set_).poles_for_truncation(0)
+        if w.imag == 0.0 and abs(w.real - dim) > 1e-9
+    ]
+    ts = 0.1 * base ** -np.arange(400.0)
+    ts = ts[ts >= 1e-150]
+    rest = tube_volumes(set_, ts) - sum(res * ts ** (n_dim - w) / (n_dim - w) for w, res in real)
+    q = rest / ts ** (n_dim - dim)
+    assert q.tolist() == pytest.approx([q[0]] * ts.size, rel=1e-12)
 
 
 def test_cantor_string_formula_against_sweep():

@@ -1,11 +1,13 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from fractalzeta.errors import (
     DeltaTooSmall,
+    FractalZetaError,
     NearPole,
     NoClosedForm,
     NotAPole,
@@ -130,6 +132,15 @@ def test_near_pole_guard():
     # the removable point s=1 is not a pole: evaluation succeeds there
     val = form.evaluate(1.0 + 0.0j)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_closed_form_overflow_raises_not_a_pole():
+    # far left of every pole the gasket form overflows; that is no pole
+    form = catalog_zeta(SierpinskiGasket(), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FractalZetaError):
+            closed_form_eval(form, -1000.0)
 
 
 def test_removable_point_limit_is_continuous():
@@ -341,6 +352,12 @@ def test_functional_equation_near_abscissa_past_hole_count_overflow():
         except QuadratureNonconvergent:
             continue
         assert math.isfinite(residual)
+
+
+def test_functional_equation_gasket_near_the_critical_line():
+    # the quadrature runs down to radii where hull minus holes was rounding noise
+    cfg = NumericZetaConfig(0.5, 1)
+    assert functional_equation_residual(SierpinskiGasket(), math.log(3.0) / math.log(2.0) + 0.1 + 1j, cfg) < 1e-6
 
 
 def test_functional_equation_point_set():
