@@ -20,7 +20,8 @@ Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
 boundary belongs to the set, so a point lies in the set or in exactly one
 hole, and one pass over its base-2 barycentric (gasket) or base-3 (carpet)
-digits finds that hole.
+digits finds that hole.  For the gasket that pass is a closed form in bit
+operations on the digits, with the same number of array passes at any depth.
 
 Where the geometry allows it the tube volume is computed exactly:
 
@@ -64,6 +65,10 @@ _GRID_OFFSET = math.sqrt(2.0) - 1.0
 
 # Below this cell side every remaining point is within one ulp of the set.
 _RESOLUTION = float(np.finfo(float).eps)
+
+# Binary digits of a gasket barycentric coordinate that can place it in a
+# hole: levels 0 to 52, down to holes of side _RESOLUTION.
+_DIGITS = 53
 
 
 class TubeMethod(str, Enum):
@@ -499,34 +504,46 @@ class SierpinskiGasket(CompactSet):
         return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        """Exact distances by descent over base-2 barycentric digits.
+        """Exact distances from the base-2 barycentric digits, in a fixed number of passes.
 
         A point in the big triangle is in the set or in exactly one hole, an
         open triangle whose outline lies in the set, so its distance is the
-        distance to that hole's edges.  The step ``lam <- 2 lam - e_i`` is
-        exact.
+        distance to that hole's edges.  Descending into the subtriangle of the
+        largest coordinate, ``lam <- 2 lam - e_i``, is exact, so at level
+        ``k`` the coordinates are ``frac(2^k lam_i)`` while no two of them
+        have a 1 at the same binary digit.  The point lies in a level-``k``
+        hole, at ``(2^-k sqrt3 / 4)(1 - 2 max_i frac(2^k lam_i))`` from its
+        edges, where ``k + 1`` is the first of 53 digits at which all three
+        coordinates have a 0.  It is on the set (distance 0) when no such
+        digit exists, when two coordinates share a 1 at an earlier digit, or
+        when a coordinate rounds to 1 or more.  Each of these is a bit
+        operation on the 53-digit integers ``floor(2^53 lam_i)``.
         """
         px, py = pts[:, 0], pts[:, 1]
-        l0, l1, l2 = 1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py
+        q = py / SQRT3
+        l0, l1, l2 = 1.0 - px - q, px - q, (2.0 / SQRT3) * py
         inside = (l0 > 0.0) & (l1 > 0.0) & (l2 > 0.0)
-        out = np.zeros(px.size)
+        out = np.empty(px.size)
         # the outline of the big triangle belongs to the set
-        out[~inside] = _gasket_edge_min(px[~inside], py[~inside])
-        idx = np.flatnonzero(inside)
-        l0, l1, l2 = l0[idx], l1[idx], l2[idx]
-        s = 1.0
-        while idx.size and s >= _RESOLUTION:
-            # the corner of the largest coordinate, the first one on ties
-            c0 = (l0 >= l1) & (l0 >= l2)
-            c1 = (l1 >= l2) & ~c0
-            lmax = np.maximum(np.maximum(l0, l1), l2)
-            hole = lmax < 0.5
-            # the middle hole is {lam_i < 1/2}; its edges lie on lam_i = 1/2
-            out[idx[hole]] = (s * SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
-            k = np.flatnonzero(~hole)
-            idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
-            l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
-            s *= 0.5
+        far = np.flatnonzero(~inside)
+        out[far] = _gasket_edge_min(px.take(far), py.take(far))
+        near = np.flatnonzero(inside)
+        lam = [l.take(near) for l in (l0, l1, l2)]
+        # inside points only: the digits of a far point overflow int64
+        a0, a1, a2 = ((l * 2.0**_DIGITS).astype(np.int64) for l in lam)
+        either = a0 | a1 | a2
+        # the first digit at which all three are 0 is bit e - 1, digit 54 - e after the point
+        _, e = np.frexp(~either & ((1 << _DIGITS) - 1))
+        clash = (a0 & a1) | (a0 & a2) | (a1 & a2)
+        scale = np.ldexp(1.0, _DIGITS - e)
+        lmax = np.zeros(scale.size)
+        for l in lam:
+            f = l * scale
+            f -= np.floor(f)
+            np.maximum(lmax, f, out=lmax)
+        d = (SQRT3 / 4.0) / scale * (1.0 - 2.0 * lmax)
+        d[(e == 0) | (clash >> e != 0) | (either >> _DIGITS != 0)] = 0.0
+        out[near] = d
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
@@ -613,16 +630,16 @@ def diameter(set_: CompactSet) -> float:
 def _gasket_edge_min(qx, qy):
     """Distance to the outline of the unit triangle (0,0), (1,0), (1/2, sqrt3/2)."""
     # bottom edge, direction (1, 0)
-    tt = np.clip(qx, 0.0, 1.0)
+    tt = np.minimum(np.maximum(qx, 0.0), 1.0)
     e = np.hypot(qx - tt, qy)
     # right edge from (1, 0), direction (-1/2, sqrt3/2)
     wx = qx - 1.0
-    tt = np.clip(-0.5 * wx + (SQRT3 / 2.0) * qy, 0.0, 1.0)
+    tt = np.minimum(np.maximum(-0.5 * wx + (SQRT3 / 2.0) * qy, 0.0), 1.0)
     np.minimum(e, np.hypot(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
     # left edge from the apex, direction (-1/2, -sqrt3/2)
     wx = qx - 0.5
     wy = qy - SQRT3 / 2.0
-    tt = np.clip(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0, 1.0)
+    tt = np.minimum(np.maximum(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0), 1.0)
     np.minimum(e, np.hypot(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
     return e
 
@@ -700,6 +717,10 @@ def _libm_pow(a: np.ndarray, p: int) -> np.ndarray:
     return np.fromiter(map(math.pow, a.tolist(), repeat(float(p))), float, a.size)
 
 
+# Blocks per refinement chunk: the distances and children of one chunk stay in cache.
+_GRID_CHUNK = 1 << 14
+
+
 def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000_000):
     """Flat grid count (centers within distance t), by level-synchronous refinement.
 
@@ -708,9 +729,12 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     side ``2^k`` and one Lipschitz radius.  Blocks provably entirely inside or
     outside ``A_t`` (with a margin covering the boundary-adjacency band) are
     resolved without visiting their cells; the others split into their
-    ``2^N`` children, less those past the lattice.  Single cells take the flat
-    rule, so the result is the flat count exactly, at a cost proportional to
-    the boundary.
+    ``2^N`` children, less those past the lattice, which only a block that
+    straddles its far edge can have.  Single cells take the flat rule, so the
+    result is the flat count exactly, at a cost proportional to the boundary.
+    A level is classified and split in chunks of ``_GRID_CHUNK`` blocks, whose
+    centres, distances and children fit in cache, and its children are
+    joined once; ``budget_rows`` counts the blocks of whole levels.
     """
     n_dim = set_.ambient_dim
     lo, hi = bounding_box(set_)
@@ -733,20 +757,31 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
             raise ResolutionTooCoarse(
                 f"grid refinement exceeded the {budget_rows} block budget at cell={cell}"
             )
-        d = distances_to_set((origin[:, None] + (blo + 0.5 * side) * cell).T, set_)
         rc = 0.5 * (side - 1) * cell * math.sqrt(n_dim)
-        all_in = d + rc < t - margin
-        # an all-in block lies within the lattice: past it, centers are over t from the set
-        inside_cells += int(all_in.sum()) * side**n_dim
-        undecided = ~all_in & (d - rc < t + margin)
-        if side == 1:
-            df = d[undecided]
-            inside_cells += int((df < t).sum())
-            boundary_cells += int((np.abs(df - t) <= margin).sum())
-            break
+        offsets = (side // 2) * corners
+        # single cells have no children, and the level after them is empty
+        children = [blo[:, :0]]
+        for start in range(0, blo.shape[1], _GRID_CHUNK):
+            b = blo[:, start : start + _GRID_CHUNK]
+            d = distances_to_set((origin[:, None] + (b + 0.5 * side) * cell).T, set_)
+            all_in = d + rc < t - margin
+            # an all-in block lies within the lattice: past it, centers are over t from the set
+            inside_cells += int(np.count_nonzero(all_in)) * side**n_dim
+            undecided = ~all_in & (d - rc < t + margin)
+            if side == 1:
+                df = d[undecided]
+                inside_cells += int(np.count_nonzero(df < t))
+                boundary_cells += int(np.count_nonzero(np.abs(df - t) <= margin))
+                continue
+            straddle = (b + side > ncell).any(axis=0)
+            split = b.compress(undecided & ~straddle, axis=1)
+            children.append((split[:, None, :] + offsets).reshape(n_dim, -1))
+            if straddle.any():
+                split = b.compress(undecided & straddle, axis=1)
+                kids = (split[:, None, :] + offsets).reshape(n_dim, -1)
+                children.append(kids.compress((kids < ncell).all(axis=0), axis=1))
         side //= 2
-        blo = (blo[:, None, undecided] + side * corners).reshape(n_dim, -1)
-        blo = blo[:, (blo < ncell).all(axis=0)]
+        blo = np.concatenate(children, axis=1)
     volume = inside_cells * cell**n_dim
     error = boundary_cells * cell**n_dim
     return volume, error

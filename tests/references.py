@@ -1,4 +1,8 @@
-"""Independent tube-volume references for the tests.
+"""Independent distance and tube-volume references for the tests.
+
+Distances to the Sierpinski gasket by the level-by-level digit descent,
+which the library replaced by a closed form over the same digits, with the
+big triangle's outline as three point-to-segment distances.
 
 Two ways to measure a union of fattened intervals that share no code with
 the library's gap-sum kernel: a sort-and-merge sweep over the fattened
@@ -10,12 +14,57 @@ that precision the cancellation leaves over 200 digits down to
 ``t = 1e-150``).
 """
 
+import math
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
 
 _DIGITS = 300
+_SQRT3 = math.sqrt(3.0)
+
+
+def triangle_outline_distance(qx, qy):
+    """Distance to the outline of the unit triangle: the least of three point-to-segment distances."""
+    e = np.full(qx.shape, np.inf)
+    corners = ((0.0, 0.0), (1.0, 0.0), (0.5, _SQRT3 / 2.0))
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        ux, uy = bx - ax, by - ay
+        wx, wy = qx - ax, qy - ay
+        tt = np.clip(ux * wx + uy * wy, 0.0, 1.0)
+        e = np.minimum(e, np.hypot(wx - ux * tt, wy - uy * tt))
+    return e
+
+
+def gasket_distances_descent(pts):
+    """Gasket distances by descent, one level at a time, over base-2 barycentric digits.
+
+    A point in the big triangle descends into the subtriangle of its largest
+    coordinate (the first one on ties), ``lam <- 2 lam - e_i``, until all
+    three coordinates are below 1/2: it is then in the middle hole, whose
+    edges lie on ``lam_i = 1/2``.  Points that find no hole by side 2^-52
+    are on the set.
+    """
+    pts = np.asarray(pts, dtype=float)
+    px, py = pts[:, 0], pts[:, 1]
+    l0, l1, l2 = 1.0 - px - py / _SQRT3, px - py / _SQRT3, (2.0 / _SQRT3) * py
+    inside = (l0 > 0.0) & (l1 > 0.0) & (l2 > 0.0)
+    out = np.zeros(px.size)
+    out[~inside] = triangle_outline_distance(px[~inside], py[~inside])
+    idx = np.flatnonzero(inside)
+    l0, l1, l2 = l0[idx], l1[idx], l2[idx]
+    s = 1.0
+    while idx.size and s >= np.finfo(float).eps:
+        c0 = (l0 >= l1) & (l0 >= l2)
+        c1 = (l1 >= l2) & ~c0
+        lmax = np.maximum(np.maximum(l0, l1), l2)
+        hole = lmax < 0.5
+        out[idx[hole]] = (s * _SQRT3 / 4.0) * (1.0 - 2.0 * lmax[hole])
+        k = np.flatnonzero(~hole)
+        idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
+        l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
+        s *= 0.5
+    return out
 
 
 def fattened_length(intervals, t):

@@ -32,6 +32,7 @@ from references import (
     cantor_volume,
     carpet_volume,
     fattened_length,
+    gasket_distances_descent,
     gasket_volume,
     string_volume,
     union_measure_of_fattened_points,
@@ -190,6 +191,96 @@ def test_distance_outside_the_hull():
     assert distances_to_set(pts, c) == pytest.approx([0.5, 0.25, 0.5, SQRT3], abs=1e-15)
 
 
+GASKET_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2.0]])
+
+
+def _gasket_families(rng):
+    """Point families that reach every branch of the gasket distance kernel."""
+    yield "uniform", rng.uniform([-0.2, -0.2], [1.2, 1.1], size=(20_000, 2))
+    # chaos game: 60 contractions towards random vertices put a point within 2^-60 of the set
+    chaos = rng.uniform(0.0, 0.1, size=(20_000, 2))
+    for _ in range(60):
+        chaos = 0.5 * (chaos + GASKET_VERTICES[rng.integers(0, 3, len(chaos))])
+    yield "chaos", chaos
+    for ex in range(-17, -2):
+        yield f"chaos+1e{ex}", chaos[:2_000] + rng.normal(size=(2_000, 2)) * 10.0**ex
+    for level in range(3, 21):
+        m = 2**level
+        yield f"dyadic-{level}", rng.integers(0, m + 1, size=(2_000, 2)) / m * [1.0, SQRT3 / 2.0]
+    for n in range(4, 31):
+        m = 2**n
+        lam = rng.integers(0, m + 1, size=(2_000, 2)) / m
+        # the point with barycentric coordinates (1 - lam_1 - lam_2, lam_1, lam_2)
+        xy = np.stack([lam[:, 0] + lam[:, 1] / 2.0, lam[:, 1] * SQRT3 / 2.0], axis=1)
+        yield f"barycentric-{n}", xy
+    tiny = np.exp(rng.uniform(math.log(1e-300), 0.0, size=(20_000, 2)))
+    yield "tiny", tiny
+    yield "tiny-signed", tiny * rng.choice([-1.0, 1.0], size=tiny.shape)
+    edge_y = rng.choice([-1e-16, -5e-17, 0.0, 5e-17, 1e-16], size=10_000)
+    yield "bottom-edge", np.stack([rng.uniform(-0.1, 1.1, size=10_000), edge_y], axis=1)
+
+
+def _gasket_zero_rules(pts):
+    """How many inside points each rule of the kernel puts on the set.
+
+    The rules read the integers ``floor(2^53 lam_i)`` of the barycentric
+    coordinates: no digit free in all three, two coordinates sharing a 1
+    above the first free digit, a coordinate of 1 or more.
+    """
+    px, py = pts[:, 0], pts[:, 1]
+    lam = (1.0 - px - py / SQRT3, px - py / SQRT3, (2.0 / SQRT3) * py)
+    inside = (lam[0] > 0.0) & (lam[1] > 0.0) & (lam[2] > 0.0)
+    a0, a1, a2 = ((l[inside] * 2.0**53).astype(np.int64) for l in lam)
+    _, e = np.frexp(~(a0 | a1 | a2) & (2**53 - 1))
+    clash = (a0 & a1) | (a0 & a2) | (a1 & a2)
+    no_free, clashed, past_one = e == 0, (e > 0) & (clash >> e != 0), (a0 | a1 | a2) >> 53 != 0
+    return np.array([no_free.sum(), clashed.sum(), past_one.sum()])
+
+
+def test_gasket_distances_equal_the_descent_bit_for_bit():
+    rules = np.zeros(3, dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, pts in _gasket_families(np.random.default_rng(23)):
+            got = distances_to_set(pts, SierpinskiGasket())
+            want = gasket_distances_descent(pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+            rules += _gasket_zero_rules(pts)
+    # every rule that puts a point on the set is taken
+    assert (rules > 0).all(), rules
+
+
+# n / 2^k in [0, 1]
+_dyadic = st.integers(0, 30).flatmap(lambda k: st.integers(0, 2**k).map(lambda n: n / 2.0**k))
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.1)),
+            st.tuples(_dyadic, _dyadic).map(lambda l: (l[0] + l[1] / 2.0, l[1] * SQRT3 / 2.0)),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_gasket_distances_equal_the_descent_property(points):
+    pts = np.array(points, dtype=float)
+    got = distances_to_set(pts, SierpinskiGasket())
+    assert np.array_equal(got.view(np.int64), gasket_distances_descent(pts).view(np.int64))
+
+
+def test_gasket_distances_of_far_points_take_the_outline_without_warnings():
+    # the integer digits of a point far outside the triangle would overflow int64
+    pts = np.array([[1e300, -1e300], [5.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = distances_to_set(pts, SierpinskiGasket())
+    assert np.isfinite(d).all()
+    assert np.array_equal(d, geo._gasket_edge_min(pts[:, 0], pts[:, 1]))
+
+
 # ---------------------------------------------------------------------------
 # tube volumes
 # ---------------------------------------------------------------------------
@@ -333,6 +424,13 @@ def test_gasket_grid_curve_reports_error_bounds():
         assert abs(s.volume - exact) <= s.error_bound
 
 
+def _reference_distances(pts, set_):
+    """Distances for the grid cross-checks: the gasket's from the level-by-level descent."""
+    if isinstance(set_, SierpinskiGasket):
+        return gasket_distances_descent(pts)
+    return distances_to_set(pts, set_)
+
+
 def _flat_grid_volume(set_, t, cell):
     """Honest flat count over every center with the grid oracle's lattice and rule.
 
@@ -346,7 +444,7 @@ def _flat_grid_volume(set_, t, cell):
     ncell = np.ceil((hi - origin) / cell).astype(int) + 1
     idx = np.meshgrid(*(np.arange(m) for m in ncell), indexing="ij")
     centers = origin + (np.stack([i.ravel() for i in idx], axis=1) + 0.5) * cell
-    d = distances_to_set(centers, set_)
+    d = _reference_distances(centers, set_)
     margin = cell * math.sqrt(set_.ambient_dim) / 2.0
     unit = cell**set_.ambient_dim
     return (d < t).sum() * unit, (np.abs(d - t) <= margin).sum() * unit
@@ -408,7 +506,7 @@ def _axis_split_grid_tube(set_, t, cell, budget_rows=8_000_000):
         centers = origin + (blo + 0.5 * bsz) * cell
         rc = cell * np.linalg.norm(0.5 * (bsz - 1), axis=1)
         fine = rc == 0.0
-        d = distances_to_set(centers, set_)
+        d = _reference_distances(centers, set_)
         all_in = d + rc < t - margin
         all_out = d - rc >= t + margin
         if all_in.any():
@@ -442,6 +540,39 @@ def test_grid_quadtree_equals_axis_split_on_readme_gasket_grid():
     for t in (0.01, 0.0268, 0.0517, 0.1):
         s = tube_volume(g, t, method="grid", cell=5e-4)
         assert (s.volume, s.error_bound) == _axis_split_grid_tube(g, t, 5e-4)
+
+
+# the README gasket config's radii and grid cell: (t, volume, error_bound)
+README_GASKET_GRID = [
+    (0.01, 0.26877475, 0.0075899999999999995),
+    (0.013894954943731374, 0.30890275, 0.006462),
+    (0.019306977288832496, 0.35455475, 0.005143249999999999),
+    (0.02682695795279726, 0.40833525, 0.00441),
+    (0.037275937203149395, 0.47103675, 0.00347725),
+    (0.0517947467923121, 0.5461805, 0.00315675),
+    (0.07196856730011521, 0.6382365, 0.00271375),
+    (0.1, 0.75445, 0.00264475),
+]
+
+
+def test_grid_pinned_on_readme_gasket_grid():
+    assert np.geomspace(1e-2, 1e-1, 8).tolist() == [t for t, _, _ in README_GASKET_GRID]
+    for t, volume, error_bound in README_GASKET_GRID:
+        s = tube_volume(SierpinskiGasket(), t, method="grid", cell=5e-4)
+        assert (s.volume, s.error_bound) == (volume, error_bound)
+
+
+@pytest.mark.parametrize(
+    "set_, t, cell, rows",
+    [(SierpinskiGasket(), 0.0268, 5e-4, 69_797), (SierpinskiCarpet3D(), 0.05, 0.021, 59_778)],
+    ids=["gasket", "carpet"],
+)
+def test_grid_budget_counts_whole_levels(set_, t, cell, rows):
+    # levels of more than one refinement chunk; the budget is the exact block count
+    assert rows > geo._GRID_CHUNK
+    tube_volume(set_, t, method="grid", cell=cell, budget_rows=rows)
+    with pytest.raises(ResolutionTooCoarse):
+        tube_volume(set_, t, method="grid", cell=cell, budget_rows=rows - 1)
 
 
 def test_grid_lattice_past_int64_raises():
