@@ -71,7 +71,6 @@ class ExperimentConfig:
     seed: int
     delta: Optional[float] = None
     mc_samples: int = 1_000_000
-    quadrature_points: int = 64
     t_grid: TGrid = TGrid(1e-3, 1e-1, 16, True)
     truncation: int = 50
     band: float = 20.0
@@ -83,7 +82,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not (self.mc_samples > 0 and self.quadrature_points > 0 and self.truncation >= 0):
+        if not (self.mc_samples > 0 and self.truncation >= 0):
             raise ValueError("numeric budgets must be positive")
         for name in ("band", "rel_error_threshold", "delta", "grid_cell"):
             value = getattr(self, name)
@@ -174,10 +173,7 @@ def cmd_zeta_eval(cfg: ExperimentConfig, out_dir: Path) -> int:
             val = closed_form_eval(form, complex(re_s, im_s))
             rows.append((re_s, im_s, val.real, val.imag, 0.0))
     else:
-        ncfg = NumericZetaConfig(
-            delta=delta, seed=cfg.seed, mc_samples=cfg.mc_samples,
-            quadrature_points=cfg.quadrature_points,
-        )
+        ncfg = NumericZetaConfig(delta=delta, seed=cfg.seed, mc_samples=cfg.mc_samples)
         for re_s, im_s in cfg.s_values:
             est = zeta.distance_zeta_numeric(set_, complex(re_s, im_s), ncfg)
             rows.append((re_s, im_s, est.value.real, est.value.imag, est.half_width))
@@ -316,6 +312,15 @@ def cmd_measurability(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+# subcommand -> (help, handler taking the loaded config and the output directory)
+_COMMANDS = {
+    "zeta-eval": ("evaluate the zeta function on a grid of s values", cmd_zeta_eval),
+    "poles": ("extract complex dimensions in a band", cmd_poles),
+    "tube-compare": ("compare the truncated tube formula against a direct oracle", cmd_tube_compare),
+    "measurability": ("render the Minkowski measurability verdict", cmd_measurability),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fractalzeta",
@@ -326,12 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cat = sub.add_parser("catalog", help="list catalog sets with D, period, delta bounds")
     p_cat.add_argument("--json", action="store_true", help="machine-readable listing")
 
-    for name, help_ in [
-        ("zeta-eval", "evaluate the zeta function on a grid of s values"),
-        ("poles", "extract complex dimensions in a band"),
-        ("tube-compare", "compare the truncated tube formula against a direct oracle"),
-        ("measurability", "render the Minkowski measurability verdict"),
-    ]:
+    for name, (help_, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -361,15 +361,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "zeta-eval":
-            return cmd_zeta_eval(cfg, out_dir)
-        if args.command == "poles":
-            return cmd_poles(cfg, out_dir)
-        if args.command == "tube-compare":
-            return cmd_tube_compare(cfg, out_dir)
-        if args.command == "measurability":
-            return cmd_measurability(cfg, out_dir)
-        raise ValueError(f"unknown command {args.command}")
+        return _COMMANDS[args.command][1](cfg, out_dir)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError, DeltaTooSmall) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -98,7 +98,6 @@ class LanguidityEstimate:
     kappa: float
     sample_heights: tuple[float, ...]
     constant: float
-    strong_bound: Optional[float] = None
 
 
 def _vectorized(evaluator: Evaluator) -> Callable[[np.ndarray], np.ndarray]:

@@ -631,12 +631,7 @@ def tube_zeta_numeric(
     )
 
 
-def functional_equation_residual(
-    set_: CompactSet,
-    s: complex,
-    cfg: NumericZetaConfig,
-    prefer_closed_form: bool = True,
-) -> float:
+def functional_equation_residual(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> float:
     """Relative defect of ``zeta = delta^(s-N) |A_delta| + (N - s) ztilde``.
 
     The distance-zeta side comes from the closed form when the catalog has
@@ -648,13 +643,9 @@ def functional_equation_residual(
     """
     s = _finite_s(s)
     n_dim = set_.ambient_dim
-    lhs = None
-    if prefer_closed_form:
-        try:
-            lhs = closed_form_eval(catalog_zeta(set_, cfg.delta), s)
-        except (NoClosedForm, DeltaTooSmall):
-            lhs = None
-    if lhs is None:
+    try:
+        lhs = closed_form_eval(catalog_zeta(set_, cfg.delta), s)
+    except (NoClosedForm, DeltaTooSmall):
         lhs = distance_zeta_numeric(set_, s, cfg).value
     a_delta = tube_volume(set_, cfg.delta).volume
     rhs = cfg.delta ** (s - n_dim) * a_delta + (n_dim - s) * tube_zeta_numeric(set_, s, cfg)

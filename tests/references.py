@@ -2,7 +2,9 @@
 
 Distances to the Sierpinski gasket by the level-by-level digit descent,
 which the library replaced by a closed form over the same digits, with the
-big triangle's outline as three point-to-segment distances.
+big triangle's outline as three point-to-segment distances.  Distances to
+fractal-string boundaries by a search in the sorted list of their points,
+which the library replaced by a table of levels.
 
 Two ways to measure a union of fattened intervals that share no code with
 the library's gap-sum kernel: a sort-and-merge sweep over the fattened
@@ -65,6 +67,44 @@ def gasket_distances_descent(pts):
         l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
         s *= 0.5
     return out
+
+
+def string_points(set_, min_length=0.0, max_count=2_000_000):
+    """Descending array of a string's boundary points, plus the residual segment top.
+
+    Returns ``(points, tail_top)``: all points ``a_k`` whose following gap
+    exceeds ``min_length`` are listed, up to ``max_count`` of them, level by
+    level; the remaining points fill ``[0, tail_top]``.
+    """
+    if not set_.is_self_similar:
+        ls = np.asarray(set_.lengths)
+        return set_.total_length - np.concatenate([[0.0], np.cumsum(ls[:-1])]), 0.0
+    b, m = set_.base, int(set_.multiplicity)
+    pts = [np.array([set_.total_length])]
+    count, n, top = 0, 1, set_.total_length
+    while True:
+        ln = set_.scale * b**-n
+        k = m ** (n - 1)
+        if ln <= min_length or count + k > max_count:
+            break
+        pts.append(top - ln * np.arange(1, k + 1))
+        top = set_.level_tail(n)
+        count += k
+        n += 1
+    return np.concatenate(pts), top
+
+
+def string_distances_list(set_, x, min_length=0.0, max_count=2_000_000):
+    """Distances to a string's listed points by binary search, and to ``[0, tail_top]`` as a segment."""
+    pts, tail_top = string_points(set_, min_length, max_count)
+    asc = np.sort(pts)
+    j = np.searchsorted(asc, x)
+    d = np.full(x.shape, np.inf)
+    has_left = j > 0
+    d[has_left] = np.abs(x[has_left] - asc[j[has_left] - 1])
+    has_right = j < asc.size
+    d[has_right] = np.minimum(d[has_right], np.abs(asc[j[has_right]] - x[has_right]))
+    return np.minimum(d, np.maximum(np.maximum(-x, x - tail_top), 0.0)), tail_top
 
 
 def fattened_length(intervals, t):

@@ -94,6 +94,13 @@ def test_invalid_config_is_usage_error(tmp_path):
     assert main(["poles", "--config", str(path)]) == 2
 
 
+def test_removed_quadrature_points_key_is_usage_error(tmp_path, capsys):
+    # zeta-eval's Monte Carlo evaluator never read it
+    path = write_config(tmp_path, quadrature_points=64, s_values=[[1.5, 0.0]], zeta_method="monte_carlo")
+    assert main(["zeta-eval", "--config", path]) == 2
+    assert "quadrature_points" in capsys.readouterr().err
+
+
 def test_delta_below_closed_form_bound_is_config_error(tmp_path, capsys):
     # the gasket closed form needs delta > 1/(4 sqrt 3); this exited 1 before
     path = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, delta=0.01)

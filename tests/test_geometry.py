@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from references import (
     fattened_length,
     gasket_distances_descent,
     gasket_volume,
+    string_distances_list,
+    string_points,
     string_volume,
     union_measure_of_fattened_points,
 )
@@ -346,7 +349,7 @@ def test_cantor_closed_form_matches_sweep():
 
 def test_explicit_string_exact_vs_bruteforce():
     s = FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125, 0.0625))
-    pts, _ = s.materialize_points()
+    pts, _ = string_points(s)
     pts = np.concatenate([pts, [0.0]])
     for t in [0.01, 0.05, 0.2, 0.6]:
         exact = tube_volume(s, t)
@@ -357,7 +360,7 @@ def test_explicit_string_exact_vs_bruteforce():
 def test_self_similar_string_closed_form_vs_materialized_sweep():
     s = FractalStringBoundary.cantor_string()
     for t in [0.05, 0.01, 0.003]:
-        pts, tail_top = s.materialize_points(min_length=t / 10.0)
+        pts, tail_top = string_points(s, min_length=t / 10.0)
         pts = np.concatenate([pts, np.arange(0.0, tail_top, t / 4.0), [tail_top, 0.0]])
         brute = union_measure_of_fattened_points(pts, t)
         assert tube_volume(s, t).volume == pytest.approx(brute, rel=1e-10)
@@ -448,6 +451,72 @@ def _flat_grid_volume(set_, t, cell):
     margin = cell * math.sqrt(set_.ambient_dim) / 2.0
     unit = cell**set_.ambient_dim
     return (d < t).sum() * unit, (np.abs(d - t) <= margin).sum() * unit
+
+
+_GRID_PROPERTY_SETS = [
+    (CantorLike(), 1.0),
+    (CantorLike(ratio=0.21, scale=3.7), 3.7),
+    (FractalStringBoundary.cantor_string(), 1.0),
+    (FractalStringBoundary(base=2.01, multiplicity=2), 1.0),
+    (FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7), 0.7),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    index=st.integers(0, len(_GRID_PROPERTY_SETS)),
+    u=st.floats(0.0, 1.0),
+    cells_per_t=st.floats(2.0, 64.0),
+)
+def test_grid_within_its_error_bound_of_exact(index, u, cells_per_t):
+    if index == len(_GRID_PROPERTY_SETS):
+        # the gasket, at cells of at least 3e-4
+        set_, t = SierpinskiGasket(), 0.02 * 10.0**u
+    else:
+        set_, scale = _GRID_PROPERTY_SETS[index]
+        t = scale * 10.0 ** (-4.0 + 3.5 * u)
+    grid = tube_volume(set_, t, method="grid", cell=t / cells_per_t)
+    exact = tube_volume(set_, t, method="exact").volume
+    assert abs(grid.volume - exact) <= grid.error_bound + 1e-12 * exact
+
+
+def test_point_set_builds_one_kd_tree(monkeypatch):
+    builds = []
+    tree = geo.cKDTree
+
+    def counted(*args, **kwargs):
+        builds.append(1)
+        return tree(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "cKDTree", counted)
+    ps = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
+    tube_volume(ps, 0.21, method="grid", cell=1e-3)
+    assert ps.min_gap == pytest.approx(math.hypot(0.7, 0.2))
+    distances_to_set([[0.5, 0.5]], ps)
+    assert len(builds) == 1
+
+
+def test_far_points_keep_finite_arithmetic():
+    near = np.array([[2.0, 0.5, 0.5], [0.5, 0.5, 0.5], [0.2, -0.3, 1.1]])
+    carpet = SierpinskiCarpet3D()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far = [[1e300, 1e300, 0.0], [-1e300, 0.5, 0.5], [0.5, 1.7e308, 1.7e308]]
+        d = distances_to_set(np.vstack([far, near]), carpet)
+        assert d[0] == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+        assert d[1] == pytest.approx(1e300, rel=1e-15)
+        # past the float range the distance rounds to inf
+        assert d[2] == math.inf
+        # the other rows keep their bits
+        assert np.array_equal(d[3:], distances_to_set(near, carpet))
+        gasket = SierpinskiGasket()
+        far = [[1.7e308, 1.7e308], [-1.7e308, 1e308], [1e308, -1.7e308], [1e308, 0.3], [-3e307, -4e307]]
+        near = near[:, :2]
+        d = distances_to_set(np.vstack([far, near]), gasket)
+        assert d[:3].tolist() == [math.inf] * 3
+        assert d[3:5] == pytest.approx([1e308, 5e307], rel=1e-15)
+        assert np.array_equal(d[5:], distances_to_set(near, gasket))
+        assert np.array_equal(d[5:], gasket_distances_descent(near))
 
 
 def test_grid_blocked_equals_flat_bruteforce():
@@ -825,31 +894,154 @@ def test_string_rejects_infinite_length():
 
 def test_string_boundary_points():
     s = FractalStringBoundary(lengths=(0.5, 0.3, 0.2))
-    pts, tail = s.materialize_points()
+    pts, tail = string_points(s)
     assert tail == 0.0
     assert list(pts) == pytest.approx([1.0, 0.5, 0.2])
+    assert distances_to_set(np.append(pts, 0.0)[:, None], s).tolist() == [0.0] * 4
     cs = FractalStringBoundary.cantor_string()
     assert cs.total_length == pytest.approx(1.0)
-    pts, tail = cs.materialize_points(min_length=0.01)
+    pts, tail = string_points(cs, min_length=0.01)
     assert pts[0] == pytest.approx(1.0)
     assert np.all(np.diff(pts) < 0)
     assert tail <= pts[-1] + 1e-12
+    assert not distances_to_set(pts[:, None], cs).any()
 
 
 def test_string_distance_points_built_once(monkeypatch):
+    # the level table is built once per descriptor, from level_tail
     builds = []
-    materialize = FractalStringBoundary.materialize_points
+    level_tail = FractalStringBoundary.level_tail
 
-    def counted(self, *args, **kwargs):
-        builds.append(1)
-        return materialize(self, *args, **kwargs)
+    def counted(self, n):
+        builds.append(n)
+        return level_tail(self, n)
 
-    monkeypatch.setattr(FractalStringBoundary, "materialize_points", counted)
+    monkeypatch.setattr(FractalStringBoundary, "level_tail", counted)
     s = FractalStringBoundary.cantor_string()
     xs = np.linspace(-0.1, 1.1, 101)[:, None]
     first = distances_to_set(xs, s)
+    table = len(builds)
+    assert table > 0
     assert np.array_equal(distances_to_set(xs, s), first)
-    assert len(builds) == 1
+    assert len(builds) == table
+
+
+_TABLE_STRINGS = [
+    FractalStringBoundary.cantor_string(),
+    FractalStringBoundary(base=2.01, multiplicity=2),
+    FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7),
+    FractalStringBoundary(base=2.5, multiplicity=1, scale=2.0),
+    FractalStringBoundary(base=9.0, multiplicity=1),
+    FractalStringBoundary(base=7.0, multiplicity=6, scale=3.0),
+    FractalStringBoundary(lengths=tuple(np.sort(np.random.default_rng(5).random(300))[::-1])),
+]
+
+
+def _covered_by_list(set_, x, min_length, max_count=2_000_000):
+    """The list search's distances, and where its listed points alone decide them.
+
+    That is above its segment's top by two gaps of the last listed level,
+    where the segment cannot stand in for a listed point.
+    """
+    d, tail = string_distances_list(set_, x, min_length, max_count)
+    gap = 0.0
+    if set_.is_self_similar:
+        n = 1
+        while set_.scale * set_.base ** -(n + 1) > min_length and set_.level_tail(n) > tail:
+            n += 1
+        gap = set_.scale * set_.base**-n
+    return d, x > tail + 2.0 * gap
+
+
+@pytest.mark.parametrize("set_", _TABLE_STRINGS, ids=lambda s: f"{s.base}-{s.multiplicity}")
+def test_string_distances_equal_list_search(set_):
+    rng = np.random.default_rng(17)
+    top = set_.total_length
+    listed, _ = string_points(set_, 1e-12 * set_.scale)
+    listed = np.sort(listed)
+    spacing = np.diff(listed).min(initial=top)
+    tails = np.array([set_.level_tail(n) for n in range(1, 60)]) if set_.is_self_similar else listed
+    families = {
+        "uniform": rng.uniform(-0.1 * top, 1.1 * top, 200_000),
+        "skewed": top * rng.random(200_000) ** 8,
+        "listed": rng.choice(listed, 200_000) + rng.normal(0.0, spacing, 200_000) * rng.integers(0, 2, 200_000),
+        "levels": np.concatenate([tails, np.nextafter(tails, 0.0), np.nextafter(tails, np.inf)]),
+    }
+    for name, x in families.items():
+        want, covered = _covered_by_list(set_, x, 1e-12 * set_.scale)
+        got = distances_to_set(x[:, None], set_)
+        assert covered.any(), name
+        assert np.array_equal(got[covered], want[covered]), name
+        if not set_.is_self_similar:
+            assert np.array_equal(got, want), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.floats(1.5, 12.0),
+    multiplicity=st.integers(1, 11),
+    scale=st.floats(1e-3, 1e3),
+    u=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=50),
+)
+def test_string_distances_equal_list_search_property(base, multiplicity, scale, u):
+    if multiplicity >= base:
+        return
+    s = FractalStringBoundary(base=base, multiplicity=multiplicity, scale=scale)
+    x = np.array(u) * s.total_length
+    # listed points and their neighbours, over the old list's reach (2000 points for speed)
+    listed, _ = string_points(s, 1e-12 * scale, 2_000)
+    x = np.concatenate([x, listed, np.nextafter(listed, 0.0), np.nextafter(listed, np.inf)])
+    want, covered = _covered_by_list(s, x, 1e-12 * scale, 2_000)
+    assert np.array_equal(distances_to_set(x[:, None], s)[covered], want[covered])
+
+
+def _cantor_string_distance_exact(x):
+    """Distance from a float to the Cantor string's points in exact rationals.
+
+    Level ``n`` holds ``(2/3)^(n-1) - i 3^-n`` for ``i = 1 .. 2^(n-1)``, the
+    top point is 1 and the points accumulate at 0.
+    """
+    x = Fraction(x)
+    if x <= 0:
+        return -x
+    n = 1
+    while Fraction(2, 3) ** n > x:
+        n += 1
+    # x lies in [(2/3)^n, (2/3)^(n-1)], spanned by level n and its neighbours
+    best = min(abs(x - 1), abs(x - Fraction(2, 3) ** n))
+    for level in (n - 1, n, n + 1):
+        if level < 1:
+            continue
+        anchor, length = Fraction(2, 3) ** (level - 1), Fraction(1, 3**level)
+        i = math.floor((anchor - x) / length)
+        for k in (i, i + 1):
+            k = min(max(k, 1), 2 ** (level - 1))
+            best = min(best, abs(x - (anchor - k * length)))
+    return best
+
+
+def test_cantor_string_distances_below_the_old_list_match_exact_rationals():
+    s = FractalStringBoundary.cantor_string()
+    _, tail = string_points(s, 1e-12)
+    rng = np.random.default_rng(23)
+    # below the old list's tail, down to the table's floor segment at about 1e-9 and past it
+    x = tail * np.exp(rng.uniform(math.log(1e-8), 0.0, 400))
+    got = distances_to_set(x[:, None], s)
+    want = np.array([float(_cantor_string_distance_exact(v)) for v in x.tolist()])
+    # the float points carry the rounding of (2/3)**n, about n ulps at level n <= 51
+    assert (np.abs(got - want) <= 64.0 * np.spacing(x)).all()
+    assert (got > 0.0).mean() > 0.5
+
+
+def test_string_mc_matches_exact_where_the_old_segment_stood():
+    # the list search filled 90% of this string's hull with a segment, which
+    # put Monte Carlo 8 half-widths off the exact volume at t = 1e-7
+    s = FractalStringBoundary(base=2.01, multiplicity=2)
+    t = 1e-7
+    mc = tube_volume(s, t, method="monte_carlo", mc_samples=1_000_000, seed=1)
+    exact = tube_volume(s, t).volume
+    assert abs(mc.volume - exact) <= 3.0 * mc.error_bound
+    assert 0.0 < distance_to_set([85.0], s) < 1e-10
 
 
 def test_json_round_trip():
