@@ -312,15 +312,6 @@ def cmd_measurability(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> (help, handler taking the loaded config and the output directory)
-_COMMANDS = {
-    "zeta-eval": ("evaluate the zeta function on a grid of s values", cmd_zeta_eval),
-    "poles": ("extract complex dimensions in a band", cmd_poles),
-    "tube-compare": ("compare the truncated tube formula against a direct oracle", cmd_tube_compare),
-    "measurability": ("render the Minkowski measurability verdict", cmd_measurability),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fractalzeta",
@@ -331,7 +322,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cat = sub.add_parser("catalog", help="list catalog sets with D, period, delta bounds")
     p_cat.add_argument("--json", action="store_true", help="machine-readable listing")
 
-    for name, (help_, _) in _COMMANDS.items():
+    for name, help_ in [
+        ("zeta-eval", "evaluate the zeta function on a grid of s values"),
+        ("poles", "extract complex dimensions in a band"),
+        ("tube-compare", "compare the truncated tube formula against a direct oracle"),
+        ("measurability", "render the Minkowski measurability verdict"),
+    ]:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -361,7 +357,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
         out_dir = Path(cfg.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command][1](cfg, out_dir)
+        if args.command == "zeta-eval":
+            return cmd_zeta_eval(cfg, out_dir)
+        if args.command == "poles":
+            return cmd_poles(cfg, out_dir)
+        if args.command == "tube-compare":
+            return cmd_tube_compare(cfg, out_dir)
+        if args.command == "measurability":
+            return cmd_measurability(cfg, out_dir)
+        raise ValueError(f"unknown command {args.command}")
     except (ValueError, KeyError, OSError, json.JSONDecodeError, TypeError, DeltaTooSmall) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,9 @@ hole, and one pass over its base-2 barycentric (gasket) or base-3 (carpet)
 digits finds that hole.  For the gasket that pass is a closed form in bit
 operations on the digits, with the same number of array passes at any depth.
 Distances to a fractal string come from a table of its levels, down to
-where its points are denser than the floats.
+where its points are denser than the floats; a multiplicity-1 string too
+close to base 1 to list its levels finds each query's level from a
+logarithm.
 
 Where the geometry allows it the tube volume is computed exactly:
 
@@ -198,8 +200,20 @@ class PointSet(CompactSet):
         rows = (arr[i : i + 256, None, :] - arr[None, :, :] for i in range(0, len(arr), 256))
         return max(float(np.sqrt((diff**2).sum(-1)).max()) for diff in rows)
 
+    @cached_property
+    def _far_tree(self) -> cKDTree:
+        """k-d tree over the points scaled by ``2^-600``, for queries whose squared offsets overflow."""
+        return cKDTree(np.asarray(self.points, dtype=float) * 2.0**-600)
+
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        return self._tree.query(pts)[0]
+        d = self._tree.query(pts)[0]
+        # the tree squares the offsets: such rows are measured at 2^-600 scale, where the
+        # powers of two keep every bit and a coordinate lost to underflow is below their rounding
+        far = np.flatnonzero(d >= 2.0**510)
+        if far.size:
+            with np.errstate(over="ignore"):
+                d[far] = self._far_tree.query(pts[far] * 2.0**-600)[0] * 2.0**600
+        return d
 
     def auto_method(self, t: float) -> TubeMethod:
         if self.ambient_dim == 1 or self._balls_disjoint(t):
@@ -423,49 +437,85 @@ class FractalStringBoundary(CompactSet):
         return self.total_length
 
     @cached_property
+    def _end(self) -> int:
+        """The level where the table ends, the first whose floats lose digits.
+
+        That is, the first spaced below an ulp of its anchor, or whose length
+        or ``base**-n`` falls below ``2^-1022``.  All of these fall with ``n``
+        (for multiplicity ``m >= 2`` the spacing over the ulp shrinks by at
+        least ``2 / m`` a level), so a bisection finds it.
+        """
+        b = self.base
+        # past hi, min(1, scale) b^-n < 2^-1022
+        lo, hi = 1, max(2, 2 + int((709.0 + min(0.0, math.log(self.scale))) / math.log(b)))
+        while hi - lo > 1:
+            n = (lo + hi) // 2
+            bn = b**-n
+            if min(bn, self.scale * bn) < 2.0**-1022 or self.scale * bn < math.ulp(self.level_tail(n - 1)):
+                hi = n
+            else:
+                lo = n
+        return hi
+
+    def _rows(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rows ``(anchor, length, i_lo, i_hi)`` of the integer levels ``ns``.
+
+        Level ``n`` holds the points ``anchor - length * i``, ``anchor =
+        level_tail(n - 1)``, ``length = scale * base**-n``, ``i = 1 .. m^(n-1)``,
+        and level 1 also its anchor, the top point; libm ``pow`` keeps the
+        bits of ``level_tail``.
+        """
+        b, m = self.base, self.multiplicity
+        k = (ns - 1).astype(float)
+        anchors = self.scale * _libm_pow(m / b, k) / (b - m)
+        return anchors, self.scale * _libm_pow(b, -ns.astype(float)), np.minimum(k, 1.0), _libm_pow(float(m), k)
+
+    @cached_property
     def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """Rows ``(anchor, length, i_lo, i_hi)`` by ascending anchor, holding the points ``anchor - length * i``.
+        """Rows ``(anchor, length, i_lo, i_hi)`` of all points or levels, ascending in anchor, and the floor top.
 
         An explicit string has a row per point.  Level ``n`` of a self-similar
         one is anchored at ``level_tail(n - 1)``, about ``n`` ulps off from the
-        rounding of ``(m / b)**n``; the table ends at the first level spaced
-        below an ulp of its anchor (for ``m = 1``, where ``length`` rounds to 0),
-        the top of the floor segment ``[0, anchor]``.
+        rounding of ``(m / b)**n``; below the levels that end at ``_end``
+        lies the floor segment ``[0, level_tail(_end - 1)]``, whose points are
+        spaced below an ulp of it or ``2^-1022 max(1, scale)``.
         """
         if not self.is_self_similar:
             ls = np.asarray(self.lengths)
             a = self.total_length - np.concatenate([[0.0], np.cumsum(ls[:-1])])
             return a[::-1], ls[::-1], np.zeros(a.size), np.zeros(a.size), 0.0
-        b, m = self.base, int(self.multiplicity)
-        rows = [(self.total_length, self.scale * b**-1, 0.0, 1.0)]
-        anchor, n = self.level_tail(1), 2
-        while (length := self.scale * b**-n) >= math.ulp(anchor):
-            rows.append((anchor, length, 1.0, float(m ** (n - 1))))
-            anchor = self.level_tail(n)
-            n += 1
-        anchors, lengths, i_lo, i_hi = np.array(rows[::-1]).T
-        return anchors, lengths, i_lo, i_hi, anchor
+        return (*self._rows(np.arange(self._end - 1, 0, -1)), self.level_tail(self._end - 1))
+
+    def _levels_near(self, x: np.ndarray) -> np.ndarray:
+        """The levels within two of those holding ``x``, descending, for multiplicity 1.
+
+        Such a string has about ``709 / log(base)`` levels of one point each,
+        but level ``n`` is anchored at ``scale base^(1-n) / (base - 1)``, so
+        ``n`` follows from a logarithm.  Its rounding, up to
+        ``1e-13 / log(base)`` levels, stays below one level for
+        ``base > 1 + 1e-12``.
+        """
+        b, end = self.base, self._end
+        u = np.log(np.clip(x, 2.0**-1074, self.total_length)) + (math.log(b - 1.0) - math.log(self.scale))
+        n = np.clip(np.floor(u / math.log(1.0 / b)), 0.0, end).astype(np.int64) + 1
+        # sorted and deduplicated by hand: np.unique hashes, many times slower on int64
+        ns = _distinct(np.sort((_distinct(np.sort(n))[:, None] + np.arange(-2, 3)).ravel()))
+        return ns[(ns >= 1) & (ns < end)][::-1]
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
         """Distance to the nearest candidate of the first row with ``anchor >= x``.
 
         The candidates are its two points around ``floor((anchor - x) / length)``,
         the nearest points of the rows on either side and the floor segment.
+        A string of more than ``_STRING_ROWS`` levels (multiplicity 1 with
+        ``base < 1.011``) takes the rows near each chunk of queries instead.
         """
-        top, step, i_lo, i_hi, floor = self._levels
         x = pts[:, 0]
-        r = np.minimum(np.searchsorted(top, x), top.size - 1)
-        highest, lowest = top - step * i_lo, top - step * i_hi
-        below = np.concatenate(([floor], highest[:-1]))[r]
-        above = np.concatenate((lowest[1:], [np.inf]))[r]
-        a, s, lo, hi = top[r], step[r], i_lo[r], i_hi[r]
-        # x clipped to the row's span keeps the quotient at most about i_hi
-        i = np.minimum(np.maximum(np.floor((a - np.clip(x, below, a)) / s), lo), hi)
-        d = np.abs(x - (a - s * i))
-        np.minimum(d, np.abs(x - (a - s * np.minimum(i + 1.0, hi))), out=d)
-        np.minimum(d, np.abs(x - above), out=d)
-        np.minimum(d, np.abs(x - below), out=d)
-        return np.minimum(d, np.maximum(np.maximum(-x, x - floor), 0.0))
+        if not self.is_self_similar or self._end <= _STRING_ROWS:
+            return _row_distances(x, *self._levels)
+        floor = self.level_tail(self._end - 1)
+        chunks = np.split(x, range(_STRING_ROWS, x.size, _STRING_ROWS))
+        return np.concatenate([_row_distances(c, *self._rows(self._levels_near(c)), floor) for c in chunks])
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         if not self.is_self_similar:
@@ -668,8 +718,13 @@ def _gasket_edge_min(qx, qy):
 def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     """Vectorized distances from an ``(n, N)`` array of finite points to the set.
 
-    Exact to rounding for every descriptor; a distance past the float range
-    is ``inf``.
+    Exact to rounding except where the floats run out: point sets and the
+    carpet square the offsets in their norms, so a distance below about
+    ``1e-154`` loses digits and one below ``1e-162`` reads 0; a string's
+    floor segment stands in for points spaced below an ulp or
+    ``2^-1022 max(1, scale)``; a multiplicity-1 string with
+    ``base <= 1 + 1e-12`` may miss a level.  A distance past the float
+    range is ``inf``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != set_.ambient_dim:
@@ -735,9 +790,41 @@ def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, 
     return hull * np.array(qn)[n] + total
 
 
-def _libm_pow(a: np.ndarray, p: int) -> np.ndarray:
-    # libm pow, which numpy's vectorized power does not match to the last bit
-    return np.fromiter(map(math.pow, a.tolist(), repeat(float(p))), float, a.size)
+def _libm_pow(a, p) -> np.ndarray:
+    # libm pow over a 1-D array of bases or of exponents, which numpy's
+    # vectorized power does not match to the last bit
+    size = a.size if isinstance(a, np.ndarray) else p.size
+    args = (v.tolist() if isinstance(v, np.ndarray) else repeat(float(v)) for v in (a, p))
+    return np.fromiter(map(math.pow, *args), float, size)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+# Levels of a string's cached distance table, and queries per chunk beyond it.
+_STRING_ROWS = 1 << 16
+
+
+def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
+    """Distances from ``x`` to the row points ``top - step * i``, ``i_lo <= i <= i_hi``, and ``[0, floor]``.
+
+    The rows ascend in ``top``.  ``x`` takes the first row with
+    ``top >= x``, which must be there with its neighbours.
+    """
+    r = np.minimum(np.searchsorted(top, x), top.size - 1)
+    highest, lowest = top - step * i_lo, top - step * i_hi
+    below = np.concatenate(([floor], highest[:-1]))[r]
+    above = np.concatenate((lowest[1:], [np.inf]))[r]
+    a, s, lo, hi = top[r], step[r], i_lo[r], i_hi[r]
+    # x clipped to the row's span keeps the quotient at most about i_hi
+    i = np.minimum(np.maximum(np.floor((a - np.clip(x, below, a)) / s), lo), hi)
+    d = np.abs(x - (a - s * i))
+    np.minimum(d, np.abs(x - (a - s * np.minimum(i + 1.0, hi))), out=d)
+    np.minimum(d, np.abs(x - above), out=d)
+    np.minimum(d, np.abs(x - below), out=d)
+    return np.minimum(d, np.maximum(np.maximum(-x, x - floor), 0.0))
 
 
 # Blocks per refinement chunk: the distances and children of one chunk stay in cache.

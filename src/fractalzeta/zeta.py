@@ -461,7 +461,6 @@ class NumericZetaConfig:
     delta: float
     seed: int
     mc_samples: int = 1_000_000
-    quadrature_points: int = 64
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -470,8 +469,6 @@ class NumericZetaConfig:
             raise ValueError("seed must be a nonnegative integer")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000 for any reported value")
-        if self.quadrature_points < 64:
-            raise ValueError("quadrature_points must be at least 64")
 
 
 def _finite_s(s) -> complex:
@@ -545,6 +542,8 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
 # Panels per tube_volumes call: the first block, then doubling up to the cap.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 512
+# Gauss-Legendre nodes per panel.
+_PANEL_NODES = 16
 
 
 def tube_zeta_numeric(
@@ -572,8 +571,7 @@ def tube_zeta_numeric(
     n_dim = set_.ambient_dim
     u_hi = math.log(cfg.delta)
     u_floor = math.log(1e-280)
-    nodes = max(16, cfg.quadrature_points // 4)
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 rtol regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * rtol)

@@ -517,6 +517,15 @@ def test_far_points_keep_finite_arithmetic():
         assert d[3:5] == pytest.approx([1e308, 5e307], rel=1e-15)
         assert np.array_equal(d[5:], distances_to_set(near, gasket))
         assert np.array_equal(d[5:], gasket_distances_descent(near))
+        # a k-d tree squares the offsets: far rows are measured at 2^-600 scale
+        ps = PointSet([[0.0, 0.0], [1.0, 1.0], [-1e300, 2e300]])
+        far = [[1e200, 1e200], [1.7e308, -1.7e308], [-1e300, 1e300], [3e307, 4e307]]
+        d = distances_to_set(np.vstack([far, near]), ps)
+        assert d[0] == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert d[1] == math.inf
+        assert d[2] == pytest.approx(1e300, rel=1e-15)
+        assert d[3] == pytest.approx(math.hypot(3e307 + 1e300, 4e307 - 2e300), rel=1e-15)
+        assert np.array_equal(d[4:], geo.cKDTree(np.asarray(ps.points)).query(near)[0])
 
 
 def test_grid_blocked_equals_flat_bruteforce():
@@ -932,6 +941,8 @@ _TABLE_STRINGS = [
     FractalStringBoundary(base=5.5, multiplicity=3, scale=0.7),
     FractalStringBoundary(base=2.5, multiplicity=1, scale=2.0),
     FractalStringBoundary(base=9.0, multiplicity=1),
+    # 709k levels: its distances find the levels near each query from a logarithm
+    FractalStringBoundary(base=1.001, multiplicity=1, scale=0.01),
     FractalStringBoundary(base=7.0, multiplicity=6, scale=3.0),
     FractalStringBoundary(lengths=tuple(np.sort(np.random.default_rng(5).random(300))[::-1])),
 ]
@@ -1042,6 +1053,47 @@ def test_string_mc_matches_exact_where_the_old_segment_stood():
     exact = tube_volume(s, t).volume
     assert abs(mc.volume - exact) <= 3.0 * mc.error_bound
     assert 0.0 < distance_to_set([85.0], s) < 1e-10
+
+
+@pytest.mark.parametrize("base, scale", [(1.01, 1.0), (1.01, 1e200), (1.002, 1e-200)])
+def test_string_levels_near_the_queries_equal_the_whole_table(base, scale):
+    # 71k-124k levels, past the cached table's size: the rows near the
+    # queries give the bits of the table of every level
+    s = FractalStringBoundary(base=base, multiplicity=1, scale=scale)
+    assert s._end > geo._STRING_ROWS
+    rng = np.random.default_rng(8)
+    top = s.total_length
+    x = np.concatenate([
+        rng.uniform(-0.1 * top, 1.1 * top, 100_000),
+        top * np.exp(-rng.uniform(0.0, 700.0, 100_000)),
+        s.level_tail(rng.integers(0, s._end, 2_000)),
+        [0.0, 5e-324, top, np.nextafter(top, 0.0)],
+    ])
+    table = (*s._rows(np.arange(s._end - 1, 0, -1)), s.level_tail(s._end - 1))
+    assert np.array_equal(distances_to_set(x[:, None], s), geo._row_distances(x, *table))
+
+
+def test_multiplicity_one_string_distances_stay_bounded_near_base_1():
+    # 7.1M levels: a table of them took 1.6 GB; the rows near 20k queries take a few MiB
+    import time
+    import tracemalloc
+
+    s = FractalStringBoundary(base=1.0001, multiplicity=1)
+    rng = np.random.default_rng(2)
+    x = s.total_length * np.concatenate([rng.random(10_000), rng.random(10_000) ** 40])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        got = distances_to_set(x[:, None], s)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5.0
+    assert peak < 32 * 2**20
+    want, covered = _covered_by_list(s, x, 1e-12, 50_000)
+    assert covered.sum() > 10_000
+    assert np.array_equal(got[covered], want[covered])
 
 
 def test_json_round_trip():
