@@ -245,21 +245,26 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         total = np.bincount(cell, dphi, n_poly) / (2.0 * math.pi)
         w = np.round(total)
         ok = smooth & (np.abs(total - w) <= 0.25)
-        terms = (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi)
-        m1 = np.bincount(cell, terms.real, n_poly) + 1j * np.bincount(cell, terms.imag, n_poly)
-        r = m1 + (m1 - last_m1) / 3.0
-        by_r = ok & (np.abs(r - last_r) <= 0.25 * moment_tol)
-        by_m1 = ok & ~by_r & (np.abs(m1 - prev_m1) <= 0.25 * moment_tol)
-        for c in np.flatnonzero(by_r | by_m1):
-            out[c] = (int(w[c]), complex(r[c] if by_r[c] else m1[c]))
-        done |= by_r | by_m1
-        prev_m1 = np.where(ok, m1, prev_m1)
-        last_m1 = np.where(ok, m1, np.nan)
-        last_r = np.where(ok, r, np.nan)
+        if ok.any():
+            terms = (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi)
+            m1 = np.bincount(cell, terms.real, n_poly) + 1j * np.bincount(cell, terms.imag, n_poly)
+            r = m1 + (m1 - last_m1) / 3.0
+            by_r = ok & (np.abs(r - last_r) <= 0.25 * moment_tol)
+            resolved = by_r | (ok & (np.abs(m1 - prev_m1) <= 0.25 * moment_tol))
+            for c in np.flatnonzero(resolved):
+                out[c] = (int(w[c]), complex(r[c] if by_r[c] else m1[c]))
+            done |= resolved
+            prev_m1 = np.where(ok, m1, prev_m1)
+            last_m1 = np.where(ok, m1, np.nan)
+            last_r = np.where(ok, r, np.nan)
+        else:
+            # no walk has a resolved winding, so no moment this round
+            resolved = ok
+            last_m1 = last_r = np.full(n_poly, np.nan, dtype=complex)
         if rnd == 27 or done.all():
             break
         split = bad | smooth[cell]
-        if by_r.any() or by_m1.any():
+        if resolved.any():
             keep = ~done[cell]
             z, vals, cell, split = z[keep], vals[keep], cell[keep], split[keep]
         z, vals, cell = _refine(f, z, vals, cell, split)

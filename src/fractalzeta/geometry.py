@@ -21,7 +21,9 @@ exact, with no tolerance parameter: every removed hole is convex and its
 boundary belongs to the set, so a point lies in the set or in exactly one
 hole, and one pass over its base-2 barycentric (gasket) or base-3 (carpet)
 digits finds that hole.  For the gasket that pass is a closed form in bit
-operations on the digits, with the same number of array passes at any depth.
+operations on the digits, with the same number of array passes at any depth;
+for the carpet it steps in floats only until a point's coordinates are
+multiples of ``2^-51``, and then six ternary levels per int64 pass.
 Distances to a fractal string come from a table of its levels, down to
 where its points are denser than the floats; a multiplicity-1 string too
 close to base 1 to list its levels finds each query's level from a
@@ -52,10 +54,12 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 from .errors import ResolutionTooCoarse, FractalZetaError
 from .intervals import gap_volumes
@@ -172,6 +176,9 @@ class PointSet(CompactSet):
     @cached_property
     def _tree(self) -> cKDTree:
         """k-d tree over the points, built once for ``min_gap`` and ``distances``."""
+        # scipy is imported here, by the first set that needs a tree, and by no other code
+        from scipy.spatial import cKDTree
+
         return cKDTree(np.asarray(self.points, dtype=float))
 
     @cached_property
@@ -203,16 +210,22 @@ class PointSet(CompactSet):
     @cached_property
     def _far_tree(self) -> cKDTree:
         """k-d tree over the points scaled by ``2^-600``, for queries whose squared offsets overflow."""
+        from scipy.spatial import cKDTree
+
         return cKDTree(np.asarray(self.points, dtype=float) * 2.0**-600)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        d = self._tree.query(pts)[0]
+        d, nearest = self._tree.query(pts)
         # the tree squares the offsets: such rows are measured at 2^-600 scale, where the
         # powers of two keep every bit and a coordinate lost to underflow is below their rounding
         far = np.flatnonzero(d >= 2.0**510)
         if far.size:
             with np.errstate(over="ignore"):
                 d[far] = self._far_tree.query(pts[far] * 2.0**-600)[0] * 2.0**600
+        # squares of tiny offsets underflow: those rows are measured again from their nearest point
+        near = np.flatnonzero(d < 2.0**-510)
+        if near.size:
+            d[near] = _row_norms(np.abs(pts[near] - self._tree.data[nearest[near]]).T)
         return d
 
     def auto_method(self, t: float) -> TubeMethod:
@@ -574,7 +587,7 @@ class SierpinskiGasket(CompactSet):
         """
         if np.abs(pts).max(initial=0.0) >= 2.0**1020:
             # sums of such coordinates overflow; the set is within 1 of the origin, below these norms' rounding
-            out = _row_norms(np.abs(pts))
+            out = _row_norms(np.abs(pts).T)
             near = (np.abs(pts) < 2.0**1020).all(axis=1)
             out[near] = self.distances(pts[near])
             return out
@@ -612,6 +625,69 @@ class SierpinskiGasket(CompactSet):
         return holes + 3.0 * ts + math.pi * ts * ts
 
 
+def _carpet_hole_sides() -> list[float]:
+    """Hole side ``s / 3`` of each level of the carpet descent, by its ``s /= 3``, while ``s >= _RESOLUTION``."""
+    s, sides = 1.0, []
+    while s >= _RESOLUTION:
+        sides.append(s / 3.0)
+        s /= 3.0
+    return sides
+
+
+# Hole sides of the carpet's 33 levels, then six zeros: a six-level pass that
+# starts at the last level reads the holes past it as 0, on the set.
+_CARPET_SIDES = np.array(_carpet_hole_sides() + [0.0] * 6)
+_CARPET_LEVELS = _CARPET_SIDES.size - 6
+
+# A carpet coordinate on the lattice of multiples of 2^-51 steps exactly as the integer y 2^51.
+_CARPET_BITS = 51
+
+# Base-729 digit -> bit i set where its i-th leading ternary digit is 1.
+_CARPET_ONES = np.array(
+    [sum(1 << i for i in range(6) if d // 3 ** (5 - i) % 3 == 1) for d in range(729)], dtype=np.int8
+)
+
+# Six-bit mask -> its lowest set bit (-1 for no bit, never read).
+_LOWEST_BIT = np.array([(m & -m).bit_length() - 1 for m in range(64)], dtype=np.int64)
+
+# 3^(j + 1): coordinate scale from the start of a six-level pass to the end of its level j.
+_POW3 = 3 ** np.arange(1, 7, dtype=np.int64)
+
+
+def _face_gap(fs) -> np.ndarray:
+    """Least distance ``min(f, 1 - f)`` of the coordinates ``fs`` to the faces of the unit cube."""
+    return np.minimum.reduce([np.minimum(f, 1.0 - f) for f in fs])
+
+
+def _carpet_lattice_distances(out: np.ndarray, groups) -> None:
+    """Carpet hole distances of points on the ``2^-51`` lattice, six levels per int64 pass.
+
+    ``groups`` holds ``(rows, (Y0, Y1, Y2), k)``: rows of ``out`` and their
+    coordinates times ``2^51`` at the start of descent level ``k``.
+    """
+    idx = np.concatenate([g[0] for g in groups])
+    ys = [np.concatenate([g[1][c] for g in groups]) for c in range(3)]
+    k = np.concatenate([np.full(g[0].size, g[2]) for g in groups])
+    while idx.size:
+        ones = np.full(idx.size, 63, dtype=np.int8)
+        steps = []
+        for y in ys:
+            z = y * 729
+            dig = z >> _CARPET_BITS
+            ones &= _CARPET_ONES.take(dig)
+            z -= dig << _CARPET_BITS
+            steps.append(z)
+        hole = np.flatnonzero(ones)
+        if hole.size:
+            j = _LOWEST_BIT.take(ones.take(hole))
+            scale = _POW3.take(j)
+            fs = [((y.take(hole) * scale) & ((1 << _CARPET_BITS) - 1)) * 2.0**-_CARPET_BITS for y in ys]
+            out[idx.take(hole)] = _CARPET_SIDES.take(k.take(hole) + j) * _face_gap(fs)
+        k += 6
+        rest = np.flatnonzero((ones == 0) & (k < _CARPET_LEVELS))
+        idx, k, ys = idx.take(rest), k.take(rest), [z.take(rest) for z in steps]
+
+
 @dataclass(frozen=True)
 class SierpinskiCarpet3D(CompactSet):
     """Three-dimensional carpet: unit cube, remove the open middle 27th, iterate on the 26 others."""
@@ -628,29 +704,65 @@ class SierpinskiCarpet3D(CompactSet):
         return np.zeros(3), np.ones(3)
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
-        """Exact distances by descent over base-3 digits.
+        """Exact distances from the base-3 digits, six levels per integer pass.
 
-        A point in the unit cube is in the set or in exactly one hole, an
-        open cube whose faces lie in the set; it is in a hole when all three
-        digits of a level are 1.
+        A point in the open unit cube is in the set or in exactly one hole, an
+        open cube whose faces lie in the set.  The descent steps each
+        coordinate ``y <- 3 y - floor(3 y)``; at level ``k`` (cube side
+        ``s = 3^-k``) the point is in the hole when all three digits
+        ``floor(3 y)`` are 1, at ``(s / 3) min(f, 1 - f)`` from its faces,
+        ``f`` the stepped coordinates.  Holes at level 33 or deeper, where
+        ``s < 2^-52``, read 0.  Below 1, ``3 y`` rounds below 3, so a digit
+        is never past 2 and a coordinate stays below 1.
+
+        The steps run in floats only while a coordinate of the point is off
+        the lattice of multiples of ``2^-51``, on average under three levels
+        for uniform points.  On the lattice ``3 y`` is exact, so the step is
+        the integer step on ``Y = y 2^51``, and one int64 pass takes six
+        levels: ``729 Y >> 51`` is the base-729 digit, a table gives which of
+        its six ternary digits are 1, and the lowest level at which all
+        three coordinates have a 1 is the hole.  Its ``f`` are
+        ``3^(j + 1) Y mod 2^51`` times ``2^-51``, bit for bit the floats.
         """
         # the surface of the unit cube belongs to the set
-        out = _row_norms(np.maximum(np.maximum(-pts, pts - 1.0), 0.0))
-        idx = np.flatnonzero(((pts > 0.0) & (pts < 1.0)).all(axis=1))
-        y = pts[idx].T.copy()
-        s = 1.0
-        while idx.size and s >= _RESOLUTION:
-            y *= 3.0
-            dig = np.floor(y)
-            np.clip(dig, 0.0, 2.0, out=dig)
-            y -= dig
-            hole = (dig[0] == 1.0) & (dig[1] == 1.0) & (dig[2] == 1.0)
-            if hole.any():
-                f = y[:, hole]
-                out[idx[hole]] = (s / 3.0) * np.minimum(f, 1.0 - f).min(axis=0)
-                keep = ~hole
-                idx, y = idx[keep], y[:, keep]
-            s /= 3.0
+        cols = pts[:, 0], pts[:, 1], pts[:, 2]
+        inside = (cols[0] > 0.0) & (cols[0] < 1.0)
+        for c in cols[1:]:
+            inside &= (c > 0.0) & (c < 1.0)
+        out = np.zeros(len(pts))
+        far = np.flatnonzero(~inside)
+        if far.size:
+            offsets = [c.take(far) for c in cols]
+            out[far] = _row_norms([np.maximum(np.maximum(-c, c - 1.0), 0.0) for c in offsets])
+        idx = np.flatnonzero(inside)
+        ys = [c.take(idx) for c in cols]
+        lattice = []
+        k = 0
+        while idx.size and k < _CARPET_LEVELS:
+            hole = np.ones(idx.size, dtype=bool)
+            on = np.ones(idx.size, dtype=bool)
+            scaled = []
+            for y in ys:
+                y *= 3.0
+                dig = np.floor(y)
+                y -= dig
+                hole &= dig == 1.0
+                b = y * 2.0**_CARPET_BITS
+                on &= b == np.floor(b)
+                scaled.append(b)
+            found = np.flatnonzero(hole)
+            if found.size:
+                out[idx.take(found)] = _CARPET_SIDES[k] * _face_gap([y.take(found) for y in ys])
+                on &= ~hole
+            k += 1
+            moved = np.flatnonzero(on)
+            if moved.size:
+                lattice.append((idx.take(moved), [b.take(moved).astype(np.int64) for b in scaled], k))
+            if found.size or moved.size:
+                rest = np.flatnonzero(~(hole | on))
+                idx, ys = idx.take(rest), [y.take(rest) for y in ys]
+        if lattice:
+            _carpet_lattice_distances(out, lattice)
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
@@ -686,15 +798,25 @@ def diameter(set_: CompactSet) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``v >= 0``; rows whose squares would overflow are scaled first."""
-    if v.max(initial=0.0) < 2.0**510:
-        return np.linalg.norm(v, axis=1)
-    big = v.max(axis=1) >= 2.0**510
-    out = np.linalg.norm(np.where(big[:, None], v * 2.0**-600, v), axis=1)
-    # scaling by a power of two is exact; a norm past the float range rounds to inf
+def _row_norms(cols) -> np.ndarray:
+    """Euclidean norms of the rows whose entries ``>= 0`` are given column by column.
+
+    Rows whose squares would overflow or underflow, those with a largest
+    entry of at least ``2^510`` or below ``2^-510``, are scaled by ``2^-600``
+    or ``2^600`` first; scaling by a power of two is exact.
+    """
     with np.errstate(over="ignore"):
-        out[big] *= 2.0**600
+        sq = sum(c * c for c in cols)
+    out = np.sqrt(sq)
+    # a superset of the rows to scale, by their sums of squares
+    odd = np.flatnonzero((sq >= 2.0**1020) | (sq < len(cols) * 2.0**-1020))
+    if odd.size:
+        sub = [c.take(odd) for c in cols]
+        top = np.maximum.reduce(sub)
+        scale = np.where(top >= 2.0**510, 2.0**-600, np.where(top < 2.0**-510, 2.0**600, 1.0))
+        # a norm past the float range rounds to inf
+        with np.errstate(over="ignore"):
+            out[odd] = np.sqrt(sum((c * scale) * (c * scale) for c in sub)) / scale
     return out
 
 
@@ -718,10 +840,8 @@ def _gasket_edge_min(qx, qy):
 def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     """Vectorized distances from an ``(n, N)`` array of finite points to the set.
 
-    Exact to rounding except where the floats run out: point sets and the
-    carpet square the offsets in their norms, so a distance below about
-    ``1e-154`` loses digits and one below ``1e-162`` reads 0; a string's
-    floor segment stands in for points spaced below an ulp or
+    Exact to rounding except where the floats run out: a string's floor
+    segment stands in for points spaced below an ulp or
     ``2^-1022 max(1, scale)``; a multiplicity-1 string with
     ``base <= 1 + 1e-12`` may miss a level.  A distance past the float
     range is ``inf``.

@@ -3,6 +3,8 @@
 Distances to the Sierpinski gasket by the level-by-level digit descent,
 which the library replaced by a closed form over the same digits, with the
 big triangle's outline as three point-to-segment distances.  Distances to
+the 3D carpet by the level-by-level float descent over base-3 digits, which
+the library replaced by integer steps of six levels.  Distances to
 fractal-string boundaries by a search in the sorted list of their points,
 which the library replaced by a table of levels.
 
@@ -66,6 +68,37 @@ def gasket_distances_descent(pts):
         idx, l0, l1, l2, c0, c1 = idx[k], l0[k], l1[k], l2[k], c0[k], c1[k]
         l0, l1, l2 = 2.0 * l0 - c0, 2.0 * l1 - c1, 2.0 * l2 - ~(c0 | c1)
         s *= 0.5
+    return out
+
+
+def carpet_distances_descent(pts):
+    """Carpet distances by descent, one level at a time, over base-3 digits.
+
+    A point in the open unit cube takes the digit ``min(floor(3 y), 2)`` of
+    each coordinate and steps to ``3 y - digit``; it is in a hole when all
+    three digits of a level are 1, at ``(s / 3) min(f, 1 - f)`` from its
+    faces.  Points that find no hole while the side ``s`` is at least
+    2^-52 are on the set.  Outside the cube the distance is the norm of the
+    offset, which squares it: rows far from the cube or within about
+    1e-154 of it are out of range.
+    """
+    pts = np.asarray(pts, dtype=float)
+    out = np.linalg.norm(np.maximum(np.maximum(-pts, pts - 1.0), 0.0), axis=1)
+    idx = np.flatnonzero(((pts > 0.0) & (pts < 1.0)).all(axis=1))
+    y = pts[idx].T.copy()
+    s = 1.0
+    while idx.size and s >= np.finfo(float).eps:
+        y *= 3.0
+        dig = np.floor(y)
+        np.clip(dig, 0.0, 2.0, out=dig)
+        y -= dig
+        hole = (dig[0] == 1.0) & (dig[1] == 1.0) & (dig[2] == 1.0)
+        if hole.any():
+            f = y[:, hole]
+            out[idx[hole]] = (s / 3.0) * np.minimum(f, 1.0 - f).min(axis=0)
+            keep = ~hole
+            idx, y = idx[keep], y[:, keep]
+        s /= 3.0
     return out
 
 

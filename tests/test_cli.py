@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import fractalzeta
 from fractalzeta.cli import ExperimentConfig, TGrid, main
 
 
@@ -17,6 +22,33 @@ def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(base))
     return str(path)
+
+
+README_GASKET = {
+    "set": {"variant": "sierpinski_gasket"},
+    "t_grid": {"min": 1e-2, "max": 1e-1, "count": 8, "log": True},
+    "truncation": 20,
+    "oracle": "grid",
+    "grid_cell": 5e-4,
+    "rel_error_threshold": 0.05,
+}
+
+
+def test_gasket_cli_and_carpet_monte_carlo_leave_scipy_unimported(tmp_path):
+    # only a point set's k-d tree needs scipy, whose import costs more than the rest of the library's
+    config = write_config(tmp_path, **README_GASKET)
+    script = f"""
+import sys
+from fractalzeta import geometry
+from fractalzeta.cli import main
+assert main(["tube-compare", "--config", {config!r}]) == 0
+geometry.tube_volume(geometry.SierpinskiCarpet3D(), 0.05, "monte_carlo", mc_samples=20_000, seed=1)
+print("scipy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(fractalzeta.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_catalog_lists_five_variants(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,7 @@ from fractalzeta.zeta import default_delta
 from references import (
     cantor_segments,
     cantor_volume,
+    carpet_distances_descent,
     carpet_volume,
     fattened_length,
     gasket_distances_descent,
@@ -274,6 +276,116 @@ def test_gasket_distances_equal_the_descent_property(points):
     assert np.array_equal(got.view(np.int64), gasket_distances_descent(pts).view(np.int64))
 
 
+CARPET_KEPT = np.array([d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)], dtype=float)
+
+
+def _carpet_families(rng):
+    """Point families that reach every branch of the carpet distance kernel."""
+    yield "uniform", rng.uniform(-0.1, 1.1, size=(50_000, 3))
+    # chaos game: 40 contractions towards kept subcubes put a point within 3^-40 of the set
+    chaos = rng.uniform(0.0, 1.0, size=(20_000, 3))
+    for _ in range(40):
+        chaos = (chaos + CARPET_KEPT[rng.integers(0, 26, len(chaos))]) / 3.0
+    yield "chaos", chaos
+    for ex in range(-17, -2):
+        yield f"chaos+1e{ex}", chaos[:2_000] + rng.normal(size=(2_000, 3)) * 10.0**ex
+    # coordinates that stay off the lattice, in floats, down to the last level
+    tiny = np.exp(rng.uniform(math.log(1e-300), 0.0, size=(20_000, 3)))
+    yield "tiny", tiny
+    yield "tiny-one-axis", np.concatenate([tiny[:, :1], rng.uniform(0.0, 1.0, size=(20_000, 2))], axis=1)
+    triadic = rng.integers(0, 3**20 + 1, size=(20_000, 3)) / 3.0**20
+    yield "triadic", triadic
+    yield "triadic+1e-17", triadic + 1e-17
+    yield "triadic-1e-17", triadic - 1e-17
+    # one ulp below a digit boundary, where 3 y rounds up to an integer: the step
+    # leaves 0, not a coordinate of 1, since below 1 the product rounds below 3
+    below = np.nextafter(rng.integers(1, 3**12, size=(20_000, 3)) / 3.0**12, 0.0)
+    below[::2, 0] = np.nextafter(1.0, 0.0)
+    yield "below-boundaries", below
+
+
+def test_carpet_distances_equal_the_descent_bit_for_bit():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, pts in _carpet_families(np.random.default_rng(29)):
+            got = distances_to_set(pts, SierpinskiCarpet3D())
+            want = carpet_distances_descent(pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def test_carpet_kernel_branches_are_taken():
+    # the families hold holes found in floats, points that move to the integer
+    # lattice, points still in floats at the last level, and lattice points
+    # that find no hole by then
+    pts = np.concatenate([pts for _, pts in _carpet_families(np.random.default_rng(31))])
+    inside = ((pts > 0.0) & (pts < 1.0)).all(axis=1)
+    y = pts[inside].T.copy()
+    float_holes = lattice_points = 0
+    for k in range(geo._CARPET_LEVELS):
+        on = (y * 2.0**51 == np.floor(y * 2.0**51)).all(axis=0)
+        lattice_points += on.sum()
+        y = y[:, ~on] * 3.0
+        dig = np.floor(y)
+        y -= dig
+        hole = (dig == 1.0).all(axis=0)
+        float_holes += hole.sum()
+        y = y[:, ~hole]
+    assert float_holes > 0 and lattice_points > 0 and y.shape[1] > 0
+    d = distances_to_set(pts, SierpinskiCarpet3D())[inside]
+    assert (d == 0.0).sum() > y.shape[1]
+
+
+# n / 3^k in [0, 1]
+_triadic = st.integers(0, 33).flatmap(lambda k: st.integers(0, 3**k).map(lambda n: n / 3.0**k))
+
+
+# the descent's outside norms underflow within 2^-510 of the cube; the tiny-distance tests cover those
+_carpet_coordinate = st.one_of(
+    st.floats(-0.25, 1.25).filter(lambda x: x >= 0.0 or x <= -(2.0**-510)), _triadic, st.floats(0.0, 1e-10)
+)
+
+
+@given(
+    st.lists(
+        st.tuples(_carpet_coordinate, _carpet_coordinate, _carpet_coordinate),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_carpet_distances_equal_the_descent_property(points):
+    pts = np.array(points, dtype=float)
+    got = distances_to_set(pts, SierpinskiCarpet3D())
+    assert np.array_equal(got.view(np.int64), carpet_distances_descent(pts).view(np.int64))
+
+
+def test_tiny_distances_keep_their_digits():
+    # squared offsets below 2^-1022 used to underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance_to_set([-1e-170, 0.5, 0.5], SierpinskiCarpet3D()) == 1e-170
+        d = distance_to_set([-3e-170, 0.5, -4e-170], SierpinskiCarpet3D())
+        assert d == pytest.approx(math.hypot(3e-170, 4e-170), rel=1e-15)
+
+
+def test_tiny_point_set_distances_keep_their_digits():
+    ps = PointSet([[0.0, 0.0], [1.0, 1.0]])
+    d = distances_to_set([[1e-200, 1e-200], [1e-160, 0.0], [0.0, -1e-300], [0.3, 0.4]], ps)
+    assert d[0] == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert d[1] == 1e-160
+    assert d[2] == 1e-300
+    assert d[3] == 0.5
+
+
+def test_tiny_distances_to_a_one_point_set():
+    assert distances_to_set([[1e-300], [-5e-324], [0.0], [0.25]], PointSet([[0.0]])).tolist() == [
+        1e-300,
+        5e-324,
+        0.0,
+        0.25,
+    ]
+
+
 def test_gasket_distances_of_far_points_take_the_outline_without_warnings():
     # the integer digits of a point far outside the triangle would overflow int64
     pts = np.array([[1e300, -1e300], [5.0, 5.0]])
@@ -428,9 +540,11 @@ def test_gasket_grid_curve_reports_error_bounds():
 
 
 def _reference_distances(pts, set_):
-    """Distances for the grid cross-checks: the gasket's from the level-by-level descent."""
+    """Distances for the grid cross-checks: the gasket's and the carpet's from the level-by-level descents."""
     if isinstance(set_, SierpinskiGasket):
         return gasket_distances_descent(pts)
+    if isinstance(set_, SierpinskiCarpet3D):
+        return carpet_distances_descent(pts)
     return distances_to_set(pts, set_)
 
 
@@ -482,13 +596,14 @@ def test_grid_within_its_error_bound_of_exact(index, u, cells_per_t):
 
 def test_point_set_builds_one_kd_tree(monkeypatch):
     builds = []
-    tree = geo.cKDTree
+    tree = scipy.spatial.cKDTree
 
     def counted(*args, **kwargs):
         builds.append(1)
         return tree(*args, **kwargs)
 
-    monkeypatch.setattr(geo, "cKDTree", counted)
+    # geometry imports the tree class when it builds one
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
     ps = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
     tube_volume(ps, 0.21, method="grid", cell=1e-3)
     assert ps.min_gap == pytest.approx(math.hypot(0.7, 0.2))
@@ -525,7 +640,7 @@ def test_far_points_keep_finite_arithmetic():
         assert d[1] == math.inf
         assert d[2] == pytest.approx(1e300, rel=1e-15)
         assert d[3] == pytest.approx(math.hypot(3e307 + 1e300, 4e307 - 2e300), rel=1e-15)
-        assert np.array_equal(d[4:], geo.cKDTree(np.asarray(ps.points)).query(near)[0])
+        assert np.array_equal(d[4:], scipy.spatial.cKDTree(np.asarray(ps.points)).query(near)[0])
 
 
 def test_grid_blocked_equals_flat_bruteforce():
