@@ -50,6 +50,7 @@ half-width.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -1076,7 +1077,8 @@ def tube_volume(
     N > 1), and
     :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
     for a ``t`` at which the set's bounding box fattened by ``t`` has a
-    volume past the float range, and for ``mc_samples < 1``.
+    volume past the float range, and, for Monte Carlo, for an ``mc_samples``
+    that is not an integer ``>= 1`` (a ``bool`` included).
     """
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
@@ -1113,8 +1115,8 @@ def _measure_tube(
         return TubeSample(t, volume, TubeMethod.GRID_COUNT, error)
 
     if chosen == TubeMethod.MONTE_CARLO:
-        if not (math.isfinite(mc_samples) and mc_samples >= 1):
-            raise ValueError("mc_samples must be at least 1")
+        if isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1):
+            raise ValueError("mc_samples must be an integer >= 1")
         volume, hw = _mc_tube(set_, t, mc_samples, seed)
         return TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw)
 

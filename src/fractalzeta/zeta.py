@@ -22,11 +22,12 @@ All complex powers use the principal branch on positive real bases.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -467,6 +468,8 @@ class NumericZetaConfig:
             raise ValueError("delta must be positive and finite")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
+        if isinstance(self.mc_samples, bool) or not isinstance(self.mc_samples, numbers.Integral):
+            raise ValueError("mc_samples must be an integer")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000 for any reported value")
 
@@ -546,6 +549,12 @@ _MAX_BLOCK = 512
 _PANEL_NODES = 16
 
 
+@cache
+def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[-1, 1]``; shared, not to be written to."""
+    return np.polynomial.legendre.leggauss(_PANEL_NODES)
+
+
 def tube_zeta_numeric(
     set_: CompactSet,
     s: complex,
@@ -559,56 +568,87 @@ def tube_zeta_numeric(
     extend toward ``u -> -inf`` until three in a row are negligible, and
     panel widths halve until two passes agree to ``rtol``.  For sets with
     array-valued exact volumes each :func:`tube_volumes` call covers a
-    block of panels (8, doubling to 512) whose contributions the stop rule
-    then takes one by one, as if panel by panel.
+    block of panels, and the stop rule runs over the whole block with the
+    same additions in the same order as panel by panel.  The first pass
+    takes blocks of 8 panels, doubling to 512.  Every later pass opens
+    with twice the panels the previous pass used, plus 4, in blocks of at
+    most 512, since halving the width moves the stop little in ``u``; past
+    those it doubles from 8 again.  Other sets take one panel per call.
 
     Raises :class:`QuadratureNonconvergent` when passes do not agree or a
     pass reaches ``t = 1e-280`` with its tail still not negligible, which
     is how ``Re s`` at or below the upper box dimension shows, and
-    :class:`ValueError` for non-finite ``s``.
+    :class:`ValueError` for non-finite ``s``, for an ``rtol`` that is not
+    positive and finite, and for a ``max_refinements`` that is not an
+    integer ``>= 0``.
     """
     s = _finite_s(s)
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError("rtol must be positive and finite")
+    if isinstance(max_refinements, bool) or not (
+        isinstance(max_refinements, numbers.Integral) and max_refinements >= 0
+    ):
+        raise ValueError("max_refinements must be an integer >= 0")
     n_dim = set_.ambient_dim
     u_hi = math.log(cfg.delta)
     u_floor = math.log(1e-280)
-    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    x, w = _panel_rule()
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 rtol regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * rtol)
-    # blocks pay off where tube_volumes is array code; elsewhere the panels
-    # past the stop would cost one scalar tube_volume per node
-    first_block, max_block = (_FIRST_BLOCK, _MAX_BLOCK) if set_.array_volumes else (1, 1)
 
-    def integrate(panel_width: float) -> complex:
+    def block_sizes(opening: int):
+        # blocks pay off where tube_volumes is array code; elsewhere the panels
+        # past the stop would cost one scalar tube_volume per node
+        if not set_.array_volumes:
+            yield from itertools.repeat(1)
+        # the previous pass's stop at twice its panels, in blocks of at most the cap
+        while opening > 0:
+            yield min(opening, _MAX_BLOCK)
+            opening -= _MAX_BLOCK
+        block = _FIRST_BLOCK
+        while True:
+            yield block
+            block = min(2 * block, _MAX_BLOCK)
+
+    def integrate(panel_width: float, opening: int) -> tuple[complex, int]:
+        """The pass's value and the number of panels up to its stop."""
         acc = 0.0 + 0.0j
         u_top = u_hi
         quiet = 0
+        used = 0
         tol = tail_tol * panel_width
         panels_left = int(math.ceil(1200.0 / panel_width))
-        block = first_block
+        blocks = block_sizes(opening)
         while panels_left and u_top >= u_floor:
             # edges step down one subtraction at a time, as panel by panel,
             # and stop after the first panel that crosses the floor
-            tops = [u_top]
-            while len(tops) <= min(block, panels_left) and tops[-1] >= u_floor:
-                tops.append(tops[-1] - panel_width)
-            edges = np.array(tops)
+            edges = np.full(min(next(blocks), panels_left) + 1, panel_width)
+            edges[0] = u_top
+            np.subtract.accumulate(edges, out=edges)
+            below = np.flatnonzero(edges < u_floor)
+            if below.size:
+                edges = edges[: below[0] + 1]
             uh = 0.5 * (edges[:-1] - edges[1:])
             u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + uh[:, None] * x
             # libm exp, which numpy's vectorized exp does not match to the last bit
             t = np.fromiter(map(math.exp, u.ravel().tolist()), float, u.size).reshape(u.shape)
             vals = np.exp((s - n_dim) * u) * tube_volumes(set_, t)
-            for contrib in (uh * np.sum(w * vals, axis=1)).tolist():
-                acc += contrib
-                if abs(contrib) <= tol * max(abs(acc), 1e-300):
-                    quiet += 1
-                    if quiet >= 3:
-                        return acc
-                else:
-                    quiet = 0
-            u_top = tops[-1]
-            panels_left -= len(tops) - 1
-            block = min(2 * block, max_block)
+            contrib = uh * np.sum(w * vals, axis=1)
+            # accumulate adds in order: sums[k] is acc += contrib after k panels
+            sums = np.add.accumulate(np.concatenate(([acc], contrib)))
+            loud = ~(np.abs(contrib) <= tol * np.maximum(np.abs(sums[1:]), 1e-300))
+            # quiet panels in a row up to each panel, the run carried in included
+            k = np.arange(1, len(contrib) + 1)
+            run = k - np.maximum.accumulate(np.where(loud, k, -quiet))
+            stop = np.flatnonzero(run >= 3)
+            if stop.size:
+                return complex(sums[stop[0] + 1]), used + int(stop[0]) + 1
+            acc = complex(sums[-1])
+            quiet = int(run[-1])
+            used += len(contrib)
+            panels_left -= len(contrib)
+            u_top = float(edges[-1])
         raise QuadratureNonconvergent(
             f"tube zeta quadrature at s={s} reached t={math.exp(u_top):.3g} without a negligible "
             "tail: Re s is at or below the abscissa of convergence, or rounding in |A_t| dominates"
@@ -617,10 +657,10 @@ def tube_zeta_numeric(
     # halving the panel width (rather than raising the node count) also
     # converges when |A_t| has derivative kinks inside a panel
     width = 2.0
-    prev = integrate(width)
+    prev, used = integrate(width, 0)
     for _ in range(max_refinements):
         width *= 0.5
-        cur = integrate(width)
+        cur, used = integrate(width, 2 * used + 4)
         if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
             return cur
         prev = cur

@@ -821,6 +821,15 @@ def test_monte_carlo_rejects_zero_samples():
         tube_volume(SierpinskiGasket(), 0.05, method="monte_carlo", mc_samples=0)
 
 
+def test_monte_carlo_rejects_non_integer_samples():
+    # True gave a one-sample volume with error_bound = 0.0, and 2e4 a bare TypeError
+    for bad in (True, 2e4, 2e4 + 0.5, math.nan):
+        with pytest.raises(ValueError):
+            tube_volume(SierpinskiGasket(), 0.05, method="monte_carlo", mc_samples=bad)
+    a = tube_volume(SierpinskiGasket(), 0.05, method="monte_carlo", mc_samples=np.int64(2000), seed=3)
+    assert a == tube_volume(SierpinskiGasket(), 0.05, method="monte_carlo", mc_samples=2000, seed=3)
+
+
 # ---------------------------------------------------------------------------
 # array-valued exact tube volumes
 # ---------------------------------------------------------------------------

@@ -179,6 +179,14 @@ def test_config_validation():
         NumericZetaConfig(delta=-1.0, seed=1)
 
 
+def test_config_rejects_non_integer_mc_samples():
+    # 2e4 raised a bare TypeError from range() once sampling started
+    for bad in (2e4, 1e6, True, "20000"):
+        with pytest.raises(ValueError):
+            NumericZetaConfig(delta=1.0, seed=1, mc_samples=bad)
+    assert NumericZetaConfig(delta=1.0, seed=1, mc_samples=np.int64(20_000)).mc_samples == 20_000
+
+
 def test_config_rejects_non_finite_delta_and_bad_seed():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -304,7 +312,22 @@ def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
     raise AssertionError("reference quadrature did not converge")
 
 
-def test_block_quadrature_equals_panel_loop():
+def _spy_block_sizes(monkeypatch) -> list:
+    """Record the panels (rows of radii) of each tube_volumes call the quadrature makes."""
+    from fractalzeta import zeta
+    from fractalzeta.geometry import tube_volumes
+
+    sizes = []
+
+    def spy(set_, ts):
+        sizes.append(ts.shape[0])
+        return tube_volumes(set_, ts)
+
+    monkeypatch.setattr(zeta, "tube_volumes", spy)
+    return sizes
+
+
+def test_block_quadrature_equals_panel_loop(monkeypatch):
     # at these s, node radii from numpy's exp in place of libm's change the last bit
     for set_, s in [
         (CantorLike(), 1.29 - 5.6j),
@@ -315,6 +338,21 @@ def test_block_quadrature_equals_panel_loop():
     ]:
         cfg = cfg_for(set_)
         assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+    # the first pass takes blocks of 8, 16, ... panels; each later pass opens
+    # with one block of 2 * (panels the pass before used) + 4, then doubles from 8
+    sizes = _spy_block_sizes(monkeypatch)
+    for set_, s, blocks in [
+        # the second pass (width 1) stops past its 138 = 2 * 67 + 4 panels
+        (PointSet([[0.2]]), 0.15 + 3.0j, [8, 16, 32, 64, 138, 8]),
+        # the second pass stops at panel 16 of its 24, so the third opens with 36
+        (SierpinskiCarpet3D(), 4.466 + 18.0j, [8, 16, 24, 36]),
+        # a point in the plane has no array volumes: one panel per call
+        (PointSet([[0.0, 0.0]]), 0.3 + 3.0j, [1] * 110),
+    ]:
+        sizes.clear()
+        cfg = cfg_for(set_)
+        assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+        assert sizes == blocks
 
 
 def test_quadrature_below_abscissa_raises():
@@ -323,6 +361,31 @@ def test_quadrature_below_abscissa_raises():
 
     with pytest.raises(QuadratureNonconvergent):
         tube_zeta_numeric(CantorLike(), 0.3 + 1.0j, NumericZetaConfig(delta=0.5, seed=1))
+
+
+def test_quadrature_crossing_the_floor_mid_block_raises(monkeypatch):
+    # the first pass's 323rd panel of width 2 below t = 0.5 crosses t = 1e-280:
+    # 248 panels in blocks of 8 to 128, then 75 of the next block of 256
+    from fractalzeta.errors import QuadratureNonconvergent
+
+    sizes = _spy_block_sizes(monkeypatch)
+    with pytest.raises(QuadratureNonconvergent):
+        tube_zeta_numeric(CantorLike(), 0.3 + 1.0j, NumericZetaConfig(delta=0.5, seed=1))
+    assert sizes == [8, 16, 32, 64, 128, 75]
+
+
+def test_tube_zeta_rejects_bad_rtol_and_refinement_count():
+    # rtol = nan, 0 or -1 ran every pass to the t = 1e-280 floor and then
+    # raised QuadratureNonconvergent
+    c = CantorLike()
+    cfg = cfg_for(c, delta=0.5)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            tube_zeta_numeric(c, 1.4 + 0.3j, cfg, rtol=bad)
+    for bad in (-1, 1.5, 2.0, True, None):
+        with pytest.raises(ValueError):
+            tube_zeta_numeric(c, 1.4 + 0.3j, cfg, max_refinements=bad)
+    assert tube_zeta_numeric(c, 1.4 + 0.3j, cfg, max_refinements=np.int64(9)) == tube_zeta_numeric(c, 1.4 + 0.3j, cfg)
 
 
 def test_non_finite_s_is_rejected_up_front():
