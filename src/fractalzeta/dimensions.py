@@ -136,15 +136,12 @@ def residue_contour(
     radius: Optional[float] = None,
     *,
     known_poles: Sequence[complex] = (),
-    nodes: int = 256,
-    tol: float = 1e-10,
-    max_nodes: int = 4096,
 ) -> complex:
     """Residue at ``omega`` by trapezoidal circle quadrature.
 
     The radius defaults to half the distance to the nearest other known
-    pole, capped at 0.1.  The node count doubles until the value is stable
-    to ``tol``; persistent drift raises :class:`ContourContaminated`
+    pole, capped at 0.1.  The node count doubles from 256 until the value
+    is stable to 1e-10; drift up to 4096 nodes raises :class:`ContourContaminated`
     (another singularity inside or on the contour).
     """
     omega = complex(omega)
@@ -155,12 +152,12 @@ def residue_contour(
     if radius <= 0:
         raise ValueError("contour radius must be positive")
 
-    prev = _circle_coefficients(f, omega, radius, 1, nodes)[0]
-    n = nodes
-    while n < max_nodes:
+    prev = _circle_coefficients(f, omega, radius, 1, 256)[0]
+    n = 256
+    while n < 4096:
         n *= 2
         cur = _circle_coefficients(f, omega, radius, 1, n)[0]
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise ContourContaminated(
@@ -318,8 +315,6 @@ def find_poles_argument_principle(
     rect: tuple[float, float, float, float],
     tol: float = 1e-9,
     *,
-    max_order: int = 3,
-    initial_cell: float = 1.0,
     moment_floor: Optional[float] = None,
 ) -> list[Pole]:
     """Locate the poles of a meromorphic function inside an axis rectangle.
@@ -330,29 +325,28 @@ def find_poles_argument_principle(
     in the count (zeta functions grow such zeros near every lattice pole)
     and localizes lone poles for Newton refinement on ``1/f``.  Cells are
     subdivided with irrational split fractions so singularities stay off
-    shared edges.  A level's cells are walked together, each walk stopping
-    once its moment or that moment's Richardson extrapolation is stable.
+    shared edges, and until they fit in a unit square.  A level's cells are
+    walked together, each stopping once its moment or that moment's
+    Richardson extrapolation is stable.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
     :class:`BoundaryPole` when a singularity obstructs the outer boundary
     walk and :class:`NonIsolable` when subdivision stalls or an order
-    exceeds ``max_order``; :class:`ValueError` for a non-finite or empty
-    ``rect``, a ``tol``, ``initial_cell`` or ``moment_floor`` that is not
-    positive and finite, ``max_order < 1``, or over 10^5 initial cells.
+    exceeds 3; :class:`ValueError` for a non-finite or empty ``rect``, a
+    ``tol`` or ``moment_floor`` that is not positive and finite, or a
+    ``rect`` of over 10^5 unit cells.
     """
     re_lo, re_hi, im_lo, im_hi = map(float, rect)
     if not (all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))) and re_lo < re_hi and im_lo < im_hi):
         raise ValueError(f"rect {rect} must be finite with re_lo < re_hi and im_lo < im_hi")
     if moment_floor is None:
         moment_floor = max(1e-4, 64.0 * tol)
-    for name, value in (("tol", tol), ("initial_cell", initial_cell), ("moment_floor", moment_floor)):
+    for name, value in (("tol", tol), ("moment_floor", moment_floor)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not max_order >= 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
-    if (re_hi - re_lo) * (im_hi - im_lo) > 1e5 * initial_cell**2:  # a level's cells are listed at once
-        raise ValueError(f"initial_cell {initial_cell} would split rect {rect} into over 10^5 cells")
+    if (re_hi - re_lo) * (im_hi - im_lo) > 1e5:  # a level's cells are listed at once
+        raise ValueError(f"rect {rect} would split into over 10^5 unit cells")
     f = _vectorized(evaluator)
     fprime = (lambda s: complex(evaluator.derivative(s))) if isinstance(
         evaluator, ClosedFormZeta
@@ -378,8 +372,8 @@ def find_poles_argument_principle(
     depth = 0
     while cells:
         # one level at a time; children of its cells form the next level
-        walk = [cell for cell in cells if extent(cell) <= initial_cell]
-        below = [sc for cell in cells if extent(cell) > initial_cell for sc in split(cell, depth)]
+        walk = [cell for cell in cells if extent(cell) <= 1.0]
+        below = [sc for cell in cells if extent(cell) > 1.0 for sc in split(cell, depth)]
         walks = []
         for k in range(0, len(walk), 256):  # batches of 256 cells bound the samples held at once
             walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in walk[k : k + 256]], moment_floor)
@@ -435,8 +429,8 @@ def find_poles_argument_principle(
                     below.extend(split(cell, depth))
                     continue
                 raise NonIsolable(f"could not isolate the pole content of cell {cell}")
-            if order > max_order:
-                raise NonIsolable(f"pole at {loc} has order {order} > max_order={max_order}")
+            if order > 3:
+                raise NonIsolable(f"pole at {loc} has order {order} > 3")
             found.append((loc, order))
         cells = below
         depth += 1
@@ -498,16 +492,16 @@ def languidity_probe(
     evaluator: Evaluator,
     screen_abscissa: float,
     heights: Sequence[float],
-    pole_locations: Optional[Sequence[complex]] = None,
 ) -> LanguidityEstimate:
     """Least-squares growth exponent of ``|zeta|`` along a vertical line.
 
     Fits ``log |zeta(sigma + i T)|`` against ``log T`` over the given
     heights (at least 8, spanning at least two decades); the slope
-    estimates the languidity exponent kappa.  Heights within 1 of a pole
-    ordinate whose pole is near the line are skipped; a sample within
-    1e-3 of a pole raises :class:`PoleOnLine`.  Raises :class:`ValueError`
-    for a non-finite abscissa or height.
+    estimates the languidity exponent kappa.  For a closed form, heights
+    within 1 of the ordinate of a pole near the line are skipped and a
+    sample within 1e-3 of a pole raises :class:`PoleOnLine`; a black box
+    has no poles listed.  Raises :class:`ValueError` for a non-finite
+    abscissa or height.
     """
     if not math.isfinite(screen_abscissa):
         raise ValueError(f"screen abscissa must be finite, got {screen_abscissa}")
@@ -519,10 +513,9 @@ def languidity_probe(
     if hs[-1] / hs[0] < 100.0:
         raise ValueError("heights must span at least two decades")
 
-    if pole_locations is None and isinstance(evaluator, ClosedFormZeta):
-        band = hs[-1] + 1.0
-        pole_locations = [w for w, _ in evaluator.poles(band)]
-    pole_locations = list(pole_locations or [])
+    pole_locations = []
+    if isinstance(evaluator, ClosedFormZeta):
+        pole_locations = [w for w, _ in evaluator.poles(hs[-1] + 1.0)]
 
     f = _vectorized(evaluator)
     used: list[float] = []
@@ -546,13 +539,13 @@ def languidity_probe(
     )
 
 
-def conjugate_closed(poles: Sequence[Pole], tol: float = 1e-9) -> bool:
-    """Whether every nonreal pole has its conjugate with conjugated residue."""
+def conjugate_closed(poles: Sequence[Pole]) -> bool:
+    """Whether every nonreal pole has its conjugate (within 1e-9) with conjugated residue."""
     for p in poles:
-        if abs(p.location.imag) <= tol:
+        if abs(p.location.imag) <= 1e-9:
             continue
         target = p.location.conjugate()
-        match = [q for q in poles if abs(q.location - target) <= tol]
+        match = [q for q in poles if abs(q.location - target) <= 1e-9]
         if not match:
             return False
         q = match[0]

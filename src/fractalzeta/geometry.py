@@ -24,10 +24,10 @@ digits finds that hole.  For the gasket that pass is a closed form in bit
 operations on the digits, with the same number of array passes at any depth;
 for the carpet it steps in floats only until a point's coordinates are
 multiples of ``2^-51``, and then six ternary levels per int64 pass.
-Distances to a fractal string come from a table of its levels, down to
-where its points are denser than the floats; a multiplicity-1 string too
-close to base 1 to list its levels finds each query's level from a
-logarithm.
+Distances to a fractal string come from rows of its points, down to where
+they are denser than the floats; a self-similar string finds each query's
+level from a logarithm, which may miss one for ``base / multiplicity <=
+1 + 1e-12``.  A Cantor-set descent stops at a gap or below a point's ulp.
 
 Where the geometry allows it the tube volume is computed exactly:
 
@@ -119,9 +119,6 @@ class CompactSet:
 
     def auto_method(self, t: float) -> TubeMethod:
         return self.exact_kind
-
-    def exact_tube(self, t: float) -> TubeSample:
-        return TubeSample(t, float(self.exact_volumes(np.array([t]))[0]), self.exact_kind)
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -319,31 +316,38 @@ class CantorLike(CompactSet):
         return self.scale
 
     def distances(self, pts: np.ndarray) -> np.ndarray:
+        """Distance to the nearer end of the middle gap holding each point, by descent.
+
+        A point in no gap down to an interval shorter than its ulp takes the
+        distance to the nearer end of that interval.
+        """
         ratio, scale = self.ratio, self.scale
         x = pts[:, 0]
         out = np.maximum(np.maximum(-x, x - scale), 0.0)
         inside = (x > 0.0) & (x < scale)
         xi = x[inside]
-        res = np.full(xi.shape, np.inf)
+        res = np.empty(xi.shape)
         idx = np.arange(xi.size)
         a = np.zeros(xi.size)
         L = scale
-        for _ in range(256):
-            if idx.size == 0 or L < 1e-18 * scale:
-                break
+        # no point inside has a wider ulp than scale
+        ulp_top = float(np.spacing(scale))
+        while idx.size:
             xa = xi[idx]
+            if L < ulp_top:
+                fine = L < np.spacing(xa)
+                # rounding may leave a point just past the end a + L
+                res[idx[fine]] = np.minimum(xa[fine] - a[fine], np.abs(a[fine] + L - xa[fine]))
+                keep = ~fine
+                xa, a, idx = xa[keep], a[keep], idx[keep]
             g1 = a + ratio * L
             g2 = a + (1.0 - ratio) * L
             in_gap = (xa >= g1) & (xa <= g2)
             res[idx[in_gap]] = np.minimum(xa[in_gap] - g1[in_gap], g2[in_gap] - xa[in_gap])
             stay = ~in_gap
-            right = xa > g2
-            a = np.where(right, g2, a)[stay]
+            a = np.where(xa > g2, g2, a)[stay]
             idx = idx[stay]
             L *= ratio
-        if idx.size:
-            xa = xi[idx]
-            res[idx] = np.minimum(xa - a, a + L - xa)
         out[inside] = res
         return out
 
@@ -452,7 +456,7 @@ class FractalStringBoundary(CompactSet):
 
     @cached_property
     def _end(self) -> int:
-        """The level where the table ends, the first whose floats lose digits.
+        """The level where the level rows end, the first whose floats lose digits.
 
         That is, the first spaced below an ulp of its anchor, or whose length
         or ``base**-n`` falls below ``2^-1022``.  All of these fall with ``n``
@@ -485,33 +489,27 @@ class FractalStringBoundary(CompactSet):
         return anchors, self.scale * _libm_pow(b, -ns.astype(float)), np.minimum(k, 1.0), _libm_pow(float(m), k)
 
     @cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
-        """Rows ``(anchor, length, i_lo, i_hi)`` of all points or levels, ascending in anchor, and the floor top.
+    def _floor_top(self) -> float:
+        """Top of the floor segment below the level rows, whose points are denser than the floats."""
+        return self.level_tail(self._end - 1)
 
-        An explicit string has a row per point.  Level ``n`` of a self-similar
-        one is anchored at ``level_tail(n - 1)``, about ``n`` ulps off from the
-        rounding of ``(m / b)**n``; below the levels that end at ``_end``
-        lies the floor segment ``[0, level_tail(_end - 1)]``, whose points are
-        spaced below an ulp of it or ``2^-1022 max(1, scale)``.
-        """
-        if not self.is_self_similar:
-            ls = np.asarray(self.lengths)
-            a = self.total_length - np.concatenate([[0.0], np.cumsum(ls[:-1])])
-            return a[::-1], ls[::-1], np.zeros(a.size), np.zeros(a.size), 0.0
-        return (*self._rows(np.arange(self._end - 1, 0, -1)), self.level_tail(self._end - 1))
+    @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+        """Rows ``(anchor, length, 0, 0)`` of an explicit string's points, ascending, and the floor top 0."""
+        ls = np.asarray(self.lengths)
+        a = self.total_length - np.concatenate([[0.0], np.cumsum(ls[:-1])])
+        return a[::-1], ls[::-1], np.zeros(a.size), np.zeros(a.size), 0.0
 
     def _levels_near(self, x: np.ndarray) -> np.ndarray:
-        """The levels within two of those holding ``x``, descending, for multiplicity 1.
+        """The levels within two of those holding ``x``, descending, for a self-similar string.
 
-        Such a string has about ``709 / log(base)`` levels of one point each,
-        but level ``n`` is anchored at ``scale base^(1-n) / (base - 1)``, so
-        ``n`` follows from a logarithm.  Its rounding, up to
-        ``1e-13 / log(base)`` levels, stays below one level for
-        ``base > 1 + 1e-12``.
+        Level ``n`` is anchored at ``scale (m / b)^(n-1) / (b - m)``, about ``n``
+        ulps off, so ``n`` follows from a logarithm.  Its rounding, up to
+        ``1e-13 / log(b / m)`` levels, stays below one for ``b / m > 1 + 1e-12``.
         """
-        b, end = self.base, self._end
-        u = np.log(np.clip(x, 2.0**-1074, self.total_length)) + (math.log(b - 1.0) - math.log(self.scale))
-        n = np.clip(np.floor(u / math.log(1.0 / b)), 0.0, end).astype(np.int64) + 1
+        b, m, end = self.base, self.multiplicity, self._end
+        u = np.log(np.clip(x, 2.0**-1074, self.total_length)) + (math.log(b - m) - math.log(self.scale))
+        n = np.clip(np.floor(u / math.log(m / b)), 0.0, end).astype(np.int64) + 1
         # sorted and deduplicated by hand: np.unique hashes, many times slower on int64
         ns = _distinct(np.sort((_distinct(np.sort(n))[:, None] + np.arange(-2, 3)).ravel()))
         return ns[(ns >= 1) & (ns < end)][::-1]
@@ -521,14 +519,14 @@ class FractalStringBoundary(CompactSet):
 
         The candidates are its two points around ``floor((anchor - x) / length)``,
         the nearest points of the rows on either side and the floor segment.
-        A string of more than ``_STRING_ROWS`` levels (multiplicity 1 with
-        ``base < 1.011``) takes the rows near each chunk of queries instead.
+        An explicit string has one row per point; a self-similar string
+        builds only the level rows near each chunk of ``_STRING_CHUNK``
+        (65,536) queries.
         """
         x = pts[:, 0]
-        if not self.is_self_similar or self._end <= _STRING_ROWS:
+        if not self.is_self_similar:
             return _row_distances(x, *self._levels)
-        floor = self.level_tail(self._end - 1)
-        chunks = np.split(x, range(_STRING_ROWS, x.size, _STRING_ROWS))
+        chunks, floor = np.split(x, range(_STRING_CHUNK, x.size, _STRING_CHUNK)), self._floor_top
         return np.concatenate([_row_distances(c, *self._rows(self._levels_near(c)), floor) for c in chunks])
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
@@ -843,9 +841,9 @@ def distances_to_set(points, set_: CompactSet) -> np.ndarray:
 
     Exact to rounding except where the floats run out: a string's floor
     segment stands in for points spaced below an ulp or
-    ``2^-1022 max(1, scale)``; a multiplicity-1 string with
-    ``base <= 1 + 1e-12`` may miss a level.  A distance past the float
-    range is ``inf``.
+    ``2^-1022 max(1, scale)``, a Cantor interval below a point's ulp for
+    its points; a self-similar string with ``base / multiplicity <= 1 +
+    1e-12`` may miss a level.  A distance past the float range is ``inf``.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != set_.ambient_dim:
@@ -921,11 +919,11 @@ def _libm_pow(a, p) -> np.ndarray:
 
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct values of a sorted array."""
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+    return a[np.concatenate((a[:1] == a[:1], a[1:] != a[:-1]))]
 
 
-# Levels of a string's cached distance table, and queries per chunk beyond it.
-_STRING_ROWS = 1 << 16
+# Queries per chunk of a self-similar string's distances, whose level rows are built per chunk.
+_STRING_CHUNK = 1 << 16
 
 
 def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
@@ -950,9 +948,11 @@ def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
 
 # Blocks per refinement chunk: the distances and children of one chunk stay in cache.
 _GRID_CHUNK = 1 << 14
+# Blocks the grid refinement may visit over all its levels before it gives up.
+_GRID_BUDGET = 8_000_000
 
 
-def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000_000):
+def _grid_tube(set_: CompactSet, t: float, cell: float):
     """Flat grid count (centers within distance t), by level-synchronous refinement.
 
     The cell lattice, padded to a power of two, is refined as a quadtree (2D)
@@ -965,7 +965,7 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     result is the flat count exactly, at a cost proportional to the boundary.
     A level is classified and split in chunks of ``_GRID_CHUNK`` blocks, whose
     centres, distances and children fit in cache, and its children are
-    joined once; ``budget_rows`` counts the blocks of whole levels.
+    joined once; ``_GRID_BUDGET`` counts the blocks of whole levels.
     """
     n_dim = set_.ambient_dim
     lo, hi = bounding_box(set_)
@@ -984,9 +984,9 @@ def _grid_tube(set_: CompactSet, t: float, cell: float, budget_rows: int = 8_000
     rows_seen = 0
     while blo.shape[1]:
         rows_seen += blo.shape[1]
-        if rows_seen > budget_rows:
+        if rows_seen > _GRID_BUDGET:
             raise ResolutionTooCoarse(
-                f"grid refinement exceeded the {budget_rows} block budget at cell={cell}"
+                f"grid refinement exceeded the {_GRID_BUDGET} block budget at cell={cell}"
             )
         rc = 0.5 * (side - 1) * cell * math.sqrt(n_dim)
         offsets = (side // 2) * corners
@@ -1060,7 +1060,6 @@ def tube_volume(
     cell: Optional[float] = None,
     mc_samples: int = 200_000,
     seed: int = 0,
-    budget_rows: int = 8_000_000,
 ) -> TubeSample:
     """Measure the tube volume ``|A_t|``.
 
@@ -1071,11 +1070,10 @@ def tube_volume(
 
     Exact volumes run the array code of :func:`tube_volumes` on ``[t]``.
 
-    Raises :class:`ResolutionTooCoarse` when the grid refinement cannot
-    finish within its block budget, :class:`FractalZetaError` for an exact
-    volume the set does not have (point-set balls that overlap in R^N,
-    N > 1), and
-    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
+    Raises :class:`ResolutionTooCoarse` when the grid refinement visits
+    over ``_GRID_BUDGET`` (8,000,000) blocks, :class:`FractalZetaError` for
+    an exact volume the set does not have (point-set balls that overlap in
+    R^N, N > 1), and :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
     for a ``t`` at which the set's bounding box fattened by ``t`` has a
     volume past the float range, and, for Monte Carlo, for an ``mc_samples``
     that is not an integer ``>= 1`` (a ``bool`` included).
@@ -1087,7 +1085,7 @@ def tube_volume(
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
     chosen = set_.auto_method(t) if req is None else req
-    return _measure_tube(set_, t, chosen, cell, mc_samples, seed, budget_rows)
+    return _measure_tube(set_, t, chosen, cell, mc_samples, seed)
 
 
 def _check_fattened_box(set_: CompactSet, t: float) -> None:
@@ -1097,12 +1095,10 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
         raise ValueError(f"t = {t!r} is too large: the fattened bounding box has no float volume")
 
 
-def _measure_tube(
-    set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0, budget_rows=8_000_000
-) -> TubeSample:
+def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0) -> TubeSample:
     """:func:`tube_volume` by a resolved method, for a radius already checked."""
     if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):
-        return set_.exact_tube(t)
+        return TubeSample(t, float(set_.exact_volumes(np.array([t]))[0]), set_.exact_kind)
 
     if chosen == TubeMethod.GRID_COUNT:
         if set_.ambient_dim > 3:
@@ -1111,7 +1107,7 @@ def _measure_tube(
             cell = t / 64.0
         elif not (math.isfinite(cell) and cell > 0):
             raise ValueError("cell must be positive and finite")
-        volume, error = _grid_tube(set_, t, cell, budget_rows=budget_rows)
+        volume, error = _grid_tube(set_, t, cell)
         return TubeSample(t, volume, TubeMethod.GRID_COUNT, error)
 
     if chosen == TubeMethod.MONTE_CARLO:

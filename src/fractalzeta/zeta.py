@@ -27,7 +27,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -216,21 +216,14 @@ class ClosedFormZeta:
         pairs = [(w, self._genuine_residue(w)) for w in uniq]
         return [(w, res) for w, res in pairs if res is not None]
 
-    def residue_at(self, omega: complex, tol: float = 1e-9) -> complex:
-        """Residue at a candidate pole by term-wise simple-pole algebra.
-
-        Raises :class:`NotAPole` if ``omega`` is not within ``tol`` of any
-        structural pole candidate.  A zero return value means the candidate
-        cancels between terms and is a removable point.
-        """
+    def _term_residues(self, omega: complex) -> list:
+        """Residues of the terms with a pole candidate within 1e-9 of ``omega``; :class:`NotAPole` if none."""
         omega = complex(omega)
-        res = 0.0 + 0.0j
-        matched = False
+        parts = []
         for term in self.lattice_terms:
             m_r = term.lattice
             for rho in term.roots:
-                if abs(omega - rho) <= tol:
-                    matched = True
+                if abs(omega - rho) <= 1e-9:
                     qprime = 1.0
                     for other in term.roots:
                         if other != rho:
@@ -239,42 +232,46 @@ class ClosedFormZeta:
                     if m_r is not None:
                         m, r = m_r
                         den *= m**rho - r
-                    res += term.amplitude * term.base_scale ** (-rho) / den
+                    parts.append(term.amplitude * term.base_scale ** (-rho) / den)
             if m_r is not None:
                 m, r = m_r
                 k = round(omega.imag / term.period)
                 wk = term.lattice_pole(k)
-                if abs(omega - wk) <= tol:
-                    matched = True
+                if abs(omega - wk) <= 1e-9:
                     q = 1.0 + 0.0j
                     for rho in term.roots:
                         q *= wk - rho
-                    res += (
+                    parts.append(
                         term.amplitude
                         * np.exp(-wk * math.log(term.base_scale))
                         / (q * math.log(m) * r)
                     )
         for term in self.elementary_terms:
-            if abs(omega - term.pole) <= tol:
-                matched = True
-                res += term.coefficient * self.delta ** (term.pole - term.shift)
-        if not matched:
+            if abs(omega - term.pole) <= 1e-9:
+                parts.append(term.coefficient * self.delta ** (term.pole - term.shift))
+        if not parts:
             raise NotAPole(f"{omega} is not a pole candidate of this closed form")
-        return complex(res)
+        return parts
 
-    @cached_property
-    def _residue_scale(self) -> float:
-        mags = [abs(t.amplitude) for t in self.lattice_terms]
-        return max([1.0] + mags + [abs(t.coefficient) for t in self.elementary_terms])
+    def residue_at(self, omega: complex) -> complex:
+        """Residue at a candidate pole, the sum of the term residues there.
+
+        Raises :class:`NotAPole` if ``omega`` is not within 1e-9 of any
+        structural pole candidate.  A zero return value means the candidate
+        cancels between terms and is a removable point.
+        """
+        return complex(sum(self._term_residues(omega), 0.0 + 0.0j))
 
     def _genuine_residue(self, omega: complex) -> Optional[complex]:
         """Residue at a pole candidate, or None at a removable point.
 
-        A point is removable when its residue is at most 1e-11 of the largest
-        term amplitude (or 1).  Raises :class:`NotAPole` as :meth:`residue_at`.
+        A point is removable when its term residues cancel to at most 1e-11
+        of their magnitudes' sum, a rule that scaling the set leaves alone.
+        Raises :class:`NotAPole` as :meth:`residue_at`.
         """
-        res = self.residue_at(omega)
-        return res if abs(res) > 1e-11 * self._residue_scale else None
+        parts = self._term_residues(omega)
+        res = complex(sum(parts, 0.0 + 0.0j))
+        return res if abs(res) > 1e-11 * sum(map(abs, parts)) else None
 
     def poles(self, imag_band: float) -> list[tuple[complex, complex]]:
         """(location, residue) of the genuine poles with ``|Im| <= imag_band``.
@@ -575,6 +572,9 @@ def tube_zeta_numeric(
     most 512, since halving the width moves the stop little in ``u``; past
     those it doubles from 8 again.  Other sets take one panel per call.
 
+    Where ``exp((s - N) u)`` overflows the product is ``exp((s - N) u + ln
+    |A_t|)``; where ``|A_t|`` underflowed to 0 it is unknown (NaN).
+
     Raises :class:`QuadratureNonconvergent` when passes do not agree or a
     pass reaches ``t = 1e-280`` with its tail still not negligible, which
     is how ``Re s`` at or below the upper box dimension shows, and
@@ -633,7 +633,15 @@ def tube_zeta_numeric(
             u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + uh[:, None] * x
             # libm exp, which numpy's vectorized exp does not match to the last bit
             t = np.fromiter(map(math.exp, u.ravel().tolist()), float, u.size).reshape(u.shape)
-            vals = np.exp((s - n_dim) * u) * tube_volumes(set_, t)
+            vol = tube_volumes(set_, t)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                vals = np.exp((s - n_dim) * u) * vol
+                bad = ~np.isfinite(vals)
+                if bad.any():
+                    # join the exponents; a product of an underflowed |A_t| or past the float range is
+                    # unknown: NaN keeps this panel and every later one loud, so the pass ends at the floor
+                    joined = np.exp((s - n_dim) * u[bad] + np.log(vol[bad]))
+                    vals[bad] = np.where((vol[bad] > 0.0) & np.isfinite(joined), joined, np.nan)
             contrib = uh * np.sum(w * vals, axis=1)
             # accumulate adds in order: sums[k] is acc += contrib after k panels
             sums = np.add.accumulate(np.concatenate(([acc], contrib)))

@@ -182,14 +182,11 @@ class _PointBudget:
         ((-0.5, 1.0, -3.0, 3.0), {"tol": math.inf}),
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": math.nan}),  # split every cell forever
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": -1e-6}),
-        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": 0.0}),
-        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": math.nan}),
-        ((-0.5, 1.0, -3.0, 3.0), {"initial_cell": 9e-3}),  # over 10^5 cells in one level
-        ((-0.5, 1.0, -3.0, 3.0), {"max_order": 0}),
+        ((-0.5, 1000.0, -50.0, 50.0), {}),  # over 10^5 unit cells in one level
     ],
     ids=[
         "reversed_re", "reversed_im", "empty_im", "nan_re", "inf_im", "tol_0", "tol_nan", "tol_inf",
-        "floor_nan", "floor_negative", "cell_0", "cell_nan", "cell_count", "max_order_0",
+        "floor_nan", "floor_negative", "cell_count",
     ],
 )
 def test_find_poles_rejects_bad_input(rect, kwargs):
@@ -421,7 +418,7 @@ def test_languidity_carpet():
 
 
 def test_languidity_constant_function():
-    est = languidity_probe(lambda s: 1.0 + 0.0j, 1.0, HEIGHTS, pole_locations=[])
+    est = languidity_probe(lambda s: 1.0 + 0.0j, 1.0, HEIGHTS)
     assert abs(est.kappa) < 1e-12
     assert est.constant == pytest.approx(1.0)
 

@@ -107,6 +107,50 @@ def test_cantor_distance_against_materialized_endpoints():
     assert np.all(d_brute - d_exact <= 3.0**-10 + 1e-12)
 
 
+def _cantor_distance_exact(x, ratio):
+    """Distance from ``x`` in (0, 1) to ``CantorLike(ratio)`` in exact integers.
+
+    With ``ratio = n / 2^e`` and ``x = X / 2^f``, the level-``k`` interval is
+    ``[A, A + n^k] / 2^(e k)``.  The descent stops in a gap, exact there, or in
+    an interval below ``ulp(x) / 256``, whose nearer end is within that of the
+    distance.
+    """
+    n, den = ratio.as_integer_ratio()
+    e = den.bit_length() - 1
+    X, xden = x.as_integer_ratio()
+    f = xden.bit_length() - 1
+    g = math.ulp(x).as_integer_ratio()[1].bit_length() - 1
+    A, N, k = 0, 1, 0
+    while (N << (8 + g)) >= (1 << (e * k)):
+        # the ends of the middle gap over 2^(e (k + 1)), and x over 2^(e (k + 1) + f)
+        A, k = A << e, k + 1
+        g1, g2, xs = (A + n * N) << f, (A + (den - n) * N) << f, X << (e * k)
+        if g1 <= xs <= g2:
+            return Fraction(min(xs - g1, g2 - xs), 1 << (e * k + f))
+        if xs > g2:
+            A = g2 >> f
+        N *= n
+    xs, lo, hi = X << (e * k), A << f, (A + N) << f
+    return Fraction(min(xs - lo, hi - xs), 1 << (e * k + f))
+
+
+@pytest.mark.parametrize("ratio", [1.0 / 3.0, 0.1, 0.4999])
+def test_cantor_distances_near_0_match_exact_integers(ratio):
+    # the descent stopped every point at intervals below 1e-18 and returned x itself below them
+    xs = [1e-25, 2e-25, 5e-30, 1e-300, 5e-324]
+    got = distances_to_set(np.array(xs)[:, None], CantorLike(ratio))
+    for x, d in zip(xs, got.tolist()):
+        want = float(_cantor_distance_exact(x, ratio))
+        # a gap end near x is placed to the rounding of its float position, an ulp of x or so
+        assert 0.0 <= d and abs(d - want) <= 1e-12 * want + 4.0 * math.ulp(x), (x, d, want)
+        if ratio == 1.0 / 3.0:
+            # these gaps are wide against an ulp of x
+            assert abs(d - want) <= 1e-12 * want, (x, d, want)
+    x = np.geomspace(5e-324, 1e-3, 400)
+    d = distances_to_set(x[:, None], CantorLike(ratio))
+    assert (d >= 0.0).all() and (d <= x).all()
+
+
 def test_gasket_distance_against_subdivision_vertices():
     tris = [(0.0, 0.0)]
     s = 1.0
@@ -760,12 +804,14 @@ def test_grid_pinned_on_readme_gasket_grid():
     [(SierpinskiGasket(), 0.0268, 5e-4, 69_797), (SierpinskiCarpet3D(), 0.05, 0.021, 59_778)],
     ids=["gasket", "carpet"],
 )
-def test_grid_budget_counts_whole_levels(set_, t, cell, rows):
+def test_grid_budget_counts_whole_levels(set_, t, cell, rows, monkeypatch):
     # levels of more than one refinement chunk; the budget is the exact block count
     assert rows > geo._GRID_CHUNK
-    tube_volume(set_, t, method="grid", cell=cell, budget_rows=rows)
+    monkeypatch.setattr(geo, "_GRID_BUDGET", rows)
+    tube_volume(set_, t, method="grid", cell=cell)
+    monkeypatch.setattr(geo, "_GRID_BUDGET", rows - 1)
     with pytest.raises(ResolutionTooCoarse):
-        tube_volume(set_, t, method="grid", cell=cell, budget_rows=rows - 1)
+        tube_volume(set_, t, method="grid", cell=cell)
 
 
 def test_grid_lattice_past_int64_raises():
@@ -774,9 +820,10 @@ def test_grid_lattice_past_int64_raises():
         tube_volume(CantorLike(), 0.1, method="grid", cell=1e-19)
 
 
-def test_grid_budget_raises():
+def test_grid_budget_raises(monkeypatch):
+    monkeypatch.setattr(geo, "_GRID_BUDGET", 500)
     with pytest.raises(ResolutionTooCoarse):
-        tube_volume(SierpinskiGasket(), 0.05, method="grid", cell=1e-4, budget_rows=500)
+        tube_volume(SierpinskiGasket(), 0.05, method="grid", cell=1e-4)
 
 
 def test_mc_deterministic_for_seed():
@@ -1179,12 +1226,22 @@ def test_string_mc_matches_exact_where_the_old_segment_stood():
     assert 0.0 < distance_to_set([85.0], s) < 1e-10
 
 
-@pytest.mark.parametrize("base, scale", [(1.01, 1.0), (1.01, 1e200), (1.002, 1e-200)])
-def test_string_levels_near_the_queries_equal_the_whole_table(base, scale):
-    # 71k-124k levels, past the cached table's size: the rows near the
-    # queries give the bits of the table of every level
-    s = FractalStringBoundary(base=base, multiplicity=1, scale=scale)
-    assert s._end > geo._STRING_ROWS
+@pytest.mark.parametrize(
+    "base, multiplicity, scale",
+    [
+        (1.01, 1, 1.0), (1.01, 1, 1e200), (1.002, 1, 1e-200),
+        (3.0, 2, 1.0), (3.0, 2, 1e200), (3.0, 2, 1e-200),
+        (2.000000002, 2, 1.0), (10.0, 3, 1.0), (7.5, 7, 1.0), (1000.0, 999, 1.0),
+    ],
+    ids=[
+        "1.01-1.0", "1.01-1e+200", "1.002-1e-200", "3-2-1", "3-2-1e200", "3-2-1e-200",
+        "2.000000002-2-1", "10-3-1", "7.5-7-1", "1000-999-1",
+    ],
+)
+def test_string_levels_near_the_queries_equal_the_whole_table(base, multiplicity, scale):
+    # from 71k-124k levels of one point to a few levels of many: the rows
+    # near the queries give the bits of the table of every level
+    s = FractalStringBoundary(base=base, multiplicity=multiplicity, scale=scale)
     rng = np.random.default_rng(8)
     top = s.total_length
     x = np.concatenate([
@@ -1195,6 +1252,12 @@ def test_string_levels_near_the_queries_equal_the_whole_table(base, scale):
     ])
     table = (*s._rows(np.arange(s._end - 1, 0, -1)), s.level_tail(s._end - 1))
     assert np.array_equal(distances_to_set(x[:, None], s), geo._row_distances(x, *table))
+
+
+def test_string_distances_of_no_points():
+    # an empty chunk of queries has no levels near it
+    for set_ in _TABLE_STRINGS:
+        assert distances_to_set(np.empty((0, 1)), set_).shape == (0,)
 
 
 def test_multiplicity_one_string_distances_stay_bounded_near_base_1():

@@ -382,7 +382,7 @@ NON_FINITE_CASES = {
         catalog_zeta(SierpinskiGasket(), 0.5), math.nan, _HEIGHTS
     ),
     "languidity_probe(height=inf)": lambda: languidity_probe(
-        catalog_zeta(SierpinskiGasket(), 0.5), LOG2_3 + 0.5, _HEIGHTS[:-1] + [math.inf], pole_locations=[]
+        catalog_zeta(SierpinskiGasket(), 0.5), LOG2_3 + 0.5, _HEIGHTS[:-1] + [math.inf]
     ),
     "truncation_tail_estimate(t=nan)": lambda: truncation_tail_estimate(gasket_series(3), math.nan),
     "lattice_poles(infinite window)": lambda: lattice_poles(2.0, 3.0, Window((-math.inf, math.inf))),

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fractalzeta.errors import (
     DeltaTooSmall,
@@ -374,6 +376,22 @@ def test_quadrature_crossing_the_floor_mid_block_raises(monkeypatch):
     assert sizes == [8, 16, 32, 64, 128, 75]
 
 
+def test_quadrature_past_exp_overflow_raises_without_warnings():
+    # a point in the plane: exp((s - 2) u) overflows below t = 1e-158 and |A_t| = pi t^2
+    # underflows below 2e-162, which gave hundreds of overflow and invalid-value warnings
+    from fractalzeta.errors import QuadratureNonconvergent
+
+    cfg = NumericZetaConfig(delta=1.0, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonconvergent):
+            tube_zeta_numeric(PointSet([[0.0, 0.0]]), 0.05 + 1.0j, cfg)
+        s = 0.2 + 1.0j
+        value = tube_zeta_numeric(PointSet([[0.0, 0.0]]), s, cfg)
+    assert value == 0.604152433364575 - 3.020762165347586j
+    assert abs(value - math.pi / s) <= 1e-9 * abs(math.pi / s)
+
+
 def test_tube_zeta_rejects_bad_rtol_and_refinement_count():
     # rtol = nan, 0 or -1 ran every pass to the t = 1e-280 floor and then
     # raised QuadratureNonconvergent
@@ -486,6 +504,41 @@ def test_scaling_identity_is_exact():
         lhs = scaled.evaluate(s)
         rhs = lam**s * form.evaluate(s)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+_FORM_ROOTS = (-1.0, 0.0, 1.0, 2.0)
+
+
+@st.composite
+def _closed_forms(draw):
+    """Random closed forms: one or two lattice terms and up to two elementary terms."""
+    signed = lambda lo, hi: draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(lo, hi))
+    lattice = []
+    for _ in range(draw(st.integers(1, 2))):
+        roots = tuple(draw(st.lists(st.sampled_from(_FORM_ROOTS), min_size=1, max_size=3, unique=True)))
+        m, r = draw(st.floats(1.5, 5.0)), draw(st.floats(0.5, 30.0))
+        # a root next to the lattice's real pole would make a near-double pole
+        assume(all(abs(math.log(r) / math.log(m) - rho) > 0.01 for rho in roots))
+        lattice.append(LatticeTerm(signed(0.1, 5.0), draw(st.floats(0.2, 5.0)), roots, (m, r)))
+    elementary = [
+        ElementaryTerm(signed(0.1, 5.0), draw(st.integers(0, 3)), draw(st.sampled_from(_FORM_ROOTS)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    dim, delta = draw(st.integers(1, 3)), draw(st.floats(0.1, 2.0))
+    return ClosedFormZeta(dim, delta, tuple(lattice), tuple(elementary))
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=_closed_forms(), lam=st.floats(0.2, 5.0))
+def test_scaling_keeps_poles_and_multiplies_residues_property(form, lam):
+    from fractalzeta.dimensions import Pole, conjugate_closed
+
+    poles, scaled = form.poles(20.0), scale_zeta(form, lam).poles(20.0)
+    assert [w for w, _ in scaled] == [w for w, _ in poles]
+    for (w, res), (_, res_scaled) in zip(poles, scaled):
+        assert abs(res_scaled - lam**w * res) <= 1e-9 * abs(lam**w * res)
+    for pairs in (poles, scaled):
+        assert conjugate_closed([Pole(w, residue=res) for w, res in pairs])
 
 
 def test_scaling_point_set():
