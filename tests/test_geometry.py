@@ -947,6 +947,37 @@ def test_tube_volumes_loops_over_other_sets(monkeypatch):
     assert measured == [0.05, 0.05]
 
 
+_E1, _EC, _GRID, _MC = "exact_1d", "exact_closed", "grid_count", "monte_carlo"
+
+# (set, radii, method tags of tube_volume at each radius).  The two-point
+# sets have min_gap / 2 = 0.5: a radius at or below it takes the disjoint
+# balls, one above it the grid (R^2, R^3) or Monte Carlo (R^4).
+_DISPATCH_CASES = [
+    (ALL_SETS[0], [0.01, 0.1, 0.3, 0.7], [_E1] * 4),
+    (ALL_SETS[1], [0.01, 0.1, 0.3, 0.7], [_EC, _EC, _EC, _GRID]),
+    (ALL_SETS[2], [0.01, 0.1, 0.3, 0.7], [_E1] * 4),
+    (ALL_SETS[3], [0.01, 0.1, 0.3, 0.7], [_E1] * 4),
+    (ALL_SETS[4], [0.01, 0.1, 0.3, 0.7], [_E1] * 4),
+    (ALL_SETS[5], [0.01, 0.1, 0.3, 0.7], [_EC] * 4),
+    (ALL_SETS[6], [0.01, 0.1, 0.3, 0.7], [_EC] * 4),
+    (ALL_SETS[7], [0.01, 0.1, 0.3, 0.7], [_GRID] * 4),
+    (PointSet([[0.0, 0.0], [1.0, 0.0]]), [0.1, 0.5, 0.6], [_EC, _EC, _GRID]),
+    (PointSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), [0.1, 0.5, 0.6], [_EC, _EC, _GRID]),
+    (PointSet([[0.0] * 4, [1.0, 0.0, 0.0, 0.0]]), [0.1, 0.5, 0.6], [_EC, _EC, _MC]),
+    (PointSet([[0.0, 0.0]]), [0.1, 0.7, 5.0], [_EC] * 3),
+    (PointCloud([[0.0, 0.0], [1.0, 0.0]]), [0.1, 0.6], [_GRID] * 2),
+]
+
+
+@pytest.mark.parametrize(
+    "set_, ts, methods", _DISPATCH_CASES, ids=[f"{type(c[0]).__name__}-{c[0].ambient_dim}d-{i}" for i, c in enumerate(_DISPATCH_CASES)]
+)
+def test_tube_volume_dispatch_is_pinned(set_, ts, methods):
+    samples = [tube_volume(set_, t) for t in ts]
+    assert [s.method.value for s in samples] == methods
+    assert tube_volumes(set_, ts).tolist() == [s.volume for s in samples]
+
+
 def test_tube_volumes_rejects_bad_radii():
     for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3]):
         for set_ in (CantorLike(), PointSet([[0.0]])):
