@@ -34,8 +34,6 @@ from .geometry import (
     SierpinskiGasket,
     TubeMethod,
     TubeSample,
-    bounding_box,
-    diameter,
     distance_to_set,
     distances_to_set,
     sample_tube_curve,
@@ -63,7 +61,6 @@ from .zeta import (
 from .dimensions import (
     LanguidityEstimate,
     Pole,
-    ScreenProfile,
     Window,
     conjugate_closed,
     find_poles_argument_principle,

@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +47,11 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _is_count(value) -> bool:
+    """An integer ``>= 0`` that is not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class TGrid:
     min: float
@@ -54,8 +60,11 @@ class TGrid:
     log: bool = True
 
     def __post_init__(self):
-        if not (0 < self.min < self.max and math.isfinite(self.max) and self.count >= 1):
-            raise ValueError("t grid needs 0 < min < max < inf and count >= 1")
+        if not (0 < self.min < self.max and math.isfinite(self.max)):
+            raise ValueError("t grid needs 0 < min < max < inf")
+        # past 10^6 radii numpy fails with errors of its own, or first fills the memory
+        if not (_is_count(self.count) and 1 <= self.count <= 10**6):
+            raise ValueError("t grid count must be an integer from 1 to 10^6")
 
     def values(self) -> np.ndarray:
         if self.log:
@@ -82,7 +91,14 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if not (self.mc_samples > 0 and self.truncation >= 0):
+        # the rule of NumericZetaConfig, checked here for every subcommand
+        if not _is_count(self.seed):
+            raise ValueError("seed must be a nonnegative integer")
+        if not _is_count(self.truncation):
+            raise ValueError("truncation must be an integer >= 0")
+        if not isinstance(self.t_grid, TGrid):
+            raise ValueError("t_grid must be an object with min, max, count and log")
+        if not self.mc_samples > 0:
             raise ValueError("numeric budgets must be positive")
         for name in ("band", "rel_error_threshold", "delta", "grid_cell"):
             value = getattr(self, name)

@@ -50,45 +50,25 @@ class Pole:
 
 
 @dataclass(frozen=True)
-class ScreenProfile:
-    """Sampled screen curve ``tau -> S(tau)`` with its Lipschitz bound."""
-
-    taus: tuple[float, ...]
-    values: tuple[float, ...]
-    lipschitz: float
-
-    def __call__(self, tau: float) -> float:
-        return float(np.interp(tau, self.taus, self.values))
-
-
-@dataclass(frozen=True)
 class Window:
     """Region of the plane where poles are sought.
 
-    ``imag_range`` is the vertical search band; ``screen_sup`` (and the
-    optional sampled profile) bound the region on the left: only poles with
-    real part at or right of the screen are visible.
+    ``imag_range`` is the vertical search band; ``screen_sup`` bounds the
+    region on the left: only poles with real part at or right of the screen
+    are visible.
     """
 
     imag_range: tuple[float, float]
     screen_sup: Optional[float] = None
-    screen_profile: Optional[ScreenProfile] = None
 
     def __post_init__(self):
         lo, hi = self.imag_range
         if not lo < hi:
             raise ValueError("imag_range must be a nonempty interval")
 
-    def screen_at(self, tau: float) -> float:
-        if self.screen_profile is not None:
-            return self.screen_profile(tau)
-        if self.screen_sup is not None:
-            return self.screen_sup
-        return -math.inf
-
     def contains(self, w: complex) -> bool:
         lo, hi = self.imag_range
-        return lo <= w.imag <= hi and w.real >= self.screen_at(w.imag)
+        return lo <= w.imag <= hi and w.real >= (-math.inf if self.screen_sup is None else self.screen_sup)
 
 
 @dataclass(frozen=True)

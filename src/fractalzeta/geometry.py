@@ -8,13 +8,13 @@ t-neighborhood).
 Each descriptor class owns its geometry, and the module functions check
 their input and call it.  A descriptor class defines its JSON tag
 ``variant``, ``ambient_dim``, ``bounds()``, ``diameter``, ``distances(pts)``
-on checked points, ``exact_volumes(ts)`` over an array of radii (with
-``array_volumes = False`` and ``auto_method(t)`` where some radii have no
-exact volume), ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
-largest radius at which its closed form's residue sum gives ``|A_t|``)
-and, for catalog sets, the ``delta_bound`` text; :class:`CompactSet` holds
-the defaults.  A new set is registered in ``_VARIANTS`` below and, if it
-has a closed-form zeta function, in ``zeta._CLOSED_FORMS``.
+on checked points, ``exact_volumes(ts)`` over an array of radii up to
+``exact_max`` (the largest radius with an exact tube volume),
+``box_dimension``, ``default_delta``, ``t_valid_max`` (the largest radius
+at which its closed form's residue sum gives ``|A_t|``) and, for catalog
+sets, the ``delta_bound`` text; :class:`CompactSet` holds the defaults.  A
+new set is registered in ``_VARIANTS`` below and, if it has a closed-form
+zeta function, in ``zeta._CLOSED_FORMS``.
 
 Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
@@ -111,14 +111,10 @@ class TubeSample:
 class CompactSet:
     """A compact subset of R^N: the defaults of the descriptor protocol."""
 
-    exact_kind = TubeMethod.EXACT_CLOSED
-    array_volumes = True
     box_dimension = 0.0
     default_delta = 1.0
     t_valid_max = math.inf
-
-    def auto_method(self, t: float) -> TubeMethod:
-        return self.exact_kind
+    exact_max = math.inf
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -152,24 +148,21 @@ class PointSet(CompactSet):
         if not self.points:
             raise ValueError(f"{type(self).__name__} needs at least one point")
         dims = {len(p) for p in self.points}
-        if len(dims) != 1:
-            raise ValueError("all points must share one ambient dimension")
+        if len(dims) != 1 or dims == {0}:
+            raise ValueError("all points must share one ambient dimension of at least 1")
 
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
 
     @property
-    def array_volumes(self) -> bool:
-        return self.ambient_dim == 1
-
-    @property
-    def exact_kind(self) -> TubeMethod:
-        return TubeMethod.EXACT_1D if self.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
-
-    @property
     def t_valid_max(self) -> float:
         return self.min_gap / 2.0
+
+    @property
+    def exact_max(self) -> float:
+        """Every radius on the line; in R^N, the radii at which the balls are disjoint."""
+        return math.inf if self.ambient_dim == 1 else self.min_gap / 2.0
 
     @cached_property
     def _tree(self) -> cKDTree:
@@ -187,9 +180,6 @@ class PointSet(CompactSet):
         d, _ = self._tree.query(np.asarray(self.points), k=2)
         return float(d[:, 1].min())
 
-    def _balls_disjoint(self, t: float) -> bool:
-        return self.min_gap >= 2.0 * t
-
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.points, dtype=float)
         return arr.min(axis=0), arr.max(axis=0)
@@ -199,7 +189,7 @@ class PointSet(CompactSet):
         """Largest pairwise distance up to 4000 points, else the bounding-box diagonal; computed once."""
         arr = np.asarray(self.points, dtype=float)
         if len(arr) > 4000:
-            lo, hi = bounding_box(self)
+            lo, hi = self.bounds()
             return float(np.linalg.norm(hi - lo))
         # 256 rows at a time bound the memory of the n x n distance table
         rows = (arr[i : i + 256, None, :] - arr[None, :, :] for i in range(0, len(arr), 256))
@@ -226,16 +216,11 @@ class PointSet(CompactSet):
             d[near] = _row_norms(np.abs(pts[near] - self._tree.data[nearest[near]]).T)
         return d
 
-    def auto_method(self, t: float) -> TubeMethod:
-        if self.ambient_dim == 1 or self._balls_disjoint(t):
-            return self.exact_kind
-        return TubeMethod.GRID_COUNT if self.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
-
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         if self.ambient_dim == 1:
             return gap_volumes(2.0 * ts, np.diff(np.sort(np.asarray(self.points)[:, 0])))
         t = float(ts.max(initial=0.0))
-        if not self._balls_disjoint(t):
+        if t > self.exact_max:
             raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
         return len(self.points) * _unit_ball_volume(self.ambient_dim) * _libm_pow(ts, self.ambient_dim)
 
@@ -264,8 +249,9 @@ class PointCloud(PointSet):
             raise ValueError("declared ambient_dim does not match point dimension")
         object.__setattr__(self, "ambient_dim", dim)
 
-    def _balls_disjoint(self, t: float) -> bool:
-        return False
+    @property
+    def exact_max(self) -> float:
+        return math.inf if self.ambient_dim == 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -290,7 +276,6 @@ class CantorLike(CompactSet):
     variant = "cantor_like"
     delta_bound = "half the largest gap: (1 - 2 ratio) * scale / 2"
     ambient_dim = 1
-    exact_kind = TubeMethod.EXACT_1D
 
     @property
     def box_dimension(self) -> float:
@@ -379,7 +364,6 @@ class FractalStringBoundary(CompactSet):
     variant = "string_boundary"
     delta_bound = "half the first length: l_1 / 2"
     ambient_dim = 1
-    exact_kind = TubeMethod.EXACT_1D
 
     def __post_init__(self):
         if (self.lengths is None) == (self.base is None):
@@ -778,20 +762,6 @@ _VARIANTS = {
 }
 
 
-def bounding_box(set_: CompactSet) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned bounding box (lo, hi) of the set itself."""
-    return set_.bounds()
-
-
-def diameter(set_: CompactSet) -> float:
-    """Diameter of the set.
-
-    Exact for catalog sets and for point sets and clouds of up to 4000
-    points; past that, the diagonal of the bounding box, an upper bound.
-    """
-    return set_.diameter
-
-
 # ---------------------------------------------------------------------------
 # Distance evaluation
 # ---------------------------------------------------------------------------
@@ -968,7 +938,7 @@ def _grid_tube(set_: CompactSet, t: float, cell: float):
     joined once; ``_GRID_BUDGET`` counts the blocks of whole levels.
     """
     n_dim = set_.ambient_dim
-    lo, hi = bounding_box(set_)
+    lo, hi = set_.bounds()
     origin = lo - t - cell * _GRID_OFFSET
     span = (hi + t - origin) / cell
     if not (span < 2.0**61).all():
@@ -1029,7 +999,7 @@ def _mc_points(lo: np.ndarray, hi: np.ndarray, n_samples: int, seed: int):
 
 
 def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
-    lo, hi = bounding_box(set_)
+    lo, hi = set_.bounds()
     lo = lo - t
     hi = hi + t
     box_vol = float(np.prod(hi - lo))
@@ -1072,8 +1042,9 @@ def tube_volume(
 
     Raises :class:`ResolutionTooCoarse` when the grid refinement visits
     over ``_GRID_BUDGET`` (8,000,000) blocks, :class:`FractalZetaError` for
-    an exact volume the set does not have (point-set balls that overlap in
-    R^N, N > 1), and :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
+    an exact volume past the set's ``exact_max`` (point-set balls that
+    overlap in R^N, N > 1, and every radius of a point cloud there), and
+    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
     for a ``t`` at which the set's bounding box fattened by ``t`` has a
     volume past the float range, and, for Monte Carlo, for an ``mc_samples``
     that is not an integer ``>= 1`` (a ``bool`` included).
@@ -1084,12 +1055,18 @@ def tube_volume(
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
-    chosen = set_.auto_method(t) if req is None else req
-    return _measure_tube(set_, t, chosen, cell, mc_samples, seed)
+    return _measure_tube(set_, t, _default_method(set_, t) if req is None else req, cell, mc_samples, seed)
+
+
+def _default_method(set_: CompactSet, t: float):
+    """Exact up to the set's ``exact_max``, past it the grid up to R^3 and Monte Carlo above."""
+    if t <= set_.exact_max:
+        return "exact"
+    return TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
 
 
 def _check_fattened_box(set_: CompactSet, t: float) -> None:
-    lo, hi = bounding_box(set_)
+    lo, hi = set_.bounds()
     # Python floats overflow to inf where numpy would warn
     if not math.isfinite(math.prod(h - l + 2.0 * t for l, h in zip(lo.tolist(), hi.tolist()))):
         raise ValueError(f"t = {t!r} is too large: the fattened bounding box has no float volume")
@@ -1097,8 +1074,9 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
 
 def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0) -> TubeSample:
     """:func:`tube_volume` by a resolved method, for a radius already checked."""
-    if chosen == "exact" or chosen in (TubeMethod.EXACT_1D, TubeMethod.EXACT_CLOSED):
-        return TubeSample(t, float(set_.exact_volumes(np.array([t]))[0]), set_.exact_kind)
+    if chosen == "exact":
+        kind = TubeMethod.EXACT_1D if set_.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
+        return TubeSample(t, float(set_.exact_volumes(np.array([t]))[0]), kind)
 
     if chosen == TubeMethod.GRID_COUNT:
         if set_.ambient_dim > 3:
@@ -1122,21 +1100,26 @@ def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_
 def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     """``tube_volume(set_, t).volume`` for every ``t`` in an array, bit for bit.
 
-    Sets with exact hole or gap sums take the whole array at once (the
-    self-similar sets by one gather from their level tables); other sets
-    loop over the methods of ``tube_volume``.  Raises :class:`ValueError`
-    for a non-finite or non-positive radius and, as ``tube_volume`` does,
-    for one too large for a float volume.
+    The radii up to the set's ``exact_max`` take one ``exact_volumes`` call
+    (the self-similar sets by one gather from their level tables); the
+    others, past it, one grid count or Monte Carlo run each.  Raises
+    :class:`ValueError` for a non-finite or non-positive radius and, as
+    ``tube_volume`` does, for one too large for a float volume.
     """
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (ts > 0).all()):
         raise ValueError("t values must be positive and finite")
-    if ts.size:
-        _check_fattened_box(set_, float(ts.max()))
-    if set_.array_volumes:
-        return set_.exact_volumes(ts.ravel()).reshape(ts.shape)
-    flat = ts.ravel().tolist()
-    return np.array([_measure_tube(set_, t, set_.auto_method(t)).volume for t in flat]).reshape(ts.shape)
+    flat = ts.ravel()
+    top = float(flat.max(initial=0.0))
+    if flat.size:
+        _check_fattened_box(set_, top)
+    if top <= set_.exact_max:
+        return set_.exact_volumes(flat).reshape(ts.shape)
+    exact = flat <= set_.exact_max
+    out = np.empty(flat.shape)
+    out[exact] = set_.exact_volumes(flat[exact])
+    out[~exact] = [_measure_tube(set_, t, _default_method(set_, t)).volume for t in flat[~exact].tolist()]
+    return out.reshape(ts.shape)
 
 
 def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, **kwargs) -> list[TubeSample]:
@@ -1169,6 +1152,8 @@ def set_to_json(set_: CompactSet) -> dict:
 
 def set_from_json(data: dict) -> CompactSet:
     """Parse the tagged-variant JSON schema back into a descriptor."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a set descriptor is a JSON object, got {type(data).__name__}")
     variant = data.get("variant")
     if not (isinstance(variant, str) and variant in _VARIANTS):
         raise ValueError(f"unknown set variant {variant!r}")

@@ -42,7 +42,7 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import CompactSet, bounding_box, distances_to_set, tube_volume, tube_volumes
+from .geometry import CompactSet, distances_to_set, tube_volume, tube_volumes
 
 TWO_PI = 2.0 * math.pi
 
@@ -463,7 +463,7 @@ class NumericZetaConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         if isinstance(self.mc_samples, bool) or not isinstance(self.mc_samples, numbers.Integral):
             raise ValueError("mc_samples must be an integer")
@@ -503,7 +503,7 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
         )
     n_dim = set_.ambient_dim
     delta = cfg.delta
-    lo, hi = bounding_box(set_)
+    lo, hi = set_.bounds()
     lo = lo - delta
     hi = hi + delta
     box_vol = float(np.prod(hi - lo))
@@ -544,6 +544,9 @@ _FIRST_BLOCK = 8
 _MAX_BLOCK = 512
 # Gauss-Legendre nodes per panel.
 _PANEL_NODES = 16
+# Relative agreement of two passes that ends the refinement, and the most halvings of the panel width.
+_RTOL = 1e-6
+_MAX_REFINEMENTS = 9
 
 
 @cache
@@ -552,20 +555,15 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
-def tube_zeta_numeric(
-    set_: CompactSet,
-    s: complex,
-    cfg: NumericZetaConfig,
-    rtol: float = 1e-6,
-    max_refinements: int = 9,
-) -> complex:
+def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> complex:
     """Quadrature of ``integral_0^delta t^(s-N-1) |A_t| dt``.
 
     Integrates in ``u = ln t`` with composite Gauss-Legendre panels; panels
     extend toward ``u -> -inf`` until three in a row are negligible, and
-    panel widths halve until two passes agree to ``rtol``.  For sets with
-    array-valued exact volumes each :func:`tube_volumes` call covers a
-    block of panels, and the stop rule runs over the whole block with the
+    panel widths halve, at most ``_MAX_REFINEMENTS`` (9) times, until two
+    passes agree to ``_RTOL`` (1e-6).  For sets with exact volumes up to
+    ``delta`` (``exact_max >= delta``) each :func:`tube_volumes` call covers
+    a block of panels, and the stop rule runs over the whole block with the
     same additions in the same order as panel by panel.  The first pass
     takes blocks of 8 panels, doubling to 512.  Every later pass opens
     with twice the panels the previous pass used, plus 4, in blocks of at
@@ -578,29 +576,21 @@ def tube_zeta_numeric(
     Raises :class:`QuadratureNonconvergent` when passes do not agree or a
     pass reaches ``t = 1e-280`` with its tail still not negligible, which
     is how ``Re s`` at or below the upper box dimension shows, and
-    :class:`ValueError` for non-finite ``s``, for an ``rtol`` that is not
-    positive and finite, and for a ``max_refinements`` that is not an
-    integer ``>= 0``.
+    :class:`ValueError` for non-finite ``s``.
     """
     s = _finite_s(s)
-    if not (math.isfinite(rtol) and rtol > 0):
-        raise ValueError("rtol must be positive and finite")
-    if isinstance(max_refinements, bool) or not (
-        isinstance(max_refinements, numbers.Integral) and max_refinements >= 0
-    ):
-        raise ValueError("max_refinements must be an integer >= 0")
     n_dim = set_.ambient_dim
     u_hi = math.log(cfg.delta)
     u_floor = math.log(1e-280)
     x, w = _panel_rule()
     # per-panel stop threshold scales with the panel width so the truncated
-    # tail stays ~0.01 rtol regardless of how finely the panels are split
-    tail_tol = min(1e-9, 1e-3 * rtol)
+    # tail stays ~0.01 _RTOL regardless of how finely the panels are split
+    tail_tol = min(1e-9, 1e-3 * _RTOL)
 
     def block_sizes(opening: int):
-        # blocks pay off where tube_volumes is array code; elsewhere the panels
-        # past the stop would cost one scalar tube_volume per node
-        if not set_.array_volumes:
+        # blocks pay off where tube_volumes is one exact call; past exact_max the
+        # panels past the stop would cost one grid count or Monte Carlo run per node
+        if set_.exact_max < cfg.delta:
             yield from itertools.repeat(1)
         # the previous pass's stop at twice its panels, in blocks of at most the cap
         while opening > 0:
@@ -666,14 +656,14 @@ def tube_zeta_numeric(
     # converges when |A_t| has derivative kinks inside a panel
     width = 2.0
     prev, used = integrate(width, 0)
-    for _ in range(max_refinements):
+    for _ in range(_MAX_REFINEMENTS):
         width *= 0.5
         cur, used = integrate(width, 2 * used + 4)
-        if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= _RTOL * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureNonconvergent(
-        f"tube zeta quadrature did not stabilize to rtol={rtol} at s={s}"
+        f"tube zeta quadrature did not stabilize to rtol={_RTOL} at s={s}"
     )
 
 

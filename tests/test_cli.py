@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fractalzeta
 from fractalzeta.cli import ExperimentConfig, TGrid, main
@@ -354,3 +359,131 @@ def test_float_format_round_trips(tmp_path):
     for line in lines[1:]:
         t, direct, formula, _, _ = line.split(",")
         assert float(direct) == 2.0 * float(t)  # 17g output round-trips exactly
+
+
+@pytest.mark.parametrize(
+    "override, commands",
+    [
+        # a set or t_grid of the wrong JSON type died with AttributeError and a traceback
+        ({"set": []}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        ({"set": "x"}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        ({"t_grid": [1, 2]}, ("tube-compare",)),
+        # these were accepted by all but Monte Carlo zeta-eval
+        ({"seed": -1}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        ({"seed": "a"}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        ({"seed": 1.5}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        ({"seed": True}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        # printed as K=1.5 and written into the summary
+        ({"truncation": 1.5}, ("tube-compare",)),
+        # np.geomspace raised IndexError
+        ({"t_grid": {"min": 1e-3, "max": 0.1, "count": 2**63}}, ("tube-compare",)),
+    ],
+    ids=[
+        "set_list", "set_str", "t_grid_list", "seed_negative", "seed_str", "seed_float", "seed_bool",
+        "truncation_float", "t_grid_count_huge",
+    ],
+)
+def test_malformed_config_field_is_config_error(tmp_path, capsys, override, commands):
+    path = write_config(tmp_path, s_values=[[1.5, 0.0]], **override)
+    for command in commands:
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "out" / "tube_compare_summary.json").exists()
+
+
+def test_seed_override_below_zero_is_config_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["poles", "--config", path, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+# ---------------------------------------------------------------------------
+# config fuzzer: every config exits 0, 1 or 2 and raises nothing
+# ---------------------------------------------------------------------------
+
+# Values of the wrong type or out of range, for any field.
+_JUNK = [None, True, "x", [], {}, [1, 2], math.nan, math.inf, -1, 0, 1.5, 2**63, 10**30, 1e308, -1e308, 5e-324]
+
+# Cheap valid values: exact or auto oracles, at most 4 radii, small budgets.
+_VALID_SETS = [
+    {"variant": "point_set", "points": [[0.0]]},
+    {"variant": "point_set", "points": [[0.0], [0.5]]},
+    {"variant": "point_set", "points": [[0.0, 0.0], [1.0, 0.5]]},
+    {"variant": "point_set", "points": [[0.1, 0.2, 0.3]]},
+    {"variant": "point_cloud", "points": [[0.0, 0.0], [1.0, 0.5]]},
+    {"variant": "cantor_like"},
+    {"variant": "cantor_like", "ratio": 0.25, "scale": 2.5},
+    {"variant": "string_boundary", "base": 3.0, "multiplicity": 2},
+    {"variant": "string_boundary", "base": 2.5, "multiplicity": 1, "scale": 2.0},
+    {"variant": "string_boundary", "lengths": [0.5, 0.25]},
+    {"variant": "sierpinski_gasket"},
+    {"variant": "sierpinski_carpet_3d"},
+]
+_SET_KEYS = ["variant", "points", "ratio", "scale", "lengths", "base", "multiplicity"]
+_VALID_FIELDS = {
+    "seed": [0, 7, 10**30],
+    "delta": [None, 0.5, 1.0],
+    "mc_samples": [1000, 2000],
+    "t_grid": [
+        {"min": 1e-3, "max": 0.1, "count": 4, "log": True},
+        {"min": 0.2, "max": 2.0, "count": 2, "log": False},
+        {"min": 5e-324, "max": 1e-300, "count": 3, "log": True},
+    ],
+    "truncation": [0, 1, 5],
+    "band": [1.0, 5.0],
+    "oracle": ["auto", "exact"],
+    "grid_cell": [None, 0.05],
+    "rel_error_threshold": [0.05, 1e-12],
+    "zeta_method": ["closed_form", "monte_carlo"],
+    "s_values": [[[2.5, 0.0]], [[1.5, 1.0], [3.0, -2.0]], []],
+}
+
+
+@st.composite
+def _junk(draw):
+    """A junk scalar, or a list or object holding one."""
+    value = draw(st.sampled_from(_JUNK))
+    return draw(st.sampled_from([value, [value], [[value, 0.0]], {"min": value, "max": 0.1, "count": 2}]))
+
+
+@st.composite
+def _configs(draw, out_dir):
+    """A valid config with a few fields, set fields included, junk or missing."""
+    set_ = dict(draw(st.sampled_from(_VALID_SETS)))
+    cfg = {"set": set_, "seed": 1, "out_dir": out_dir}
+    cfg.update({key: draw(st.sampled_from(values)) for key, values in _VALID_FIELDS.items()})
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(_SET_KEYS))
+        set_[key] = draw(_junk())
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["set", "seed", "out_dir", "t_grid.count", "unknown", *_VALID_FIELDS]))
+        if key == "t_grid.count":
+            cfg["t_grid"] = {**draw(st.sampled_from(_VALID_FIELDS["t_grid"])), "count": draw(_junk())}
+        elif draw(st.booleans()):
+            cfg[key] = draw(_junk())
+        else:
+            cfg.pop(key, None)
+    return cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(["zeta-eval", "poles", "tube-compare", "measurability"]))
+@example(data=None, command="poles").via("a set of the wrong JSON type died with AttributeError")
+def test_cli_config_fuzz_exits_0_1_or_2(data, command):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = str(Path(tmp) / "out")
+        cfg = {"set": [], "seed": 1} if data is None else data.draw(_configs(out_dir))
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        # a missing or relative out_dir lands in the temporary directory
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(path)])
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

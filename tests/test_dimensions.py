@@ -6,7 +6,6 @@ import pytest
 from fractalzeta.dimensions import (
     LanguidityEstimate,
     Pole,
-    ScreenProfile,
     Window,
     conjugate_closed,
     find_poles_argument_principle,
@@ -77,11 +76,10 @@ def test_lattice_poles_respect_screen():
 def test_window_validation_and_profile():
     with pytest.raises(ValueError):
         Window(imag_range=(1.0, -1.0))
-    prof = ScreenProfile(taus=(-10.0, 10.0), values=(0.5, 1.5), lipschitz=0.05)
-    win = Window(imag_range=(-10.0, 10.0), screen_profile=prof)
-    assert win.screen_at(0.0) == pytest.approx(1.0)
+    win = Window(imag_range=(-10.0, 10.0), screen_sup=1.0)
     assert win.contains(1.2 + 0.0j)
     assert not win.contains(0.4 - 9.0j)
+    assert not win.contains(1.2 + 11.0j)
 
 
 # ---------------------------------------------------------------------------

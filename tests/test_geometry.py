@@ -19,7 +19,6 @@ from fractalzeta.geometry import (
     SierpinskiCarpet3D,
     SierpinskiGasket,
     TubeMethod,
-    diameter,
     distance_to_set,
     distances_to_set,
     sample_tube_curve,
@@ -552,7 +551,7 @@ def test_monotonicity_within_error_bounds():
 def test_upper_box_bound():
     for set_ in ALL_SETS:
         n = set_.ambient_dim
-        diam = diameter(set_)
+        diam = set_.diameter
         for t in [0.05, 0.3]:
             v = tube_volume(set_, t, cell=5e-3 if n > 1 else None).volume
             assert v <= (diam + 2.0 * t) ** n + 1e-9
@@ -598,7 +597,7 @@ def _flat_grid_volume(set_, t, cell):
     Returns the volume of the centers within ``t`` and that of the boundary
     cells, those with ``|d - t|`` at most half a cell diagonal.
     """
-    lo, hi = geo.bounding_box(set_)
+    lo, hi = set_.bounds()
     lo = lo - t
     hi = hi + t
     origin = lo - cell * (math.sqrt(2.0) - 1.0)
@@ -714,7 +713,7 @@ def test_grid_blocked_equals_flat_bruteforce_gasket():
     ids=["gasket", "gasket-small-t", "carpet", "point-set"],
 )
 def test_grid_quadtree_equals_flat_count_exactly(set_, t, cell):
-    lo, hi = geo.bounding_box(set_)
+    lo, hi = set_.bounds()
     ncell = np.ceil((hi + t - (lo - t - cell * (math.sqrt(2.0) - 1.0))) / cell).astype(int) + 1
     # lattices that are not a power of two on any axis, so padding blocks occur
     assert all(m & (m - 1) for m in ncell.tolist())
@@ -725,7 +724,7 @@ def test_grid_quadtree_equals_flat_count_exactly(set_, t, cell):
 def _axis_split_grid_tube(set_, t, cell, budget_rows=8_000_000):
     """The grid oracle's earlier refinement: blocks of any shape, split in halves axis by axis."""
     n_dim = set_.ambient_dim
-    lo, hi = geo.bounding_box(set_)
+    lo, hi = set_.bounds()
     lo = lo - t
     hi = hi + t
     origin = lo - cell * (math.sqrt(2.0) - 1.0)
@@ -1083,6 +1082,9 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         PointSet([[0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
+        # points without coordinates reached cKDTree, which raised IndexError
+        PointSet([[]])
+    with pytest.raises(ValueError):
         PointCloud([[0.0, 1.0]], ambient_dim=3)
     with pytest.raises(ValueError):
         PointSet([[math.inf]])
@@ -1361,9 +1363,9 @@ PINNED_FACTS = [
 @pytest.mark.parametrize("index", range(len(ALL_SETS)))
 def test_descriptor_facts_pinned(index):
     set_ = ALL_SETS[index]
-    lo, hi = geo.bounding_box(set_)
+    lo, hi = set_.bounds()
     t_valid, dim = set_.t_valid_max, set_.box_dimension
-    facts = (lo.tolist(), hi.tolist(), diameter(set_), default_delta(set_), t_valid, dim, set_to_json(set_))
+    facts = (lo.tolist(), hi.tolist(), set_.diameter, default_delta(set_), t_valid, dim, set_to_json(set_))
     # repr tells 0.0 from 0 and keeps every float digit
     assert repr(facts) == repr(PINNED_FACTS[index])
 
