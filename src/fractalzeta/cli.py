@@ -98,8 +98,9 @@ class ExperimentConfig:
             raise ValueError("truncation must be an integer >= 0")
         if not isinstance(self.t_grid, TGrid):
             raise ValueError("t_grid must be an object with min, max, count and log")
-        if not self.mc_samples > 0:
-            raise ValueError("numeric budgets must be positive")
+        # 10^9 samples already take minutes per Monte Carlo value; larger counts never finish
+        if not 0 < self.mc_samples <= 10**9:
+            raise ValueError("mc_samples must be positive and at most 10^9")
         for name in ("band", "rel_error_threshold", "delta", "grid_cell"):
             value = getattr(self, name)
             if not ((value is None and name in ("delta", "grid_cell")) or (math.isfinite(value) and value > 0)):

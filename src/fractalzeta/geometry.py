@@ -1069,7 +1069,7 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
     lo, hi = set_.bounds()
     # Python floats overflow to inf where numpy would warn
     if not math.isfinite(math.prod(h - l + 2.0 * t for l, h in zip(lo.tolist(), hi.tolist()))):
-        raise ValueError(f"t = {t!r} is too large: the fattened bounding box has no float volume")
+        raise ValueError(f"radius {t!r} is too large: the bounding box fattened by it has no float volume")
 
 
 def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0) -> TubeSample:

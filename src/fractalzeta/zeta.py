@@ -492,8 +492,10 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     when ``Re s > N``.
     Raises :class:`VarianceOverflow` before sampling when ``Re s`` is at or
     below the set's box dimension, where the integral diverges, and when a
-    single sample dominates the weight sum; :class:`ValueError` for
-    non-finite ``s``.
+    single sample dominates the weight sum; :class:`FractalZetaError`
+    when the estimate overflows a float; :class:`ValueError` for non-finite
+    ``s`` and for a ``delta`` at which the fattened bounding box has a volume
+    past the float range.
     """
     s = _finite_s(s)
     if s.real <= set_.box_dimension:
@@ -503,6 +505,7 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
         )
     n_dim = set_.ambient_dim
     delta = cfg.delta
+    geometry._check_fattened_box(set_, delta)
     lo, hi = set_.bounds()
     lo = lo - delta
     hi = hi + delta
@@ -518,11 +521,13 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
         d = distances_to_set(x, set_)
         w = np.zeros(m, dtype=complex)
         ok = (d > 1e-280) & (d < delta)
-        w[ok] = np.exp((s - n_dim) * np.log(d[ok]))
-        total += w.sum()
-        total_sq_re += float((w.real**2).sum())
-        total_sq_im += float((w.imag**2).sum())
-        aw = np.abs(w)
+        # weights past the float range turn to inf or nan, caught after the loop
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[ok] = np.exp((s - n_dim) * np.log(d[ok]))
+            total += w.sum()
+            total_sq_re += float((w.real**2).sum())
+            total_sq_im += float((w.imag**2).sum())
+            aw = np.abs(w)
         abs_sum += float(aw.sum())
         abs_max = max(abs_max, float(aw.max(initial=0.0)))
         n_done += m
@@ -532,11 +537,15 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
                 "Re s is at or below the abscissa of convergence"
             )
     n = float(cfg.mc_samples)
-    mean = total / n
-    var_re = max(total_sq_re / n - mean.real**2, 0.0)
-    var_im = max(total_sq_im / n - mean.imag**2, 0.0)
-    half_width = box_vol * math.sqrt((var_re + var_im) / n)
-    return ZetaEstimate(box_vol * mean, half_width)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = total / n
+        var_re = max(total_sq_re / n - mean.real**2, 0.0)
+        var_im = max(total_sq_im / n - mean.imag**2, 0.0)
+        half_width = box_vol * math.sqrt((var_re + var_im) / n)
+        value = box_vol * mean
+    if not (cmath.isfinite(value) and math.isfinite(half_width)):
+        raise FractalZetaError(f"the Monte Carlo estimate overflows a float at s={s}")
+    return ZetaEstimate(value, half_width)
 
 
 # Panels per tube_volumes call: the first block, then doubling up to the cap.

@@ -377,10 +377,12 @@ def test_float_format_round_trips(tmp_path):
         ({"truncation": 1.5}, ("tube-compare",)),
         # np.geomspace raised IndexError
         ({"t_grid": {"min": 1e-3, "max": 0.1, "count": 2**63}}, ("tube-compare",)),
+        # Monte Carlo zeta-eval ran without end
+        ({"mc_samples": 10**30, "zeta_method": "monte_carlo"}, ("zeta-eval", "poles", "tube-compare", "measurability")),
     ],
     ids=[
         "set_list", "set_str", "t_grid_list", "seed_negative", "seed_str", "seed_float", "seed_bool",
-        "truncation_float", "t_grid_count_huge",
+        "truncation_float", "t_grid_count_huge", "mc_samples_huge",
     ],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, override, commands):

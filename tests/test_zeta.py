@@ -255,6 +255,19 @@ def test_variance_overflow_below_abscissa_carpet():
         distance_zeta_numeric(carpet, 2.8 - 4j, cfg_for(carpet, seed=12345, mc=200_000))
 
 
+def test_monte_carlo_zeta_past_the_float_range_is_an_error():
+    # each leaked an overflow RuntimeWarning and returned inf or nan
+    cantor = CantorLike(ratio=0.25, scale=2.5)
+    for s in (1e308, 1e30):
+        with pytest.raises(FractalZetaError, match="overflows a float"):
+            distance_zeta_numeric(cantor, s, cfg_for(cantor, mc=1000))
+    with pytest.raises(ValueError, match="too large"):
+        distance_zeta_numeric(cantor, 2.5, cfg_for(cantor, mc=1000, delta=1e308))
+    big = CantorLike(scale=1e308)
+    with pytest.raises(ValueError, match="too large"):
+        distance_zeta_numeric(big, 2.5, cfg_for(big, mc=1000))
+
+
 def test_pole_listing_rejects_unbounded_band():
     form = catalog_zeta(SierpinskiGasket())
     for band in (math.inf, 1e308, math.nan):
