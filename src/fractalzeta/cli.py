@@ -52,6 +52,16 @@ def _is_count(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_real_pair(value) -> bool:
+    """A list or tuple of two real numbers, neither a ``bool``."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_real, value))
+
+
 @dataclass(frozen=True)
 class TGrid:
     min: float
@@ -60,8 +70,10 @@ class TGrid:
     log: bool = True
 
     def __post_init__(self):
-        if not (0 < self.min < self.max and math.isfinite(self.max)):
-            raise ValueError("t grid needs 0 < min < max < inf")
+        if not (_is_real(self.min) and _is_real(self.max) and 0 < self.min < self.max and math.isfinite(self.max)):
+            raise ValueError("t grid needs real numbers 0 < min < max < inf")
+        if not isinstance(self.log, bool):
+            raise ValueError("t grid log must be true or false")
         # past 10^6 radii numpy fails with errors of its own, or first fills the memory
         if not (_is_count(self.count) and 1 <= self.count <= 10**6):
             raise ValueError("t grid count must be an integer from 1 to 10^6")
@@ -99,14 +111,21 @@ class ExperimentConfig:
         if not isinstance(self.t_grid, TGrid):
             raise ValueError("t_grid must be an object with min, max, count and log")
         # 10^9 samples already take minutes per Monte Carlo value; larger counts never finish
-        if not 0 < self.mc_samples <= 10**9:
-            raise ValueError("mc_samples must be positive and at most 10^9")
+        if not (_is_count(self.mc_samples) and 1 <= self.mc_samples <= 10**9):
+            raise ValueError("mc_samples must be an integer from 1 to 10^9")
         for name in ("band", "rel_error_threshold", "delta", "grid_cell"):
             value = getattr(self, name)
-            if not ((value is None and name in ("delta", "grid_cell")) or (math.isfinite(value) and value > 0)):
-                raise ValueError(f"{name} must be positive and finite")
+            optional = value is None and name in ("delta", "grid_cell")
+            if not (optional or (_is_real(value) and math.isfinite(value) and value > 0)):
+                raise ValueError(f"{name} must be a positive and finite real number")
+        if not (isinstance(self.oracle, str) and self.oracle in geometry._METHOD_ALIASES):
+            raise ValueError(f"oracle must be one of {', '.join(geometry._METHOD_ALIASES)}")
         if self.zeta_method not in ("closed_form", "monte_carlo"):
             raise ValueError("zeta_method must be closed_form or monte_carlo")
+        pairs = self.s_values
+        if not (isinstance(pairs, (list, tuple)) and all(_is_real_pair(sv) for sv in pairs)):
+            raise ValueError("s_values must be a list of [re, im] pairs of real numbers")
+        object.__setattr__(self, "s_values", tuple((float(re), float(im)) for re, im in pairs))
 
     def the_set(self) -> CompactSet:
         return set_from_json(self.set)
@@ -127,8 +146,6 @@ class ExperimentConfig:
         kwargs = dict(data)
         if "t_grid" in kwargs and isinstance(kwargs["t_grid"], dict):
             kwargs["t_grid"] = TGrid(**kwargs["t_grid"])
-        if "s_values" in kwargs:
-            kwargs["s_values"] = tuple(tuple(float(v) for v in sv) for sv in kwargs["s_values"])
         return cls(**kwargs)
 
 

@@ -495,7 +495,8 @@ def languidity_probe(
 
     pole_locations = []
     if isinstance(evaluator, ClosedFormZeta):
-        pole_locations = [w for w, _ in evaluator.poles(hs[-1] + 1.0)]
+        # only poles within 1 of a height in ordinate can skip it or sit on the line there
+        pole_locations = [w for w, _ in evaluator.poles_near(hs, 1.0)]
 
     f = _vectorized(evaluator)
     used: list[float] = []

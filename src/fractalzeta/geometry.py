@@ -53,7 +53,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -857,26 +857,74 @@ def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, 
     A subnormal ``|A_t|`` (strings of dimension 0 at subnormal ``t``) is
     within 0.6 units of ``2^-1074`` of 300-digit sums for multiplicity 1 and
     bases 4 to 1000, 16 for base 1.5, 52 for 1.01: up to 2e-3 of the value.
+
+    The tables of ``r_k``, ``q^k`` and ``T_j`` are kept per ``(r1, rho, q,
+    cover)`` (:func:`_level_table`) and only grow, when a call's smallest
+    radius lies below every level they hold.
     """
     floor = float(ts.min(initial=math.inf))
     if floor < 2.0**-1022 and r1 < 2.0**959:
         # subnormal radii keep their digits against radii scaled by 2^64, an
         # exact scaling; a radius past r1 fills every level, whatever its size
         return _hole_volumes(np.minimum(ts, r1) * 2.0**64, hull, r1 * 2.0**64, rho, q, cover)
-    # r_k from two powers of rho, each normal where rho^(k-1) may not be
-    fill = []
-    while (r := r1 * rho ** (len(fill) // 2) * rho ** (len(fill) - len(fill) // 2)) > floor:
-        fill.append(r)
-    n = np.searchsorted(-np.minimum.accumulate(np.array(fill)), -ts, side="left")
-    y = ts / np.array([math.inf] + fill)[n]
-    qn = [q**k for k in range(len(fill) + 1)]
+    table = _level_table(r1, rho, q, cover)
+    table.reach(floor)
+    # levels past those above floor have running minimum at most floor <= t, so
+    # a longer table gives the same count n of leading levels that fill above t
+    n = np.searchsorted(table.lead, -ts, side="left")
+    y = ts / table.fill[n]
     total = np.zeros(ts.shape)
-    for j in range(len(cover), 0, -1):
-        rj, tj = rho**j, [0.0]
-        for qk in qn[:-1]:
-            tj.append(rj * tj[-1] + qk)
-        total = y * (cover[j - 1] * np.array(tj)[n] + total)
-    return hull * np.array(qn)[n] + total
+    for c, tj in zip(cover[::-1], table.sums[::-1]):
+        total = y * (c * tj[n] + total)
+    return hull * table.powers[n] + total
+
+
+class _LevelTable:
+    """The level tables of :func:`_hole_volumes` for one ``(r1, rho, q, cover)``.
+
+    ``fill`` is ``[inf, r_1, r_2, ...]``, ``lead`` the negated running minimum
+    of the ``r_k``, ``powers`` the ``q^k`` and ``sums[j - 1]`` the ``T_j``, each
+    one entry per level and one more.  Growing a table runs the recurrences
+    on from their last entries, so a longer table starts with the shorter one.
+    """
+
+    def __init__(self, r1: float, rho: float, q: float, cover) -> None:
+        self.r1, self.rho, self.q = r1, rho, q
+        self.floor = math.inf
+        self.fill, self.lead, self.powers = np.array([math.inf]), np.empty(0), np.ones(1)
+        self.sums = [np.zeros(1) for _ in cover]
+
+    def reach(self, floor: float) -> None:
+        """Add the levels down to the first whose ``r_k`` is at most ``floor``, that one excluded."""
+        if floor >= self.floor:
+            return
+        self.floor = floor
+        r1, rho, q = self.r1, self.rho, self.q
+        top = k = self.fill.size - 1
+        fill = []
+        # r_k from two powers of rho, each normal where rho^(k-1) may not be
+        while (r := r1 * rho ** (k // 2) * rho ** (k - k // 2)) > floor:
+            fill.append(r)
+            k += 1
+        if not fill:
+            return
+        # q^top to q^k: the new T_j entries add all but the last, the new powers are all but the first
+        qk = [float(self.powers[-1])] + [q**i for i in range(top + 1, k + 1)]
+        self.fill = np.append(self.fill, fill)
+        self.lead = -np.minimum.accumulate(self.fill[1:])
+        self.powers = np.append(self.powers, qk[1:])
+        for j, tj in enumerate(self.sums):
+            rj, t, grown = rho ** (j + 1), float(tj[-1]), []
+            for p in qk[:-1]:
+                t = rj * t + p
+                grown.append(t)
+            self.sums[j] = np.append(tj, grown)
+
+
+@lru_cache(maxsize=16)
+def _level_table(r1: float, rho: float, q: float, cover) -> _LevelTable:
+    """The one growing level table of a hole family; the 16 last used are kept."""
+    return _LevelTable(r1, rho, q, cover)
 
 
 def _libm_pow(a, p) -> np.ndarray:

@@ -28,7 +28,7 @@ import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -198,22 +198,24 @@ class ClosedFormZeta:
 
     # -- pole structure -----------------------------------------------------
 
-    def _genuine_poles(self, imag_band: float, lattice_k: Optional[int] = None) -> list:
-        """The pairs of :meth:`poles`, or of :meth:`poles_for_truncation` given ``lattice_k``."""
+    def _genuine_poles(self, lattice_ks, keep=None) -> list:
+        """(location, residue) of the genuine poles among the candidates that ``keep`` accepts.
+
+        The candidates are every real one and, per lattice term, the lattice
+        poles of the indices ``lattice_ks(term)``; those within 1e-12 of the
+        one before them, in order of real then imaginary part, are dropped.
+        """
         locs: list[complex] = []
         for term in self.lattice_terms:
             locs.extend(complex(rho) for rho in term.roots)
             if term.lattice is not None:
-                reach = imag_band / term.period if lattice_k is None else lattice_k
-                locs.extend(term.lattice_pole(k) for k in _lattice_ks(-reach, reach))
+                locs.extend(term.lattice_pole(k) for k in lattice_ks(term))
         locs.extend(complex(term.pole) for term in self.elementary_terms)
         uniq: list[complex] = []
         for w in sorted(locs, key=lambda z: (z.real, z.imag)):
             if not uniq or abs(w - uniq[-1]) > 1e-12:
                 uniq.append(w)
-        if lattice_k is None:
-            uniq = [w for w in uniq if abs(w.imag) <= imag_band + 1e-12]
-        pairs = [(w, self._genuine_residue(w)) for w in uniq]
+        pairs = [(w, self._genuine_residue(w)) for w in uniq if keep is None or keep(w)]
         return [(w, res) for w, res in pairs if res is not None]
 
     def _term_residues(self, omega: complex) -> list:
@@ -280,7 +282,27 @@ class ClosedFormZeta:
         out.  Raises :class:`ValueError` for a band holding more than
         ``10^6`` lattice poles per family and sign.
         """
-        return self._genuine_poles(imag_band)
+        return self._genuine_poles(
+            lambda term: _lattice_ks(-imag_band / term.period, imag_band / term.period),
+            lambda w: abs(w.imag) <= imag_band + 1e-12,
+        )
+
+    def poles_near(self, ordinates: Sequence[float], reach: float) -> list[tuple[complex, complex]]:
+        """The pairs of :meth:`poles` whose imaginary part is within ``reach`` of one of ``ordinates``.
+
+        Only the lattice indices near each ordinate are listed, so the cost
+        does not grow with the ordinates' size.  Raises :class:`ValueError`
+        where ``poles(max |ordinate| + reach)`` does.
+        """
+        top = max(abs(h) for h in ordinates) + reach
+
+        def window(term: LatticeTerm) -> set[int]:
+            p = term.period
+            _lattice_ks(-top / p, top / p)  # the limit of poles(top)
+            # 1e-9 past the reach keeps the candidates that a kept pole is compared with
+            return {k for h in ordinates for k in _lattice_ks((h - reach - 1e-9) / p, (h + reach + 1e-9) / p)}
+
+        return self._genuine_poles(window, lambda w: any(abs(w.imag - h) <= reach + 1e-12 for h in ordinates))
 
     def poles_for_truncation(self, k_band: int) -> list[tuple[complex, complex]]:
         """(location, residue) of every genuine real pole and of the lattice poles with ``|k| <= k_band``.
@@ -288,7 +310,7 @@ class ClosedFormZeta:
         Removable points are left out, as in :meth:`poles`; raises
         :class:`ValueError` for ``k_band`` over ``10^6``.
         """
-        return self._genuine_poles(0.0, lattice_k=k_band)
+        return self._genuine_poles(lambda term: _lattice_ks(-k_band, k_band))
 
     def nearest_pole_distance(self, s: complex) -> float:
         """Distance to the nearest genuine pole (removable candidates excluded)."""
@@ -564,6 +586,25 @@ def _panel_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_PANEL_NODES)
 
 
+# Largest real part at which the C library's cexp returns exp(u) * cos(0): above
+# it glibc scales by exp(709), which changes the last bit.
+_CEXP_EXACT_MAX = 709.0
+
+
+def _libm_exp(u: np.ndarray) -> np.ndarray:
+    """libm ``exp`` of every entry, which numpy's real exp does not match to the last bit.
+
+    numpy's complex exp calls the C library's ``cexp``, which on a zero
+    imaginary part is libm's ``exp`` up to ``_CEXP_EXACT_MAX``; the entries
+    above it take ``math.exp`` one by one.
+    """
+    t = np.exp(u + 0j).real
+    high = u > _CEXP_EXACT_MAX
+    if high.any():
+        t[high] = [math.exp(v) for v in u[high].tolist()]
+    return t
+
+
 def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> complex:
     """Quadrature of ``integral_0^delta t^(s-N-1) |A_t| dt``.
 
@@ -578,6 +619,8 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     with twice the panels the previous pass used, plus 4, in blocks of at
     most 512, since halving the width moves the stop little in ``u``; past
     those it doubles from 8 again.  Other sets take one panel per call.
+    The node radii ``t = exp(u)`` are libm's, bit for bit, from one array
+    call (:func:`_libm_exp`).
 
     Where ``exp((s - N) u)`` overflows the product is ``exp((s - N) u + ln
     |A_t|)``; where ``|A_t|`` underflowed to 0 it is unknown (NaN).
@@ -630,8 +673,7 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
                 edges = edges[: below[0] + 1]
             uh = 0.5 * (edges[:-1] - edges[1:])
             u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + uh[:, None] * x
-            # libm exp, which numpy's vectorized exp does not match to the last bit
-            t = np.fromiter(map(math.exp, u.ravel().tolist()), float, u.size).reshape(u.shape)
+            t = _libm_exp(u)
             vol = tube_volumes(set_, t)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 vals = np.exp((s - n_dim) * u) * vol

@@ -379,14 +379,28 @@ def test_float_format_round_trips(tmp_path):
         ({"t_grid": {"min": 1e-3, "max": 0.1, "count": 2**63}}, ("tube-compare",)),
         # Monte Carlo zeta-eval ran without end
         ({"mc_samples": 10**30, "zeta_method": "monte_carlo"}, ("zeta-eval", "poles", "tube-compare", "measurability")),
+        # these ran, read by truthiness or as the number 1
+        ({"band": True}, ("poles", "tube-compare")),
+        ({"rel_error_threshold": True}, ("poles", "tube-compare")),
+        ({"delta": True}, ("poles", "tube-compare")),
+        ({"grid_cell": True}, ("poles", "tube-compare")),
+        ({"t_grid": {"min": True, "max": 2.0, "count": 4}}, ("poles", "tube-compare")),
+        ({"t_grid": {"min": 1e-3, "max": True, "count": 4}}, ("poles", "tube-compare")),
+        ({"t_grid": {"min": 1e-3, "max": 0.1, "count": 4, "log": "no"}}, ("poles", "tube-compare")),
+        ({"oracle": []}, ("poles", "tube-compare")),
+        ({"mc_samples": 1.5}, ("poles", "tube-compare")),
+        ({"s_values": [["1.5", 0.0]]}, ("poles", "tube-compare")),
+        ({"s_values": [[True, 0.0]]}, ("poles", "tube-compare")),
     ],
     ids=[
         "set_list", "set_str", "t_grid_list", "seed_negative", "seed_str", "seed_float", "seed_bool",
         "truncation_float", "t_grid_count_huge", "mc_samples_huge",
+        "band_bool", "threshold_bool", "delta_bool", "grid_cell_bool", "t_min_bool", "t_max_bool", "t_log_str",
+        "oracle_list", "mc_samples_float", "s_value_str", "s_value_bool",
     ],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, override, commands):
-    path = write_config(tmp_path, s_values=[[1.5, 0.0]], **override)
+    path = write_config(tmp_path, **{"s_values": [[1.5, 0.0]], **override})
     for command in commands:
         assert main([command, "--config", path]) == 2
         err = capsys.readouterr().err
@@ -405,7 +419,9 @@ def test_seed_override_below_zero_is_config_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 # Values of the wrong type or out of range, for any field.
-_JUNK = [None, True, "x", [], {}, [1, 2], math.nan, math.inf, -1, 0, 1.5, 2**63, 10**30, 1e308, -1e308, 5e-324]
+_JUNK = [
+    None, True, "x", "1.5", "no", [], {}, [1, 2], math.nan, math.inf, -1, 0, 1.5, 2**63, 10**30, 1e308, -1e308, 5e-324,
+]
 
 # Cheap valid values: exact or auto oracles, at most 4 radii, small budgets.
 _VALID_SETS = [
@@ -459,9 +475,9 @@ def _configs(draw, out_dir):
         key = draw(st.sampled_from(_SET_KEYS))
         set_[key] = draw(_junk())
     for _ in range(draw(st.integers(0, 2))):
-        key = draw(st.sampled_from(["set", "seed", "out_dir", "t_grid.count", "unknown", *_VALID_FIELDS]))
-        if key == "t_grid.count":
-            cfg["t_grid"] = {**draw(st.sampled_from(_VALID_FIELDS["t_grid"])), "count": draw(_junk())}
+        key = draw(st.sampled_from(["set", "seed", "out_dir", "t_grid.count", "t_grid.log", "unknown", *_VALID_FIELDS]))
+        if key.startswith("t_grid."):
+            cfg["t_grid"] = {**draw(st.sampled_from(_VALID_FIELDS["t_grid"])), key[7:]: draw(_junk())}
         elif draw(st.booleans()):
             cfg[key] = draw(_junk())
         else:

@@ -26,7 +26,7 @@ from fractalzeta.geometry import (
     SierpinskiCarpet3D,
     SierpinskiGasket,
 )
-from fractalzeta.zeta import catalog_zeta
+from fractalzeta.zeta import ClosedFormZeta, catalog_zeta
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_26 = math.log(26.0) / math.log(3.0)
@@ -435,3 +435,22 @@ def test_languidity_height_validation():
         languidity_probe(form, 1.0, [10.0, 20.0, 30.0])  # too few
     with pytest.raises(ValueError):
         languidity_probe(form, 1.0, list(np.geomspace(10.0, 50.0, 12)))  # < 2 decades
+
+
+def test_languidity_lists_only_the_poles_near_its_heights(monkeypatch):
+    # period 2 pi / ln 1e308 = 0.0089: the band up to the top height holds about
+    # 2.3e5 lattice poles, each window of +-1 around a height about 226
+    form = catalog_zeta(FractalStringBoundary(base=1e308, multiplicity=2))
+    (period,) = form.lattice_periods()
+    heights = list(np.geomspace(10.0, 1000.0, 16))
+    calls = []
+    residue = ClosedFormZeta._genuine_residue
+
+    def counting(self, omega):
+        calls.append(omega)
+        return residue(self, omega)
+
+    monkeypatch.setattr(ClosedFormZeta, "_genuine_residue", counting)
+    est = languidity_probe(form, 0.5 + math.log(2.0) / math.log(1e308), heights)
+    assert len(calls) <= len(heights) * (2.0 / period + 3.0)
+    assert len(est.sample_heights) >= 8

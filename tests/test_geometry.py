@@ -1031,6 +1031,39 @@ def test_exact_volumes_past_hole_count_overflow():
         assert np.isfinite(tube_volumes(set_, [5e-324, 1e-300, t, 0.1])).all()
 
 
+@pytest.mark.parametrize(
+    "set_",
+    [
+        SierpinskiGasket(),
+        SierpinskiCarpet3D(),
+        CantorLike(),
+        FractalStringBoundary.cantor_string(),
+        FractalStringBoundary(base=1.5, multiplicity=1),
+    ],
+    ids=["gasket", "carpet", "cantor", "cantor_string", "string_base_1.5"],
+)
+def test_level_tables_grown_in_place_give_the_bits_of_fresh_ones(set_):
+    # a shallow table, grown twice (the second time through the 2^64 scaling
+    # of subnormal radii), then read again by the shallow radii
+    radii = [np.geomspace(floor, set_.default_delta, 300) for floor in (1e-3, 1e-200, 5e-324, 1e-3)]
+    fresh = []
+    for ts in radii:
+        geo._level_table.cache_clear()
+        fresh.append(set_.exact_volumes(ts).tobytes())
+    geo._level_table.cache_clear()
+    assert [set_.exact_volumes(ts).tobytes() for ts in radii] == fresh
+
+
+def test_level_table_cache_stays_bounded():
+    geo._level_table.cache_clear()
+    ts = np.geomspace(1e-30, 0.1, 50)
+    for i in range(1000):
+        tube_volumes(CantorLike(scale=1.0 + i / 1000.0), ts)
+    info = geo._level_table.cache_info()
+    assert info.misses == 1000
+    assert info.currsize <= info.maxsize == 16
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     ratio=st.floats(0.05, 0.45),

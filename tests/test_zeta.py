@@ -330,6 +330,26 @@ def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
     raise AssertionError("reference quadrature did not converge")
 
 
+@settings(max_examples=300, deadline=None)
+@given(u=st.floats(math.log(1e-280) - 2.0, 709.0))
+def test_complex_exp_on_the_real_axis_is_libm_exp(u):
+    # the quadrature's node radii rest on this: numpy's complex exp calls the C
+    # library's cexp, which returns exp(u) * cos(0) up to u = 709
+    assert np.exp(np.array([u]) + 0j).real[0].hex() == math.exp(u).hex()
+
+
+def test_node_radii_are_libm_exp_bit_for_bit():
+    from fractalzeta.zeta import _libm_exp
+
+    rng = np.random.default_rng(7)
+    top = math.log(np.finfo(float).max)
+    for lo, hi in [(math.log(1e-280) - 2.0, 0.0), (0.0, 709.0), (708.0, 709.1), (709.0, top)]:
+        u = rng.uniform(lo, hi, 20_000)
+        want = np.array([math.exp(v) for v in u.tolist()])
+        assert _libm_exp(u).tobytes() == want.tobytes()
+        assert _libm_exp(u.reshape(100, 200)).tobytes() == want.tobytes()
+
+
 def _spy_block_sizes(monkeypatch) -> list:
     """Record the panels (rows of radii) of each tube_volumes call the quadrature makes."""
     from fractalzeta import zeta
@@ -356,6 +376,10 @@ def test_block_quadrature_equals_panel_loop(monkeypatch):
     ]:
         cfg = cfg_for(set_)
         assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+    # nodes above u = 709, where the C library's cexp scales by exp(709) and so
+    # differs from libm's exp in the last bit
+    point, cfg = PointSet([[0.3]]), NumericZetaConfig(delta=8.98e307, seed=1)
+    assert tube_zeta_numeric(point, 0.97 + 6.24j, cfg) == _tube_zeta_panel_loop(point, 0.97 + 6.24j, cfg)
     # the first pass takes blocks of 8, 16, ... panels; each later pass opens
     # with one block of 2 * (panels the pass before used) + 4, then doubles from 8
     sizes = _spy_block_sizes(monkeypatch)
