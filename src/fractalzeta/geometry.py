@@ -7,14 +7,18 @@ t-neighborhood).
 
 Each descriptor class owns its geometry, and the module functions check
 their input and call it.  A descriptor class defines its JSON tag
-``variant``, ``ambient_dim``, ``bounds()``, ``diameter``, ``distances(pts)``
-on checked points, ``exact_volumes(ts)`` over an array of radii up to
-``exact_max`` (the largest radius with an exact tube volume),
-``box_dimension``, ``default_delta``, ``t_valid_max`` (the largest radius
-at which its closed form's residue sum gives ``|A_t|``) and, for catalog
-sets, the ``delta_bound`` text; :class:`CompactSet` holds the defaults.  A
-new set is registered in ``_VARIANTS`` below and, if it has a closed-form
-zeta function, in ``zeta._CLOSED_FORMS``.
+``variant``, ``ambient_dim``, ``bounds()``, ``diameter``,
+``distances(pts, below=0.0)`` on checked points, ``exact_volumes(ts)`` over
+an array of radii up to ``exact_max`` (the largest radius with an exact
+tube volume), ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
+largest radius at which its closed form's residue sum gives ``|A_t|``)
+and, for catalog sets, the ``delta_bound`` text; :class:`CompactSet` holds
+the defaults.  ``distances`` may return any value under ``below >= 0`` for
+a distance under it, and must return every other distance as with
+``below = 0``: the Monte Carlo oracle asks only which points lie within
+``t``, so a descent may stop once that is settled.  A new set is
+registered in ``_VARIANTS`` below and, if it has a closed-form zeta
+function, in ``zeta._CLOSED_FORMS``.
 
 Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
@@ -23,7 +27,8 @@ hole, and one pass over its base-2 barycentric (gasket) or base-3 (carpet)
 digits finds that hole.  For the gasket that pass is a closed form in bit
 operations on the digits, with the same number of array passes at any depth;
 for the carpet it steps in floats only until a point's coordinates are
-multiples of ``2^-51``, and then six ternary levels per int64 pass.
+multiples of ``2^-51``, and then six ternary levels per int64 pass; it
+stops at the first level whose holes are narrower than ``2 below``.
 Distances to a fractal string come from rows of its points, down to where
 they are denser than the floats; a self-similar string finds each query's
 level from a logarithm, which may miss one for ``base / multiplicity <=
@@ -202,7 +207,7 @@ class PointSet(CompactSet):
 
         return cKDTree(np.asarray(self.points, dtype=float) * 2.0**-600)
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
+    def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         d, nearest = self._tree.query(pts)
         # the tree squares the offsets: such rows are measured at 2^-600 scale, where the
         # powers of two keep every bit and a coordinate lost to underflow is below their rounding
@@ -300,7 +305,7 @@ class CantorLike(CompactSet):
     def diameter(self) -> float:
         return self.scale
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
+    def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         """Distance to the nearer end of the middle gap holding each point, by descent.
 
         A point in no gap down to an interval shorter than its ulp takes the
@@ -492,13 +497,15 @@ class FractalStringBoundary(CompactSet):
         ``1e-13 / log(b / m)`` levels, stays below one for ``b / m > 1 + 1e-12``.
         """
         b, m, end = self.base, self.multiplicity, self._end
-        u = np.log(np.clip(x, 2.0**-1074, self.total_length)) + (math.log(b - m) - math.log(self.scale))
+        # a total length that underflows to 0 is clipped to 2^-1074, where the log is finite
+        top = max(self.total_length, 2.0**-1074)
+        u = np.log(np.clip(x, 2.0**-1074, top)) + (math.log(b - m) - math.log(self.scale))
         n = np.clip(np.floor(u / math.log(m / b)), 0.0, end).astype(np.int64) + 1
         # sorted and deduplicated by hand: np.unique hashes, many times slower on int64
         ns = _distinct(np.sort((_distinct(np.sort(n))[:, None] + np.arange(-2, 3)).ravel()))
         return ns[(ns >= 1) & (ns < end)][::-1]
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
+    def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         """Distance to the nearest candidate of the first row with ``anchor >= x``.
 
         The candidates are its two points around ``floor((anchor - x) / length)``,
@@ -552,7 +559,7 @@ class SierpinskiGasket(CompactSet):
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
+    def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         """Exact distances from the base-2 barycentric digits, in a fixed number of passes.
 
         A point in the big triangle is in the set or in exactly one hole, an
@@ -622,6 +629,11 @@ def _carpet_hole_sides() -> list[float]:
 _CARPET_SIDES = np.array(_carpet_hole_sides() + [0.0] * 6)
 _CARPET_LEVELS = _CARPET_SIDES.size - 6
 
+# Half the hole side of each descent level, the farthest that a point of the
+# level's cubes lies from the set, then -1 from the last level on: a level
+# runs while its entry is at least ``below >= 0``.
+_CARPET_REACH = np.concatenate((_CARPET_SIDES[:_CARPET_LEVELS] / 2.0, np.full(7, -1.0)))
+
 # A carpet coordinate on the lattice of multiples of 2^-51 steps exactly as the integer y 2^51.
 _CARPET_BITS = 51
 
@@ -642,11 +654,13 @@ def _face_gap(fs) -> np.ndarray:
     return np.minimum.reduce([np.minimum(f, 1.0 - f) for f in fs])
 
 
-def _carpet_lattice_distances(out: np.ndarray, groups) -> None:
+def _carpet_lattice_distances(out: np.ndarray, groups, below: float) -> None:
     """Carpet hole distances of points on the ``2^-51`` lattice, six levels per int64 pass.
 
     ``groups`` holds ``(rows, (Y0, Y1, Y2), k)``: rows of ``out`` and their
-    coordinates times ``2^51`` at the start of descent level ``k``.
+    coordinates times ``2^51`` at the start of descent level ``k``.  A point
+    whose next pass starts at a level whose reach is under ``below`` is left
+    as it is.
     """
     idx = np.concatenate([g[0] for g in groups])
     ys = [np.concatenate([g[1][c] for g in groups]) for c in range(3)]
@@ -667,7 +681,7 @@ def _carpet_lattice_distances(out: np.ndarray, groups) -> None:
             fs = [((y.take(hole) * scale) & ((1 << _CARPET_BITS) - 1)) * 2.0**-_CARPET_BITS for y in ys]
             out[idx.take(hole)] = _CARPET_SIDES.take(k.take(hole) + j) * _face_gap(fs)
         k += 6
-        rest = np.flatnonzero((ones == 0) & (k < _CARPET_LEVELS))
+        rest = np.flatnonzero((ones == 0) & (_CARPET_REACH.take(k) >= below))
         idx, k, ys = idx.take(rest), k.take(rest), [z.take(rest) for z in steps]
 
 
@@ -686,7 +700,7 @@ class SierpinskiCarpet3D(CompactSet):
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(3), np.ones(3)
 
-    def distances(self, pts: np.ndarray) -> np.ndarray:
+    def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         """Exact distances from the base-3 digits, six levels per integer pass.
 
         A point in the open unit cube is in the set or in exactly one hole, an
@@ -706,6 +720,11 @@ class SierpinskiCarpet3D(CompactSet):
         its six ternary digits are 1, and the lowest level at which all
         three coordinates have a 1 is the hole.  Its ``f`` are
         ``3^(j + 1) Y mod 2^51`` times ``2^-51``, bit for bit the floats.
+
+        Both stop at the first level whose hole side ``h`` is under
+        ``2 below``, and the points left there read 0: each lies in a hole of
+        that level or deeper, or on the set, so within ``h / 2`` of the set,
+        and the descent would give it at most ``h / 2``.
         """
         # the surface of the unit cube belongs to the set
         cols = pts[:, 0], pts[:, 1], pts[:, 2]
@@ -721,7 +740,7 @@ class SierpinskiCarpet3D(CompactSet):
         ys = [c.take(idx) for c in cols]
         lattice = []
         k = 0
-        while idx.size and k < _CARPET_LEVELS:
+        while idx.size and _CARPET_REACH[k] >= below:
             hole = np.ones(idx.size, dtype=bool)
             on = np.ones(idx.size, dtype=bool)
             scaled = []
@@ -739,13 +758,13 @@ class SierpinskiCarpet3D(CompactSet):
                 on &= ~hole
             k += 1
             moved = np.flatnonzero(on)
-            if moved.size:
+            if moved.size and _CARPET_REACH[k] >= below:
                 lattice.append((idx.take(moved), [b.take(moved).astype(np.int64) for b in scaled], k))
             if found.size or moved.size:
                 rest = np.flatnonzero(~(hole | on))
                 idx, ys = idx.take(rest), [y.take(rest) for y in ys]
         if lattice:
-            _carpet_lattice_distances(out, lattice)
+            _carpet_lattice_distances(out, lattice, below)
         return out
 
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
@@ -948,15 +967,17 @@ def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
     """Distances from ``x`` to the row points ``top - step * i``, ``i_lo <= i <= i_hi``, and ``[0, floor]``.
 
     The rows ascend in ``top``.  ``x`` takes the first row with
-    ``top >= x``, which must be there with its neighbours.
+    ``top >= x``, which must be there with its neighbours.  A row whose step
+    underflows to 0 holds only its anchor.
     """
     r = np.minimum(np.searchsorted(top, x), top.size - 1)
     highest, lowest = top - step * i_lo, top - step * i_hi
     below = np.concatenate(([floor], highest[:-1]))[r]
     above = np.concatenate((lowest[1:], [np.inf]))[r]
     a, s, lo, hi = top[r], step[r], i_lo[r], i_hi[r]
-    # x clipped to the row's span keeps the quotient at most about i_hi
-    i = np.minimum(np.maximum(np.floor((a - np.clip(x, below, a)) / s), lo), hi)
+    # x clipped to the row's span keeps the quotient at most about i_hi; a step of 0
+    # divides as 2^-1074, which any index on that row reads as its anchor
+    i = np.minimum(np.maximum(np.floor((a - np.clip(x, below, a)) / np.maximum(s, 2.0**-1074)), lo), hi)
     d = np.abs(x - (a - s * i))
     np.minimum(d, np.abs(x - (a - s * np.minimum(i + 1.0, hi))), out=d)
     np.minimum(d, np.abs(x - above), out=d)
@@ -1039,23 +1060,56 @@ def _grid_tube(set_: CompactSet, t: float, cell: float):
 _MC_CHUNK = 1 << 17
 
 
-def _mc_points(lo: np.ndarray, hi: np.ndarray, n_samples: int, seed: int):
-    """Uniform points in ``[lo, hi]``, chunk ``i`` from the Philox stream ``(seed, i)``."""
+def _mc_uniforms(n_dim: int, n_samples: int, seed: int):
+    """Uniforms in ``[0, 1)^N`` by chunks of ``_MC_CHUNK``, chunk ``i`` from the Philox stream ``(seed, i)``.
+
+    Each chunk is an ``(N, n)`` array: row ``c`` holds coordinate ``c`` of the
+    chunk's ``n`` draws, contiguous.
+    """
     for i, start in enumerate(range(0, n_samples, _MC_CHUNK)):
         g = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), i))))
-        yield lo + (hi - lo) * g.random((min(_MC_CHUNK, n_samples - start), len(lo)))
+        yield np.ascontiguousarray(g.random((min(_MC_CHUNK, n_samples - start), n_dim)).T)
 
 
-def _mc_tube(set_: CompactSet, t: float, n_samples: int, seed: int):
+def _mc_scaled(lo: np.ndarray, hi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The ``(n, N)`` points ``lo + (hi - lo) u`` of an ``(N, n)`` chunk of uniforms, with contiguous columns.
+
+    Each coordinate is scaled along its own row, by the same products and
+    sums as over an ``(n, N)`` array, so the points keep those bits.
+    """
+    x = (hi - lo)[:, None] * u
+    x += lo[:, None]
+    return x.T
+
+
+def _mc_points(lo: np.ndarray, hi: np.ndarray, n_samples: int, seed: int):
+    """Uniform points in ``[lo, hi]`` by chunks, chunk ``i`` from the Philox stream ``(seed, i)``."""
+    for u in _mc_uniforms(len(lo), n_samples, seed):
+        yield _mc_scaled(lo, hi, u)
+
+
+def _mc_tubes(set_: CompactSet, ts: Sequence[float], n_samples: int, seed: int) -> list[tuple[float, float]]:
+    """Monte Carlo ``(volume, half_width)`` of ``|A_t|`` for every radius ``t`` in ``ts``.
+
+    Radius ``t`` counts the points of ``_mc_points`` in the bounding box
+    fattened by ``t`` that lie within ``t`` of the set.  Each chunk of
+    uniforms is drawn once and scaled to every radius's box, so the points,
+    and the counts, are those of a call for that radius alone.  The
+    distances are asked with ``below=t``: only whether they lie under ``t``
+    counts.
+    """
     lo, hi = set_.bounds()
-    lo = lo - t
-    hi = hi + t
-    box_vol = float(np.prod(hi - lo))
-    hits = sum(int((distances_to_set(x, set_) < t).sum()) for x in _mc_points(lo, hi, n_samples, seed))
-    p = hits / n_samples
-    volume = box_vol * p
-    half_width = box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-    return volume, half_width
+    boxes = [(lo - t, hi + t) for t in ts]
+    hits = [0] * len(boxes)
+    for u in _mc_uniforms(len(lo), n_samples, seed):
+        for j, (t, (a, b)) in enumerate(zip(ts, boxes)):
+            hits[j] += int(np.count_nonzero(set_.distances(_mc_scaled(a, b, u), below=t) < t))
+    out = []
+    for (a, b), h in zip(boxes, hits):
+        box_vol = float(np.prod(b - a))
+        p = h / n_samples
+        out.append((box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)))
+    return out
 
 
 _METHOD_ALIASES = {
@@ -1086,7 +1140,8 @@ def tube_volume(
     reports the conservative boundary-cell bound; Monte Carlo reports a
     one-standard-error confidence half-width.
 
-    Exact volumes run the array code of :func:`tube_volumes` on ``[t]``.
+    Exact volumes run the array code of :func:`tube_volumes` on ``[t]``, and
+    Monte Carlo the loop of :func:`_mc_tubes` that a curve's radii share.
 
     Raises :class:`ResolutionTooCoarse` when the grid refinement visits
     over ``_GRID_BUDGET`` (8,000,000) blocks, :class:`FractalZetaError` for
@@ -1097,13 +1152,18 @@ def tube_volume(
     volume past the float range, and, for Monte Carlo, for an ``mc_samples``
     that is not an integer ``>= 1`` (a ``bool`` included).
     """
+    return _measure_tubes(set_, [t], [_chosen_method(set_, t, method)], cell, mc_samples, seed)[0]
+
+
+def _chosen_method(set_: CompactSet, t: float, method: Optional[str]):
+    """The resolved method of :func:`tube_volume` at radius ``t``, which is checked here."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError("t must be positive and finite")
     _check_fattened_box(set_, t)
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
-    return _measure_tube(set_, t, _default_method(set_, t) if req is None else req, cell, mc_samples, seed)
+    return _default_method(set_, t) if req is None else req
 
 
 def _default_method(set_: CompactSet, t: float):
@@ -1120,8 +1180,33 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
         raise ValueError(f"radius {t!r} is too large: the bounding box fattened by it has no float volume")
 
 
-def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_000, seed=0) -> TubeSample:
-    """:func:`tube_volume` by a resolved method, for a radius already checked."""
+def _measure_tubes(set_: CompactSet, ts, chosen, cell=None, mc_samples=200_000, seed=0) -> list[TubeSample]:
+    """:func:`tube_volume` at every radius of ``ts`` by its resolved method in ``chosen``.
+
+    The radii are already checked, and ``cell`` (if a radius is grid
+    counted) and ``mc_samples`` (if one is sampled) are checked here before
+    any is measured.  Those measured by Monte Carlo share one
+    :func:`_mc_tubes` run; the others are measured one by one.
+    """
+    if cell is not None and TubeMethod.GRID_COUNT in chosen and not (math.isfinite(cell) and cell > 0):
+        raise ValueError("cell must be positive and finite")
+    mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
+    if mc:
+        if isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1):
+            raise ValueError("mc_samples must be an integer >= 1")
+        found = iter(_mc_tubes(set_, mc, mc_samples, seed))
+    out = []
+    for t, c in zip(ts, chosen):
+        if c == TubeMethod.MONTE_CARLO:
+            volume, hw = next(found)
+            out.append(TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw))
+        else:
+            out.append(_measure_tube(set_, t, c, cell))
+    return out
+
+
+def _measure_tube(set_: CompactSet, t: float, chosen, cell=None) -> TubeSample:
+    """:func:`tube_volume` by an exact or grid method, for a radius and ``cell`` already checked."""
     if chosen == "exact":
         kind = TubeMethod.EXACT_1D if set_.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
         return TubeSample(t, float(set_.exact_volumes(np.array([t]))[0]), kind)
@@ -1131,16 +1216,8 @@ def _measure_tube(set_: CompactSet, t: float, chosen, cell=None, mc_samples=200_
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
         if cell is None:
             cell = t / 64.0
-        elif not (math.isfinite(cell) and cell > 0):
-            raise ValueError("cell must be positive and finite")
         volume, error = _grid_tube(set_, t, cell)
         return TubeSample(t, volume, TubeMethod.GRID_COUNT, error)
-
-    if chosen == TubeMethod.MONTE_CARLO:
-        if isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1):
-            raise ValueError("mc_samples must be an integer >= 1")
-        volume, hw = _mc_tube(set_, t, mc_samples, seed)
-        return TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw)
 
     raise ValueError(f"unhandled method {chosen!r}")
 
@@ -1150,7 +1227,8 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
 
     The radii up to the set's ``exact_max`` take one ``exact_volumes`` call
     (the self-similar sets by one gather from their level tables); the
-    others, past it, one grid count or Monte Carlo run each.  Raises
+    others, past it, one grid count each or one Monte Carlo run for them
+    all.  Raises
     :class:`ValueError` for a non-finite or non-positive radius and, as
     ``tube_volume`` does, for one too large for a float volume.
     """
@@ -1166,18 +1244,28 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     exact = flat <= set_.exact_max
     out = np.empty(flat.shape)
     out[exact] = set_.exact_volumes(flat[exact])
-    out[~exact] = [_measure_tube(set_, t, _default_method(set_, t)).volume for t in flat[~exact].tolist()]
+    rest = flat[~exact].tolist()
+    out[~exact] = [s.volume for s in _measure_tubes(set_, rest, [_default_method(set_, t) for t in rest])]
     return out.reshape(ts.shape)
 
 
-def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, **kwargs) -> list[TubeSample]:
-    """Tube volumes at an ascending grid of radii, with a monotonicity check."""
+def sample_tube_curve(
+    set_: CompactSet, t_values: Sequence[float], method=None, *, cell=None, mc_samples=200_000, seed=0
+) -> list[TubeSample]:
+    """``tube_volume`` at an ascending grid of radii, with a monotonicity check.
+
+    Every radius, the method, ``cell`` (if a radius is grid counted) and
+    ``mc_samples`` (if one is sampled) are checked before anything is
+    measured, and the Monte Carlo radii share each chunk's draws (:func:`_mc_tubes`), each
+    sample bit for bit that of its own ``tube_volume`` call.
+    """
     ts = [float(t) for t in t_values]
     if any(t <= 0 for t in ts):
         raise ValueError("all t values must be positive")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("t values must be sorted ascending")
-    samples = [tube_volume(set_, t, method=method, **kwargs) for t in ts]
+    chosen = [_chosen_method(set_, t, method) for t in ts]
+    samples = _measure_tubes(set_, ts, chosen, cell, mc_samples, seed)
     for a, b in zip(samples, samples[1:]):
         slack = 3.0 * (a.error_bound + b.error_bound) + 1e-12 * max(1.0, a.volume)
         if a.volume > b.volume + slack:
@@ -1185,7 +1273,6 @@ def sample_tube_curve(set_: CompactSet, t_values: Sequence[float], method=None, 
                 f"tube volume not monotone: |A_{a.t}| = {a.volume} > |A_{b.t}| = {b.volume}"
             )
     return samples
-
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,9 @@ decimals: a direct sum over the gaps of Cantor sets and self-similar
 strings, and hull minus hole cores for the gasket and the 3D carpet (at
 that precision the cancellation leaves over 200 digits down to
 ``t = 1e-150``).
+
+The Monte Carlo tube oracle one radius at a time, as the library ran it
+before a curve's radii shared their draws.
 """
 
 import math
@@ -248,3 +251,22 @@ def carpet_volume(set_, t) -> Decimal:
             side /= 3
             number *= 26
         return total
+
+
+def mc_tube_per_radius(set_, t, n_samples, seed, chunk=1 << 17):
+    """Monte Carlo ``(volume, half_width)`` of ``|A_t|`` drawn for radius ``t`` alone.
+
+    Chunk ``i`` of the uniforms comes from the Philox stream ``(seed, i)`` and
+    is scaled to the box fattened by ``t`` as ``lo + (hi - lo) u`` over the
+    whole ``(n, N)`` array; a hit is a full distance under ``t``.
+    """
+    lo, hi = set_.bounds()
+    lo, hi = lo - t, hi + t
+    hits = 0
+    for i, start in enumerate(range(0, n_samples, chunk)):
+        g = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), i))))
+        x = lo + (hi - lo) * g.random((min(chunk, n_samples - start), len(lo)))
+        hits += int((set_.distances(x) < t).sum())
+    box_vol = float(np.prod(hi - lo))
+    p = hits / n_samples
+    return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)

@@ -487,12 +487,23 @@ def _configs(draw, out_dir):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), command=st.sampled_from(["zeta-eval", "poles", "tube-compare", "measurability"]))
-@example(data=None, command="poles").via("a set of the wrong JSON type died with AttributeError")
+@example(data={"set": [], "seed": 1}, command="poles").via("a set of the wrong JSON type died with AttributeError")
+@example(
+    data={
+        "set": {"variant": "string_boundary", "base": 3.0, "multiplicity": 2, "scale": 5e-324},
+        "seed": 1,
+        "delta": 0.5,
+        "zeta_method": "monte_carlo",
+        "mc_samples": 1000,
+        "s_values": [[2.5, 0.0]],
+    },
+    command="zeta-eval",
+).via("a string whose first length underflows to 0 had NaN distances")
 def test_cli_config_fuzz_exits_0_1_or_2(data, command):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = str(Path(tmp) / "out")
-        cfg = {"set": [], "seed": 1} if data is None else data.draw(_configs(out_dir))
+        cfg = data if isinstance(data, dict) else data.draw(_configs(out_dir))
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
