@@ -5,15 +5,18 @@ continued distance zeta function.  For lattice closed forms they form
 arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
 principle on recursively subdivided rectangles, walked a subdivision
-level at a time with an extrapolated first moment of ``d log f``, and
-refined by Newton iteration on the reciprocal.  Residues come either
+level at a time with an extrapolated first moment of ``d log f`` (and the
+second and third where a zero-pole pair hides in a cell), and refined by
+Newton iteration on the reciprocal.  Residues come either
 from the closed-form term algebra or from trapezoidal contour quadrature
 on circles (which converges geometrically for analytic integrands).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -122,15 +125,18 @@ def residue_contour(
     The radius defaults to half the distance to the nearest other known
     pole, capped at 0.1.  The node count doubles from 256 until the value
     is stable to 1e-10; drift up to 4096 nodes raises :class:`ContourContaminated`
-    (another singularity inside or on the contour).
+    (another singularity inside or on the contour).  A non-finite ``omega``
+    or a radius that is not positive and finite raises :class:`ValueError`.
     """
     omega = complex(omega)
+    if not cmath.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     f = _vectorized(evaluator)
     if radius is None:
         others = [abs(omega - p) for p in known_poles if abs(omega - p) > 1e-12]
         radius = min(0.1, 0.5 * min(others)) if others else 0.1
-    if radius <= 0:
-        raise ValueError("contour radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"contour radius must be positive and finite, got {radius}")
 
     prev = _circle_coefficients(f, omega, radius, 1, 256)[0]
     n = 256
@@ -176,21 +182,24 @@ def _refine(f, z, vals, cell, split):
 
 
 def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
-    """Winding number and centered first moment along each closed polygon, all walked together.
+    """Winding number and centered moments along each closed polygon, all walked together.
 
-    Returns ``(W, M1)`` per polygon, or a :class:`BoundaryPole` where a
-    singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
-    counts zeros minus poles and ``M1 = (1/2 pi i) contour (s - c) d log f``
-    sums ``(z - c)`` over zeros minus ``(p - c)`` over poles, ``c`` the
-    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but ``M1 = z - p``.
+    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole`
+    where a singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
+    counts zeros minus poles and ``Mk = (1/2 pi i) contour (s - c)^k d log f``
+    sums ``(z - c)^k`` over zeros minus ``(p - c)^k`` over poles, ``c`` the
+    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but
+    ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
+    such walks (``W = 0``, ``|M1| > moment_tol``) and are NaN for the others.
 
     The samples of all polygons share flat arrays, so a refinement round is
     one call of ``f``.  Segments with a large phase or log-modulus step are
-    halved; once none is, all are.  ``M1`` is a midpoint sum with O(h^2)
-    error, so ``R_k = M1_k + (M1_k - M1_(k-1))/3`` over a full split is
-    O(h^4).  A walk returns ``R`` once it moved by at most ``moment_tol / 4``
-    over a full split, else ``M1`` once it did since the last smooth round;
-    after 28 rounds it gets a :class:`BoundaryPole`.
+    halved; once none is, all are.  Each ``Mk`` is a midpoint sum with
+    O(h^2) error, so ``R_k = Mk_k + (Mk_k - Mk_(k-1))/3`` over a full split
+    is O(h^4).  A walk returns the ``R`` once they moved by at most
+    ``moment_tol / 4`` over a full split (``R1`` alone, or all three for a
+    pair), else, if it has no pair, ``M1`` once it did since the last
+    smooth round; after 28 rounds it gets a :class:`BoundaryPole`.
     """
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
@@ -201,9 +210,12 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     vals = f(z)
     out: list = [None] * n_poly
     done = np.zeros(n_poly, dtype=bool)
-    # M1 of the last round with a resolved winding; M1 and R of the previous
-    # round, NaN unless it resolved its winding (and so split every segment)
-    prev_m1, last_m1, last_r = (np.full(n_poly, np.nan, dtype=complex) for _ in range(3))
+    # M1 of the last round with a resolved winding; (M1, M2, M3) and their R
+    # of the previous round, NaN unless it resolved its winding (and so split
+    # every segment)
+    prev_m1 = np.full(n_poly, np.nan, dtype=complex)
+    last_m, last_r = (np.full((3, n_poly), np.nan, dtype=complex) for _ in range(2))
+    sums = lambda cell, t: np.bincount(cell, t.real, n_poly) + 1j * np.bincount(cell, t.imag, n_poly)
     for rnd in range(28):
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
@@ -223,21 +235,32 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         w = np.round(total)
         ok = smooth & (np.abs(total - w) <= 0.25)
         if ok.any():
-            terms = (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi)
-            m1 = np.bincount(cell, terms.real, n_poly) + 1j * np.bincount(cell, terms.imag, n_poly)
-            r = m1 + (m1 - last_m1) / 3.0
-            by_r = ok & (np.abs(r - last_r) <= 0.25 * moment_tol)
-            resolved = by_r | (ok & (np.abs(m1 - prev_m1) <= 0.25 * moment_tol))
+            u = 0.5 * (z + z[nxt]) - center[cell]
+            terms = u * (dphi - 1j * dlnr) / (2.0 * math.pi)
+            m = np.full((3, n_poly), np.nan, dtype=complex)
+            m[0] = sums(cell, terms)
+            # M2 and M3 only where a hidden zero-pole pair shows
+            pair = ok & (w == 0) & (np.abs(m[0]) > moment_tol)
+            if pair.any():
+                on = pair[cell]
+                t2 = u[on] * terms[on]
+                m[1:, pair] = [sums(cell[on], t2)[pair], sums(cell[on], u[on] * t2)[pair]]
+            r = m + (m - last_m) / 3.0
+            # a pair's walk returns extrapolated moments only, all three stable
+            moved = np.abs(r - last_r)
+            moved = np.where(pair, moved.max(axis=0), moved[0])
+            by_r = ok & (moved <= 0.25 * moment_tol)
+            resolved = by_r | (ok & ~pair & (np.abs(m[0] - prev_m1) <= 0.25 * moment_tol))
             for c in np.flatnonzero(resolved):
-                out[c] = (int(w[c]), complex(r[c] if by_r[c] else m1[c]))
+                out[c] = (int(w[c]), *map(complex, (r if by_r[c] else m)[:, c]))
             done |= resolved
-            prev_m1 = np.where(ok, m1, prev_m1)
-            last_m1 = np.where(ok, m1, np.nan)
+            prev_m1 = np.where(ok, m[0], prev_m1)
+            last_m = np.where(ok, m, np.nan)
             last_r = np.where(ok, r, np.nan)
         else:
             # no walk has a resolved winding, so no moment this round
             resolved = ok
-            last_m1 = last_r = np.full(n_poly, np.nan, dtype=complex)
+            last_m = last_r = np.full((3, n_poly), np.nan, dtype=complex)
         if rnd == 27 or done.all():
             break
         split = bad | smooth[cell]
@@ -290,6 +313,39 @@ def _newton_on_reciprocal(
     return None
 
 
+def _pair_pole(f, fprime, cell, moments, tol: float, moment_tol: float) -> Optional[complex]:
+    """The pole of a lone zero-pole pair in ``cell`` from its boundary moments, or None.
+
+    A zero ``z`` and a pole ``p`` leave ``M_k = (z - c)^k - (p - c)^k``, so
+    ``M2 / M1 = (z - c) + (p - c)`` and Newton on ``1/f`` starts at
+    ``c + (M2/M1 - M1)/2``.  The pole is taken only if Newton lands in the
+    cell, ``p`` and ``z = p + M1`` reproduce ``M2`` and ``M3`` within
+    ``moment_tol / 64``, and the circle of radius ``0.3 |M1|`` about ``p``
+    winds once around a pole; otherwise the cell holds more than one pair.
+    """
+    m1, m2, m3 = moments
+    a, b, c, d = cell
+    center = complex(0.5 * (a + b), 0.5 * (c + d))
+    seed = center + 0.5 * (m2 / m1 - m1)
+    radius = 0.3 * abs(m1)
+    if not cmath.isfinite(seed) or radius < 4.0 * tol:
+        return None
+    p = _newton_on_reciprocal(f, fprime, seed, tol, max_iter=12)
+    if p is None or not (a - tol <= p.real <= b + tol and c - tol <= p.imag <= d + tol):
+        return None
+    pc, zc = p - center, p - center + m1
+    if max(abs(zc**2 - pc**2 - m2), abs(zc**3 - pc**3 - m3)) > moment_tol / 64.0:
+        return None
+    try:
+        return p if _winding_circle(f, p, radius) == -1 else None
+    except BoundaryPole:
+        return None
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def find_poles_argument_principle(
     evaluator: Evaluator,
     rect: tuple[float, float, float, float],
@@ -309,22 +365,38 @@ def find_poles_argument_principle(
     walked together, each stopping once its moment or that moment's
     Richardson extrapolation is stable.
 
+    A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
+    when it holds one pair: its second and third moments give the pair
+    (``M2 / M1 = (z - c) + (p - c)``, Delves and Lyness), Newton on ``1/f``
+    starts at the pole so named, and the pole is kept as order 1 only if
+    Newton lands in the cell, ``p`` and ``z = p + M1`` reproduce ``M2`` and
+    ``M3`` within ``moment_floor / 64``, and the circle of radius
+    ``0.3 |M1|`` about ``p`` winds once around a pole.  Any other such cell
+    (two pairs, a double pole with two zeros) is split.
+
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
     :class:`BoundaryPole` when a singularity obstructs the outer boundary
     walk and :class:`NonIsolable` when subdivision stalls or an order
-    exceeds 3; :class:`ValueError` for a non-finite or empty ``rect``, a
-    ``tol`` or ``moment_floor`` that is not positive and finite, or a
-    ``rect`` of over 10^5 unit cells.
+    exceeds 3; :class:`ValueError` for a ``rect`` that is not four real
+    numbers or is non-finite or empty, a ``tol`` or ``moment_floor`` that is
+    not a positive finite real number (a ``bool`` is not), or a ``rect`` of
+    over 10^5 unit cells.
     """
-    re_lo, re_hi, im_lo, im_hi = map(float, rect)
+    try:
+        entries = tuple(rect)
+    except TypeError:
+        entries = ()
+    if len(entries) != 4 or not all(map(_is_real, entries)):
+        raise ValueError(f"rect {rect!r} must be four real numbers (re_lo, re_hi, im_lo, im_hi)")
+    re_lo, re_hi, im_lo, im_hi = map(float, entries)
     if not (all(map(math.isfinite, (re_lo, re_hi, im_lo, im_hi))) and re_lo < re_hi and im_lo < im_hi):
         raise ValueError(f"rect {rect} must be finite with re_lo < re_hi and im_lo < im_hi")
-    if moment_floor is None:
+    if moment_floor is None and _is_real(tol):
         moment_floor = max(1e-4, 64.0 * tol)
     for name, value in (("tol", tol), ("moment_floor", moment_floor)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (_is_real(value) and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
     if (re_hi - re_lo) * (im_hi - im_lo) > 1e5:  # a level's cells are listed at once
         raise ValueError(f"rect {rect} would split into over 10^5 unit cells")
     f = _vectorized(evaluator)
@@ -365,9 +437,13 @@ def find_poles_argument_principle(
                     below.extend(split(cell, depth))
                     continue
                 raise res
-            w, m1 = res
+            w, m1, m2, m3 = res
             if w == 0:
                 if abs(m1) <= moment_floor:
+                    continue
+                loc = _pair_pole(f, fprime, cell, (m1, m2, m3), tol, moment_floor)
+                if loc is not None:
+                    found.append((loc, 1))
                     continue
                 if size <= max(64.0 * tol, min_cell):
                     raise NonIsolable(f"cell {cell} hides a zero-pole pair below the resolution floor")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,16 +182,51 @@ class _PointBudget:
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": math.nan}),  # split every cell forever
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": -1e-6}),
         ((-0.5, 1000.0, -50.0, 50.0), {}),  # over 10^5 unit cells in one level
+        ((-0.5, 1.0, -3.0, 3.0), {"tol": True}),  # ran as tol=1.0
+        ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": True}),
     ],
     ids=[
         "reversed_re", "reversed_im", "empty_im", "nan_re", "inf_im", "tol_0", "tol_nan", "tol_inf",
-        "floor_nan", "floor_negative", "cell_count",
+        "floor_nan", "floor_negative", "cell_count", "tol_bool", "floor_bool",
     ],
 )
 def test_find_poles_rejects_bad_input(rect, kwargs):
     evaluator = _PointBudget(catalog_zeta(CantorLike(), 0.5))
     with pytest.raises(ValueError):
         find_poles_argument_principle(evaluator, rect, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [(1.0, 2.0, -1.0 + 0j, 1.0), (1.0, 2.0, -1.0), (1.0, 2.0, -1.0, 1.0, 0.0), (1.0, 2.0, "-1", 1.0), 2.0],
+    ids=["complex_entry", "three_entries", "five_entries", "str_entry", "scalar"],
+)
+def test_find_poles_names_a_rect_that_is_not_four_real_numbers(rect):
+    # a complex entry raised a bare TypeError, a wrong length an unpacking error
+    evaluator = _PointBudget(catalog_zeta(SierpinskiGasket(), 0.5), limit=0)
+    with pytest.raises(ValueError, match="rect"):
+        find_poles_argument_principle(evaluator, rect)
+
+
+@pytest.mark.parametrize(
+    "omega, radius, named",
+    [
+        (math.nan, None, "omega"),
+        (complex(0.0, math.inf), 0.1, "omega"),
+        (0.0, math.nan, "radius"),
+        (0.0, math.inf, "radius"),
+        (0.0, -math.inf, "radius"),
+    ],
+    ids=["omega_nan", "omega_inf", "radius_nan", "radius_inf", "radius_minus_inf"],
+)
+def test_residue_contour_rejects_non_finite_input_before_evaluating(omega, radius, named):
+    # radius nan or inf leaked two RuntimeWarnings, then failed converting NaN
+    # to an integer; omega nan raised ContourContaminated
+    evaluator = _PointBudget(catalog_zeta(SierpinskiGasket(), 0.5), limit=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            residue_contour(evaluator, omega, radius)
 
 
 def _reference_log_walk(f, corners, moment_tol):
@@ -277,9 +313,104 @@ def test_walk_returns_the_extrapolated_moment():
     for _ in range(10):
         z0, p0 = rng.uniform(0.2, 0.8, 2) + 1j * rng.uniform(0.2, 0.8, 2)
         f = lambda s: (s - z0) / (s - p0) * np.exp(s)
-        [(w, m1)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+        [(w, m1, _, _)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
         assert w == 0
         assert abs(m1 - (z0 - p0)) <= 1e-9
+
+
+def test_walk_returns_the_second_and_third_moments_of_a_pair():
+    # Mk = (z0 - c)^k - (p0 - c)^k about the centroid c; a walk with no pair has none
+    from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
+
+    rng = np.random.default_rng(4)
+    c = 0.5 + 0.5j
+    for _ in range(10):
+        z0, p0 = rng.uniform(0.2, 0.8, 2) + 1j * rng.uniform(0.2, 0.8, 2)
+        f = lambda s: (s - z0) / (s - p0) * np.exp(s)
+        [(w, _, m2, m3)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+        assert w == 0
+        assert abs(m2 - ((z0 - c) ** 2 - (p0 - c) ** 2)) <= 1e-10
+        assert abs(m3 - ((z0 - c) ** 3 - (p0 - c) ** 3)) <= 1e-10
+    [(w, _, m2, m3)] = _boundary_log_walks(lambda s: 1.0 / (s - c), [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+    assert w == -1 and np.isnan(m2) and np.isnan(m3)
+
+
+def _count_walks(monkeypatch):
+    from fractalzeta import dimensions
+
+    levels = []
+    walks = dimensions._boundary_log_walks
+
+    def counting(f, polygons, moment_tol):
+        levels.append(len(polygons))
+        return walks(f, polygons, moment_tol)
+
+    monkeypatch.setattr(dimensions, "_boundary_log_walks", counting)
+    return levels
+
+
+@pytest.mark.parametrize("separation", [1e-2, 1e-3, 2e-5])
+def test_a_pair_is_resolved_in_its_unit_cell(monkeypatch, separation):
+    # the pole of a zero-pole pair comes from M1, M2 and M3 of the unit cell's
+    # walk; bisecting the pair apart took 11 to 25 more walk levels
+    levels = _count_walks(monkeypatch)
+    p0 = 0.37 + 0.61j
+    z0 = p0 + separation * np.exp(0.7j)
+    poles = find_poles_argument_principle(
+        lambda s: (s - z0) / (s - p0) * np.exp(s), (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6
+    )
+    assert levels == [1]
+    [pole] = poles
+    assert pole.order == 1 and abs(pole.location - p0) <= 1e-9
+    assert pole.residue == pytest.approx((p0 - z0) * np.exp(p0), rel=1e-8)
+
+
+def _pairs(*pairs):
+    return lambda s: math.prod((s - z) / (s - p) for p, z in pairs) * np.exp(s)
+
+
+# each a W = 0 unit cell that is not one pair
+_TAU = 1e-6 / 64  # the moment residual the one-pair check allows at moment_floor 1e-6
+_Z1 = 0.6165 + 0.003j
+_CONTROLS = {
+    "two_pairs": (_pairs((0.3 + 0.3j, 0.31 + 0.3j), (0.7 + 0.75j, 0.7 + 0.76j)), [(0.3 + 0.3j, 1), (0.7 + 0.75j, 1)]),
+    # a second pair 3e-3 past the first one's zero, across the first split at
+    # x = 0.618: it moves M2 by 2 d2 (p2 - z1) = 0.8 tau, under the tolerance,
+    # and M3 by about 3 (z1 - c) times that, 1.23 tau, over it
+    "two_pairs_seen_by_m3_alone": (
+        _pairs((_Z1 - 1e-3, _Z1), (_Z1 + 3e-3, _Z1 + 3e-3 + 1j * 0.8 * _TAU / 6e-3)),
+        [(_Z1 - 1e-3, 1), (_Z1 + 3e-3, 1)],
+    ),
+    "double_pole_two_zeros": (
+        lambda s: (s - 0.7 - 0.45j) * (s - 0.4 - 0.8j) / (s - 0.4 - 0.45j) ** 2 * np.exp(s),
+        [(0.4 + 0.45j, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTROLS))
+def test_a_unit_cell_that_is_not_one_pair_is_split(monkeypatch, name):
+    from fractalzeta import dimensions
+
+    f, want = _CONTROLS[name]
+    verdicts = {}
+    pair_pole = dimensions._pair_pole
+
+    def spying(f, fprime, cell, moments, tol, moment_tol):
+        verdicts[cell] = pair_pole(f, fprime, cell, moments, tol, moment_tol)
+        return verdicts[cell]
+
+    monkeypatch.setattr(dimensions, "_pair_pole", spying)
+    levels = _count_walks(monkeypatch)
+    poles = find_poles_argument_principle(f, (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6)
+    assert (0.0, 1.0, 0.0, 1.0) in verdicts and verdicts[(0.0, 1.0, 0.0, 1.0)] is None
+    assert len(levels) > 1
+    assert len(poles) == len(want)
+    for pole, (loc, order) in zip(poles, sorted(want, key=lambda w: (w[0].real, w[0].imag))):
+        assert pole.order == order and abs(pole.location - loc) <= 1e-8
+        # the contour residue of a pole stands against f's Laurent coefficient
+        residue = residue_contour(f, loc, radius=1e-5 if order == 1 else 0.05)
+        assert pole.residue == pytest.approx(residue, rel=1e-6, abs=1e-12)
 
 
 def test_completeness_gasket_band_20():
