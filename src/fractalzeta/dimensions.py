@@ -278,13 +278,14 @@ def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
 
 
 def _newton_on_reciprocal(
-    f, fprime_exact, start: complex, tol: float, max_iter: int = 80
+    f, fprime_exact, start: complex, tol: float, max_iter: int = 80, *, zero: bool = False
 ) -> Optional[complex]:
     """Newton iteration on ``g = 1/f`` whose zeros are the poles of ``f``.
 
     With an exact derivative the step is ``s + f/f'``; for black boxes the
     derivative of ``g`` itself is finite-differenced (``g`` is smooth near
-    a pole of ``f``, unlike ``f``).
+    a pole of ``f``, unlike ``f``).  With ``zero`` the iteration runs on
+    ``g = f`` instead and finds a zero of ``f``.
     """
     s = complex(start)
     for _ in range(max_iter):
@@ -293,12 +294,12 @@ def _newton_on_reciprocal(
             dv = complex(fprime_exact(s))
             if dv == 0 or not np.isfinite(fv):
                 return None
-            step = fv / dv
+            step = -fv / dv if zero else fv / dv
         else:
             h = 1e-6 * (1.0 + abs(s))
             vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
             with np.errstate(divide="ignore", invalid="ignore"):
-                gv = 1.0 / vals
+                gv = vals if zero else 1.0 / vals
             if not np.isfinite(gv).all():
                 return None
             gp = 0.5 * ((gv[1] - gv[2]) / (2 * h) + (gv[3] - gv[4]) / (2j * h))
@@ -318,10 +319,13 @@ def _pair_pole(f, fprime, cell, moments, tol: float, moment_tol: float) -> Optio
 
     A zero ``z`` and a pole ``p`` leave ``M_k = (z - c)^k - (p - c)^k``, so
     ``M2 / M1 = (z - c) + (p - c)`` and Newton on ``1/f`` starts at
-    ``c + (M2/M1 - M1)/2``.  The pole is taken only if Newton lands in the
-    cell, ``p`` and ``z = p + M1`` reproduce ``M2`` and ``M3`` within
-    ``moment_tol / 64``, and the circle of radius ``0.3 |M1|`` about ``p``
-    winds once around a pole; otherwise the cell holds more than one pair.
+    ``c + (M2/M1 - M1)/2``; Newton on ``f`` from ``p + M1`` then finds
+    ``z`` on its own.  The pole is taken only if both land in the cell,
+    ``z - p`` reproduces ``M1`` within ``moment_tol / 2`` (a second pair
+    in the cell moves ``M1`` by its own offset), ``p`` and ``z`` reproduce
+    ``M2`` and ``M3`` within ``moment_tol / 64``, and the circle of radius
+    ``0.3 |M1|`` about ``p`` winds once around a pole; otherwise the cell
+    holds more than one pair.
     """
     m1, m2, m3 = moments
     a, b, c, d = cell
@@ -330,10 +334,14 @@ def _pair_pole(f, fprime, cell, moments, tol: float, moment_tol: float) -> Optio
     radius = 0.3 * abs(m1)
     if not cmath.isfinite(seed) or radius < 4.0 * tol:
         return None
+    in_cell = lambda s: s is not None and a - tol <= s.real <= b + tol and c - tol <= s.imag <= d + tol
     p = _newton_on_reciprocal(f, fprime, seed, tol, max_iter=12)
-    if p is None or not (a - tol <= p.real <= b + tol and c - tol <= p.imag <= d + tol):
+    if not in_cell(p):
         return None
-    pc, zc = p - center, p - center + m1
+    z = _newton_on_reciprocal(f, fprime, p + m1, tol, max_iter=12, zero=True)
+    if not in_cell(z) or abs(z - p - m1) > 0.5 * moment_tol:
+        return None
+    pc, zc = p - center, z - center
     if max(abs(zc**2 - pc**2 - m2), abs(zc**3 - pc**3 - m3)) > moment_tol / 64.0:
         return None
     try:
@@ -368,11 +376,12 @@ def find_poles_argument_principle(
     A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
     when it holds one pair: its second and third moments give the pair
     (``M2 / M1 = (z - c) + (p - c)``, Delves and Lyness), Newton on ``1/f``
-    starts at the pole so named, and the pole is kept as order 1 only if
-    Newton lands in the cell, ``p`` and ``z = p + M1`` reproduce ``M2`` and
-    ``M3`` within ``moment_floor / 64``, and the circle of radius
-    ``0.3 |M1|`` about ``p`` winds once around a pole.  Any other such cell
-    (two pairs, a double pole with two zeros) is split.
+    starts at the pole so named, Newton on ``f`` from ``p + M1`` finds the
+    zero ``z``, and the pole is kept as order 1 only if both land in the
+    cell, ``z - p`` reproduces ``M1`` within ``moment_floor / 2``, ``p``
+    and ``z`` reproduce ``M2`` and ``M3`` within ``moment_floor / 64``, and
+    the circle of radius ``0.3 |M1|`` about ``p`` winds once around a pole.
+    Any other such cell (two pairs, a double pole with two zeros) is split.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises

@@ -305,14 +305,6 @@ class CantorLike(CompactSet):
     def diameter(self) -> float:
         return self.scale
 
-    @cached_property
-    def _level_lengths(self) -> np.ndarray:
-        """Interval length ``L_k`` at level ``k``, by repeated ``L *= ratio`` from ``scale`` down to 0."""
-        lengths = [self.scale]
-        while lengths[-1] > 0.0:
-            lengths.append(lengths[-1] * self.ratio)
-        return np.array(lengths)
-
     def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
         """Distance to the nearer end of the middle gap holding each point, by descent.
 
@@ -325,27 +317,12 @@ class CantorLike(CompactSet):
         inside = (x > 0.0) & (x < scale)
         xi = x[inside]
         res = np.empty(xi.shape)
-        lengths = self._level_lengths
-        # in the leftmost interval (a = 0) a point meets nothing before its
-        # first level with ratio L_k <= x: it joins the descent there
-        first = np.searchsorted(-(ratio * lengths), -xi)
-        order = np.argsort(first, kind="stable")
-        first = first[order]
-        joined = 0
-        idx = np.empty(0, dtype=np.intp)
-        a = np.empty(0)
+        idx = np.arange(xi.size)
+        a = np.zeros(xi.size)
+        L = scale
         # no point inside has a wider ulp than scale
         ulp_top = float(np.spacing(scale))
-        k = 0
-        while joined < xi.size or idx.size:
-            if not idx.size:
-                k = first[joined]
-            n_join = int(np.searchsorted(first, k, side="right")) - joined
-            if n_join:
-                idx = np.concatenate((idx, order[joined : joined + n_join]))
-                a = np.concatenate((a, np.zeros(n_join)))
-                joined += n_join
-            L = lengths[k]
+        while idx.size:
             xa = xi[idx]
             if L < ulp_top:
                 fine = L < np.spacing(xa)
@@ -360,7 +337,7 @@ class CantorLike(CompactSet):
             stay = ~in_gap
             a = np.where(xa > g2, g2, a)[stay]
             idx = idx[stay]
-            k += 1
+            L *= ratio
         out[inside] = res
         return out
 

@@ -6,10 +6,7 @@ big triangle's outline as three point-to-segment distances.  Distances to
 the 3D carpet by the level-by-level float descent over base-3 digits, which
 the library replaced by integer steps of six levels.  Distances to
 fractal-string boundaries by a search in the sorted list of their points,
-which the library replaced by a table of levels.  Distances to Cantor
-sets by the descent that passes every level for every point, which the
-library replaced by one that lets a point in the leftmost interval join
-at its first level with a gap edge at or below it.
+which the library replaced by a table of levels.
 
 Two ways to measure a union of fattened intervals that share no code with
 the library's gap-sum kernel: a sort-and-merge sweep over the fattened
@@ -273,34 +270,3 @@ def mc_tube_per_radius(set_, t, n_samples, seed, chunk=1 << 17):
     box_vol = float(np.prod(hi - lo))
     p = hits / n_samples
     return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
-
-
-def cantor_distances_descent(set_, x):
-    """Distances to a ``CantorLike`` set by descent, one numpy pass per level for all points."""
-    ratio, scale = set_.ratio, set_.scale
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(np.maximum(-x, x - scale), 0.0)
-    inside = (x > 0.0) & (x < scale)
-    xi = x[inside]
-    res = np.empty(xi.shape)
-    idx = np.arange(xi.size)
-    a = np.zeros(xi.size)
-    L = scale
-    ulp_top = float(np.spacing(scale))
-    while idx.size:
-        xa = xi[idx]
-        if L < ulp_top:
-            fine = L < np.spacing(xa)
-            res[idx[fine]] = np.minimum(xa[fine] - a[fine], np.abs(a[fine] + L - xa[fine]))
-            keep = ~fine
-            xa, a, idx = xa[keep], a[keep], idx[keep]
-        g1 = a + ratio * L
-        g2 = a + (1.0 - ratio) * L
-        in_gap = (xa >= g1) & (xa <= g2)
-        res[idx[in_gap]] = np.minimum(xa[in_gap] - g1[in_gap], g2[in_gap] - xa[in_gap])
-        stay = ~in_gap
-        a = np.where(xa > g2, g2, a)[stay]
-        idx = idx[stay]
-        L *= ratio
-    out[inside] = res
-    return out

@@ -375,11 +375,23 @@ _Z1 = 0.6165 + 0.003j
 _CONTROLS = {
     "two_pairs": (_pairs((0.3 + 0.3j, 0.31 + 0.3j), (0.7 + 0.75j, 0.7 + 0.76j)), [(0.3 + 0.3j, 1), (0.7 + 0.75j, 1)]),
     # a second pair 3e-3 past the first one's zero, across the first split at
-    # x = 0.618: it moves M2 by 2 d2 (p2 - z1) = 0.8 tau, under the tolerance,
-    # and M3 by about 3 (z1 - c) times that, 1.23 tau, over it
-    "two_pairs_seen_by_m3_alone": (
+    # x = 0.618: a zero taken as p + M1 left it 0.8 tau in M2 and 1.23 tau in M3
+    "two_pairs_across_the_first_split": (
         _pairs((_Z1 - 1e-3, _Z1), (_Z1 + 3e-3, _Z1 + 3e-3 + 1j * 0.8 * _TAU / 6e-3)),
         [(_Z1 - 1e-3, 1), (_Z1 + 3e-3, 1)],
+    ),
+    # a second pair whose pole sits 2e-3 past the first one's zero, across
+    # the first split: a zero taken as p + M1 left it only d2 (p2 - z1) in M2
+    # and M3, 0.5 and 0.8 tau; the zero found by Newton on f misses M1 by d2
+    "second_pole_by_the_first_zero": (
+        _pairs((_Z1 - 1e-3, _Z1), (_Z1 + 2e-3, _Z1 + 2e-3 + 2e-6j)),
+        [(_Z1 - 1e-3, 1), (_Z1 + 2e-3, 1)],
+    ),
+    # a second pair 1e-3 from the cell's centre c moves M2 and M3 about c by
+    # only 2 d2 (p2 - c) = 0.26 tau and less; only M1 sees it
+    "second_pair_at_the_centre": (
+        _pairs((0.3 + 0.3j, 0.31 + 0.3j), (0.501 + 0.5j, 0.501 + 0.5j + 2e-6j)),
+        [(0.3 + 0.3j, 1), (0.501 + 0.5j, 1)],
     ),
     "double_pole_two_zeros": (
         lambda s: (s - 0.7 - 0.45j) * (s - 0.4 - 0.8j) / (s - 0.4 - 0.45j) ** 2 * np.exp(s),

@@ -29,7 +29,6 @@ from fractalzeta.geometry import (
 )
 from fractalzeta.zeta import default_delta
 from references import (
-    cantor_distances_descent,
     cantor_segments,
     cantor_volume,
     carpet_distances_descent,
@@ -149,37 +148,6 @@ def test_cantor_distances_near_0_match_exact_integers(ratio):
     x = np.geomspace(5e-324, 1e-3, 400)
     d = distances_to_set(x[:, None], CantorLike(ratio))
     assert (d >= 0.0).all() and (d <= x).all()
-
-
-@pytest.mark.parametrize("ratio", [0.1, 1.0 / 3.0, 0.4999])
-def test_cantor_distances_from_each_points_first_level_match_the_full_descent_bit_for_bit(ratio):
-    # points in the leftmost interval start at their first level with a gap
-    # edge at or below them; the full descent passed every level to get there
-    rng = np.random.default_rng(11)
-    x = np.concatenate([
-        rng.random(200_000), rng.random(100_000) ** 20, np.geomspace(1e-300, 1.0, 10_000),
-        [5e-324, 1e-320, 0.0, 1.0, -0.5, 1.5, ratio, 1.0 - ratio],
-    ])
-    got = distances_to_set(x[:, None], CantorLike(ratio))
-    want = cantor_distances_descent(CantorLike(ratio), x)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    scaled, y = CantorLike(ratio, scale=3.0), 3.0 * x[::31]
-    got, want = distances_to_set(y[:, None], scaled), cantor_distances_descent(scaled, y)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-def test_cantor_distance_at_a_tiny_point_skips_the_levels_above_it(monkeypatch):
-    # one point at 1e-300 took 628 levels on the middle-third set; each level
-    # below an ulp of the scale calls np.spacing once
-    calls = []
-    real_spacing = np.spacing
-    monkeypatch.setattr(np, "spacing", lambda v: calls.append(1) or real_spacing(v))
-    want = cantor_distances_descent(CantorLike(), np.array([1e-300]))
-    passes_full = len(calls)
-    calls.clear()
-    got = distances_to_set(np.array([[1e-300]]), CantorLike())
-    assert got[0] == want[0]
-    assert passes_full > 20 and len(calls) <= 40
 
 
 def test_gasket_distance_against_subdivision_vertices():
