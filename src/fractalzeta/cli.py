@@ -270,12 +270,8 @@ def cmd_tube_compare(cfg: ExperimentConfig, out_dir: Path) -> int:
     set_ = cfg.the_set()
     form = catalog_zeta(set_, cfg.the_delta())
     series = series_from_zeta(form, truncation=cfg.truncation, t_valid_max=set_.t_valid_max)
-    method = None if cfg.oracle == "auto" else cfg.oracle
-    kwargs = {}
-    if cfg.grid_cell is not None:
-        kwargs["cell"] = cfg.grid_cell
     samples = geometry.sample_tube_curve(
-        set_, cfg.t_grid.values(), method=method, mc_samples=cfg.mc_samples, seed=cfg.seed, **kwargs
+        set_, cfg.t_grid.values(), cfg.oracle, cell=cfg.grid_cell, mc_samples=cfg.mc_samples, seed=cfg.seed
     )
     write_tube_samples_csv(samples, out_dir / "tube_samples.csv")
     comparison = compare_tube_formula(series, samples, set_id=cfg.set.get("variant", "custom"))

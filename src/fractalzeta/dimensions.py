@@ -126,11 +126,14 @@ def residue_contour(
     pole, capped at 0.1.  The node count doubles from 256 until the value
     is stable to 1e-10; drift up to 4096 nodes raises :class:`ContourContaminated`
     (another singularity inside or on the contour).  A non-finite ``omega``
-    or a radius that is not positive and finite raises :class:`ValueError`.
+    or entry of ``known_poles``, or a radius that is not positive and
+    finite, raises :class:`ValueError`.
     """
     omega = complex(omega)
     if not cmath.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
+    if not all(cmath.isfinite(complex(p)) for p in known_poles):
+        raise ValueError(f"known_poles must be finite, got {list(known_poles)}")
     f = _vectorized(evaluator)
     if radius is None:
         others = [abs(omega - p) for p in known_poles if abs(omega - p) > 1e-12]
@@ -382,6 +385,10 @@ def find_poles_argument_principle(
     and ``z`` reproduce ``M2`` and ``M3`` within ``moment_floor / 64``, and
     the circle of radius ``0.3 |M1|`` about ``p`` winds once around a pole.
     Any other such cell (two pairs, a double pole with two zeros) is split.
+    A cell with ``W < 0`` is kept as one pole of order ``-W`` only if
+    Newton on ``1/f`` lands in it, the order circle about it winds ``W``
+    times, and ``W (p - c)`` reproduces ``M1`` within ``moment_floor / 2``
+    (a hidden zero-pole pair moves ``M1`` by its offset); else it is split.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
@@ -488,8 +495,9 @@ def find_poles_argument_principle(
                     break
                 radius *= 0.5
                 order = None
-            if order is None or order != -w:
-                # mixed content (extra zero or second pole inside): separate it
+            if order is None or order != -w or abs(m1 - w * (loc - centroid)) > 0.5 * moment_floor:
+                # mixed content (extra zero or second pole inside, or a zero-pole pair
+                # whose offset moves M1 off the lone pole's w (loc - c)): separate it
                 if size > min_cell:
                     below.extend(split(cell, depth))
                     continue
@@ -515,9 +523,8 @@ def find_poles_argument_principle(
     for z, order in uniq:
         gaps = [abs(z - other) for other in locs if abs(z - other) > 1e-12]
         radius = min(0.05, 0.25 * min(gaps)) if gaps else 0.05
-        residue = residue_contour(evaluator, z, radius=radius)
         principal = _circle_coefficients(f, z, radius, order, 512) if order > 1 else ()
-        residue = principal[-1] if principal else residue
+        residue = principal[-1] if principal else residue_contour(evaluator, z, radius=radius)
         poles.append(Pole(z, order=order, residue=residue, principal_part=principal))
     return poles
 

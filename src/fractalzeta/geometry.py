@@ -50,6 +50,12 @@ For everything else there is a deterministic grid-count oracle (cells whose
 center lies within distance t, with a conservative boundary-cell error
 bound) and a seeded Monte Carlo oracle with a reported confidence
 half-width.
+
+:func:`tube_volume`, :func:`sample_tube_curve` and the mixed radii of
+:func:`tube_volumes` share one dispatcher, :func:`_measure`: it checks all
+input before it measures anything, then takes the exact radii in one
+``exact_volumes`` call, the Monte Carlo radii in one shared run, and the
+grid radii one by one.
 """
 
 from __future__ import annotations
@@ -1136,41 +1142,25 @@ def tube_volume(
     """Measure the tube volume ``|A_t|``.
 
     ``method`` is one of ``"auto"`` (default), ``"exact"``, ``"grid"`` or
-    ``"monte_carlo"``.  Exact methods report ``error_bound = 0``; the grid
-    reports the conservative boundary-cell bound; Monte Carlo reports a
-    one-standard-error confidence half-width.
+    ``"monte_carlo"``; ``"auto"`` is exact up to the set's ``exact_max``, past
+    it the grid up to R^3 and Monte Carlo above.  Exact methods report
+    ``error_bound = 0``; the grid reports the conservative boundary-cell
+    bound; Monte Carlo reports a one-standard-error confidence half-width.
 
-    Exact volumes run the array code of :func:`tube_volumes` on ``[t]``, and
-    Monte Carlo the loop of :func:`_mc_tubes` that a curve's radii share.
+    This is the one-radius case of the dispatcher that :func:`sample_tube_curve`
+    and :func:`tube_volumes` share, so a radius measures the same in all three.
 
     Raises :class:`ResolutionTooCoarse` when the grid refinement visits
-    over ``_GRID_BUDGET`` (8,000,000) blocks, :class:`FractalZetaError` for
-    an exact volume past the set's ``exact_max`` (point-set balls that
-    overlap in R^N, N > 1, and every radius of a point cloud there), and
-    :class:`ValueError` for a non-finite or non-positive ``t`` or ``cell``,
-    for a ``t`` at which the set's bounding box fattened by ``t`` has a
-    volume past the float range, and, for Monte Carlo, for an ``mc_samples``
-    that is not an integer ``>= 1`` (a ``bool`` included).
+    over ``_GRID_BUDGET`` (8,000,000) blocks or the grid is asked for
+    above R^3, :class:`FractalZetaError` for an exact volume past the set's
+    ``exact_max`` (point-set balls that overlap in R^N, N > 1, and every
+    radius of a point cloud there), and :class:`ValueError` for an unknown
+    method, a non-finite or non-positive ``t`` or ``cell``, for a ``t`` at
+    which the set's bounding box fattened by ``t`` has a volume past the
+    float range, and, for Monte Carlo, for an ``mc_samples`` that is not an
+    integer ``>= 1`` (a ``bool`` included).
     """
-    return _measure_tubes(set_, [t], [_chosen_method(set_, t, method)], cell, mc_samples, seed)[0]
-
-
-def _chosen_method(set_: CompactSet, t: float, method: Optional[str]):
-    """The resolved method of :func:`tube_volume` at radius ``t``, which is checked here."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
-    _check_fattened_box(set_, t)
-    req = _METHOD_ALIASES.get(method or "auto", "unknown")
-    if req == "unknown":
-        raise ValueError(f"unknown tube-volume method {method!r}")
-    return _default_method(set_, t) if req is None else req
-
-
-def _default_method(set_: CompactSet, t: float):
-    """Exact up to the set's ``exact_max``, past it the grid up to R^3 and Monte Carlo above."""
-    if t <= set_.exact_max:
-        return "exact"
-    return TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
+    return _measure(set_, [t], method, cell, mc_samples, seed)[0]
 
 
 def _check_fattened_box(set_: CompactSet, t: float) -> None:
@@ -1180,57 +1170,55 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
         raise ValueError(f"radius {t!r} is too large: the bounding box fattened by it has no float volume")
 
 
-def _measure_tubes(set_: CompactSet, ts, chosen, cell=None, mc_samples=200_000, seed=0) -> list[TubeSample]:
-    """:func:`tube_volume` at every radius of ``ts`` by its resolved method in ``chosen``.
+def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeSample]:
+    """:func:`tube_volume` at every radius of ``ts``, every input checked before any is measured.
 
-    The radii are already checked, and ``cell`` (if a radius is grid
-    counted) and ``mc_samples`` (if one is sampled) are checked here before
-    any is measured.  Those measured by Monte Carlo share one
-    :func:`_mc_tubes` run; the others are measured one by one.
+    The method is resolved through ``_METHOD_ALIASES``, then every radius
+    and the fattened box are checked, then ``cell`` (if a radius is grid
+    counted) and ``mc_samples`` (if one is sampled).  The exact radii take
+    one ``exact_volumes`` call and the Monte Carlo radii one
+    :func:`_mc_tubes` run; the grid counts one radius at a time.
     """
-    if cell is not None and TubeMethod.GRID_COUNT in chosen and not (math.isfinite(cell) and cell > 0):
-        raise ValueError("cell must be positive and finite")
-    mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
-    if mc:
-        if isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1):
-            raise ValueError("mc_samples must be an integer >= 1")
-        found = iter(_mc_tubes(set_, mc, mc_samples, seed))
-    out = []
-    for t, c in zip(ts, chosen):
-        if c == TubeMethod.MONTE_CARLO:
-            volume, hw = next(found)
-            out.append(TubeSample(t, volume, TubeMethod.MONTE_CARLO, hw))
-        else:
-            out.append(_measure_tube(set_, t, c, cell))
-    return out
-
-
-def _measure_tube(set_: CompactSet, t: float, chosen, cell=None) -> TubeSample:
-    """:func:`tube_volume` by an exact or grid method, for a radius and ``cell`` already checked."""
-    if chosen == "exact":
-        kind = TubeMethod.EXACT_1D if set_.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
-        return TubeSample(t, float(set_.exact_volumes(np.array([t]))[0]), kind)
-
-    if chosen == TubeMethod.GRID_COUNT:
+    req = _METHOD_ALIASES.get(method or "auto", "unknown")
+    if req == "unknown":
+        raise ValueError(f"unknown tube-volume method {method!r}")
+    if not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ValueError("t must be positive and finite")
+    if ts:
+        _check_fattened_box(set_, max(ts))
+    far = TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
+    chosen = [req or ("exact" if t <= set_.exact_max else far) for t in ts]
+    if TubeMethod.GRID_COUNT in chosen:
+        if cell is not None and not (math.isfinite(cell) and cell > 0):
+            raise ValueError("cell must be positive and finite")
         if set_.ambient_dim > 3:
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
-        if cell is None:
-            cell = t / 64.0
-        volume, error = _grid_tube(set_, t, cell)
-        return TubeSample(t, volume, TubeMethod.GRID_COUNT, error)
-
-    raise ValueError(f"unhandled method {chosen!r}")
+    mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
+    if mc and (isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1)):
+        raise ValueError("mc_samples must be an integer >= 1")
+    exact = [t for t, c in zip(ts, chosen) if c == "exact"]
+    volumes = iter(set_.exact_volumes(np.array(exact)).tolist() if exact else ())
+    sampled = iter(_mc_tubes(set_, mc, mc_samples, seed) if mc else ())
+    kind = TubeMethod.EXACT_1D if set_.ambient_dim == 1 else TubeMethod.EXACT_CLOSED
+    out = []
+    for t, c in zip(ts, chosen):
+        if c == "exact":
+            out.append(TubeSample(t, next(volumes), kind))
+            continue
+        grid = c == TubeMethod.GRID_COUNT
+        volume, error = _grid_tube(set_, t, t / 64.0 if cell is None else cell) if grid else next(sampled)
+        out.append(TubeSample(t, volume, c, error))
+    return out
 
 
 def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     """``tube_volume(set_, t).volume`` for every ``t`` in an array, bit for bit.
 
-    The radii up to the set's ``exact_max`` take one ``exact_volumes`` call
-    (the self-similar sets by one gather from their level tables); the
-    others, past it, one grid count each or one Monte Carlo run for them
-    all.  Raises
-    :class:`ValueError` for a non-finite or non-positive radius and, as
-    ``tube_volume`` does, for one too large for a float volume.
+    Radii all up to the set's ``exact_max`` take one ``exact_volumes`` call
+    (the self-similar sets by one gather from their level tables); any
+    other array goes through the dispatcher of :func:`tube_volume`.
+    Raises :class:`ValueError` for a non-finite or non-positive radius and,
+    as ``tube_volume`` does, for one too large for a float volume.
     """
     ts = np.asarray(ts, dtype=float)
     if not (np.isfinite(ts).all() and (ts > 0).all()):
@@ -1241,31 +1229,22 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
         _check_fattened_box(set_, top)
     if top <= set_.exact_max:
         return set_.exact_volumes(flat).reshape(ts.shape)
-    exact = flat <= set_.exact_max
-    out = np.empty(flat.shape)
-    out[exact] = set_.exact_volumes(flat[exact])
-    rest = flat[~exact].tolist()
-    out[~exact] = [s.volume for s in _measure_tubes(set_, rest, [_default_method(set_, t) for t in rest])]
-    return out.reshape(ts.shape)
+    return np.array([s.volume for s in _measure(set_, flat.tolist(), None, None, 200_000, 0)]).reshape(ts.shape)
 
 
 def sample_tube_curve(
     set_: CompactSet, t_values: Sequence[float], method=None, *, cell=None, mc_samples=200_000, seed=0
 ) -> list[TubeSample]:
-    """``tube_volume`` at an ascending grid of radii, with a monotonicity check.
+    """:func:`tube_volume` at an ascending grid of radii, with a monotonicity check.
 
-    Every radius, the method, ``cell`` (if a radius is grid counted) and
-    ``mc_samples`` (if one is sampled) are checked before anything is
-    measured, and the Monte Carlo radii share each chunk's draws (:func:`_mc_tubes`), each
-    sample bit for bit that of its own ``tube_volume`` call.
+    The radii share the dispatcher of :func:`tube_volume`, so every input
+    is checked before anything is measured and each sample is bit for bit
+    that of its own ``tube_volume`` call.
     """
     ts = [float(t) for t in t_values]
-    if any(t <= 0 for t in ts):
-        raise ValueError("all t values must be positive")
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("t values must be sorted ascending")
-    chosen = [_chosen_method(set_, t, method) for t in ts]
-    samples = _measure_tubes(set_, ts, chosen, cell, mc_samples, seed)
+    samples = _measure(set_, ts, method, cell, mc_samples, seed)
     for a, b in zip(samples, samples[1:]):
         slack = 3.0 * (a.error_bound + b.error_bound) + 1e-12 * max(1.0, a.volume)
         if a.volume > b.volume + slack:

@@ -155,6 +155,18 @@ def test_find_poles_treats_a_pair_below_the_moment_floor_as_cancelled():
     assert poles == []
 
 
+def test_find_poles_splits_a_negative_winding_cell_that_hides_a_pair():
+    # the unit cell holds the double pole at a and the pair of b with a zero
+    # 0.24 away: W = -2 and the order circle about a winds -2, but M1 misses
+    # the lone pole's -2 (a - c) by that pair's offset
+    a, b = 0.3 + 0.2j, 0.7 + 0.6j
+    poles = find_poles_argument_principle(lambda s: 1.0 / (s - a) ** 2 + 2.0 / (s - b), (0.0, 1.0, 0.0, 1.0))
+    assert [p.order for p in poles] == [2, 1]
+    assert abs(poles[0].location - a) < 1e-8 and abs(poles[1].location - b) < 1e-8
+    assert abs(poles[0].residue) < 1e-9
+    assert poles[1].residue == pytest.approx(2.0, rel=1e-9)
+
+
 class _PointBudget:
     """Scalar evaluator that raises after ``limit`` points, so a missing guard fails instead of hanging."""
 
@@ -209,24 +221,27 @@ def test_find_poles_names_a_rect_that_is_not_four_real_numbers(rect):
 
 
 @pytest.mark.parametrize(
-    "omega, radius, named",
+    "omega, radius, named, known",
     [
-        (math.nan, None, "omega"),
-        (complex(0.0, math.inf), 0.1, "omega"),
-        (0.0, math.nan, "radius"),
-        (0.0, math.inf, "radius"),
-        (0.0, -math.inf, "radius"),
+        (math.nan, None, "omega", ()),
+        (complex(0.0, math.inf), 0.1, "omega", ()),
+        (0.0, math.nan, "radius", ()),
+        (0.0, math.inf, "radius", ()),
+        (0.0, -math.inf, "radius", ()),
+        (0.0, None, "known_poles", (0.05, complex(math.nan, 0.05))),
+        (0.0, None, "known_poles", (complex(0.05, -math.inf),)),
     ],
-    ids=["omega_nan", "omega_inf", "radius_nan", "radius_inf", "radius_minus_inf"],
+    ids=["omega_nan", "omega_inf", "radius_nan", "radius_inf", "radius_minus_inf", "known_nan", "known_inf"],
 )
-def test_residue_contour_rejects_non_finite_input_before_evaluating(omega, radius, named):
+def test_residue_contour_rejects_non_finite_input_before_evaluating(omega, radius, named, known):
     # radius nan or inf leaked two RuntimeWarnings, then failed converting NaN
-    # to an integer; omega nan raised ContourContaminated
+    # to an integer; omega nan raised ContourContaminated; a NaN known pole was
+    # dropped, so the default radius could enclose the pole it stood for
     evaluator = _PointBudget(catalog_zeta(SierpinskiGasket(), 0.5), limit=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=named):
-            residue_contour(evaluator, omega, radius)
+            residue_contour(evaluator, omega, radius, known_poles=known)
 
 
 def _reference_log_walk(f, corners, moment_tol):

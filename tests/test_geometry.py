@@ -926,13 +926,13 @@ def test_exact_volumes_array_equals_scalar_loop(set_, loop):
 
 def test_tube_volumes_loops_over_other_sets(monkeypatch):
     measured = []
-    measure = geo._measure_tube
+    measure = geo._grid_tube
 
     def counted(set_, t, *args):
         measured.append(t)
         return measure(set_, t, *args)
 
-    monkeypatch.setattr(geo, "_measure_tube", counted)
+    monkeypatch.setattr(geo, "_grid_tube", counted)
     # 1D point sets take the array path, a repeated point included
     ts = np.array([0.01, 0.04, 0.2])
     for ps in (PointSet([[0.0], [0.3], [0.35]]), PointSet([[0.3], [0.0], [0.35], [0.3]])):
@@ -971,10 +971,23 @@ _DISPATCH_CASES = [
 @pytest.mark.parametrize(
     "set_, ts, methods", _DISPATCH_CASES, ids=[f"{type(c[0]).__name__}-{c[0].ambient_dim}d-{i}" for i, c in enumerate(_DISPATCH_CASES)]
 )
-def test_tube_volume_dispatch_is_pinned(set_, ts, methods):
+def test_tube_volume_dispatch_is_pinned(set_, ts, methods, monkeypatch):
     samples = [tube_volume(set_, t) for t in ts]
     assert [s.method.value for s in samples] == methods
     assert tube_volumes(set_, ts).tolist() == [s.volume for s in samples]
+    # the auto curve over the same ascending radii (across exact_max for the
+    # two-point sets) measures its exact radii in one exact_volumes call
+    calls = []
+    exact_volumes = type(set_).exact_volumes
+
+    def counted(self, radii):
+        calls.append(radii.tolist())
+        return exact_volumes(self, radii)
+
+    monkeypatch.setattr(type(set_), "exact_volumes", counted)
+    assert sample_tube_curve(set_, ts) == samples
+    exact = [s.t for s in samples if s.method.value in (_E1, _EC)]
+    assert calls == ([exact] if exact else [])
 
 
 def test_tube_volumes_rejects_bad_radii():

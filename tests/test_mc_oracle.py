@@ -248,7 +248,8 @@ def test_bad_cell_raises_before_measuring(cell, monkeypatch):
     def no_measure(*args):
         raise AssertionError("measured")
 
-    monkeypatch.setattr(geo, "_measure_tube", no_measure)
+    monkeypatch.setattr(geo, "_grid_tube", no_measure)
+    monkeypatch.setattr(PointSet, "exact_volumes", no_measure)
     # exact up to half the gap, 0.5, and grid counted past it
     ps = PointSet([[0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
