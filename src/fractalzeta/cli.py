@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,13 +27,13 @@ import numpy as np
 from . import geometry, zeta
 from .dimensions import Pole, languidity_probe
 from .errors import DeltaTooSmall, FractalZetaError
-from .geometry import CompactSet, set_from_json
+from .geometry import CompactSet, _is_count, _is_real, set_from_json
 from .tube import (
     compare_tube_formula,
     measurability_criterion,
     series_from_zeta,
 )
-from .zeta import NumericZetaConfig, catalog_zeta, closed_form_eval, default_delta
+from .zeta import NumericZetaConfig, catalog_zeta, closed_form_eval
 
 
 def _fmt(x: float) -> str:
@@ -45,16 +44,6 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # Experiment configuration
 # ---------------------------------------------------------------------------
-
-
-def _is_count(value) -> bool:
-    """An integer ``>= 0`` that is not a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
-
-
-def _is_real(value) -> bool:
-    """A real number that is not a ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _is_real_pair(value) -> bool:
@@ -131,7 +120,7 @@ class ExperimentConfig:
         return set_from_json(self.set)
 
     def the_delta(self) -> float:
-        return self.delta if self.delta is not None else default_delta(self.the_set())
+        return self.delta if self.delta is not None else self.the_set().default_delta
 
     def to_json(self) -> dict:
         d = dataclasses.asdict(self)

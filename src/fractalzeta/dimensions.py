@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -29,6 +28,7 @@ from .errors import (
     NotAPole,
     PoleOnLine,
 )
+from .geometry import _is_real
 from .zeta import ClosedFormZeta, LatticeTerm, _lattice_ks
 
 Evaluator = Union[ClosedFormZeta, Callable[[complex], complex]]
@@ -351,10 +351,6 @@ def _pair_pole(f, fprime, cell, moments, tol: float, moment_tol: float) -> Optio
         return p if _winding_circle(f, p, radius) == -1 else None
     except BoundaryPole:
         return None
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def find_poles_argument_principle(

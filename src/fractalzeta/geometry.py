@@ -12,13 +12,13 @@ their input and call it.  A descriptor class defines its JSON tag
 an array of radii up to ``exact_max`` (the largest radius with an exact
 tube volume), ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
 largest radius at which its closed form's residue sum gives ``|A_t|``)
-and, for catalog sets, the ``delta_bound`` text; :class:`CompactSet` holds
-the defaults.  ``distances`` may return any value under ``below >= 0`` for
-a distance under it, and must return every other distance as with
-``below = 0``: the Monte Carlo oracle asks only which points lie within
-``t``, so a descent may stop once that is settled.  A new set is
-registered in ``_VARIANTS`` below and, if it has a closed-form zeta
-function, in ``zeta._CLOSED_FORMS``.
+and, for catalog sets, the ``delta_bound`` text and ``zeta_terms(delta)``,
+its closed form's terms; :class:`CompactSet` holds the defaults.
+``distances`` may return any value under ``below >= 0`` for a distance
+under it, and must return every other distance as with ``below = 0``: the
+Monte Carlo oracle asks only which points lie within ``t``, so a descent
+may stop once that is settled.  A new set is registered in ``_VARIANTS``
+below, and nowhere else.
 
 Distances to the Sierpinski gasket and the three-dimensional carpet are
 exact, with no tolerance parameter: every removed hole is convex and its
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -73,7 +74,7 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
-from .errors import ResolutionTooCoarse, FractalZetaError
+from .errors import DeltaTooSmall, FractalZetaError, NoClosedForm, ResolutionTooCoarse
 from .intervals import gap_volumes
 
 SQRT3 = math.sqrt(3.0)
@@ -89,6 +90,21 @@ _RESOLUTION = float(np.finfo(float).eps)
 # Binary digits of a gasket barycentric coordinate that can place it in a
 # hole: levels 0 to 52, down to holes of side _RESOLUTION.
 _DIGITS = 53
+
+
+def _is_real(value) -> bool:
+    """A real number that is not a ``bool``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integer that is not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    """An integer ``>= 0`` that is not a ``bool``."""
+    return _is_integer(value) and value >= 0
 
 
 class TubeMethod(str, Enum):
@@ -126,6 +142,14 @@ class CompactSet:
     default_delta = 1.0
     t_valid_max = math.inf
     exact_max = math.inf
+
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        """The closed form's ``zeta.LatticeTerm`` and ``zeta.ElementaryTerm`` field values, as tuples.
+
+        Raises :class:`DeltaTooSmall` for a ``delta`` outside ``delta_bound``
+        and, for a set without a closed form, :class:`NoClosedForm`.
+        """
+        raise NoClosedForm(f"no closed form for {type(self).__name__}")
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -235,6 +259,14 @@ class PointSet(CompactSet):
             raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
         return len(self.points) * _unit_ball_volume(self.ambient_dim) * _libm_pow(ts, self.ambient_dim)
 
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        if len(self.points) > 1 and delta > self.min_gap / 2.0:
+            raise DeltaTooSmall(
+                "delta exceeds half the minimal point separation; balls overlap and the "
+                "closed form no longer holds"
+            )
+        return (), ((len(self.points) * _sphere_area(self.ambient_dim), 0, 0.0),)
+
     def to_json(self) -> dict:
         return {**super().to_json(), "points": [list(p) for p in self.points]}
 
@@ -252,6 +284,7 @@ class PointCloud(PointSet):
 
     variant = "point_cloud"
     t_valid_max = math.inf
+    zeta_terms = CompactSet.zeta_terms
 
     def __init__(self, points, ambient_dim=None):
         super().__init__(points)
@@ -351,6 +384,13 @@ class CantorLike(CompactSet):
         # level-k gaps: 2^(k-1) of width largest_gap r^(k-1), filled at half their width
         r, g = self.ratio, self.largest_gap
         return _hole_volumes(ts, self.scale, g / 2.0, r, 2.0 * r, (g,)) + 2.0 * ts
+
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        bound = self.largest_gap / 2.0
+        if delta < bound:
+            raise DeltaTooSmall(f"CantorLike closed form needs delta >= {bound}")
+        beta = 2.0 * self.ratio / ((1.0 - 2.0 * self.ratio) * self.scale)
+        return ((2.0, beta, (0.0,), (1.0 / self.ratio, 2.0)),), ((2.0, 0, 0.0),)
 
 
 @dataclass(frozen=True)
@@ -533,6 +573,21 @@ class FractalStringBoundary(CompactSet):
         b, l1 = self.base, self.first_length
         return _hole_volumes(ts, self.total_length, l1 / 2.0, 1.0 / b, self.multiplicity / b, (l1,)) + 2.0 * ts
 
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        bound = self.first_length / 2.0
+        if delta <= bound:
+            raise DeltaTooSmall(f"string-boundary closed form needs delta > {bound}")
+        if not self.is_self_similar:
+            lattice = tuple((2.0 * count, 2.0 / l, (0.0,), None) for l, count in sorted(Counter(self.lengths).items()))
+        elif self.multiplicity == 1:
+            raise NoClosedForm(
+                "multiplicity-1 strings put a double pole at s = 0, outside the "
+                "supported simple-pole term shapes"
+            )
+        else:
+            lattice = ((2.0, 2.0 / self.scale, (0.0,), (self.base, float(self.multiplicity))),)
+        return lattice, ((2.0, 0, 0.0),)
+
     def to_json(self) -> dict:
         if self.is_self_similar:
             return {k: v for k, v in super().to_json().items() if k != "lengths"}
@@ -619,6 +674,12 @@ class SierpinskiGasket(CompactSet):
         # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
         holes = _hole_volumes(ts, SQRT3 / 4.0, 1.0 / (4.0 * SQRT3), 0.5, 0.75, (SQRT3 / 8.0, -SQRT3 / 16.0))
         return holes + 3.0 * ts + math.pi * ts * ts
+
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        bound = 1.0 / (4.0 * SQRT3)
+        if delta <= bound:
+            raise DeltaTooSmall(f"gasket closed form needs delta > {bound}")
+        return ((6.0 * SQRT3, 2.0 * SQRT3, (0.0, 1.0), (2.0, 3.0)),), ((2.0 * math.pi, 0, 0.0), (3.0, 1, 1.0))
 
 
 def _carpet_hole_sides() -> list[float]:
@@ -779,6 +840,13 @@ class SierpinskiCarpet3D(CompactSet):
         holes = _hole_volumes(ts, 1.0, 1.0 / 6.0, 1.0 / 3.0, 26.0 / 27.0, (1.0 / 9.0, -1.0 / 9.0, 1.0 / 27.0))
         return holes + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_pow(ts, 3)
 
+    def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
+        bound = 1.0 / 6.0
+        if delta <= bound:
+            raise DeltaTooSmall(f"3D carpet closed form needs delta > {bound}")
+        lattice = ((48.0, 2.0, (0.0, 1.0, 2.0), (3.0, 26.0)),)
+        return lattice, ((4.0 * math.pi, 0, 0.0), (6.0 * math.pi, 1, 1.0), (6.0, 2, 2.0))
+
 
 # JSON variant tag -> descriptor class
 _VARIANTS = {
@@ -860,6 +928,11 @@ def distance_to_set(x, set_: CompactSet) -> float:
 
 def _unit_ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def _sphere_area(n: int) -> float:
+    # surface measure of the unit sphere S^(n-1)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, cover) -> np.ndarray:
@@ -1194,7 +1267,7 @@ def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeS
         if set_.ambient_dim > 3:
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
     mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
-    if mc and (isinstance(mc_samples, bool) or not (isinstance(mc_samples, numbers.Integral) and mc_samples >= 1)):
+    if mc and not (_is_integer(mc_samples) and mc_samples >= 1):
         raise ValueError("mc_samples must be an integer >= 1")
     exact = [t for t, c in zip(ts, chosen) if c == "exact"]
     volumes = iter(set_.exact_volumes(np.array(exact)).tolist() if exact else ())

@@ -29,7 +29,7 @@ from .errors import (
     InsufficientSamples,
     NonpositiveContent,
 )
-from .geometry import TubeSample
+from .geometry import TubeSample, _is_real
 from .zeta import ClosedFormZeta
 
 
@@ -276,10 +276,15 @@ def measurability_criterion(
 
     The screen/languidity hypotheses of the underlying criterion are not
     machine-verified; they are recorded in the notes (with the probe's
-    kappa when supplied).
+    kappa when supplied).  Raises :class:`ValueError` for ``d >= N``, a
+    non-finite ``d`` and a ``tol`` that is not a positive finite real number.
     """
     if d >= ambient_dim:
         raise ValueError("criterion requires D < N")
+    if not (_is_real(d) and math.isfinite(d)):
+        raise ValueError(f"D must be a finite real number, got {d!r}")
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     notes = [
         "screen and languidity hypotheses assumed, not machine-verified",
     ]

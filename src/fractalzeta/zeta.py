@@ -16,7 +16,9 @@ shapes:
   dimensions ``log_m r + (2 pi k / ln m) i``;
 * elementary terms ``c * delta^(s-j) / (s - p)``.
 
-All complex powers use the principal branch on positive real bases.
+Each descriptor lists its own terms (``zeta_terms``); :func:`catalog_zeta`
+builds any set's closed form from them.  All complex powers use the
+principal branch on positive real bases.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import numbers
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Optional, Sequence
@@ -42,7 +42,7 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import CompactSet, distances_to_set, tube_volume, tube_volumes
+from .geometry import CompactSet, _is_count, _is_integer, _is_real, distances_to_set, tube_volume, tube_volumes
 
 TWO_PI = 2.0 * math.pi
 
@@ -145,9 +145,10 @@ class ClosedFormZeta:
 
         Removable candidates (pole locations whose term residues cancel,
         e.g. the gasket form at ``s = 1``) are filled in by their limit;
-        genuine poles evaluate to complex infinity.
+        genuine poles evaluate to complex infinity.  Raises
+        :class:`ValueError` for a non-finite point.
         """
-        s = np.asarray(s, dtype=complex)
+        s = _finite_points(s)
         scalar = not s.shape
         s = np.atleast_1d(s)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -173,8 +174,8 @@ class ClosedFormZeta:
     __call__ = evaluate
 
     def derivative(self, s):
-        """Exact term-wise derivative (for Newton refinement of poles)."""
-        s = np.asarray(s, dtype=complex)
+        """Exact term-wise derivative (for Newton refinement of poles); ValueError for a non-finite point."""
+        s = _finite_points(s)
         total = np.zeros(s.shape, dtype=complex)
         for term in self.lattice_terms:
             lnb = math.log(term.base_scale)
@@ -259,10 +260,11 @@ class ClosedFormZeta:
         """Residue at a candidate pole, the sum of the term residues there.
 
         Raises :class:`NotAPole` if ``omega`` is not within 1e-9 of any
-        structural pole candidate.  A zero return value means the candidate
-        cancels between terms and is a removable point.
+        structural pole candidate and :class:`ValueError` if it is not
+        finite.  A zero return value means the candidate cancels between
+        terms and is a removable point.
         """
-        return complex(sum(self._term_residues(omega), 0.0 + 0.0j))
+        return complex(sum(self._term_residues(_finite_s(omega)), 0.0 + 0.0j))
 
     def _genuine_residue(self, omega: complex) -> Optional[complex]:
         """Residue at a pole candidate, or None at a removable point.
@@ -279,9 +281,12 @@ class ClosedFormZeta:
         """(location, residue) of the genuine poles with ``|Im| <= imag_band``.
 
         Removable points (candidates whose term residues cancel) are left
-        out.  Raises :class:`ValueError` for a band holding more than
-        ``10^6`` lattice poles per family and sign.
+        out.  Raises :class:`ValueError` for a band that is not a finite
+        real number ``>= 0`` and for one holding more than ``10^6`` lattice
+        poles per family and sign.
         """
+        if not (_is_real(imag_band) and math.isfinite(imag_band) and imag_band >= 0):
+            raise ValueError(f"imag_band must be a finite real number >= 0, got {imag_band!r}")
         return self._genuine_poles(
             lambda term: _lattice_ks(-imag_band / term.period, imag_band / term.period),
             lambda w: abs(w.imag) <= imag_band + 1e-12,
@@ -308,21 +313,22 @@ class ClosedFormZeta:
         """(location, residue) of every genuine real pole and of the lattice poles with ``|k| <= k_band``.
 
         Removable points are left out, as in :meth:`poles`; raises
-        :class:`ValueError` for ``k_band`` over ``10^6``.
+        :class:`ValueError` for a ``k_band`` that is not an integer ``>= 0``
+        (a ``bool`` is not) or is over ``10^6``.
         """
+        if not _is_count(k_band):
+            raise ValueError(f"truncation must be an integer >= 0, got {k_band!r}")
         return self._genuine_poles(lambda term: _lattice_ks(-k_band, k_band))
 
     def nearest_pole_distance(self, s: complex) -> float:
-        """Distance to the nearest genuine pole (removable candidates excluded)."""
-        s = complex(s)
-        candidates: list[complex] = []
-        for term in self.lattice_terms:
-            candidates.extend(complex(rho) for rho in term.roots)
-            if term.lattice is not None:
-                k = round(s.imag / term.period)
-                candidates.extend(term.lattice_pole(kk) for kk in (k - 1, k, k + 1))
-        candidates.extend(complex(term.pole) for term in self.elementary_terms)
-        return min((abs(s - w) for w in candidates if self._genuine_residue(w) is not None), default=math.inf)
+        """Distance to the nearest genuine pole (removable candidates excluded); ValueError for non-finite ``s``."""
+        s = _finite_s(s)
+
+        def window(term: LatticeTerm) -> range:
+            k = round(s.imag / term.period)
+            return range(k - 1, k + 2)
+
+        return min((abs(s - w) for w, _ in self._genuine_poles(window)), default=math.inf)
 
     def lattice_periods(self) -> list[float]:
         return [t.period for t in self.lattice_terms if t.lattice is not None]
@@ -373,100 +379,22 @@ def default_delta(set_: CompactSet) -> float:
     return set_.default_delta
 
 
-def _sphere_area(n: int) -> float:
-    # surface measure of the unit sphere S^(n-1)
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _point_set_zeta(set_: geometry.PointSet, delta: float) -> ClosedFormZeta:
-    n = len(set_.points)
-    dim = set_.ambient_dim
-    if n > 1 and delta > set_.min_gap / 2.0:
-        raise DeltaTooSmall(
-            "delta exceeds half the minimal point separation; balls overlap and the "
-            "closed form no longer holds"
-        )
-    coeff = n * _sphere_area(dim)
-    return ClosedFormZeta(dim, delta, (), (ElementaryTerm(coeff, 0, 0.0),))
-
-
-def _cantor_zeta(set_: geometry.CantorLike, delta: float) -> ClosedFormZeta:
-    bound = set_.largest_gap / 2.0
-    if delta < bound:
-        raise DeltaTooSmall(f"CantorLike closed form needs delta >= {bound}")
-    m = 1.0 / set_.ratio
-    beta = 2.0 * set_.ratio / ((1.0 - 2.0 * set_.ratio) * set_.scale)
-    lat = LatticeTerm(2.0, beta, (0.0,), (m, 2.0))
-    return ClosedFormZeta(1, delta, (lat,), (ElementaryTerm(2.0, 0, 0.0),))
-
-
-def _string_zeta(set_: geometry.FractalStringBoundary, delta: float) -> ClosedFormZeta:
-    bound = set_.first_length / 2.0
-    if delta <= bound:
-        raise DeltaTooSmall(f"string-boundary closed form needs delta > {bound}")
-    ele = (ElementaryTerm(2.0, 0, 0.0),)
-    if set_.is_self_similar:
-        if set_.multiplicity == 1:
-            raise NoClosedForm(
-                "multiplicity-1 strings put a double pole at s = 0, outside the "
-                "supported simple-pole term shapes"
-            )
-        lat = LatticeTerm(2.0, 2.0 / set_.scale, (0.0,), (set_.base, float(set_.multiplicity)))
-        return ClosedFormZeta(1, delta, (lat,), ele)
-    lat_terms = tuple(
-        LatticeTerm(2.0 * count, 2.0 / l, (0.0,), None) for l, count in sorted(Counter(set_.lengths).items())
-    )
-    return ClosedFormZeta(1, delta, lat_terms, ele)
-
-
-def _gasket_zeta(set_: geometry.SierpinskiGasket, delta: float) -> ClosedFormZeta:
-    bound = 1.0 / (4.0 * math.sqrt(3.0))
-    if delta <= bound:
-        raise DeltaTooSmall(f"gasket closed form needs delta > {bound}")
-    lat = LatticeTerm(6.0 * math.sqrt(3.0), 2.0 * math.sqrt(3.0), (0.0, 1.0), (2.0, 3.0))
-    ele = (ElementaryTerm(2.0 * math.pi, 0, 0.0), ElementaryTerm(3.0, 1, 1.0))
-    return ClosedFormZeta(2, delta, (lat,), ele)
-
-
-def _carpet_zeta(set_: geometry.SierpinskiCarpet3D, delta: float) -> ClosedFormZeta:
-    bound = 1.0 / 6.0
-    if delta <= bound:
-        raise DeltaTooSmall(f"3D carpet closed form needs delta > {bound}")
-    lat = LatticeTerm(48.0, 2.0, (0.0, 1.0, 2.0), (3.0, 26.0))
-    ele = (
-        ElementaryTerm(4.0 * math.pi, 0, 0.0),
-        ElementaryTerm(6.0 * math.pi, 1, 1.0),
-        ElementaryTerm(6.0, 2, 2.0),
-    )
-    return ClosedFormZeta(3, delta, (lat,), ele)
-
-
-# Closed-form builders, (set_, delta) -> ClosedFormZeta, by descriptor class.
-# Point clouds have no canonical continuum limit and so no entry.
-_CLOSED_FORMS = {
-    geometry.PointSet: _point_set_zeta,
-    geometry.CantorLike: _cantor_zeta,
-    geometry.FractalStringBoundary: _string_zeta,
-    geometry.SierpinskiGasket: _gasket_zeta,
-    geometry.SierpinskiCarpet3D: _carpet_zeta,
-}
-
-
 def catalog_zeta(set_: CompactSet, delta: Optional[float] = None) -> ClosedFormZeta:
-    """Closed-form distance zeta function for a catalog set.
+    """Closed-form distance zeta function of a set, from its descriptor's ``zeta_terms``.
 
-    Raises :class:`NoClosedForm` for point clouds and
-    :class:`DeltaTooSmall` when ``delta`` violates the validity bound of
+    ``delta`` defaults to the set's ``default_delta``.  Raises
+    :class:`ValueError` for a non-finite or non-positive ``delta``,
+    :class:`NoClosedForm` for a set without a closed form (point clouds)
+    and :class:`DeltaTooSmall` when ``delta`` violates the validity bound of
     the closed form (the descriptor's ``delta_bound``).
     """
-    build = _CLOSED_FORMS.get(type(set_))
-    if build is None:
-        raise NoClosedForm(f"no closed form for {type(set_).__name__}")
     if delta is None:
-        delta = default_delta(set_)
+        delta = set_.default_delta
     if not (math.isfinite(delta) and delta > 0):
         raise ValueError("delta must be positive and finite")
-    return build(set_, delta)
+    lattice, elementary = set_.zeta_terms(delta)
+    lat = tuple(LatticeTerm(*term) for term in lattice)
+    return ClosedFormZeta(set_.ambient_dim, delta, lat, tuple(ElementaryTerm(*term) for term in elementary))
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +413,9 @@ class NumericZetaConfig:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not _is_count(self.seed):
             raise ValueError("seed must be a nonnegative integer")
-        if isinstance(self.mc_samples, bool) or not isinstance(self.mc_samples, numbers.Integral):
+        if not _is_integer(self.mc_samples):
             raise ValueError("mc_samples must be an integer")
         if self.mc_samples < 1000:
             raise ValueError("mc_samples must be at least 1000 for any reported value")
@@ -497,6 +425,14 @@ def _finite_s(s) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s must be finite, got {s}")
+    return s
+
+
+def _finite_points(s) -> np.ndarray:
+    """``s`` as a complex array; ValueError if an entry is not finite."""
+    s = np.asarray(s, dtype=complex)
+    if not np.isfinite(s).all():
+        raise ValueError(f"s must be finite, got {complex(s[~np.isfinite(s)][0])}")
     return s
 
 

@@ -294,6 +294,16 @@ def test_measurability_verdicts_catalog():
     assert v.content == pytest.approx(2.0)
 
 
+def test_measurability_rejects_non_finite_d_and_bad_tol():
+    # a NaN D and a NaN or negative tol gave an inconclusive verdict
+    poles = [Pole(complex(LOG2_3), residue=1.0 + 0j)]
+    for d, tol in ((math.nan, 1e-6), (-math.inf, 1e-6), (LOG2_3, math.nan), (LOG2_3, -1.0), (LOG2_3, 0.0),
+                   (LOG2_3, math.inf), (LOG2_3, True)):
+        with pytest.raises(ValueError):
+            measurability_criterion(poles, d, tol, ambient_dim=2)
+    assert measurability_criterion(poles, LOG2_3, 1e-6, ambient_dim=2).verdict == Verdict.MEASURABLE
+
+
 def test_measurability_straddling_pole_is_inconclusive():
     tol = 1e-3
     poles = [Pole(0.5 + 0.0j, residue=1.0 + 0.0j), Pole(0.5 + 1.5 * tol + 4.0j, residue=0.1 + 0.0j)]
@@ -363,6 +373,18 @@ def test_series_construction_validations():
     assert series.max_real_part == pytest.approx(LOG2_3)
     assert len(series.real_poles) == 2  # 0 and log2(3)
     assert len(series.poles) == 2 + 2 * 3  # real poles + K conjugate pairs
+
+
+def test_series_truncation_is_an_integer_at_least_0():
+    # 1.5 was recorded as the truncation, -3 kept the real poles only and True counted as 1
+    form = catalog_zeta(SierpinskiGasket(), 0.5)
+    for bad in (1.5, -3, True, math.nan):
+        with pytest.raises(ValueError, match="truncation"):
+            series_from_zeta(form, bad)
+        with pytest.raises(ValueError, match="truncation"):
+            form.poles_for_truncation(bad)
+    assert len(series_from_zeta(form, 0).poles) == 2
+    assert series_from_zeta(form, np.int64(3)).truncation == 3
 
 
 # ---------------------------------------------------------------------------

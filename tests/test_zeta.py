@@ -17,6 +17,7 @@ from fractalzeta.errors import (
 )
 from fractalzeta.geometry import (
     CantorLike,
+    CompactSet,
     FractalStringBoundary,
     PointCloud,
     PointSet,
@@ -125,6 +126,63 @@ def test_catalog_delta_bounds_enforced():
         catalog_zeta(PointSet([[0.0], [1.0]]), 0.7)
     with pytest.raises(NoClosedForm):
         catalog_zeta(PointCloud([[0.0, 0.0]]))
+    # the finite check on delta comes first
+    with pytest.raises(ValueError):
+        catalog_zeta(PointCloud([[0.0, 0.0]]), math.nan)
+
+
+def test_delta_exactly_at_each_closed_form_bound():
+    # Cantor sets and point sets accept their bound, the others reject it
+    cantor = CantorLike()
+    assert catalog_zeta(cantor, cantor.largest_gap / 2.0).delta == cantor.largest_gap / 2.0
+    with pytest.raises(DeltaTooSmall):
+        catalog_zeta(cantor, math.nextafter(cantor.largest_gap / 2.0, 0.0))
+    pair = PointSet([[0.0, 0.0], [1.0, 0.5]])
+    assert catalog_zeta(pair, pair.min_gap / 2.0).delta == pair.min_gap / 2.0
+    with pytest.raises(DeltaTooSmall):
+        catalog_zeta(pair, math.nextafter(pair.min_gap / 2.0, math.inf))
+    strict = [
+        (SierpinskiGasket(), 1.0 / (4.0 * SQRT3)),
+        (SierpinskiCarpet3D(), 1.0 / 6.0),
+        (FractalStringBoundary.cantor_string(), 1.0 / 6.0),
+        (FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125)), 0.25),
+    ]
+    for set_, bound in strict:
+        with pytest.raises(DeltaTooSmall):
+            catalog_zeta(set_, bound)
+        assert catalog_zeta(set_, math.nextafter(bound, math.inf)).delta > bound
+
+
+def test_catalog_zeta_builds_the_closed_form_of_a_new_descriptor():
+    # a set known to no module of the package: its zeta_terms alone give it a closed form
+    class MiddleThirds(CompactSet):
+        ambient_dim = 1
+        default_delta = 0.5
+
+        def zeta_terms(self, delta):
+            return ((2.0, 2.0, (0.0,), (3.0, 2.0)),), ((2.0, 0, 0.0),)
+
+    form = catalog_zeta(MiddleThirds())
+    assert form == ClosedFormZeta(1, 0.5, (LatticeTerm(2.0, 2.0, (0.0,), (3.0, 2.0)),), (ElementaryTerm(2.0, 0, 0.0),))
+    s = 1.3 + 0.7j
+    expected = 2.0 * 2.0**-s / (s * (3.0**s - 2.0)) + 2.0 * 0.5**s / s
+    assert closed_form_eval(form, s) == pytest.approx(expected, rel=1e-14)
+    assert closed_form_eval(form, s) == pytest.approx(closed_form_eval(catalog_zeta(CantorLike(), 0.5), s), rel=1e-14)
+    # s = 0 cancels, as for the Cantor string
+    assert [w for w, _ in form.poles(1.0)] == [complex(math.log(2.0) / math.log(3.0))]
+
+
+def test_closed_form_rejects_non_finite_s():
+    # these raised a bare OverflowError or ValueError from round(), or returned inf at NaN
+    form = catalog_zeta(SierpinskiGasket(), 0.5)
+    for bad in (1j * math.inf, complex(0.0, math.nan), math.nan, complex(-math.inf, 1.0)):
+        for method in (form.evaluate, form, form.derivative, form.nearest_pole_distance, form.residue_at):
+            with pytest.raises(ValueError, match="finite"):
+                method(bad)
+    with pytest.raises(ValueError, match="finite"):
+        form.evaluate(np.array([2.0, 2.5, math.inf]))
+    with pytest.raises(ValueError, match="finite"):
+        form.derivative(np.array([2.0, math.nan]))
 
 
 def test_near_pole_guard():
@@ -270,9 +328,12 @@ def test_monte_carlo_zeta_past_the_float_range_is_an_error():
 
 def test_pole_listing_rejects_unbounded_band():
     form = catalog_zeta(SierpinskiGasket())
-    for band in (math.inf, 1e308, math.nan):
-        with pytest.raises(ValueError):
+    # nan used to report "more than 1000000 lattice poles", -1.0 listed none and True counted as 1
+    for band in (math.inf, math.nan, -1.0, True):
+        with pytest.raises(ValueError, match="imag_band"):
             form.poles(band)
+    with pytest.raises(ValueError, match="more than"):
+        form.poles(1e308)
 
 
 def test_quadrature_nonconvergent_at_unreachable_tolerance(monkeypatch):
