@@ -67,7 +67,6 @@ from .dimensions import (
     languidity_probe,
     lattice_poles,
     residue_contour,
-    residues_closed_form,
 )
 from .tube import (
     MeasurabilityVerdict,

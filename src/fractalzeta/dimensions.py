@@ -6,8 +6,10 @@ arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
 principle on recursively subdivided rectangles, walked a subdivision
 level at a time with an extrapolated first moment of ``d log f`` (and the
-second and third where a zero-pole pair hides in a cell), and refined by
-Newton iteration on the reciprocal.  Residues come either
+second and third where a zero-pole pair hides in a cell; a quiet cell,
+with no winding and a small Simpson moment from its first round's nested
+samples, ends after that round), and refined by Newton iteration on the
+reciprocal.  Residues come either
 from the closed-form term algebra or from trapezoidal contour quadrature
 on circles (which converges geometrically for analytic integrands).
 """
@@ -25,7 +27,6 @@ from .errors import (
     BoundaryPole,
     ContourContaminated,
     NonIsolable,
-    NotAPole,
     PoleOnLine,
 )
 from .geometry import _is_real
@@ -203,12 +204,24 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     ``moment_tol / 4`` over a full split (``R1`` alone, or all three for a
     pair), else, if it has no pair, ``M1`` once it did since the last
     smooth round; after 28 rounds it gets a :class:`BoundaryPole`.
+
+    Round 0 samples each edge uniformly, 24 times with its first corner,
+    so its every-other and every-fourth samples are walks of 12 and 6 per
+    edge whose segment midpoints are the samples they skip.  Their plain
+    first moments ``M1_96``, ``M1_48`` and ``M1_24`` give the Simpson values
+    ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise, and a smooth
+    walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol`` is quiet:
+    it returns ``(0, S96, NaN, NaN)`` after round 0, with no further call
+    of ``f``.  Every other walk goes on as above.
     """
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
     center = corners.sum(axis=1) / n_corner
     edges = np.roll(corners, -1, axis=1) - corners
-    z = (corners[..., None] + edges[..., None] * np.arange(24) / 24).ravel()
+    # a multiple of 4, so round 0's stride-2 and stride-4 samples, corners
+    # among them, are the 12- and 6-per-edge walks of the quiet exit
+    per_edge = 24
+    z = (corners[..., None] + edges[..., None] * np.arange(per_edge) / per_edge).ravel()
     cell = np.repeat(np.arange(n_poly), z.size // n_poly)
     vals = f(z)
     out: list = [None] * n_poly
@@ -256,6 +269,21 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
             resolved = by_r | (ok & ~pair & (np.abs(m[0] - prev_m1) <= 0.25 * moment_tol))
             for c in np.flatnonzero(resolved):
                 out[c] = (int(w[c]), *map(complex, (r if by_r[c] else m)[:, c]))
+            if rnd == 0:
+                # the quiet exit: the 48- and 24-segment walks take the skipped samples
+                # as their midpoints and sums of the fine increments as their own
+                step =(dphi - 1j * dlnr).reshape(-1, n_corner * per_edge) / (2.0 * math.pi)
+                ids = cell[:: step.shape[1]]
+                zc = z.reshape(step.shape) - center[ids, None]
+                step2 = step[:, ::2] + step[:, 1::2]
+                m48 = (zc[:, 1::2] * step2).sum(axis=1)
+                m24 = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
+                s96 = m[0, ids] + (m[0, ids] - m48) / 3.0
+                s48 = m48 + (m48 - m24) / 3.0
+                quiet = ok[ids] & (w[ids] == 0) & (np.abs(s96) + 2.0 * np.abs(s96 - s48) <= moment_tol)
+                for c, s in zip(ids[quiet], s96[quiet]):
+                    out[c] = (0, complex(s), complex(math.nan), complex(math.nan))
+                resolved[ids[quiet]] = True
             done |= resolved
             prev_m1 = np.where(ok, m[0], prev_m1)
             last_m = np.where(ok, m, np.nan)
@@ -370,7 +398,10 @@ def find_poles_argument_principle(
     subdivided with irrational split fractions so singularities stay off
     shared edges, and until they fit in a unit square.  A level's cells are
     walked together, each stopping once its moment or that moment's
-    Richardson extrapolation is stable.
+    Richardson extrapolation is stable; a quiet cell, with ``W = 0`` and a
+    Simpson first moment from its first round's 96, 48 and 24 segments
+    that is small and agrees with the coarser one (see
+    ``_boundary_log_walks``), stops after that round and is discarded.
 
     A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
     when it holds one pair: its second and third moments give the pair
@@ -541,19 +572,6 @@ def _winding_circle(f, center: complex, radius: float, nodes: int = 128) -> int:
             return int(round(float(dphi.sum()) / (2.0 * math.pi)))
         z, vals, cell = _refine(f, z, vals, cell, bad)
     raise BoundaryPole("could not resolve phase on the order-check circle")
-
-
-def residues_closed_form(zeta: ClosedFormZeta, omega: complex) -> Pole:
-    """Residue of a closed form at a genuine pole, as a :class:`Pole`.
-
-    Raises :class:`NotAPole` when ``omega`` is not within 1e-9 of a pole
-    candidate or when the candidate is a removable point by the rule that
-    :meth:`ClosedFormZeta.poles` applies.
-    """
-    residue = zeta._genuine_residue(omega)
-    if residue is None:
-        raise NotAPole(f"{omega} is a removable point (term residues cancel)")
-    return Pole(complex(omega), order=1, residue=residue)
 
 
 def languidity_probe(

@@ -50,6 +50,11 @@ TWO_PI = 2.0 * math.pi
 _MAX_LATTICE_K = 10**6
 
 
+def _finite_real(value) -> bool:
+    """A finite real number that is not a ``bool``."""
+    return _is_real(value) and math.isfinite(value)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form representation
 # ---------------------------------------------------------------------------
@@ -61,6 +66,10 @@ class LatticeTerm:
 
     ``lattice=None`` drops the ``(m^s - r)`` factor, which is how finite
     fractal strings (entire geometric zeta functions) are represented.
+    Raises :class:`ValueError` for a field that is not a finite real number
+    (a ``bool`` is not), ``roots`` that are not a tuple of distinct ones, a
+    ``lattice`` that is not a pair with ``m > 1`` and ``r > 0``, and a
+    ``base_scale`` that is not positive.
     """
 
     amplitude: float
@@ -69,13 +78,19 @@ class LatticeTerm:
     lattice: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.base_scale) and self.base_scale > 0):
+        if not _finite_real(self.amplitude):
+            raise ValueError(f"amplitude must be a finite real number, got {self.amplitude!r}")
+        if not (_finite_real(self.base_scale) and self.base_scale > 0):
             raise ValueError("base_scale must be positive and finite")
+        if not (isinstance(self.roots, tuple) and all(map(_finite_real, self.roots))):
+            raise ValueError(f"roots must be a tuple of finite real numbers, got {self.roots!r}")
         if len(set(self.roots)) != len(self.roots):
             raise ValueError("denominator roots must be distinct")
         if self.lattice is not None:
+            if not (isinstance(self.lattice, tuple) and len(self.lattice) == 2):
+                raise ValueError(f"lattice must be None or a pair (m, r), got {self.lattice!r}")
             m, r = self.lattice
-            if not (math.isfinite(m) and math.isfinite(r) and m > 1.0 and r > 0.0):
+            if not (_finite_real(m) and _finite_real(r) and m > 1.0 and r > 0.0):
                 raise ValueError("lattice needs finite m > 1 and r > 0")
             for rho in self.roots:
                 if abs(m**rho - r) < 1e-12:
@@ -102,16 +117,33 @@ def _lattice_ks(k_lo: float, k_hi: float) -> range:
 
 @dataclass(frozen=True)
 class ElementaryTerm:
-    """``coefficient * delta^(s - shift) / (s - pole)``."""
+    """``coefficient * delta^(s - shift) / (s - pole)``.
+
+    Raises :class:`ValueError` unless ``coefficient`` and ``pole`` are finite
+    real numbers and ``shift`` is an integer (a ``bool`` is neither).
+    """
 
     coefficient: float
     shift: int
     pole: float
 
+    def __post_init__(self):
+        if not (_finite_real(self.coefficient) and _is_integer(self.shift) and _finite_real(self.pole)):
+            raise ValueError(
+                "an elementary term needs a finite real coefficient and pole and an integer shift, "
+                f"got {self.coefficient!r}, {self.shift!r}, {self.pole!r}"
+            )
+
 
 @dataclass(frozen=True)
 class ClosedFormZeta:
-    """Structured meromorphic representation of a distance zeta function."""
+    """Structured meromorphic representation of a distance zeta function.
+
+    Raises :class:`ValueError` for an ``ambient_dim`` that is not an integer
+    ``>= 1``, a ``delta`` that is not a positive finite real number, and
+    terms that are not tuples of :class:`LatticeTerm` and
+    :class:`ElementaryTerm`.
+    """
 
     ambient_dim: int
     delta: float
@@ -119,8 +151,13 @@ class ClosedFormZeta:
     elementary_terms: tuple[ElementaryTerm, ...] = ()
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (_is_integer(self.ambient_dim) and self.ambient_dim >= 1):
+            raise ValueError(f"ambient_dim must be an integer >= 1, got {self.ambient_dim!r}")
+        if not (_finite_real(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
+        for terms, kind in ((self.lattice_terms, LatticeTerm), (self.elementary_terms, ElementaryTerm)):
+            if not (isinstance(terms, tuple) and all(isinstance(t, kind) for t in terms)):
+                raise ValueError(f"terms must be a tuple of {kind.__name__}, got {terms!r}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -285,7 +322,7 @@ class ClosedFormZeta:
         real number ``>= 0`` and for one holding more than ``10^6`` lattice
         poles per family and sign.
         """
-        if not (_is_real(imag_band) and math.isfinite(imag_band) and imag_band >= 0):
+        if not (_finite_real(imag_band) and imag_band >= 0):
             raise ValueError(f"imag_band must be a finite real number >= 0, got {imag_band!r}")
         return self._genuine_poles(
             lambda term: _lattice_ks(-imag_band / term.period, imag_band / term.period),
@@ -296,9 +333,16 @@ class ClosedFormZeta:
         """The pairs of :meth:`poles` whose imaginary part is within ``reach`` of one of ``ordinates``.
 
         Only the lattice indices near each ordinate are listed, so the cost
-        does not grow with the ordinates' size.  Raises :class:`ValueError`
-        where ``poles(max |ordinate| + reach)`` does.
+        does not grow with the ordinates' size; no ordinates list no poles.
+        Raises :class:`ValueError` for an ordinate or a ``reach`` that is not
+        a finite real number, a negative ``reach``, and where
+        ``poles(max |ordinate| + reach)`` does.
         """
+        ordinates = list(ordinates)
+        if not (all(map(_finite_real, ordinates)) and _finite_real(reach) and reach >= 0):
+            raise ValueError(f"ordinates and reach must be finite reals, reach >= 0: {ordinates!r}, {reach!r}")
+        if not ordinates:
+            return []
         top = max(abs(h) for h in ordinates) + reach
 
         def window(term: LatticeTerm) -> set[int]:
@@ -383,14 +427,15 @@ def catalog_zeta(set_: CompactSet, delta: Optional[float] = None) -> ClosedFormZ
     """Closed-form distance zeta function of a set, from its descriptor's ``zeta_terms``.
 
     ``delta`` defaults to the set's ``default_delta``.  Raises
-    :class:`ValueError` for a non-finite or non-positive ``delta``,
+    :class:`ValueError` for a ``delta`` that is not a positive finite real
+    number (a ``bool`` is not),
     :class:`NoClosedForm` for a set without a closed form (point clouds)
     and :class:`DeltaTooSmall` when ``delta`` violates the validity bound of
     the closed form (the descriptor's ``delta_bound``).
     """
     if delta is None:
         delta = set_.default_delta
-    if not (math.isfinite(delta) and delta > 0):
+    if not (_finite_real(delta) and delta > 0):
         raise ValueError("delta must be positive and finite")
     lattice, elementary = set_.zeta_terms(delta)
     lat = tuple(LatticeTerm(*term) for term in lattice)

@@ -18,7 +18,8 @@ that precision the cancellation leaves over 200 digits down to
 ``t = 1e-150``).
 
 The Monte Carlo tube oracle one radius at a time, as the library ran it
-before a curve's radii shared their draws.
+before a curve's radii shared their draws.  And a closed form's residue at
+a genuine pole as a ``Pole``, which only the tests ask for.
 """
 
 import math
@@ -26,6 +27,9 @@ from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
+
+from fractalzeta.dimensions import Pole
+from fractalzeta.errors import NotAPole
 
 _DIGITS = 300
 _SQRT3 = math.sqrt(3.0)
@@ -270,3 +274,16 @@ def mc_tube_per_radius(set_, t, n_samples, seed, chunk=1 << 17):
     box_vol = float(np.prod(hi - lo))
     p = hits / n_samples
     return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
+
+
+def residues_closed_form(zeta, omega: complex) -> Pole:
+    """Residue of a closed form at a genuine pole, as a :class:`Pole`.
+
+    Raises :class:`NotAPole` when ``omega`` is not within 1e-9 of a pole
+    candidate or when the candidate is a removable point by the rule that
+    :meth:`ClosedFormZeta.poles` applies.
+    """
+    residue = zeta._genuine_residue(omega)
+    if residue is None:
+        raise NotAPole(f"{omega} is a removable point (term residues cancel)")
+    return Pole(complex(omega), order=1, residue=residue)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalzeta.dimensions import (
     LanguidityEstimate,
@@ -13,7 +15,6 @@ from fractalzeta.dimensions import (
     languidity_probe,
     lattice_poles,
     residue_contour,
-    residues_closed_form,
 )
 from fractalzeta.errors import (
     BoundaryPole,
@@ -28,6 +29,7 @@ from fractalzeta.geometry import (
     SierpinskiGasket,
 )
 from fractalzeta.zeta import ClosedFormZeta, catalog_zeta
+from references import residues_closed_form
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_26 = math.log(26.0) / math.log(3.0)
@@ -378,6 +380,66 @@ def test_a_pair_is_resolved_in_its_unit_cell(monkeypatch, separation):
     [pole] = poles
     assert pole.order == 1 and abs(pole.location - p0) <= 1e-9
     assert pole.residue == pytest.approx((p0 - z0) * np.exp(p0), rel=1e-8)
+
+
+def test_a_quiet_walk_ends_after_its_first_round():
+    # W = 0, and the Simpson M1 of round 0's 96-, 48- and 24-segment walks is
+    # about 1e-16: the walk ends on its first 96 samples
+    from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
+
+    points = []
+
+    def f(s):
+        points.append(s.size)
+        return np.exp(s)
+
+    [(w, m1, m2, m3)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+    assert points == [96]
+    assert w == 0 and abs(m1) <= 1e-12 and np.isnan(m2) and np.isnan(m3)
+
+
+@pytest.mark.parametrize("depth", [1e-2, 1e-4, 1e-7])
+def test_a_pole_just_inside_an_edge_between_two_samples_is_found(depth):
+    # the bottom edge's round-0 samples sit at k / 24; the pole is below none of them
+    p = 7.5 / 24 + 1j * depth
+    [pole] = find_poles_argument_principle(
+        lambda s: np.exp(s) / (s - p), (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6
+    )
+    assert pole.order == 1 and abs(pole.location - p) <= 1e-9
+    assert pole.residue == pytest.approx(np.exp(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("separation, found", [(5e-7, False), (1.2e-6, True), (2e-6, True), (4e-6, True)])
+def test_a_pair_near_the_moment_floor(separation, found):
+    # a pair closer than moment_floor cancels; one just past it is found
+    p0 = 0.37 + 0.61j
+    z0 = p0 + separation * np.exp(0.7j)
+    poles = find_poles_argument_principle(
+        lambda s: (s - z0) / (s - p0) * np.exp(s), (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6
+    )
+    assert len(poles) == found
+    for pole in poles:
+        assert pole.order == 1 and abs(pole.location - p0) <= 1e-9
+        assert pole.residue == pytest.approx((p0 - z0) * np.exp(p0), rel=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.02, 0.98),
+    st.floats(0.02, 0.98),
+    st.floats(1.1, 10.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_no_pair_past_the_moment_floor_ends_as_a_quiet_walk(x, y, ratio, angle):
+    # the unit cell's walk hands the pair on with its M1, M2 and M3, wherever it sits
+    from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
+
+    p0 = complex(x, y)
+    z0 = p0 + ratio * 1e-6 * complex(math.cos(angle), math.sin(angle))
+    f = lambda s: (s - z0) / (s - p0) * np.exp(s)
+    [(w, m1, m2, m3)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
+    assert w == 0 and abs(m1 - (z0 - p0)) <= 1e-8
+    assert not (np.isnan(m2) or np.isnan(m3))
 
 
 def _pairs(*pairs):

@@ -126,9 +126,22 @@ def test_catalog_delta_bounds_enforced():
         catalog_zeta(PointSet([[0.0], [1.0]]), 0.7)
     with pytest.raises(NoClosedForm):
         catalog_zeta(PointCloud([[0.0, 0.0]]))
-    # the finite check on delta comes first
-    with pytest.raises(ValueError):
-        catalog_zeta(PointCloud([[0.0, 0.0]]), math.nan)
+    # the finite check on delta comes first, and a bool or a string is no delta
+    for delta in (math.nan, True, "1"):
+        with pytest.raises(ValueError):
+            catalog_zeta(PointCloud([[0.0, 0.0]]), delta)
+        with pytest.raises(ValueError):
+            catalog_zeta(SierpinskiGasket(), delta)
+
+
+def test_poles_near_checks_its_ordinates_and_reach():
+    form = catalog_zeta(SierpinskiGasket(), 0.5)
+    # a NaN reach or an infinite ordinate asked for over 10^6 lattice poles, a negative reach listed none
+    for ordinates, reach in (([10.0], math.nan), ([math.inf], 1.0), ([10.0], -1.0), ([10.0], True), (["10"], 1.0)):
+        with pytest.raises(ValueError, match="ordinates and reach"):
+            form.poles_near(ordinates, reach)
+    assert form.poles_near([], 1.0) == []
+    assert form.poles_near(np.array([9.0, 10.0]), 1.0) == form.poles_near([9.0, 10.0], 1.0) != []
 
 
 def test_delta_exactly_at_each_closed_form_bound():
@@ -677,6 +690,27 @@ def test_lattice_term_validation():
         LatticeTerm(1.0, 2.0, (0.0,), (0.5, 3.0))
     with pytest.raises(ValueError):
         ClosedFormZeta(1, -1.0, (), (ElementaryTerm(2.0, 0, 0.0),))
+    # non-finite or ill-typed fields, which evaluated to inf or raised a bare TypeError
+    for bad in (
+        lambda: LatticeTerm(math.nan, 2.0, (0.0,), None),
+        lambda: LatticeTerm(1.0, 2.0, (math.inf,), None),
+        lambda: LatticeTerm(1.0, 2.0, [0.0], None),
+        lambda: LatticeTerm(1.0, 2.0, (0.0,), ("3", 2.0)),
+        lambda: LatticeTerm(1.0, 2.0, (0.0,), (3.0,)),
+        lambda: LatticeTerm(True, 2.0, (0.0,), None),
+        lambda: ElementaryTerm(math.nan, 0, 0.0),
+        lambda: ElementaryTerm(1.0, 0.5, 0.0),
+        lambda: ElementaryTerm(1.0, True, 0.0),
+        lambda: ElementaryTerm(1.0, 0, math.inf),
+        lambda: ClosedFormZeta(1, True),
+        lambda: ClosedFormZeta(1, "1"),
+        lambda: ClosedFormZeta(0, 1.0),
+        lambda: ClosedFormZeta(1.0, 1.0),
+        lambda: ClosedFormZeta(1, 1.0, [LatticeTerm(1.0, 2.0, (0.0,), None)]),
+        lambda: ClosedFormZeta(1, 1.0, (), ((2.0, 0, 0.0),)),
+    ):
+        with pytest.raises(ValueError):
+            bad()
     form = ClosedFormZeta(1, 1.0, (), (ElementaryTerm(2.0, 0, 0.0),))
     with pytest.raises(NotAPole):
         form.residue_at(0.5)
