@@ -55,8 +55,6 @@ from .zeta import (
     functional_equation_residual,
     scale_zeta,
     tube_zeta_numeric,
-    zeta_from_json,
-    zeta_to_json,
 )
 from .dimensions import (
     LanguidityEstimate,

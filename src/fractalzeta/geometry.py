@@ -10,7 +10,11 @@ their input and call it.  A descriptor class defines its JSON tag
 ``variant``, ``ambient_dim``, ``bounds()``, ``diameter``,
 ``distances(pts, below=0.0)`` on checked points, ``exact_volumes(ts)`` over
 an array of radii up to ``exact_max`` (the largest radius with an exact
-tube volume), ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
+tube volume), ``volume_breaks(floor)``, the radii above ``floor`` at which
+``exact_volumes`` passes from one polynomial in ``t`` to the next (half of
+each gap on the line; the default lists a hole family's fill radii from its
+``_holes``, the parameters of :func:`_hole_volumes`, and none for others),
+``box_dimension``, ``default_delta``, ``t_valid_max`` (the
 largest radius at which its closed form's residue sum gives ``|A_t|``)
 and, for catalog sets, the ``delta_bound`` text and ``zeta_terms(delta)``,
 its closed form's terms; :class:`CompactSet` holds the defaults.
@@ -143,6 +147,13 @@ class CompactSet:
     t_valid_max = math.inf
     exact_max = math.inf
 
+    # a hole family's (hull, r1, rho, q, cover), as :func:`_hole_volumes` takes them
+    _holes = None
+
+    def volume_breaks(self, floor: float) -> np.ndarray:
+        """The radii above ``floor``, descending, at which ``exact_volumes`` passes from one polynomial in ``t`` to the next."""
+        return np.empty(0) if self._holes is None else _hole_breaks(floor, *self._holes[1:])
+
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         """The closed form's ``zeta.LatticeTerm`` and ``zeta.ElementaryTerm`` field values, as tuples.
 
@@ -251,13 +262,22 @@ class PointSet(CompactSet):
             d[near] = _row_norms(np.abs(pts[near] - self._tree.data[nearest[near]]).T)
         return d
 
+    @cached_property
+    def _gaps(self) -> np.ndarray:
+        """The gaps between consecutive points on the line."""
+        return np.diff(np.sort(np.asarray(self.points)[:, 0]))
+
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         if self.ambient_dim == 1:
-            return gap_volumes(2.0 * ts, np.diff(np.sort(np.asarray(self.points)[:, 0])))
+            return gap_volumes(2.0 * ts, self._gaps)
         t = float(ts.max(initial=0.0))
         if t > self.exact_max:
             raise FractalZetaError(f"no exact tube volume available for {type(self).__name__} at t={t}")
         return len(self.points) * _unit_ball_volume(self.ambient_dim) * _libm_pow(ts, self.ambient_dim)
+
+    def volume_breaks(self, floor: float) -> np.ndarray:
+        # the balls of R^N, N > 1, stay disjoint up to exact_max: n omega_N t^N is one piece
+        return _gap_breaks(floor, self._gaps) if self.ambient_dim == 1 else np.empty(0)
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         if len(self.points) > 1 and delta > self.min_gap / 2.0:
@@ -380,10 +400,14 @@ class CantorLike(CompactSet):
         out[inside] = res
         return out
 
-    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+    @property
+    def _holes(self) -> tuple:
         # level-k gaps: 2^(k-1) of width largest_gap r^(k-1), filled at half their width
         r, g = self.ratio, self.largest_gap
-        return _hole_volumes(ts, self.scale, g / 2.0, r, 2.0 * r, (g,)) + 2.0 * ts
+        return self.scale, g / 2.0, r, 2.0 * r, (g,)
+
+    def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
+        return _hole_volumes(ts, *self._holes) + 2.0 * ts
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         bound = self.largest_gap / 2.0
@@ -566,12 +590,21 @@ class FractalStringBoundary(CompactSet):
         chunks, floor = np.split(x, range(_STRING_CHUNK, x.size, _STRING_CHUNK)), self._floor_top
         return np.concatenate([_row_distances(c, *self._rows(self._levels_near(c)), floor) for c in chunks])
 
+    @property
+    def _holes(self) -> tuple:
+        b, l1 = self.base, self.first_length
+        return self.total_length, l1 / 2.0, 1.0 / b, self.multiplicity / b, (l1,)
+
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
         if not self.is_self_similar:
             # the lengths are the gaps between consecutive boundary points
             return gap_volumes(2.0 * ts, np.asarray(self.lengths))
-        b, l1 = self.base, self.first_length
-        return _hole_volumes(ts, self.total_length, l1 / 2.0, 1.0 / b, self.multiplicity / b, (l1,)) + 2.0 * ts
+        return _hole_volumes(ts, *self._holes) + 2.0 * ts
+
+    def volume_breaks(self, floor: float) -> np.ndarray:
+        if not self.is_self_similar:
+            return _gap_breaks(floor, np.asarray(self.lengths))
+        return super().volume_breaks(floor)
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         bound = self.first_length / 2.0
@@ -669,11 +702,12 @@ class SierpinskiGasket(CompactSet):
         out[near] = d
         return out
 
+    # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
+    # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
+    _holes = (SQRT3 / 4.0, 1.0 / (4.0 * SQRT3), 0.5, 0.75, (SQRT3 / 8.0, -SQRT3 / 16.0))
+
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
-        # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
-        holes = _hole_volumes(ts, SQRT3 / 4.0, 1.0 / (4.0 * SQRT3), 0.5, 0.75, (SQRT3 / 8.0, -SQRT3 / 16.0))
-        return holes + 3.0 * ts + math.pi * ts * ts
+        return _hole_volumes(ts, *self._holes) + 3.0 * ts + math.pi * ts * ts
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         bound = 1.0 / (4.0 * SQRT3)
@@ -834,10 +868,12 @@ class SierpinskiCarpet3D(CompactSet):
             _carpet_lattice_distances(out, lattice, below)
         return out
 
+    # level-k holes: 26^(k-1) cubes of side 3^-k, filled at half their side; the
+    # uncovered core of a side-w hole is a cube of side w - 2t
+    _holes = (1.0, 1.0 / 6.0, 1.0 / 3.0, 26.0 / 27.0, (1.0 / 9.0, -1.0 / 9.0, 1.0 / 27.0))
+
     def exact_volumes(self, ts: np.ndarray) -> np.ndarray:
-        # level-k holes: 26^(k-1) cubes of side 3^-k, filled at half their side; the
-        # uncovered core of a side-w hole is a cube of side w - 2t
-        holes = _hole_volumes(ts, 1.0, 1.0 / 6.0, 1.0 / 3.0, 26.0 / 27.0, (1.0 / 9.0, -1.0 / 9.0, 1.0 / 27.0))
+        holes = _hole_volumes(ts, *self._holes)
         return holes + 6.0 * ts + 3.0 * math.pi * ts * ts + (4.0 / 3.0) * math.pi * _libm_pow(ts, 3)
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
@@ -975,6 +1011,20 @@ def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, 
     for c, tj in zip(cover[::-1], table.sums[::-1]):
         total = y * (c * tj[n] + total)
     return hull * table.powers[n] + total
+
+
+def _hole_breaks(floor: float, r1: float, rho: float, q: float, cover) -> np.ndarray:
+    """The running minimum of the fill radii above ``floor``, descending: where :func:`_hole_volumes` changes ``n``."""
+    table = _level_table(r1, rho, q, cover)
+    table.reach(floor)
+    breaks = _distinct(-table.lead)
+    return breaks[breaks > floor]
+
+
+def _gap_breaks(floor: float, gaps: np.ndarray) -> np.ndarray:
+    """Half of each distinct gap above ``floor``, descending: where :func:`intervals.gap_volumes` bridges a gap."""
+    breaks = _distinct(np.sort(gaps)[::-1] / 2.0)
+    return breaks[breaks > floor]
 
 
 class _LevelTable:

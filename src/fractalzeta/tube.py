@@ -58,14 +58,6 @@ class TubeFormulaSeries:
         if not conjugate_closed(self.poles):
             raise ValueError("series pole list must be closed under conjugation")
 
-    @property
-    def real_poles(self) -> tuple[Pole, ...]:
-        return tuple(p for p in self.poles if abs(p.location.imag) < 1e-12)
-
-    @property
-    def max_real_part(self) -> float:
-        return max(p.location.real for p in self.poles)
-
 
 def series_from_zeta(
     zeta: ClosedFormZeta, truncation: int = 50, t_valid_max: float = math.inf

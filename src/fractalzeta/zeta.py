@@ -456,7 +456,7 @@ class NumericZetaConfig:
     mc_samples: int = 1_000_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
+        if not (_finite_real(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive and finite")
         if not _is_count(self.seed):
             raise ValueError("seed must be a nonnegative integer")
@@ -559,6 +559,9 @@ _PANEL_NODES = 16
 # Relative agreement of two passes that ends the refinement, and the most halvings of the panel width.
 _RTOL = 1e-6
 _MAX_REFINEMENTS = 9
+# One breakpoint per stretch of u = ln t this long gets a panel edge: that keeps every
+# hole family with a closed form (spaced ln 2 or more) and bounds the panels where they crowd.
+_BREAK_GAP = 0.5
 
 
 @cache
@@ -593,15 +596,21 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     extend toward ``u -> -inf`` until three in a row are negligible, and
     panel widths halve, at most ``_MAX_REFINEMENTS`` (9) times, until two
     passes agree to ``_RTOL`` (1e-6).  For sets with exact volumes up to
-    ``delta`` (``exact_max >= delta``) each :func:`tube_volumes` call covers
-    a block of panels, and the stop rule runs over the whole block with the
-    same additions in the same order as panel by panel.  The first pass
-    takes blocks of 8 panels, doubling to 512.  Every later pass opens
-    with twice the panels the previous pass used, plus 4, in blocks of at
-    most 512, since halving the width moves the stop little in ``u``; past
-    those it doubles from 8 again.  Other sets take one panel per call.
-    The node radii ``t = exp(u)`` are libm's, bit for bit, from one array
-    call (:func:`_libm_exp`).
+    ``delta`` (``exact_max >= delta``) a panel edge sits at ``ln`` of each
+    radius in ``(1e-280, delta)`` where ``|A_t|`` passes from one polynomial
+    in ``t`` to the next (``volume_breaks``; where they crowd, the first in
+    each ``_BREAK_GAP`` of ``u``), and pass ``j`` splits each interval of
+    length ``L`` between them into ``2^j ceil(L / 2)`` equal panels, so 16
+    nodes integrate a smooth piece to rounding; below the last edge panels
+    are ``2^(1-j)`` wide.  Each :func:`tube_volumes` call covers a block of
+    panels, and the stop rule runs over the whole block with the same
+    additions in the same order as panel by panel.  The first pass takes
+    blocks of 8 panels, doubling to 512.  Every later pass opens with twice
+    the panels the previous pass used, plus 4, in blocks of at most 512,
+    since halving the width moves the stop little in ``u``; past those it
+    doubles from 8 again.  Other sets take one ``2^(1-j)``-wide panel per
+    call.  The node radii ``t = exp(u)`` are libm's, bit for bit, from one
+    array call (:func:`_libm_exp`).
 
     Where ``exp((s - N) u)`` overflows the product is ``exp((s - N) u + ln
     |A_t|)``; where ``|A_t|`` underflowed to 0 it is unknown (NaN).
@@ -619,6 +628,16 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 _RTOL regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * _RTOL)
+    # the tops of the breakpoint intervals: u_hi, then ln of the first breakpoint in
+    # each stretch of _BREAK_GAP down from the first one below delta
+    u_breaks = np.empty(0)
+    if set_.exact_max >= cfg.delta:
+        breaks = set_.volume_breaks(1e-280)
+        u_breaks = np.log(breaks[breaks < cfg.delta])
+        stretch = np.floor((u_breaks[:1] - u_breaks) / _BREAK_GAP)
+        u_breaks = u_breaks[(np.diff(stretch, prepend=-1.0) > 0) & (u_breaks < u_hi)]
+    tops = np.concatenate(([u_hi], u_breaks))
+    halves = np.ceil(0.5 * (tops[:-1] - tops[1:]))
 
     def block_sizes(opening: int):
         # blocks pay off where tube_volumes is one exact call; past exact_max the
@@ -636,19 +655,34 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
 
     def integrate(panel_width: float, opening: int) -> tuple[complex, int]:
         """The pass's value and the number of panels up to its stop."""
+        # interval i holds the panels firsts[i] to firsts[i + 1] - 1, each steps[i] wide; the
+        # last entries start the uniform panels at the last breakpoint
+        counts = (halves * (2.0 / panel_width)).astype(np.int64)
+        firsts = np.concatenate(([0], np.cumsum(counts)))
+        steps = np.append((tops[:-1] - tops[1:]) / counts, panel_width)
+        n_head = int(firsts[-1])
         acc = 0.0 + 0.0j
         u_top = u_hi
         quiet = 0
         used = 0
-        tol = tail_tol * panel_width
-        panels_left = int(math.ceil(1200.0 / panel_width))
+        panels_left = n_head + int(math.ceil(1200.0 / panel_width))
         blocks = block_sizes(opening)
         while panels_left and u_top >= u_floor:
-            # edges step down one subtraction at a time, as panel by panel,
-            # and stop after the first panel that crosses the floor
-            edges = np.full(min(next(blocks), panels_left) + 1, panel_width)
+            size = min(next(blocks), panels_left)
+            edges = np.full(size + 1, panel_width)
+            widths = np.full(size, panel_width)
+            head = min(size, max(n_head - used, 0))
             edges[0] = u_top
-            np.subtract.accumulate(edges, out=edges)
+            if head:
+                # edges inside the breakpoint intervals step from their tops, each
+                # breakpoint exact
+                p = np.arange(used, used + head + 1)
+                i = np.searchsorted(firsts, p, side="right") - 1
+                edges[: head + 1] = tops[i] - (p - firsts[i]) * steps[i]
+                widths[:head] = steps[i[:-1]]
+            # uniform edges step down one subtraction at a time, as panel by panel,
+            # and stop after the first panel that crosses the floor
+            np.subtract.accumulate(edges[head:], out=edges[head:])
             below = np.flatnonzero(edges < u_floor)
             if below.size:
                 edges = edges[: below[0] + 1]
@@ -667,6 +701,7 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
             contrib = uh * np.sum(w * vals, axis=1)
             # accumulate adds in order: sums[k] is acc += contrib after k panels
             sums = np.add.accumulate(np.concatenate(([acc], contrib)))
+            tol = tail_tol * widths[: len(contrib)]
             loud = ~(np.abs(contrib) <= tol * np.maximum(np.abs(sums[1:]), 1e-300))
             # quiet panels in a row up to each panel, the run carried in included
             k = np.arange(1, len(contrib) + 1)
@@ -718,45 +753,3 @@ def functional_equation_residual(set_: CompactSet, s: complex, cfg: NumericZetaC
     a_delta = tube_volume(set_, cfg.delta).volume
     rhs = cfg.delta ** (s - n_dim) * a_delta + (n_dim - s) * tube_zeta_numeric(set_, s, cfg)
     return abs(lhs - rhs) / (1.0 + abs(lhs))
-
-
-# ---------------------------------------------------------------------------
-# JSON schema
-# ---------------------------------------------------------------------------
-
-
-def zeta_to_json(zeta: ClosedFormZeta) -> dict:
-    return {
-        "ambient_dim": zeta.ambient_dim,
-        "delta": zeta.delta,
-        "lattice_terms": [
-            {
-                "amplitude": t.amplitude,
-                "base_scale": t.base_scale,
-                "roots": list(t.roots),
-                "lattice": list(t.lattice) if t.lattice is not None else None,
-            }
-            for t in zeta.lattice_terms
-        ],
-        "elementary_terms": [
-            {"coefficient": t.coefficient, "shift": t.shift, "pole": t.pole}
-            for t in zeta.elementary_terms
-        ],
-    }
-
-
-def zeta_from_json(data: dict) -> ClosedFormZeta:
-    lat = tuple(
-        LatticeTerm(
-            float(t["amplitude"]),
-            float(t["base_scale"]),
-            tuple(float(r) for r in t["roots"]),
-            tuple(t["lattice"]) if t.get("lattice") is not None else None,
-        )
-        for t in data.get("lattice_terms", [])
-    )
-    ele = tuple(
-        ElementaryTerm(float(t["coefficient"]), int(t["shift"]), float(t["pole"]))
-        for t in data.get("elementary_terms", [])
-    )
-    return ClosedFormZeta(int(data["ambient_dim"]), float(data["delta"]), lat, ele)

@@ -18,8 +18,10 @@ that precision the cancellation leaves over 200 digits down to
 ``t = 1e-150``).
 
 The Monte Carlo tube oracle one radius at a time, as the library ran it
-before a curve's radii shared their draws.  And a closed form's residue at
-a genuine pole as a ``Pole``, which only the tests ask for.
+before a curve's radii shared their draws.  And helpers that only the tests
+ask for: a closed form's residue at a genuine pole as a ``Pole``, a closed
+form to and from JSON, and the real poles and largest real part of a tube
+series.
 """
 
 import math
@@ -30,6 +32,7 @@ import numpy as np
 
 from fractalzeta.dimensions import Pole
 from fractalzeta.errors import NotAPole
+from fractalzeta.zeta import ClosedFormZeta, ElementaryTerm, LatticeTerm
 
 _DIGITS = 300
 _SQRT3 = math.sqrt(3.0)
@@ -287,3 +290,50 @@ def residues_closed_form(zeta, omega: complex) -> Pole:
     if residue is None:
         raise NotAPole(f"{omega} is a removable point (term residues cancel)")
     return Pole(complex(omega), order=1, residue=residue)
+
+
+def zeta_to_json(zeta: ClosedFormZeta) -> dict:
+    return {
+        "ambient_dim": zeta.ambient_dim,
+        "delta": zeta.delta,
+        "lattice_terms": [
+            {
+                "amplitude": t.amplitude,
+                "base_scale": t.base_scale,
+                "roots": list(t.roots),
+                "lattice": list(t.lattice) if t.lattice is not None else None,
+            }
+            for t in zeta.lattice_terms
+        ],
+        "elementary_terms": [
+            {"coefficient": t.coefficient, "shift": t.shift, "pole": t.pole}
+            for t in zeta.elementary_terms
+        ],
+    }
+
+
+def zeta_from_json(data: dict) -> ClosedFormZeta:
+    lat = tuple(
+        LatticeTerm(
+            float(t["amplitude"]),
+            float(t["base_scale"]),
+            tuple(float(r) for r in t["roots"]),
+            tuple(t["lattice"]) if t.get("lattice") is not None else None,
+        )
+        for t in data.get("lattice_terms", [])
+    )
+    ele = tuple(
+        ElementaryTerm(float(t["coefficient"]), int(t["shift"]), float(t["pole"]))
+        for t in data.get("elementary_terms", [])
+    )
+    return ClosedFormZeta(int(data["ambient_dim"]), float(data["delta"]), lat, ele)
+
+
+def real_poles(series) -> tuple[Pole, ...]:
+    """The poles of a ``TubeFormulaSeries`` on the real axis."""
+    return tuple(p for p in series.poles if abs(p.location.imag) < 1e-12)
+
+
+def max_real_part(series) -> float:
+    """The largest real part among a ``TubeFormulaSeries``' poles."""
+    return max(p.location.real for p in series.poles)

@@ -1105,6 +1105,66 @@ def test_exact_volume_nondecreasing_in_t(ratio, scale, base, multiplicity, lo):
         assert (np.diff(vols) >= -1e-14 * vols[1:]).all()
 
 
+def _polynomial_miss(set_, lo, hi, at) -> float:
+    """Relative miss at ``at`` of the degree-N polynomial through N + 1 exact volumes inside ``(lo, hi)``."""
+    n = set_.ambient_dim
+    x = np.arange(1, n + 2) / (n + 3)
+    vols = set_.exact_volumes(np.append(lo + (hi - lo) * x, at))
+    xa = (at - lo) / (hi - lo)
+    weights = [math.prod((xa - x[j]) / (x[i] - x[j]) for j in range(n + 1) if j != i) for i in range(n + 1)]
+    return abs(float(np.dot(weights, vols[:-1])) - vols[-1]) / vols[-1]
+
+
+@pytest.mark.parametrize(
+    "set_",
+    [
+        PointSet([[0.0]]),
+        PointSet([[0.0], [0.3], [1.0], [1.05]]),
+        PointSet([[0.0, 0.0], [1.0, 0.5]]),
+        PointCloud([[0.0], [0.4], [1.0]]),
+        CantorLike(),
+        CantorLike(ratio=0.2, scale=3.0),
+        FractalStringBoundary.cantor_string(),
+        FractalStringBoundary(base=5.0, multiplicity=3, scale=0.7),
+        FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125)),
+        SierpinskiGasket(),
+        SierpinskiCarpet3D(),
+    ],
+    ids=repr,
+)
+def test_exact_volumes_are_one_polynomial_between_breakpoints(set_):
+    # N + 1 samples inside an interval between breakpoints predict a further one
+    # to rounding; samples below a breakpoint miss a radius above it
+    breaks = set_.volume_breaks(1e-280)
+    assert (breaks > 1e-280).all() and (np.diff(breaks) < 0).all()
+    if breaks.size:
+        edges = np.concatenate(([2.0 * breaks[0]], breaks, [0.5 * breaks[-1]]))
+    else:
+        edges = np.array([min(1.0, set_.exact_max), 1e-3])
+    n = set_.ambient_dim
+    for k in sorted({0, 1, 2, len(edges) // 2, len(edges) - 2} & set(range(len(edges) - 1))):
+        hi, lo = edges[k], edges[k + 1]
+        assert _polynomial_miss(set_, lo, hi, lo + (hi - lo) * (n + 2) / (n + 3)) <= 1e-12
+        if k:
+            assert _polynomial_miss(set_, lo, hi, hi + 0.5 * (edges[k - 1] - hi)) >= 1e-4
+
+
+def test_hole_breakpoints_are_the_fill_radii():
+    # the level-k gaps of a Cantor set fill at half their width, the gasket's
+    # holes at their inradius and the carpet's at half their side
+    ks = np.arange(40)
+    for set_, fill in [
+        (CantorLike(ratio=0.2, scale=3.0), 0.6 * 3.0 * 0.2**ks / 2.0),
+        (SierpinskiGasket(), 2.0 ** -(ks + 1.0) / (2.0 * SQRT3)),
+        (SierpinskiCarpet3D(), 3.0 ** -(ks + 1.0) / 2.0),
+    ]:
+        breaks = set_.volume_breaks(1e-280)
+        np.testing.assert_allclose(breaks[:40], fill, rtol=1e-13)
+        assert breaks[-1] * fill[1] / fill[0] <= 1e-280
+    assert PointSet([[0.0], [0.3], [1.0]]).volume_breaks(0.2).tolist() == [0.35]
+    assert PointSet([[0.0, 0.0], [1.0, 0.5]]).volume_breaks(1e-280).size == 0
+
+
 # ---------------------------------------------------------------------------
 # descriptors and serialization
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ from fractalzeta.zeta import (
     functional_equation_residual,
     scale_zeta,
     tube_zeta_numeric,
-    zeta_from_json,
-    zeta_to_json,
 )
+from references import zeta_from_json, zeta_to_json
 
 SQRT3 = math.sqrt(3.0)
 
@@ -270,6 +269,14 @@ def test_config_rejects_non_finite_delta_and_bad_seed():
     assert NumericZetaConfig(delta=1.0, seed=np.int64(3)).seed == 3
 
 
+def test_config_rejects_delta_that_is_not_a_real_number():
+    # True ran as delta = 1 and "0.5" raised a bare TypeError from math.isfinite
+    for bad in (True, "0.5", None, 1j):
+        with pytest.raises(ValueError):
+            NumericZetaConfig(delta=bad, seed=1)
+    assert NumericZetaConfig(delta=np.float64(0.5), seed=1).delta == 0.5
+
+
 def test_catalog_zeta_rejects_non_finite_delta():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -353,7 +360,8 @@ def test_quadrature_nonconvergent_at_unreachable_tolerance(monkeypatch):
     from fractalzeta import zeta
     from fractalzeta.errors import QuadratureNonconvergent
 
-    monkeypatch.setattr(zeta, "_RTOL", 1e-13)
+    # below the unit roundoff: the passes would have to agree to the last bit
+    monkeypatch.setattr(zeta, "_RTOL", 1e-17)
     monkeypatch.setattr(zeta, "_MAX_REFINEMENTS", 3)
     c = CantorLike()
     cfg = cfg_for(c, delta=0.5)
@@ -363,18 +371,41 @@ def test_quadrature_nonconvergent_at_unreachable_tolerance(monkeypatch):
 
 def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
     # the quadrature as it ran before block evaluation: one panel and 16
-    # scalar tube volumes at a time, stopping quietly at the 1e-280 floor
+    # scalar tube volumes at a time, stopping quietly at the 1e-280 floor;
+    # with exact volumes up to delta, pass j splits each interval between
+    # breakpoints of |A_t| into 2^j ceil(L / 2) equal panels, the breakpoints
+    # being the first in each stretch of 0.5 in u down from the first below delta
     from fractalzeta.geometry import tube_volume
 
     x, w = np.polynomial.legendre.leggauss(16)
     tail_tol = min(1e-9, 1e-3 * rtol)
+    tops = [math.log(cfg.delta)]
+    if set_.exact_max >= cfg.delta:
+        breaks = set_.volume_breaks(1e-280)
+        us = np.log(breaks[breaks < cfg.delta]).tolist()
+        last = -1
+        for u in us:
+            stretch = math.floor((us[0] - u) / 0.5)
+            if stretch > last and u < tops[0]:
+                tops.append(u)
+            last = stretch
+
+    def panels(panel_width):
+        """(top, bottom, width) of each panel of a pass, down from delta."""
+        for top, bottom in zip(tops, tops[1:]):
+            count = int(math.ceil(0.5 * (top - bottom)) * (2.0 / panel_width))
+            step = (top - bottom) / count
+            for k in range(count):
+                yield top - k * step, bottom if k == count - 1 else top - (k + 1) * step, step
+        u_top = tops[-1]
+        for _ in range(int(math.ceil(1200.0 / panel_width))):
+            yield u_top, u_top - panel_width, panel_width
+            u_top -= panel_width
 
     def integrate(panel_width):
         acc = 0.0 + 0.0j
-        u_top = math.log(cfg.delta)
         quiet = 0
-        for _ in range(int(math.ceil(1200.0 / panel_width))):
-            u_bot = u_top - panel_width
+        for u_top, u_bot, width in panels(panel_width):
             um = 0.5 * (u_top + u_bot)
             uh = 0.5 * (u_top - u_bot)
             u = um + uh * x
@@ -382,14 +413,13 @@ def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
             vals = np.exp((s - set_.ambient_dim) * u) * vols
             contrib = uh * np.sum(w * vals)
             acc += contrib
-            u_top = u_bot
-            if abs(contrib) <= tail_tol * panel_width * max(abs(acc), 1e-300):
+            if abs(contrib) <= tail_tol * width * max(abs(acc), 1e-300):
                 quiet += 1
                 if quiet >= 3:
                     break
             else:
                 quiet = 0
-            if u_top < math.log(1e-280):
+            if u_bot < math.log(1e-280):
                 break
         return acc
 
@@ -450,6 +480,16 @@ def test_block_quadrature_equals_panel_loop(monkeypatch):
     ]:
         cfg = cfg_for(set_)
         assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+    # gap breakpoints, with a block that runs from the last of them into the uniform
+    # panels, and breakpoints closer than 0.5 in u, of which only some get an edge
+    for set_, s in [
+        (FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125)), 0.5 + 2.0j),
+        (PointSet([[0.0], [0.3], [1.0]]), 0.4 - 1.5j),
+        (FractalStringBoundary(lengths=(0.5, 0.45, 0.3, 0.29, 0.1)), 0.7 - 1.0j),
+        (FractalStringBoundary(base=1.5, multiplicity=1), 0.8 + 2.0j),
+    ]:
+        cfg = NumericZetaConfig(delta=1.0, seed=1)
+        assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
     # nodes above u = 709, where the C library's cexp scales by exp(709) and so
     # differs from libm's exp in the last bit
     point, cfg = PointSet([[0.3]]), NumericZetaConfig(delta=8.98e307, seed=1)
@@ -460,8 +500,9 @@ def test_block_quadrature_equals_panel_loop(monkeypatch):
     for set_, s, blocks in [
         # the second pass (width 1) stops past its 138 = 2 * 67 + 4 panels
         (PointSet([[0.2]]), 0.15 + 3.0j, [8, 16, 32, 64, 138, 8]),
-        # the second pass stops at panel 16 of its 24, so the third opens with 36
-        (SierpinskiCarpet3D(), 4.466 + 18.0j, [8, 16, 24, 36]),
+        # the carpet's breakpoints are ln 3 apart: the first pass stops at panel 16
+        # of its 24, so the second opens with 36, stops inside them and agrees
+        (SierpinskiCarpet3D(), 4.466 + 18.0j, [8, 16, 36]),
         # a point in the plane has exact volumes at every radius, so it takes blocks too
         (PointSet([[0.0, 0.0]]), 0.3 + 3.0j, [8, 16, 32, 76]),
     ]:
@@ -493,14 +534,16 @@ def test_quadrature_below_abscissa_raises():
 
 
 def test_quadrature_crossing_the_floor_mid_block_raises(monkeypatch):
-    # the first pass's 323rd panel of width 2 below t = 0.5 crosses t = 1e-280:
-    # 248 panels in blocks of 8 to 128, then 75 of the next block of 256
+    # the first pass takes one panel per interval between the 586 breakpoints in
+    # (1e-280, 0.5), each ln 3 wide, then its 587th panel, of width 2, crosses
+    # t = 1e-280: 504 panels in blocks of 8 to 256, then 83 of the next block of 512
     from fractalzeta.errors import QuadratureNonconvergent
 
     sizes = _spy_block_sizes(monkeypatch)
     with pytest.raises(QuadratureNonconvergent):
         tube_zeta_numeric(CantorLike(), 0.3 + 1.0j, NumericZetaConfig(delta=0.5, seed=1))
-    assert sizes == [8, 16, 32, 64, 128, 75]
+    assert sizes == [8, 16, 32, 64, 128, 256, 83]
+    assert CantorLike().volume_breaks(1e-280).size == 586
 
 
 def test_quadrature_past_exp_overflow_raises_without_warnings():
@@ -577,6 +620,40 @@ def test_functional_equation_catalog_sets():
         for _ in range(5):
             s = complex(rng.uniform(d + 0.25, n_dim + 1.0), rng.uniform(-8.0, 8.0))
             assert functional_equation_residual(set_, s, cfg) <= 1e-3
+
+
+HOLE_FAMILIES = [
+    (CantorLike(), math.log(2.0) / math.log(3.0), 1),
+    (FractalStringBoundary.cantor_string(), math.log(2.0) / math.log(3.0), 1),
+    (SierpinskiGasket(), math.log(3.0) / math.log(2.0), 2),
+    (SierpinskiCarpet3D(), math.log(26.0) / math.log(3.0), 3),
+]
+
+
+def test_functional_equation_hole_families_to_1e9():
+    # panels between the breakpoints of |A_t| integrate each smooth piece to rounding
+    rng = np.random.default_rng(2201)
+    for set_, d, n_dim in HOLE_FAMILIES:
+        cfg = cfg_for(set_)
+        for _ in range(6):
+            s = complex(rng.uniform(d + 0.25, n_dim + 1.0), rng.uniform(-10.0, 10.0))
+            assert functional_equation_residual(set_, s, cfg) <= 1e-9
+
+
+@pytest.mark.parametrize("rtol", [1e-6, 1e-12])
+def test_hole_family_quadrature_stops_on_its_second_pass(monkeypatch, rtol):
+    # with no third pass allowed, the first two must agree to _RTOL (1e-6), and
+    # they agree to 1e-12 as well; panels that straddle the breakpoints agreed
+    # to 1e-6 on 3 of these 12 values and to 1e-9 on none
+    from fractalzeta import zeta
+
+    monkeypatch.setattr(zeta, "_MAX_REFINEMENTS", 1)
+    monkeypatch.setattr(zeta, "_RTOL", rtol)
+    rng = np.random.default_rng(2202)
+    for set_, d, n_dim in HOLE_FAMILIES:
+        for _ in range(3):
+            s = complex(rng.uniform(d + 0.25, n_dim + 1.0), rng.uniform(-10.0, 10.0))
+            tube_zeta_numeric(set_, s, cfg_for(set_))
 
 
 def test_holomorphicity_proxy_discrete_cauchy_riemann(monkeypatch):
