@@ -34,7 +34,6 @@ from .geometry import (
     SierpinskiGasket,
     TubeMethod,
     TubeSample,
-    distance_to_set,
     distances_to_set,
     sample_tube_curve,
     set_from_json,
@@ -53,7 +52,6 @@ from .zeta import (
     default_delta,
     distance_zeta_numeric,
     functional_equation_residual,
-    scale_zeta,
     tube_zeta_numeric,
 )
 from .dimensions import (

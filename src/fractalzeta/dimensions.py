@@ -142,11 +142,13 @@ def residue_contour(
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"contour radius must be positive and finite, got {radius}")
 
-    prev = _circle_coefficients(f, omega, radius, 1, 256)[0]
     n = 256
+    ring, vals = _circle_values(f, omega, radius, n)
+    prev = radius * complex(np.mean(vals * ring))
     while n < 4096:
         n *= 2
-        cur = _circle_coefficients(f, omega, radius, 1, n)[0]
+        ring, vals = _circle_values(f, omega, radius, n, vals)
+        cur = radius * complex(np.mean(vals * ring))
         if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
             return cur
         prev = cur
@@ -160,11 +162,28 @@ def _circle_coefficients(
     f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, order: int, nodes: int
 ) -> tuple[complex, ...]:
     """``(c_-order, ..., c_-1)`` of ``f`` at ``omega``: trapezoidal rule on ``nodes`` points of a circle."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    vals = f(omega + radius * ring)
+    ring, vals = _circle_values(f, omega, radius, nodes)
     # c_{-j} = (1/2 pi i) contour f(s) (s - omega)^(j-1) ds
     return tuple(radius**j * complex(np.mean(vals * ring**j)) for j in range(order, 0, -1))
+
+
+def _circle_values(
+    f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, nodes: int, even: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ring ``e^(i theta)`` of the trapezoidal rule on ``nodes`` points of a circle, and ``f`` there.
+
+    ``even``, the values of the rule on ``nodes / 2`` points, are its values
+    at the even nodes, so only the odd ones are evaluated: the angles
+    ``2 pi (2k) / nodes`` and ``2 pi k / (nodes / 2)`` round to the same float.
+    """
+    ring = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    z = omega + radius * ring
+    if even is None:
+        return ring, f(z)
+    vals = np.empty(nodes, dtype=complex)
+    vals[0::2] = even
+    vals[1::2] = f(np.ascontiguousarray(z[1::2]))
+    return ring, vals
 
 
 def _successors(cell: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Compact-set descriptors with distance and tube-volume oracles.
 
-Descriptors are immutable value objects for compact subsets ``A`` of R^N.
+Descriptors are immutable, hashable value objects for compact subsets ``A``
+of R^N (the tube-zeta quadrature keeps its breakpoints per descriptor).
 Every descriptor supports Euclidean distance evaluation ``d(x, A)`` and
 tube-volume measurement ``|A_t|`` (Lebesgue volume of the open
 t-neighborhood).
@@ -15,9 +16,12 @@ tube volume), ``volume_breaks(floor)``, the radii above ``floor`` at which
 each gap on the line; the default lists a hole family's fill radii from its
 ``_holes``, the parameters of :func:`_hole_volumes`, and none for others),
 ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
-largest radius at which its closed form's residue sum gives ``|A_t|``)
-and, for catalog sets, the ``delta_bound`` text and ``zeta_terms(delta)``,
-its closed form's terms; :class:`CompactSet` holds the defaults.
+largest radius at which its closed form's residue sum gives ``|A_t|``),
+``distance_bracket(pts)``, the distances bit for bit but on the rows it
+names, where they are within a relative ``2^-49`` (the default names none;
+the gasket's outline rows skip libm ``hypot``) and, for catalog sets, the
+``delta_bound`` text and ``zeta_terms(delta)``, its closed form's terms;
+:class:`CompactSet` holds the defaults.
 ``distances`` may return any value under ``below >= 0`` for a distance
 under it, and must return every other distance as with ``below = 0``: the
 Monte Carlo oracle asks only which points lie within ``t``, so a descent
@@ -52,8 +56,10 @@ Where the geometry allows it the tube volume is computed exactly:
 
 For everything else there is a deterministic grid-count oracle (cells whose
 center lies within distance t, with a conservative boundary-cell error
-bound) and a seeded Monte Carlo oracle with a reported confidence
-half-width.
+bound; its block refinement reads ``distance_bracket`` and measures a
+bracketed distance again exactly where it lies near a flip of a comparison,
+so its counts are those of exact distances) and a seeded Monte Carlo oracle
+with a reported confidence half-width.
 
 :func:`tube_volume`, :func:`sample_tube_curve` and the mixed radii of
 :func:`tube_volumes` share one dispatcher, :func:`_measure`: it checks all
@@ -94,6 +100,9 @@ _RESOLUTION = float(np.finfo(float).eps)
 # Binary digits of a gasket barycentric coordinate that can place it in a
 # hole: levels 0 to 52, down to holes of side _RESOLUTION.
 _DIGITS = 53
+
+# 2^k for k = 0 .. _DIGITS: the gasket's level scales, exact.
+_POW2 = np.ldexp(1.0, np.arange(_DIGITS + 1))
 
 
 def _is_real(value) -> bool:
@@ -151,8 +160,19 @@ class CompactSet:
     _holes = None
 
     def volume_breaks(self, floor: float) -> np.ndarray:
-        """The radii above ``floor``, descending, at which ``exact_volumes`` passes from one polynomial in ``t`` to the next."""
+        """The radii above ``floor``, descending, at which ``exact_volumes`` passes from one polynomial in ``t`` to the next.
+
+        A hole family's array is its level table's own, kept for the next call: it is read-only.
+        """
         return np.empty(0) if self._holes is None else _hole_breaks(floor, *self._holes[1:])
+
+    def distance_bracket(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(d, loose)``: ``d`` is ``distances(pts)`` bit for bit except on the row indices ``loose``.
+
+        On those rows ``d`` is within a relative ``2^-49`` of the exact value,
+        and positive.  The default has no loose rows.
+        """
+        return self.distances(pts), np.empty(0, dtype=np.intp)
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         """The closed form's ``zeta.LatticeTerm`` and ``zeta.ElementaryTerm`` field values, as tuples.
@@ -654,6 +674,13 @@ class SierpinskiGasket(CompactSet):
         return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
 
     def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
+        """Exact distances, by :meth:`_distances`."""
+        return self._distances(pts, False)[0]
+
+    def distance_bracket(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self._distances(pts, True)
+
+    def _distances(self, pts: np.ndarray, bracket: bool) -> tuple[np.ndarray, np.ndarray]:
         """Exact distances from the base-2 barycentric digits, in a fixed number of passes.
 
         A point in the big triangle is in the set or in exactly one hole, an
@@ -667,14 +694,21 @@ class SierpinskiGasket(CompactSet):
         coordinates have a 0.  It is on the set (distance 0) when no such
         digit exists, when two coordinates share a 1 at an earlier digit, or
         when a coordinate rounds to 1 or more.  Each of these is a bit
-        operation on the 53-digit integers ``floor(2^53 lam_i)``.
+        operation on the 53-digit integers ``floor(2^53 lam_i)``, and the
+        scale ``2^(53 - e)`` a table entry.
+
+        A point outside the big triangle takes the least of its distances to
+        the three edges of the outline.  With ``bracket`` those rows are the
+        loose rows of :meth:`CompactSet.distance_bracket`, the square root of
+        the least squared edge vector, except where that square lies outside
+        ``[2^-960, 2^960]`` and its rounding is no longer relative.
         """
         if np.abs(pts).max(initial=0.0) >= 2.0**1020:
             # sums of such coordinates overflow; the set is within 1 of the origin, below these norms' rounding
             out = _row_norms(np.abs(pts).T)
             near = (np.abs(pts) < 2.0**1020).all(axis=1)
             out[near] = self.distances(pts[near])
-            return out
+            return out, np.empty(0, dtype=np.intp)
         px, py = pts[:, 0], pts[:, 1]
         q = py / SQRT3
         l0, l1, l2 = 1.0 - px - q, px - q, (2.0 / SQRT3) * py
@@ -682,7 +716,8 @@ class SierpinskiGasket(CompactSet):
         out = np.empty(px.size)
         # the outline of the big triangle belongs to the set
         far = np.flatnonzero(~inside)
-        out[far] = _gasket_edge_min(px.take(far), py.take(far))
+        qx, qy = px.take(far), py.take(far)
+        out[far], loose = _gasket_edge_bracket(qx, qy) if bracket else (_gasket_edge_min(qx, qy), far[:0])
         near = np.flatnonzero(inside)
         lam = [l.take(near) for l in (l0, l1, l2)]
         # inside points only: the digits of a far point overflow int64
@@ -691,7 +726,7 @@ class SierpinskiGasket(CompactSet):
         # the first digit at which all three are 0 is bit e - 1, digit 54 - e after the point
         _, e = np.frexp(~either & ((1 << _DIGITS) - 1))
         clash = (a0 & a1) | (a0 & a2) | (a1 & a2)
-        scale = np.ldexp(1.0, _DIGITS - e)
+        scale = _POW2.take(_DIGITS - e)
         lmax = np.zeros(scale.size)
         for l in lam:
             f = l * scale
@@ -700,7 +735,7 @@ class SierpinskiGasket(CompactSet):
         d = (SQRT3 / 4.0) / scale * (1.0 - 2.0 * lmax)
         d[(e == 0) | (clash >> e != 0) | (either >> _DIGITS != 0)] = 0.0
         out[near] = d
-        return out
+        return out, far.take(loose)
 
     # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
     # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
@@ -918,21 +953,45 @@ def _row_norms(cols) -> np.ndarray:
     return out
 
 
-def _gasket_edge_min(qx, qy):
-    """Distance to the outline of the unit triangle (0,0), (1,0), (1/2, sqrt3/2)."""
+def _gasket_edge_min(qx, qy, norm=np.hypot):
+    """Distance to the outline of the unit triangle (0,0), (1,0), (1/2, sqrt3/2).
+
+    That is the least ``norm`` of the vectors from the nearest point of each
+    edge; :func:`_gasket_edge_bracket` takes the least of their squares.
+    """
     # bottom edge, direction (1, 0)
     tt = np.minimum(np.maximum(qx, 0.0), 1.0)
-    e = np.hypot(qx - tt, qy)
+    e = norm(qx - tt, qy)
     # right edge from (1, 0), direction (-1/2, sqrt3/2)
     wx = qx - 1.0
     tt = np.minimum(np.maximum(-0.5 * wx + (SQRT3 / 2.0) * qy, 0.0), 1.0)
-    np.minimum(e, np.hypot(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
+    np.minimum(e, norm(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
     # left edge from the apex, direction (-1/2, -sqrt3/2)
     wx = qx - 0.5
     wy = qy - SQRT3 / 2.0
     tt = np.minimum(np.maximum(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0), 1.0)
-    np.minimum(e, np.hypot(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
+    np.minimum(e, norm(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
     return e
+
+
+def _gasket_edge_bracket(qx, qy) -> tuple[np.ndarray, np.ndarray]:
+    """Distances to the outline, as :meth:`CompactSet.distance_bracket` gives them, and the loose rows.
+
+    A row whose least squared edge vector lies in ``[2^-960, 2^960]`` is
+    loose and takes its square root: the squares, sum and root round to
+    within about 1.25 ulp of the true distance, libm ``hypot`` to within 1,
+    so the two differ by under ``2^-50`` of it.  The other rows take
+    :func:`_gasket_edge_min`.
+    """
+    # squares of huge edge vectors overflow to inf, and their rows take hypot
+    with np.errstate(over="ignore"):
+        least = _gasket_edge_min(qx, qy, lambda x, y: x * x + y * y)
+    e = np.sqrt(least)
+    fair = (least >= 2.0**-960) & (least <= 2.0**960)
+    exact = np.flatnonzero(~fair)
+    if exact.size:
+        e[exact] = _gasket_edge_min(qx.take(exact), qy.take(exact))
+    return e, np.flatnonzero(fair)
 
 
 def distances_to_set(points, set_: CompactSet) -> np.ndarray:
@@ -950,11 +1009,6 @@ def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return set_.distances(pts)
-
-
-def distance_to_set(x, set_: CompactSet) -> float:
-    """Euclidean distance from the point ``x`` to the set."""
-    return float(distances_to_set([x], set_)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +1048,9 @@ def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, 
 
     The tables of ``r_k``, ``q^k`` and ``T_j`` are kept per ``(r1, rho, q,
     cover)`` (:func:`_level_table`) and only grow, when a call's smallest
-    radius lies below every level they hold.
+    radius lies below the levels they hold; ``q^k`` and ``T_j`` only as deep
+    as radii have been evaluated, even where ``r_k`` goes deeper for
+    :func:`_hole_breaks`.
     """
     floor = float(ts.min(initial=math.inf))
     if floor < 2.0**-1022 and r1 < 2.0**959:
@@ -1014,11 +1070,11 @@ def _hole_volumes(ts: np.ndarray, hull: float, r1: float, rho: float, q: float, 
 
 
 def _hole_breaks(floor: float, r1: float, rho: float, q: float, cover) -> np.ndarray:
-    """The running minimum of the fill radii above ``floor``, descending: where :func:`_hole_volumes` changes ``n``."""
-    table = _level_table(r1, rho, q, cover)
-    table.reach(floor)
-    breaks = _distinct(-table.lead)
-    return breaks[breaks > floor]
+    """The running minimum of the fill radii above ``floor``, descending: where :func:`_hole_volumes` changes ``n``.
+
+    The array is the table's own, kept for the next call with this floor; it is read-only.
+    """
+    return _level_table(r1, rho, q, cover).breaks(floor)
 
 
 def _gap_breaks(floor: float, gaps: np.ndarray) -> np.ndarray:
@@ -1030,43 +1086,66 @@ def _gap_breaks(floor: float, gaps: np.ndarray) -> np.ndarray:
 class _LevelTable:
     """The level tables of :func:`_hole_volumes` for one ``(r1, rho, q, cover)``.
 
-    ``fill`` is ``[inf, r_1, r_2, ...]``, ``lead`` the negated running minimum
-    of the ``r_k``, ``powers`` the ``q^k`` and ``sums[j - 1]`` the ``T_j``, each
-    one entry per level and one more.  Growing a table runs the recurrences
-    on from their last entries, so a longer table starts with the shorter one.
+    ``fill`` is ``[inf, r_1, r_2, ...]`` and ``lead`` the negated running
+    minimum of the ``r_k``, one entry per level down to at least the first
+    under every floor asked for; ``powers`` is the ``q^k`` and
+    ``sums[j - 1]`` the ``T_j``, one entry per level that a radius has
+    needed and one more.  Growing a table runs the recurrences on from their
+    last entries, so a longer table starts with the shorter one.
     """
 
     def __init__(self, r1: float, rho: float, q: float, cover) -> None:
         self.r1, self.rho, self.q = r1, rho, q
-        self.floor = math.inf
         self.fill, self.lead, self.powers = np.array([math.inf]), np.empty(0), np.ones(1)
         self.sums = [np.zeros(1) for _ in cover]
+        # (floor, the distinct running minima above it) of the last breaks call
+        self._breaks = (math.nan, np.empty(0))
+
+    def radii(self, floor: float) -> None:
+        """Add fill radii, 4096 levels at a time, until one of them is at most ``floor``."""
+        if self.lead.size and -self.lead[-1] <= floor:
+            return
+        r1, rho = self.r1, self.rho
+        k, grown = self.fill.size - 1, []
+        # r_k = r1 rho^(k // 2) rho^(k - k // 2): two powers of rho, each normal where
+        # rho^(k-1) may not be, from libm pow over the exponents they take
+        while not grown or (grown[-1] > floor).all():
+            ks = np.arange(k, k + 4096)
+            k += 4096
+            half = ks // 2
+            pows = _libm_pow(rho, np.arange(half[0], ks[-1] - half[-1] + 1).astype(float))
+            grown.append(r1 * pows[half - half[0]] * pows[ks - half - half[0]])
+        self.fill = np.concatenate([self.fill] + grown)
+        self.lead = -np.minimum.accumulate(self.fill[1:])
+        self._breaks = (math.nan, None)
 
     def reach(self, floor: float) -> None:
-        """Add the levels down to the first whose ``r_k`` is at most ``floor``, that one excluded."""
-        if floor >= self.floor:
+        """Grow the tables until :func:`_hole_volumes` can take every radius of at least ``floor``."""
+        self.radii(floor)
+        # the count n of leading levels that fill above a radius t >= floor is at most need - 1
+        need = int(np.searchsorted(self.lead, -floor, side="left")) + 1
+        top = self.powers.size
+        if need <= top:
             return
-        self.floor = floor
-        r1, rho, q = self.r1, self.rho, self.q
-        top = k = self.fill.size - 1
-        fill = []
-        # r_k from two powers of rho, each normal where rho^(k-1) may not be
-        while (r := r1 * rho ** (k // 2) * rho ** (k - k // 2)) > floor:
-            fill.append(r)
-            k += 1
-        if not fill:
-            return
-        # q^top to q^k: the new T_j entries add all but the last, the new powers are all but the first
-        qk = [float(self.powers[-1])] + [q**i for i in range(top + 1, k + 1)]
-        self.fill = np.append(self.fill, fill)
-        self.lead = -np.minimum.accumulate(self.fill[1:])
+        # q^(top - 1) to q^(need - 1): the new T_j entries add all but the last, the new powers are all but the first
+        qk = [float(self.powers[-1])] + _libm_pow(self.q, np.arange(top, need).astype(float)).tolist()
         self.powers = np.append(self.powers, qk[1:])
         for j, tj in enumerate(self.sums):
-            rj, t, grown = rho ** (j + 1), float(tj[-1]), []
+            rj, t, grown = self.rho ** (j + 1), float(tj[-1]), []
             for p in qk[:-1]:
                 t = rj * t + p
                 grown.append(t)
             self.sums[j] = np.append(tj, grown)
+
+    def breaks(self, floor: float) -> np.ndarray:
+        """The distinct running minima of the fill radii above ``floor``, descending; read-only, kept per floor."""
+        self.radii(floor)
+        if self._breaks[0] != floor:
+            breaks = _distinct(-self.lead)
+            breaks = breaks[breaks > floor]
+            breaks.flags.writeable = False
+            self._breaks = (floor, breaks)
+        return self._breaks[1]
 
 
 @lru_cache(maxsize=16)
@@ -1118,22 +1197,36 @@ def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
 _GRID_CHUNK = 1 << 14
 # Blocks the grid refinement may visit over all its levels before it gives up.
 _GRID_BUDGET = 8_000_000
+# Share of t + margin + rc within which a loose distance near a flip of the grid's
+# comparisons takes the exact distance: 2^8 times the reach of their roundings.
+_GRID_NEAR_FLIP = 2.0**-40
 
 
 def _grid_tube(set_: CompactSet, t: float, cell: float):
     """Flat grid count (centers within distance t), by level-synchronous refinement.
 
-    The cell lattice, padded to a power of two, is refined as a quadtree (2D)
-    or octree (3D) one level at a time, so all blocks of a level share one
-    side ``2^k`` and one Lipschitz radius.  Blocks provably entirely inside or
-    outside ``A_t`` (with a margin covering the boundary-adjacency band) are
-    resolved without visiting their cells; the others split into their
-    ``2^N`` children, less those past the lattice, which only a block that
-    straddles its far edge can have.  Single cells take the flat rule, so the
-    result is the flat count exactly, at a cost proportional to the boundary.
-    A level is classified and split in chunks of ``_GRID_CHUNK`` blocks, whose
-    centres, distances and children fit in cache, and its children are
-    joined once; ``_GRID_BUDGET`` counts the blocks of whole levels.
+    The cell lattice is refined as a quadtree (2D) or octree (3D) one level
+    at a time, so all blocks of a level share one side ``2^k`` and one
+    Lipschitz radius.  It opens at the finest side whose whole block grid
+    fits one ``_GRID_CHUNK``, with every block of that grid.  Blocks provably
+    entirely inside or outside ``A_t`` (with a margin covering the
+    boundary-adjacency band) are resolved without visiting their cells; the
+    others split into their ``2^N`` children, less those past the lattice,
+    which only a block that straddles its far edge can have.  Single cells
+    take the flat rule, so the result is the flat count exactly, at a cost
+    proportional to the boundary.  A level is classified and split in chunks
+    of ``_GRID_CHUNK`` blocks, whose centres, distances and children fit in
+    cache, and its children are joined once; ``_GRID_BUDGET`` counts the
+    blocks of whole levels.
+
+    The centres are finite by construction, so their distances come from the
+    descriptor's ``distance_bracket``.  Each comparison of a level flips
+    where ``|d - t|`` is ``margin + rc`` or, for single cells, 0, up to a few
+    roundings of ``K = t + margin + rc``.  A loose distance is within
+    ``2^-49`` of the exact one, so the two compare alike unless both lie
+    within about ``2^-48 K`` of a flip; the rare rows within
+    ``_GRID_NEAR_FLIP K`` of one take ``distances``, and the counts are those
+    of exact distances.
     """
     n_dim = set_.ambient_dim
     lo, hi = set_.bounds()
@@ -1144,8 +1237,10 @@ def _grid_tube(set_: CompactSet, t: float, cell: float):
     # block lower corners, child offsets and the lattice size hold one row per axis
     ncell = (np.ceil(span).astype(np.int64) + 1)[:, None]
     corners = np.indices((2,) * n_dim).reshape(n_dim, -1, 1)
-    side = 1 << int(ncell.max() - 1).bit_length()
-    blo = np.zeros((n_dim, 1), dtype=np.int64)
+    side = 1
+    while math.prod(-(-n // side) for n in ncell.ravel().tolist()) > _GRID_CHUNK:
+        side *= 2
+    blo = np.indices((-(-ncell.ravel() // side)).tolist()).reshape(n_dim, -1) * side
     margin = cell * math.sqrt(n_dim) / 2.0
     inside_cells = 0
     boundary_cells = 0
@@ -1162,7 +1257,14 @@ def _grid_tube(set_: CompactSet, t: float, cell: float):
         children = [blo[:, :0]]
         for start in range(0, blo.shape[1], _GRID_CHUNK):
             b = blo[:, start : start + _GRID_CHUNK]
-            d = distances_to_set((origin[:, None] + (b + 0.5 * side) * cell).T, set_)
+            pts = (origin[:, None] + (b + 0.5 * side) * cell).T
+            d, loose = set_.distance_bracket(pts)
+            if loose.size:
+                off = np.abs(d.take(loose) - t)
+                tol = _GRID_NEAR_FLIP * (t + margin + rc)
+                rows = loose.compress((off <= tol) | (np.abs(off - (margin + rc)) <= tol))
+                if rows.size:
+                    d[rows] = set_.distances(pts[rows])
             all_in = d + rc < t - margin
             # an all-in block lies within the lattice: past it, centers are over t from the set
             inside_cells += int(np.count_nonzero(all_in)) * side**n_dim

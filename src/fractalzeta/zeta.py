@@ -27,7 +27,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -395,24 +395,6 @@ def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
     return value
 
 
-def scale_zeta(zeta: ClosedFormZeta, lam: float) -> ClosedFormZeta:
-    """Representation of ``s -> lam^s * zeta(s)`` with delta replaced by lam*delta.
-
-    This is the zeta function of the set scaled by ``lam``: pole locations
-    are unchanged and each simple-pole residue is multiplied by
-    ``lam**omega``.
-    """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError("scaling factor must be positive and finite")
-    lat = tuple(
-        LatticeTerm(t.amplitude, t.base_scale / lam, t.roots, t.lattice) for t in zeta.lattice_terms
-    )
-    ele = tuple(
-        ElementaryTerm(t.coefficient * lam**t.shift, t.shift, t.pole) for t in zeta.elementary_terms
-    )
-    return ClosedFormZeta(zeta.ambient_dim, zeta.delta * lam, lat, ele)
-
-
 # ---------------------------------------------------------------------------
 # Catalog closed forms
 # ---------------------------------------------------------------------------
@@ -589,6 +571,26 @@ def _libm_exp(u: np.ndarray) -> np.ndarray:
     return t
 
 
+@lru_cache(maxsize=16)
+def _break_tops(set_: CompactSet, delta: float) -> np.ndarray:
+    """The tops of the quadrature's breakpoint intervals, in ``u = ln t``; kept for the 16 last ``(set_, delta)``.
+
+    ``ln delta``, then, for a set with exact volumes up to ``delta``, ``ln``
+    of the first breakpoint in each stretch of ``_BREAK_GAP`` down from the
+    first one below ``delta``.
+    """
+    u_hi = math.log(delta)
+    u_breaks = np.empty(0)
+    if set_.exact_max >= delta:
+        breaks = set_.volume_breaks(1e-280)
+        u_breaks = np.log(breaks[breaks < delta])
+        stretch = np.floor((u_breaks[:1] - u_breaks) / _BREAK_GAP)
+        u_breaks = u_breaks[(np.diff(stretch, prepend=-1.0) > 0) & (u_breaks < u_hi)]
+    tops = np.concatenate(([u_hi], u_breaks))
+    tops.flags.writeable = False
+    return tops
+
+
 def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> complex:
     """Quadrature of ``integral_0^delta t^(s-N-1) |A_t| dt``.
 
@@ -628,15 +630,7 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 _RTOL regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * _RTOL)
-    # the tops of the breakpoint intervals: u_hi, then ln of the first breakpoint in
-    # each stretch of _BREAK_GAP down from the first one below delta
-    u_breaks = np.empty(0)
-    if set_.exact_max >= cfg.delta:
-        breaks = set_.volume_breaks(1e-280)
-        u_breaks = np.log(breaks[breaks < cfg.delta])
-        stretch = np.floor((u_breaks[:1] - u_breaks) / _BREAK_GAP)
-        u_breaks = u_breaks[(np.diff(stretch, prepend=-1.0) > 0) & (u_breaks < u_hi)]
-    tops = np.concatenate(([u_hi], u_breaks))
+    tops = _break_tops(set_, cfg.delta)
     halves = np.ceil(0.5 * (tops[:-1] - tops[1:]))
 
     def block_sizes(opening: int):

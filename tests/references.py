@@ -20,8 +20,8 @@ that precision the cancellation leaves over 200 digits down to
 The Monte Carlo tube oracle one radius at a time, as the library ran it
 before a curve's radii shared their draws.  And helpers that only the tests
 ask for: a closed form's residue at a genuine pole as a ``Pole``, a closed
-form to and from JSON, and the real poles and largest real part of a tube
-series.
+form to and from JSON, a closed form of a scaled set, the real poles and
+largest real part of a tube series, and the distance from one point.
 """
 
 import math
@@ -32,6 +32,7 @@ import numpy as np
 
 from fractalzeta.dimensions import Pole
 from fractalzeta.errors import NotAPole
+from fractalzeta.geometry import distances_to_set
 from fractalzeta.zeta import ClosedFormZeta, ElementaryTerm, LatticeTerm
 
 _DIGITS = 300
@@ -337,3 +338,26 @@ def real_poles(series) -> tuple[Pole, ...]:
 def max_real_part(series) -> float:
     """The largest real part among a ``TubeFormulaSeries``' poles."""
     return max(p.location.real for p in series.poles)
+
+
+def scale_zeta(zeta: ClosedFormZeta, lam: float) -> ClosedFormZeta:
+    """Representation of ``s -> lam^s * zeta(s)`` with delta replaced by lam*delta.
+
+    This is the zeta function of the set scaled by ``lam``: pole locations
+    are unchanged and each simple-pole residue is multiplied by
+    ``lam**omega``.
+    """
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError("scaling factor must be positive and finite")
+    lat = tuple(
+        LatticeTerm(t.amplitude, t.base_scale / lam, t.roots, t.lattice) for t in zeta.lattice_terms
+    )
+    ele = tuple(
+        ElementaryTerm(t.coefficient * lam**t.shift, t.shift, t.pole) for t in zeta.elementary_terms
+    )
+    return ClosedFormZeta(zeta.ambient_dim, zeta.delta * lam, lat, ele)
+
+
+def distance_to_set(x, set_) -> float:
+    """Euclidean distance from the point ``x`` to the set."""
+    return float(distances_to_set([x], set_)[0])

@@ -44,8 +44,8 @@ from fractalzeta.zeta import (
     catalog_zeta,
     closed_form_eval,
     default_delta,
-    scale_zeta,
 )
+from references import scale_zeta
 
 SEED = 20260808
 SQRT3 = math.sqrt(3.0)

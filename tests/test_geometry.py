@@ -19,7 +19,6 @@ from fractalzeta.geometry import (
     SierpinskiCarpet3D,
     SierpinskiGasket,
     TubeMethod,
-    distance_to_set,
     distances_to_set,
     sample_tube_curve,
     set_from_json,
@@ -33,6 +32,7 @@ from references import (
     cantor_volume,
     carpet_distances_descent,
     carpet_volume,
+    distance_to_set,
     fattened_length,
     gasket_distances_descent,
     gasket_volume,
@@ -317,6 +317,74 @@ def test_gasket_distances_equal_the_descent_property(points):
     pts = np.array(points, dtype=float)
     got = distances_to_set(pts, SierpinskiGasket())
     assert np.array_equal(got.view(np.int64), gasket_distances_descent(pts).view(np.int64))
+
+
+def _bracket_loose_rows(pts):
+    """Check ``SierpinskiGasket.distance_bracket`` against ``distances`` on ``pts``; return the loose rows."""
+    g = SierpinskiGasket()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, loose = g.distance_bracket(pts)
+        exact = g.distances(pts)
+    tight = np.ones(len(pts), dtype=bool)
+    tight[loose] = False
+    assert np.array_equal(d[tight].view(np.int64), exact[tight].view(np.int64))
+    # loose rows are outline rows: outside the big triangle, positive and within 2^-49 d
+    px, py = pts[loose, 0], pts[loose, 1]
+    q = py / SQRT3
+    assert not ((1.0 - px - q > 0.0) & (px - q > 0.0) & ((2.0 / SQRT3) * py > 0.0)).any()
+    assert (d[loose] > 0.0).all()
+    assert (np.abs(d[loose] - exact[loose]) <= 2.0**-49 * exact[loose]).all()
+    return loose
+
+
+# distances from the outline at which its squares are loose (1e-9), underflow (1e-200) or vanish (1e-310)
+_OUTLINE_OFFSETS = (1e-9, 1e-200, 1e-310)
+
+
+def _outline_point(edge, s, angle, offset):
+    """A point ``offset`` away, in direction ``angle``, from the point at ``s`` along an edge of the outline."""
+    a, b = GASKET_VERTICES[edge], GASKET_VERTICES[(edge + 1) % 3]
+    return a + s * (b - a) + offset * np.array([math.cos(angle), math.sin(angle)])
+
+
+def test_gasket_bracket_equals_distances_but_on_loose_outline_rows():
+    rng = np.random.default_rng(31)
+    families = list(_gasket_families(rng))
+    for offset in _OUTLINE_OFFSETS:
+        # vertices (s = 0, 1), midpoints and points a third of the way along an edge
+        along = zip(rng.integers(0, 3, 3_000), rng.choice([0.0, 1.0, 0.5, 0.3], 3_000), rng.uniform(0, 7, 3_000))
+        families.append((f"outline+{offset}", np.array([_outline_point(e, s, a, offset) for e, s, a in along])))
+    huge = rng.choice([-1.0, 1.0], size=(4_000, 2)) * 10.0 ** rng.uniform(100, 308, size=(4_000, 2))
+    families.append(("huge", np.vstack([huge, [[2.0**1021, 0.5], [2.0**1019, -2.0**1019], [0.5, -1e300]]])))
+    fair = 0
+    for name, pts in families:
+        loose = _bracket_loose_rows(pts)
+        fair += loose.size
+        if name in ("uniform", "outline+1e-09"):
+            assert loose.size, name
+    assert fair > 10_000
+    # outline rows whose least squares underflow or overflow stay exact
+    assert _bracket_loose_rows(np.array([[-1e-200, -1e-200], [-3e-310, 0.0], [0.5, -1e-150], [1e200, 1e200]])).size == 0
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(
+                st.integers(0, 2), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.floats(0.0, 6.3),
+                st.sampled_from(_OUTLINE_OFFSETS),
+            ).map(lambda a: tuple(_outline_point(*a))),
+            st.tuples(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308)),
+            st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.1)),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_gasket_bracket_property(points):
+    _bracket_loose_rows(np.array(points, dtype=float))
 
 
 CARPET_KEPT = np.array([d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)], dtype=float)
@@ -800,7 +868,7 @@ def test_grid_pinned_on_readme_gasket_grid():
 
 @pytest.mark.parametrize(
     "set_, t, cell, rows",
-    [(SierpinskiGasket(), 0.0268, 5e-4, 69_797), (SierpinskiCarpet3D(), 0.05, 0.021, 59_778)],
+    [(SierpinskiGasket(), 0.0268, 5e-4, 80_750), (SierpinskiCarpet3D(), 0.05, 0.021, 59_362)],
     ids=["gasket", "carpet"],
 )
 def test_grid_budget_counts_whole_levels(set_, t, cell, rows, monkeypatch):
@@ -811,6 +879,84 @@ def test_grid_budget_counts_whole_levels(set_, t, cell, rows, monkeypatch):
     monkeypatch.setattr(geo, "_GRID_BUDGET", rows - 1)
     with pytest.raises(ResolutionTooCoarse):
         tube_volume(set_, t, method="grid", cell=cell)
+
+
+def _grid_lattice(set_, t, cell):
+    lo, hi = set_.bounds()
+    return np.ceil((hi + t - (lo - t - cell * (math.sqrt(2.0) - 1.0))) / cell).astype(int) + 1
+
+
+def _spy(monkeypatch, cls, name):
+    """Record the points of every call of the method ``name`` of ``cls``."""
+    calls, method = [], getattr(cls, name)
+
+    def spy(self, pts, *args):
+        calls.append(pts.copy())
+        return method(self, pts, *args)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_grid_exact_fallback_when_every_loose_row_is_near_a_flip(monkeypatch):
+    # an infinite tolerance puts every loose row near a flip of the comparisons, so each is recomputed
+    g, t, cell = SierpinskiGasket(), 0.05, 7e-3
+    monkeypatch.setattr(geo, "_GRID_NEAR_FLIP", math.inf)
+    exact = _spy(monkeypatch, SierpinskiGasket, "distances")
+    bracket, brackets = SierpinskiGasket.distance_bracket, []
+
+    def spy(self, pts):
+        d, loose = bracket(self, pts)
+        brackets.append(pts[loose])
+        return d, loose
+
+    monkeypatch.setattr(SierpinskiGasket, "distance_bracket", spy)
+    s = tube_volume(g, t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    loose = [p for p in brackets if len(p)]
+    assert loose and len(exact) == len(loose)
+    assert all(np.array_equal(a, b) for a, b in zip(exact, loose))
+
+
+def test_grid_exact_fallback_at_a_radius_on_a_centre(monkeypatch):
+    # the cell centre (3.5, 2.5) cells from the origin -t - cell (sqrt2 - 1) lies below and left of
+    # the vertex (0, 0), at distance |c| = t for t = A + B + sqrt(2 A B): the single-cell comparison
+    # d < t sits on its flip, and that centre takes the exact distance
+    g, cell = SierpinskiGasket(), 7e-3
+    a, b = ((k - (math.sqrt(2.0) - 1.0)) * cell for k in (3.5, 2.5))
+    t = a + b + math.sqrt(2.0 * a * b)
+    c = g.bounds()[0] - t - cell * (math.sqrt(2.0) - 1.0) + (np.array([3, 2]) + 0.5) * cell
+    assert (c < 0.0).all() and float(g.distances(c[None, :])[0]) == pytest.approx(t, rel=1e-15)
+    exact = _spy(monkeypatch, SierpinskiGasket, "distances")
+    s = tube_volume(g, t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    assert any((p == c).all(axis=1).any() for p in exact)
+
+
+def test_grid_opens_at_the_finest_level_that_fits_one_chunk(monkeypatch):
+    g, t, cell = SierpinskiGasket(), 0.05, 3e-3
+    ncell = _grid_lattice(g, t, cell)
+    blocks = lambda side: math.prod(-(-int(n) // side) for n in ncell)
+    assert blocks(1) > blocks(2) > geo._GRID_CHUNK > blocks(4)
+    calls = _spy(monkeypatch, SierpinskiGasket, "distance_bracket")
+    s = tube_volume(g, t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    # the opening level is every block of side 4, in one chunk, each centred on its 4 x 4 cells
+    assert len(calls[0]) == blocks(4)
+    origin = g.bounds()[0] - t - cell * (math.sqrt(2.0) - 1.0)
+    steps = (calls[0] - origin) / cell - 2.0
+    assert np.allclose(steps, 4.0 * np.round(steps / 4.0), atol=1e-6)
+
+
+def test_grid_small_lattice_opens_at_single_cells(monkeypatch):
+    g, t, cell = SierpinskiGasket(), 0.05, 0.02
+    ncell = _grid_lattice(g, t, cell)
+    assert math.prod(ncell.tolist()) <= geo._GRID_CHUNK
+    calls = _spy(monkeypatch, SierpinskiGasket, "distance_bracket")
+    s = tube_volume(g, t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    # one level, every cell of the lattice
+    assert [len(p) for p in calls] == [math.prod(ncell.tolist())]
 
 
 def test_grid_lattice_past_int64_raises():

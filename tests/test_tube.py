@@ -34,8 +34,8 @@ from fractalzeta.tube import (
     tube_formula_truncated,
     tube_term,
 )
-from fractalzeta.zeta import ClosedFormZeta, LatticeTerm, catalog_zeta, closed_form_eval, scale_zeta
-from references import max_real_part, real_poles
+from fractalzeta.zeta import ClosedFormZeta, LatticeTerm, catalog_zeta, closed_form_eval
+from references import max_real_part, real_poles, scale_zeta
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_2 = math.log(2.0) / math.log(3.0)

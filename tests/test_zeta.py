@@ -34,10 +34,9 @@ from fractalzeta.zeta import (
     default_delta,
     distance_zeta_numeric,
     functional_equation_residual,
-    scale_zeta,
     tube_zeta_numeric,
 )
-from references import zeta_from_json, zeta_to_json
+from references import scale_zeta, zeta_from_json, zeta_to_json
 
 SQRT3 = math.sqrt(3.0)
 
