@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -331,7 +332,9 @@ def cmd_measurability(cfg: ExperimentConfig, out_dir: Path) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="fractalzeta",
         description="fractal zeta functions, complex dimensions, and tube formulas",

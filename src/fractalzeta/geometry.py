@@ -17,9 +17,8 @@ each gap on the line; the default lists a hole family's fill radii from its
 ``_holes``, the parameters of :func:`_hole_volumes`, and none for others),
 ``box_dimension``, ``default_delta``, ``t_valid_max`` (the
 largest radius at which its closed form's residue sum gives ``|A_t|``),
-``distance_bracket(pts)``, the distances bit for bit but on the rows it
-names, where they are within a relative ``2^-49`` (the default names none;
-the gasket's outline rows skip libm ``hypot``) and, for catalog sets, the
+``_grid_counts``, the grid oracle's cell counts (the default refines
+blocks; the gasket counts lattice rows) and, for catalog sets, the
 ``delta_bound`` text and ``zeta_terms(delta)``, its closed form's terms;
 :class:`CompactSet` holds the defaults.
 ``distances`` may return any value under ``below >= 0`` for a distance
@@ -56,10 +55,10 @@ Where the geometry allows it the tube volume is computed exactly:
 
 For everything else there is a deterministic grid-count oracle (cells whose
 center lies within distance t, with a conservative boundary-cell error
-bound; its block refinement reads ``distance_bracket`` and measures a
-bracketed distance again exactly where it lies near a flip of a comparison,
-so its counts are those of exact distances) and a seeded Monte Carlo oracle
-with a reported confidence half-width.
+bound; the gasket counts it by lattice rows, with exact distances only at a
+flip of a comparison, and the other sets by block refinement, so the counts
+are those of exact distances) and a seeded Monte Carlo oracle with a
+reported confidence half-width.
 
 :func:`tube_volume`, :func:`sample_tube_curve` and the mixed radii of
 :func:`tube_volumes` share one dispatcher, :func:`_measure`: it checks all
@@ -166,13 +165,61 @@ class CompactSet:
         """
         return np.empty(0) if self._holes is None else _hole_breaks(floor, *self._holes[1:])
 
-    def distance_bracket(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(d, loose)``: ``d`` is ``distances(pts)`` bit for bit except on the row indices ``loose``.
+    def _grid_counts(self, t: float, cell: float, origin: np.ndarray, ncell: np.ndarray, margin: float):
+        """The grid's ``(inside, boundary)`` counts: centres with ``d < t`` and with ``|d - t| <= margin``.
 
-        On those rows ``d`` is within a relative ``2^-49`` of the exact value,
-        and positive.  The default has no loose rows.
+        By level-synchronous refinement: the cell lattice is refined as a
+        quadtree (2D) or octree (3D) one level at a time, so all blocks of a
+        level share one side ``2^k`` and one Lipschitz radius.  It opens at the
+        finest side whose whole block grid fits one ``_GRID_CHUNK``, with every
+        block of that grid.  Blocks provably entirely inside or outside
+        ``A_t`` (with a margin covering the boundary-adjacency band) are
+        resolved without visiting their cells; the others split into their
+        ``2^N`` children, less those past the lattice, which only a block that
+        straddles its far edge can have.  Single cells take the flat rule, so
+        the result is the flat count exactly, at a cost proportional to the
+        boundary.  A level is classified and split in chunks of
+        ``_GRID_CHUNK`` blocks, whose centres, distances and children fit in
+        cache, and its children are joined once; ``_GRID_BUDGET`` counts the
+        blocks of whole levels.
         """
-        return self.distances(pts), np.empty(0, dtype=np.intp)
+        n_dim = self.ambient_dim
+        corners = np.indices((2,) * n_dim).reshape(n_dim, -1, 1)
+        side = 1
+        while math.prod(-(-n // side) for n in ncell.ravel().tolist()) > _GRID_CHUNK:
+            side *= 2
+        blo = np.indices((-(-ncell.ravel() // side)).tolist()).reshape(n_dim, -1) * side
+        inside_cells = boundary_cells = rows_seen = 0
+        while blo.shape[1]:
+            rows_seen += blo.shape[1]
+            if rows_seen > _GRID_BUDGET:
+                raise ResolutionTooCoarse(f"grid refinement exceeded the {_GRID_BUDGET} block budget at cell={cell}")
+            rc = 0.5 * (side - 1) * cell * math.sqrt(n_dim)
+            offsets = (side // 2) * corners
+            # single cells have no children, and the level after them is empty
+            children = [blo[:, :0]]
+            for start in range(0, blo.shape[1], _GRID_CHUNK):
+                b = blo[:, start : start + _GRID_CHUNK]
+                d = self.distances((origin[:, None] + (b + 0.5 * side) * cell).T)
+                all_in = d + rc < t - margin
+                # an all-in block lies within the lattice: past it, centers are over t from the set
+                inside_cells += int(np.count_nonzero(all_in)) * side**n_dim
+                undecided = ~all_in & (d - rc < t + margin)
+                if side == 1:
+                    df = d[undecided]
+                    inside_cells += int(np.count_nonzero(df < t))
+                    boundary_cells += int(np.count_nonzero(np.abs(df - t) <= margin))
+                    continue
+                straddle = (b + side > ncell).any(axis=0)
+                split = b.compress(undecided & ~straddle, axis=1)
+                children.append((split[:, None, :] + offsets).reshape(n_dim, -1))
+                if straddle.any():
+                    split = b.compress(undecided & straddle, axis=1)
+                    kids = (split[:, None, :] + offsets).reshape(n_dim, -1)
+                    children.append(kids.compress((kids < ncell).all(axis=0), axis=1))
+            side //= 2
+            blo = np.concatenate(children, axis=1)
+        return inside_cells, boundary_cells
 
     def zeta_terms(self, delta: float) -> tuple[tuple, tuple]:
         """The closed form's ``zeta.LatticeTerm`` and ``zeta.ElementaryTerm`` field values, as tuples.
@@ -674,13 +721,6 @@ class SierpinskiGasket(CompactSet):
         return np.array([0.0, 0.0]), np.array([1.0, SQRT3 / 2.0])
 
     def distances(self, pts: np.ndarray, below: float = 0.0) -> np.ndarray:
-        """Exact distances, by :meth:`_distances`."""
-        return self._distances(pts, False)[0]
-
-    def distance_bracket(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self._distances(pts, True)
-
-    def _distances(self, pts: np.ndarray, bracket: bool) -> tuple[np.ndarray, np.ndarray]:
         """Exact distances from the base-2 barycentric digits, in a fixed number of passes.
 
         A point in the big triangle is in the set or in exactly one hole, an
@@ -698,17 +738,14 @@ class SierpinskiGasket(CompactSet):
         scale ``2^(53 - e)`` a table entry.
 
         A point outside the big triangle takes the least of its distances to
-        the three edges of the outline.  With ``bracket`` those rows are the
-        loose rows of :meth:`CompactSet.distance_bracket`, the square root of
-        the least squared edge vector, except where that square lies outside
-        ``[2^-960, 2^960]`` and its rounding is no longer relative.
+        the three edges of the outline.
         """
         if np.abs(pts).max(initial=0.0) >= 2.0**1020:
             # sums of such coordinates overflow; the set is within 1 of the origin, below these norms' rounding
             out = _row_norms(np.abs(pts).T)
             near = (np.abs(pts) < 2.0**1020).all(axis=1)
             out[near] = self.distances(pts[near])
-            return out, np.empty(0, dtype=np.intp)
+            return out
         px, py = pts[:, 0], pts[:, 1]
         q = py / SQRT3
         l0, l1, l2 = 1.0 - px - q, px - q, (2.0 / SQRT3) * py
@@ -716,8 +753,7 @@ class SierpinskiGasket(CompactSet):
         out = np.empty(px.size)
         # the outline of the big triangle belongs to the set
         far = np.flatnonzero(~inside)
-        qx, qy = px.take(far), py.take(far)
-        out[far], loose = _gasket_edge_bracket(qx, qy) if bracket else (_gasket_edge_min(qx, qy), far[:0])
+        out[far] = _gasket_edge_min(px.take(far), py.take(far))
         near = np.flatnonzero(inside)
         lam = [l.take(near) for l in (l0, l1, l2)]
         # inside points only: the digits of a far point overflow int64
@@ -735,7 +771,88 @@ class SierpinskiGasket(CompactSet):
         d = (SQRT3 / 4.0) / scale * (1.0 - 2.0 * lmax)
         d[(e == 0) | (clash >> e != 0) | (either >> _DIGITS != 0)] = 0.0
         out[near] = d
-        return out, far.take(loose)
+        return out
+
+    def _grid_counts(self, t: float, cell: float, origin: np.ndarray, ncell: np.ndarray, margin: float):
+        """The grid's counts by lattice rows, with exact distances only at a flip.
+
+        In the big triangle ``d >= tau`` holds only in the cores of the holes of
+        inradius ``r > tau``, inverted triangles of inradius ``r - tau``; outside it
+        ``d < tau`` is the outline's ``tau``-neighbourhood.  So a row's centres
+        with ``d < tau`` are one interval's less those of the cores it crosses,
+        counted at ``tau -+ tol`` about each flip ``tau`` of the comparisons
+        (``t``, ``t -+ margin``), ``tol = _GRID_NEAR_FLIP (1 + t)``.  A row whose
+        intervals hold other centres at the two, one with a centre on a flip or
+        along a flat part of a flip curve (a core's top edge, the outline's
+        bottom offset), takes ``distances`` and the comparisons themselves.
+        The holes a row crosses are found level by level, depth first in
+        pieces of ``_GRID_CHUNK`` row-hole pairs; ``_GRID_BUDGET`` counts rows
+        and pairs.  A tube with ``t - margin`` under one cell takes the block
+        refinement.
+        """
+        if t - margin < cell:
+            # the rows would descend to the cores of holes narrower than a cell: the blocks take a tube this thin
+            return super()._grid_counts(t, cell, origin, ncell, margin)
+        (ox, oy), (nx, ny) = origin.tolist(), ncell.ravel().tolist()
+        if ny > _GRID_BUDGET:
+            raise ResolutionTooCoarse(f"gasket row count exceeded the {_GRID_BUDGET} budget at cell={cell}")
+        tol = _GRID_NEAR_FLIP * (1.0 + t)
+        taus = (np.array([[t - margin], [t], [t + margin]]) + [-tol, tol]).reshape(6, 1)
+        # a flip whose lower radius is not positive takes exact distances on every row that reaches it
+        core_taus = np.where(np.repeat(taus[::2] > 0.0, 2, axis=0), taus, np.nan)
+        deepest = float(taus[::2][taus[::2] > 0.0].min(initial=np.inf))
+
+        def moved(first, last, crossed=True):
+            # the centres first to last, and the rows whose interval holds others at tau + tol than at tau - tol
+            count = np.where(crossed, np.maximum(last - first + 1.0, 0.0), 0.0)
+            return count, ((count[::2] != count[1::2]) | ((count[::2] > 0.0) & (first[::2] != first[1::2]))).any(0)
+
+        seen, inside_cells, boundary_cells = ny, 0, 0
+        for start in range(0, ny, _GRID_CHUNK):
+            rows = np.arange(start, min(start + _GRID_CHUNK, ny))
+            y = oy + (rows + 0.5) * cell
+            # lattice indices i of the ends of each row's interval, the centres being at ox + (i + 0.5) cell
+            left = (_gasket_outline_left(y, taus) - ox) / cell - 0.5
+            right = (1.0 - 2.0 * ox) / cell - 1.0 - left
+            count, exact = moved(np.clip(np.ceil(left), 0, nx), np.clip(np.floor(right), -1, nx - 1))
+            level = np.flatnonzero((y >= 0.0) & (y <= SQRT3 / 2.0))
+            stack = [(level, np.zeros(level.size), np.zeros(level.size), 1.0)] if deepest < 1.0 / (4.0 * SQRT3) else []
+            while stack:
+                r, a, b, side = stack.pop()
+                seen += r.size
+                if seen > _GRID_BUDGET:
+                    raise ResolutionTooCoarse(f"gasket row count exceeded the {_GRID_BUDGET} budget at cell={cell}")
+                h = side * (SQRT3 / 2.0)
+                u = y.take(r) - b
+                # the core of a subtriangle's hole at tau: |x - a - side/2| <= (u - 2 tau) / sqrt3, u <= h/2 - tau
+                near = np.flatnonzero((u >= 2.0 * deepest) & (u <= h / 2.0 - deepest))
+                if near.size:
+                    un, rn = u.take(near), r.take(near)
+                    centre = (a.take(near) + side / 2.0 - ox) / cell - 0.5
+                    half = (un - 2.0 * core_taus) / (SQRT3 * cell)
+                    crossed = (half >= 0.0) & (un <= h / 2.0 - core_taus)
+                    cut, hit = moved(np.ceil(centre - half), np.floor(centre + half), crossed)
+                    spread = (rn + rows.size * np.arange(3)[:, None]).ravel()
+                    count[::2] -= np.bincount(spread, cut[::2].ravel(), 3 * rows.size).reshape(3, -1)
+                    exact[rn[hit]] = True
+                if side / (8.0 * SQRT3) > deepest:
+                    # a row in the lower half crosses the two lower subtriangles, one in the upper half the top one
+                    low = u < h / 2.0
+                    two = np.flatnonzero(low)
+                    r = np.concatenate((r, r[two]))
+                    a = np.concatenate((a + np.where(low, 0.0, side / 4.0), a[two] + side / 2.0))
+                    b = np.concatenate((b + np.where(low, 0.0, h / 2.0), b[two]))
+                    for k in range(0, r.size, _GRID_CHUNK):
+                        stack.append((r[k : k + _GRID_CHUNK], a[k : k + _GRID_CHUNK], b[k : k + _GRID_CHUNK], side / 2.0))
+            inside_cells += int(count[2].sum(where=~exact))
+            boundary_cells += int((count[4] - count[0]).sum(where=~exact))
+            redo = rows[exact]
+            for k in range(0, redo.size, max(1, _GRID_CHUNK // nx)):
+                ix, iy = np.meshgrid(np.arange(nx), redo[k : k + max(1, _GRID_CHUNK // nx)])
+                d = self.distances(np.column_stack((ox + (ix.ravel() + 0.5) * cell, oy + (iy.ravel() + 0.5) * cell)))
+                inside_cells += int(np.count_nonzero(d < t))
+                boundary_cells += int(np.count_nonzero(np.abs(d - t) <= margin))
+        return inside_cells, boundary_cells
 
     # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
     # uncovered core of a side-w hole is a triangle of side w - 2 sqrt3 t
@@ -953,45 +1070,38 @@ def _row_norms(cols) -> np.ndarray:
     return out
 
 
-def _gasket_edge_min(qx, qy, norm=np.hypot):
+def _gasket_edge_min(qx, qy):
     """Distance to the outline of the unit triangle (0,0), (1,0), (1/2, sqrt3/2).
 
-    That is the least ``norm`` of the vectors from the nearest point of each
-    edge; :func:`_gasket_edge_bracket` takes the least of their squares.
+    That is the least length of the vectors from the nearest point of each edge.
     """
     # bottom edge, direction (1, 0)
     tt = np.minimum(np.maximum(qx, 0.0), 1.0)
-    e = norm(qx - tt, qy)
+    e = np.hypot(qx - tt, qy)
     # right edge from (1, 0), direction (-1/2, sqrt3/2)
     wx = qx - 1.0
     tt = np.minimum(np.maximum(-0.5 * wx + (SQRT3 / 2.0) * qy, 0.0), 1.0)
-    np.minimum(e, norm(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
+    np.minimum(e, np.hypot(wx + 0.5 * tt, qy - (SQRT3 / 2.0) * tt), out=e)
     # left edge from the apex, direction (-1/2, -sqrt3/2)
     wx = qx - 0.5
     wy = qy - SQRT3 / 2.0
     tt = np.minimum(np.maximum(-0.5 * wx - (SQRT3 / 2.0) * wy, 0.0), 1.0)
-    np.minimum(e, norm(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
+    np.minimum(e, np.hypot(wx + 0.5 * tt, wy + (SQRT3 / 2.0) * tt), out=e)
     return e
 
 
-def _gasket_edge_bracket(qx, qy) -> tuple[np.ndarray, np.ndarray]:
-    """Distances to the outline, as :meth:`CompactSet.distance_bracket` gives them, and the loose rows.
+def _gasket_outline_left(y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Left end of each row ``y`` in the ``tau``-neighbourhood of the outline, one line per radius; inf off it.
 
-    A row whose least squared edge vector lies in ``[2^-960, 2^960]`` is
-    loose and takes its square root: the squares, sum and root round to
-    within about 1.25 ulp of the true distance, libm ``hypot`` to within 1,
-    so the two differ by under ``2^-50`` of it.  The other rows take
-    :func:`_gasket_edge_min`.
+    That is the least left end of the parts that meet the row, the discs about (0, 0) and the apex and
+    the band along the left edge; the right end is 1 minus it.
     """
-    # squares of huge edge vectors overflow to inf, and their rows take hypot
-    with np.errstate(over="ignore"):
-        least = _gasket_edge_min(qx, qy, lambda x, y: x * x + y * y)
-    e = np.sqrt(least)
-    fair = (least >= 2.0**-960) & (least <= 2.0**960)
-    exact = np.flatnonzero(~fair)
-    if exact.size:
-        e[exact] = _gasket_edge_min(qx.take(exact), qy.take(exact))
-    return e, np.flatnonzero(fair)
+    ya = y - SQRT3 / 2.0
+    sq = taus * taus
+    disc = np.where(np.abs(y) <= taus, -np.sqrt(np.maximum(sq - y * y, 0.0)), np.inf)
+    apex = np.where(np.abs(ya) <= taus, 0.5 - np.sqrt(np.maximum(sq - ya * ya, 0.0)), np.inf)
+    band = np.where((taus > 0.0) & (2.0 * y >= taus) & (2.0 * ya <= taus), (y - 2.0 * taus) / SQRT3, np.inf)
+    return np.minimum(np.minimum(disc, apex), band)
 
 
 def distances_to_set(points, set_: CompactSet) -> np.ndarray:
@@ -1193,40 +1303,22 @@ def _row_distances(x, top, step, i_lo, i_hi, floor) -> np.ndarray:
     return np.minimum(d, np.maximum(np.maximum(-x, x - floor), 0.0))
 
 
-# Blocks per refinement chunk: the distances and children of one chunk stay in cache.
+# Blocks per refinement chunk, and gasket rows or row-hole pairs per counting piece: each fits in cache.
 _GRID_CHUNK = 1 << 14
-# Blocks the grid refinement may visit over all its levels before it gives up.
+# Blocks the grid refinement may visit over all its levels, or rows and row-hole pairs
+# the gasket's row count may take, before it gives up.
 _GRID_BUDGET = 8_000_000
-# Share of t + margin + rc within which a loose distance near a flip of the grid's
-# comparisons takes the exact distance: 2^8 times the reach of their roundings.
+# Share of 1 + t within which a centre's distance lies near a flip of the grid's comparisons
+# and takes ``distances``: 2^12 times the reach of their roundings.
 _GRID_NEAR_FLIP = 2.0**-40
 
 
 def _grid_tube(set_: CompactSet, t: float, cell: float):
-    """Flat grid count (centers within distance t), by level-synchronous refinement.
+    """Flat grid count: the volume of the cells whose centre lies within distance t, and the boundary cells'.
 
-    The cell lattice is refined as a quadtree (2D) or octree (3D) one level
-    at a time, so all blocks of a level share one side ``2^k`` and one
-    Lipschitz radius.  It opens at the finest side whose whole block grid
-    fits one ``_GRID_CHUNK``, with every block of that grid.  Blocks provably
-    entirely inside or outside ``A_t`` (with a margin covering the
-    boundary-adjacency band) are resolved without visiting their cells; the
-    others split into their ``2^N`` children, less those past the lattice,
-    which only a block that straddles its far edge can have.  Single cells
-    take the flat rule, so the result is the flat count exactly, at a cost
-    proportional to the boundary.  A level is classified and split in chunks
-    of ``_GRID_CHUNK`` blocks, whose centres, distances and children fit in
-    cache, and its children are joined once; ``_GRID_BUDGET`` counts the
-    blocks of whole levels.
-
-    The centres are finite by construction, so their distances come from the
-    descriptor's ``distance_bracket``.  Each comparison of a level flips
-    where ``|d - t|`` is ``margin + rc`` or, for single cells, 0, up to a few
-    roundings of ``K = t + margin + rc``.  A loose distance is within
-    ``2^-49`` of the exact one, so the two compare alike unless both lie
-    within about ``2^-48 K`` of a flip; the rare rows within
-    ``_GRID_NEAR_FLIP K`` of one take ``distances``, and the counts are those
-    of exact distances.
+    The centres ``origin + (i + 0.5) cell`` cover the bounding box fattened by
+    ``t``; a boundary cell has ``|d - t|`` at most half a cell diagonal.  The
+    descriptor's ``_grid_counts`` gives the counts of exact distances.
     """
     n_dim = set_.ambient_dim
     lo, hi = set_.bounds()
@@ -1234,58 +1326,11 @@ def _grid_tube(set_: CompactSet, t: float, cell: float):
     span = (hi + t - origin) / cell
     if not (span < 2.0**61).all():
         raise ResolutionTooCoarse(f"grid lattice at cell={cell} exceeds 2^61 cells per axis")
-    # block lower corners, child offsets and the lattice size hold one row per axis
+    # the lattice size holds one row per axis
     ncell = (np.ceil(span).astype(np.int64) + 1)[:, None]
-    corners = np.indices((2,) * n_dim).reshape(n_dim, -1, 1)
-    side = 1
-    while math.prod(-(-n // side) for n in ncell.ravel().tolist()) > _GRID_CHUNK:
-        side *= 2
-    blo = np.indices((-(-ncell.ravel() // side)).tolist()).reshape(n_dim, -1) * side
     margin = cell * math.sqrt(n_dim) / 2.0
-    inside_cells = 0
-    boundary_cells = 0
-    rows_seen = 0
-    while blo.shape[1]:
-        rows_seen += blo.shape[1]
-        if rows_seen > _GRID_BUDGET:
-            raise ResolutionTooCoarse(
-                f"grid refinement exceeded the {_GRID_BUDGET} block budget at cell={cell}"
-            )
-        rc = 0.5 * (side - 1) * cell * math.sqrt(n_dim)
-        offsets = (side // 2) * corners
-        # single cells have no children, and the level after them is empty
-        children = [blo[:, :0]]
-        for start in range(0, blo.shape[1], _GRID_CHUNK):
-            b = blo[:, start : start + _GRID_CHUNK]
-            pts = (origin[:, None] + (b + 0.5 * side) * cell).T
-            d, loose = set_.distance_bracket(pts)
-            if loose.size:
-                off = np.abs(d.take(loose) - t)
-                tol = _GRID_NEAR_FLIP * (t + margin + rc)
-                rows = loose.compress((off <= tol) | (np.abs(off - (margin + rc)) <= tol))
-                if rows.size:
-                    d[rows] = set_.distances(pts[rows])
-            all_in = d + rc < t - margin
-            # an all-in block lies within the lattice: past it, centers are over t from the set
-            inside_cells += int(np.count_nonzero(all_in)) * side**n_dim
-            undecided = ~all_in & (d - rc < t + margin)
-            if side == 1:
-                df = d[undecided]
-                inside_cells += int(np.count_nonzero(df < t))
-                boundary_cells += int(np.count_nonzero(np.abs(df - t) <= margin))
-                continue
-            straddle = (b + side > ncell).any(axis=0)
-            split = b.compress(undecided & ~straddle, axis=1)
-            children.append((split[:, None, :] + offsets).reshape(n_dim, -1))
-            if straddle.any():
-                split = b.compress(undecided & straddle, axis=1)
-                kids = (split[:, None, :] + offsets).reshape(n_dim, -1)
-                children.append(kids.compress((kids < ncell).all(axis=0), axis=1))
-        side //= 2
-        blo = np.concatenate(children, axis=1)
-    volume = inside_cells * cell**n_dim
-    error = boundary_cells * cell**n_dim
-    return volume, error
+    inside_cells, boundary_cells = set_._grid_counts(t, cell, origin, ncell, margin)
+    return inside_cells * cell**n_dim, boundary_cells * cell**n_dim
 
 
 _MC_CHUNK = 1 << 17
@@ -1380,7 +1425,8 @@ def tube_volume(
     above R^3, :class:`FractalZetaError` for an exact volume past the set's
     ``exact_max`` (point-set balls that overlap in R^N, N > 1, and every
     radius of a point cloud there), and :class:`ValueError` for an unknown
-    method, a non-finite or non-positive ``t`` or ``cell``, for a ``t`` at
+    method, a ``t`` or ``cell`` that is not a positive and finite real (a
+    ``bool`` included), for a ``t`` at
     which the set's bounding box fattened by ``t`` has a volume past the
     float range, and, for Monte Carlo, for an ``mc_samples`` that is not an
     integer ``>= 1`` (a ``bool`` included).
@@ -1407,15 +1453,15 @@ def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeS
     req = _METHOD_ALIASES.get(method or "auto", "unknown")
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
-    if not all(math.isfinite(t) and t > 0 for t in ts):
-        raise ValueError("t must be positive and finite")
+    if not all(_is_real(t) and math.isfinite(t) and t > 0 for t in ts):
+        raise ValueError("t must be a positive and finite real number")
     if ts:
         _check_fattened_box(set_, max(ts))
     far = TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
     chosen = [req or ("exact" if t <= set_.exact_max else far) for t in ts]
     if TubeMethod.GRID_COUNT in chosen:
-        if cell is not None and not (math.isfinite(cell) and cell > 0):
-            raise ValueError("cell must be positive and finite")
+        if cell is not None and not (_is_real(cell) and math.isfinite(cell) and cell > 0):
+            raise ValueError("cell must be a positive and finite real number")
         if set_.ambient_dim > 3:
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
     mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
@@ -1442,10 +1488,14 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     Radii all up to the set's ``exact_max`` take one ``exact_volumes`` call
     (the self-similar sets by one gather from their level tables); any
     other array goes through the dispatcher of :func:`tube_volume`.
-    Raises :class:`ValueError` for a non-finite or non-positive radius and,
+    Raises :class:`ValueError` for an array that is not of integers or
+    floats (of ``bool`` included), a non-finite or non-positive radius and,
     as ``tube_volume`` does, for one too large for a float volume.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = np.asarray(ts)
+    if ts.dtype.kind not in "iuf":
+        raise ValueError(f"t values must be an array of real numbers, not of {ts.dtype}")
+    ts = ts.astype(float, copy=False)
     if not (np.isfinite(ts).all() and (ts > 0).all()):
         raise ValueError("t values must be positive and finite")
     flat = ts.ravel()
@@ -1466,7 +1516,10 @@ def sample_tube_curve(
     is checked before anything is measured and each sample is bit for bit
     that of its own ``tube_volume`` call.
     """
-    ts = [float(t) for t in t_values]
+    ts = list(t_values)
+    if not all(_is_real(t) for t in ts):
+        raise ValueError("t values must be real numbers")
+    ts = [float(t) for t in ts]
     if any(b < a for a, b in zip(ts, ts[1:])):
         raise ValueError("t values must be sorted ascending")
     samples = _measure(set_, ts, method, cell, mc_samples, seed)

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fractalzeta
+from fractalzeta import cli
 from fractalzeta.cli import ExperimentConfig, TGrid, main
 
 
@@ -119,6 +120,30 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["catalog", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_built_once_and_reused_after_a_usage_error(tmp_path, capsys):
+    # the parser is cached per process: a rejected command line must leave it as a fresh one
+    assert cli._build_parser() is cli._build_parser()
+    cfg = write_config(tmp_path, set={"variant": "sierpinski_gasket"}, delta=1.0, s_values=[[2.5, 1.0]])
+    good = ["zeta-eval", "--config", cfg, "--seed", "3"]
+    for bad in (["zeta-eval", "--seed", "x", "--config", cfg], ["tube-compare"], ["catalog", "--frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad + ["--out-dir", str(tmp_path / "bad")])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(good + ["--out-dir", str(tmp_path / "reused")]) == 0
+    reused = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": str(Path(fractalzeta.__file__).parents[1])}
+    script = f"from fractalzeta.cli import main; raise SystemExit(main({good + ['--out-dir', str(tmp_path / 'fresh')]!r}))"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.replace("fresh", "reused") == reused
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "reused").iterdir()) and names
+    for name in names:
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "reused" / name).read_bytes()
+    assert not (tmp_path / "bad").exists()
 
 
 def test_missing_config_is_usage_error(tmp_path):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fractalzeta import geometry as geo
@@ -319,74 +319,6 @@ def test_gasket_distances_equal_the_descent_property(points):
     assert np.array_equal(got.view(np.int64), gasket_distances_descent(pts).view(np.int64))
 
 
-def _bracket_loose_rows(pts):
-    """Check ``SierpinskiGasket.distance_bracket`` against ``distances`` on ``pts``; return the loose rows."""
-    g = SierpinskiGasket()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        d, loose = g.distance_bracket(pts)
-        exact = g.distances(pts)
-    tight = np.ones(len(pts), dtype=bool)
-    tight[loose] = False
-    assert np.array_equal(d[tight].view(np.int64), exact[tight].view(np.int64))
-    # loose rows are outline rows: outside the big triangle, positive and within 2^-49 d
-    px, py = pts[loose, 0], pts[loose, 1]
-    q = py / SQRT3
-    assert not ((1.0 - px - q > 0.0) & (px - q > 0.0) & ((2.0 / SQRT3) * py > 0.0)).any()
-    assert (d[loose] > 0.0).all()
-    assert (np.abs(d[loose] - exact[loose]) <= 2.0**-49 * exact[loose]).all()
-    return loose
-
-
-# distances from the outline at which its squares are loose (1e-9), underflow (1e-200) or vanish (1e-310)
-_OUTLINE_OFFSETS = (1e-9, 1e-200, 1e-310)
-
-
-def _outline_point(edge, s, angle, offset):
-    """A point ``offset`` away, in direction ``angle``, from the point at ``s`` along an edge of the outline."""
-    a, b = GASKET_VERTICES[edge], GASKET_VERTICES[(edge + 1) % 3]
-    return a + s * (b - a) + offset * np.array([math.cos(angle), math.sin(angle)])
-
-
-def test_gasket_bracket_equals_distances_but_on_loose_outline_rows():
-    rng = np.random.default_rng(31)
-    families = list(_gasket_families(rng))
-    for offset in _OUTLINE_OFFSETS:
-        # vertices (s = 0, 1), midpoints and points a third of the way along an edge
-        along = zip(rng.integers(0, 3, 3_000), rng.choice([0.0, 1.0, 0.5, 0.3], 3_000), rng.uniform(0, 7, 3_000))
-        families.append((f"outline+{offset}", np.array([_outline_point(e, s, a, offset) for e, s, a in along])))
-    huge = rng.choice([-1.0, 1.0], size=(4_000, 2)) * 10.0 ** rng.uniform(100, 308, size=(4_000, 2))
-    families.append(("huge", np.vstack([huge, [[2.0**1021, 0.5], [2.0**1019, -2.0**1019], [0.5, -1e300]]])))
-    fair = 0
-    for name, pts in families:
-        loose = _bracket_loose_rows(pts)
-        fair += loose.size
-        if name in ("uniform", "outline+1e-09"):
-            assert loose.size, name
-    assert fair > 10_000
-    # outline rows whose least squares underflow or overflow stay exact
-    assert _bracket_loose_rows(np.array([[-1e-200, -1e-200], [-3e-310, 0.0], [0.5, -1e-150], [1e200, 1e200]])).size == 0
-
-
-@given(
-    st.lists(
-        st.one_of(
-            st.tuples(
-                st.integers(0, 2), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), st.floats(0.0, 6.3),
-                st.sampled_from(_OUTLINE_OFFSETS),
-            ).map(lambda a: tuple(_outline_point(*a))),
-            st.tuples(st.floats(-1.7e308, 1.7e308), st.floats(-1.7e308, 1.7e308)),
-            st.tuples(st.floats(-0.25, 1.25), st.floats(-0.25, 1.1)),
-        ),
-        min_size=1,
-        max_size=64,
-    )
-)
-@settings(max_examples=100, deadline=None)
-def test_gasket_bracket_property(points):
-    _bracket_loose_rows(np.array(points, dtype=float))
-
-
 CARPET_KEPT = np.array([d for d in np.ndindex(3, 3, 3) if d != (1, 1, 1)], dtype=float)
 
 
@@ -668,7 +600,7 @@ def _flat_grid_volume(set_, t, cell):
     lo, hi = set_.bounds()
     lo = lo - t
     hi = hi + t
-    origin = lo - cell * (math.sqrt(2.0) - 1.0)
+    origin = lo - cell * geo._GRID_OFFSET
     ncell = np.ceil((hi - origin) / cell).astype(int) + 1
     idx = np.meshgrid(*(np.arange(m) for m in ncell), indexing="ij")
     centers = origin + (np.stack([i.ravel() for i in idx], axis=1) + 0.5) * cell
@@ -676,6 +608,10 @@ def _flat_grid_volume(set_, t, cell):
     margin = cell * math.sqrt(set_.ambient_dim) / 2.0
     unit = cell**set_.ambient_dim
     return (d < t).sum() * unit, (np.abs(d - t) <= margin).sum() * unit
+
+
+# a three-point set in R^2, whose grid counts take the block refinement
+TRIANGLE = PointSet([[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]])
 
 
 _GRID_PROPERTY_SETS = [
@@ -868,8 +804,8 @@ def test_grid_pinned_on_readme_gasket_grid():
 
 @pytest.mark.parametrize(
     "set_, t, cell, rows",
-    [(SierpinskiGasket(), 0.0268, 5e-4, 80_750), (SierpinskiCarpet3D(), 0.05, 0.021, 59_362)],
-    ids=["gasket", "carpet"],
+    [(TRIANGLE, 0.21, 5e-4, 49_367), (SierpinskiCarpet3D(), 0.05, 0.021, 59_362)],
+    ids=["point-set", "carpet"],
 )
 def test_grid_budget_counts_whole_levels(set_, t, cell, rows, monkeypatch):
     # levels of more than one refinement chunk; the budget is the exact block count
@@ -898,24 +834,20 @@ def _spy(monkeypatch, cls, name):
     return calls
 
 
-def test_grid_exact_fallback_when_every_loose_row_is_near_a_flip(monkeypatch):
-    # an infinite tolerance puts every loose row near a flip of the comparisons, so each is recomputed
+def test_grid_exact_everywhere_when_every_centre_is_near_a_flip(monkeypatch):
+    # an infinite tolerance puts every centre near a flip of the comparisons, so each takes distances once
     g, t, cell = SierpinskiGasket(), 0.05, 7e-3
     monkeypatch.setattr(geo, "_GRID_NEAR_FLIP", math.inf)
     exact = _spy(monkeypatch, SierpinskiGasket, "distances")
-    bracket, brackets = SierpinskiGasket.distance_bracket, []
-
-    def spy(self, pts):
-        d, loose = bracket(self, pts)
-        brackets.append(pts[loose])
-        return d, loose
-
-    monkeypatch.setattr(SierpinskiGasket, "distance_bracket", spy)
     s = tube_volume(g, t, method="grid", cell=cell)
+    centres = np.concatenate(exact)
+    monkeypatch.undo()
     assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
-    loose = [p for p in brackets if len(p)]
-    assert loose and len(exact) == len(loose)
-    assert all(np.array_equal(a, b) for a, b in zip(exact, loose))
+    nx, ny = _grid_lattice(g, t, cell)
+    origin = g.bounds()[0] - t - cell * (math.sqrt(2.0) - 1.0)
+    steps = np.round((centres - origin) / cell - 0.5).astype(int)
+    assert len(centres) == nx * ny and np.unique(steps[:, 0] * ny + steps[:, 1]).size == nx * ny
+    assert np.array_equal(centres, origin + (steps + 0.5) * cell)
 
 
 def test_grid_exact_fallback_at_a_radius_on_a_centre(monkeypatch):
@@ -934,29 +866,79 @@ def test_grid_exact_fallback_at_a_radius_on_a_centre(monkeypatch):
 
 
 def test_grid_opens_at_the_finest_level_that_fits_one_chunk(monkeypatch):
-    g, t, cell = SierpinskiGasket(), 0.05, 3e-3
-    ncell = _grid_lattice(g, t, cell)
+    ps, t, cell = TRIANGLE, 0.21, 3e-3
+    ncell = _grid_lattice(ps, t, cell)
     blocks = lambda side: math.prod(-(-int(n) // side) for n in ncell)
     assert blocks(1) > blocks(2) > geo._GRID_CHUNK > blocks(4)
-    calls = _spy(monkeypatch, SierpinskiGasket, "distance_bracket")
-    s = tube_volume(g, t, method="grid", cell=cell)
-    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    calls = _spy(monkeypatch, PointSet, "distances")
+    s = tube_volume(ps, t, method="grid", cell=cell)
     # the opening level is every block of side 4, in one chunk, each centred on its 4 x 4 cells
     assert len(calls[0]) == blocks(4)
-    origin = g.bounds()[0] - t - cell * (math.sqrt(2.0) - 1.0)
+    origin = ps.bounds()[0] - t - cell * (math.sqrt(2.0) - 1.0)
     steps = (calls[0] - origin) / cell - 2.0
     assert np.allclose(steps, 4.0 * np.round(steps / 4.0), atol=1e-6)
+    monkeypatch.undo()
+    assert (s.volume, s.error_bound) == _flat_grid_volume(ps, t, cell)
 
 
 def test_grid_small_lattice_opens_at_single_cells(monkeypatch):
-    g, t, cell = SierpinskiGasket(), 0.05, 0.02
-    ncell = _grid_lattice(g, t, cell)
+    ps, t, cell = TRIANGLE, 0.21, 0.02
+    ncell = _grid_lattice(ps, t, cell)
     assert math.prod(ncell.tolist()) <= geo._GRID_CHUNK
-    calls = _spy(monkeypatch, SierpinskiGasket, "distance_bracket")
-    s = tube_volume(g, t, method="grid", cell=cell)
-    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+    calls = _spy(monkeypatch, PointSet, "distances")
+    s = tube_volume(ps, t, method="grid", cell=cell)
     # one level, every cell of the lattice
     assert [len(p) for p in calls] == [math.prod(ncell.tolist())]
+    monkeypatch.undo()
+    assert (s.volume, s.error_bound) == _flat_grid_volume(ps, t, cell)
+
+
+@pytest.mark.parametrize("t", [0.0287, 0.0414, 0.091, 0.1148])
+def test_gasket_grid_row_on_a_core_top_edge(t, monkeypatch):
+    # the rows lie at y = -t + (j + 1.5 - sqrt2) cell and the big hole's core has its top edge at
+    # sqrt3/4 - t: this cell puts row 40 on it at every t, where every centre of the edge is on the flip d = t
+    cell = (SQRT3 / 4.0) / (40 + 1.5 - math.sqrt(2.0))
+    g = SierpinskiGasket()
+    y = g.bounds()[0][1] - t - cell * (math.sqrt(2.0) - 1.0) + 40.5 * cell
+    assert abs(y - (SQRT3 / 4.0 - t)) < 1e-15
+    exact = _spy(monkeypatch, SierpinskiGasket, "distances")
+    s = tube_volume(g, t, method="grid", cell=cell)
+    # that row, whole, took exact distances
+    assert any((p[:, 1] == y).sum() == _grid_lattice(g, t, cell)[0] for p in exact)
+    monkeypatch.undo()
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+
+
+@pytest.mark.parametrize("t, cell", [(0.2488, 7e-3), (0.1204, 0.011), (0.1204, 0.013)])
+def test_gasket_grid_row_on_the_outline_bottom_offset(t, cell, monkeypatch):
+    # half-cell offsets put row 0 at y = -t, along the outline's offset below the bottom edge: on the
+    # flip d = t; at these radii y rounds above -t, so the centres below the edge have d = -y < t
+    monkeypatch.setattr(geo, "_GRID_OFFSET", 0.5)
+    g = SierpinskiGasket()
+    y = g.bounds()[0][1] - t - cell * 0.5 + 0.5 * cell
+    assert -t < y < -t + 1e-16
+    s = tube_volume(g, t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(g, t, cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(1e-4, 0.3), cell=st.floats(5e-3, 0.05))
+# t a hair above the margin cell / sqrt2 and far below the cell, which take the block refinement, and a hair
+# above the margin plus one cell, the thinnest tube that the rows count
+@example(t=0.01 / math.sqrt(2.0) * (1.0 + 1e-9), cell=0.01)
+@example(t=1e-6, cell=0.01)
+@example(t=0.01 / math.sqrt(2.0) + 0.01 * (1.0 + 1e-9), cell=0.01)
+def test_gasket_grid_row_count_equals_flat_count_property(t, cell):
+    s = tube_volume(SierpinskiGasket(), t, method="grid", cell=cell)
+    assert (s.volume, s.error_bound) == _flat_grid_volume(SierpinskiGasket(), t, cell)
+
+
+def test_gasket_grid_budget_counts_rows_and_row_hole_pairs(monkeypatch):
+    g, t, cell = SierpinskiGasket(), 0.01, 5e-4
+    # the rows fit the budget, but the holes that they cross count too
+    monkeypatch.setattr(geo, "_GRID_BUDGET", int(_grid_lattice(g, t, cell)[1]))
+    with pytest.raises(ResolutionTooCoarse):
+        tube_volume(g, t, method="grid", cell=cell)
 
 
 def test_grid_lattice_past_int64_raises():
@@ -1003,9 +985,23 @@ def test_tube_volume_rejects_non_finite_t():
 
 
 def test_grid_rejects_bad_cell():
-    for bad in (math.nan, math.inf, 0.0, -1e-2):
+    # True gave a grid of 1-unit cells, volume 2 and bound 4
+    for bad in (math.nan, math.inf, 0.0, -1e-2, True, "0.01"):
         with pytest.raises(ValueError):
             tube_volume(SierpinskiGasket(), 0.05, method="grid", cell=bad)
+
+
+def test_tube_radii_must_be_real_numbers():
+    # True raised a bare numpy TypeError from the exact volumes, and a curve took "0.1" as 0.1
+    g = SierpinskiGasket()
+    for bad in (True, False, "0.1", None, 0.05j):
+        for method in ("exact", "grid", "monte_carlo"):
+            with pytest.raises(ValueError):
+                tube_volume(g, bad, method, cell=0.01, mc_samples=1000)
+        with pytest.raises(ValueError):
+            sample_tube_curve(g, [0.05, bad], "grid", cell=0.01)
+    assert tube_volume(g, np.float64(0.05), "exact") == tube_volume(g, 0.05, "exact")
+    assert sample_tube_curve(g, [0.05, 1], "exact") == sample_tube_curve(g, [0.05, 1.0], "exact")
 
 
 def test_monte_carlo_rejects_zero_samples():
@@ -1137,11 +1133,13 @@ def test_tube_volume_dispatch_is_pinned(set_, ts, methods, monkeypatch):
 
 
 def test_tube_volumes_rejects_bad_radii():
-    for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3]):
+    bools = np.array([True, False])
+    for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3], [True], bools, ["0.1"], [0.1j]):
         for set_ in (CantorLike(), PointSet([[0.0]])):
             with pytest.raises(ValueError):
                 tube_volumes(set_, bad)
     assert tube_volumes(CantorLike(), []).shape == (0,)
+    assert tube_volumes(CantorLike(), np.array([1, 2])).tolist() == tube_volumes(CantorLike(), [1.0, 2.0]).tolist()
 
 
 def test_deep_cantor_levels_past_the_float_range_of_their_count():
