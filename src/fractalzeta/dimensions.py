@@ -4,7 +4,8 @@ Complex dimensions of a compact set are the poles of its meromorphically
 continued distance zeta function.  For lattice closed forms they form
 arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
-principle on recursively subdivided rectangles, walked a subdivision
+principle on a grid of cells shorter than 1, each grid edge sampled once
+for the two cells that share it, and on halves of those cells, walked a
 level at a time with an extrapolated first moment of ``d log f`` (and the
 second and third where a zero-pole pair hides in a cell; a quiet cell,
 with no winding and a small Simpson moment from its first round's nested
@@ -207,12 +208,12 @@ def _refine(f, z, vals, cell, split):
 def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     """Winding number and centered moments along each closed polygon, all walked together.
 
-    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole`
-    where a singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
-    counts zeros minus poles and ``Mk = (1/2 pi i) contour (s - c)^k d log f``
-    sums ``(z - c)^k`` over zeros minus ``(p - c)^k`` over poles, ``c`` the
-    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but
-    ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
+    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole` at
+    the samples or segments where a singularity obstructs the walk.
+    ``W = (1/2 pi i) contour d log f`` counts zeros minus poles and
+    ``Mk = (1/2 pi i) contour (s - c)^k d log f`` sums ``(z - c)^k`` over
+    zeros minus ``(p - c)^k`` over poles, ``c`` the centroid: a zero-pole
+    pair hidden inside leaves ``W = 0`` but ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
     such walks (``W = 0``, ``|M1| > moment_tol``) and are NaN for the others.
 
     The samples of all polygons share flat arrays, so a refinement round is
@@ -231,18 +232,30 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise, and a smooth
     walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol`` is quiet:
     it returns ``(0, S96, NaN, NaN)`` after round 0, with no further call
-    of ``f``.  Every other walk goes on as above.
+    of ``f``.  Every other walk goes on as above.  Round 0 evaluates each
+    distinct corner and edge once, ``23 edges + corners`` points for a
+    grid, each edge from its lesser end and reversed where walked the
+    other way.
     """
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
     center = corners.sum(axis=1) / n_corner
-    edges = np.roll(corners, -1, axis=1) - corners
     # a multiple of 4, so round 0's stride-2 and stride-4 samples, corners
-    # among them, are the 12- and 6-per-edge walks of the quiet exit
+    # among them, are the 12- and 6-per-edge walks of the quiet exit either way
     per_edge = 24
-    z = (corners[..., None] + edges[..., None] * np.arange(per_edge) / per_edge).ravel()
+    # corner ids in np.unique's order (by real, then imaginary part); an edge is a
+    # pair of them, and its point k from the lesser end is sample per_edge - k the other way
+    verts, vid = np.unique(corners.ravel(), return_inverse=True)
+    vid, nid = vid.reshape(corners.shape), np.roll(vid.reshape(corners.shape), -1, axis=1)
+    keys, eid = np.unique(np.minimum(vid, nid) * len(verts) + np.maximum(vid, nid), return_inverse=True)
+    lo, hi = verts[keys // len(verts)], verts[keys % len(verts)]
+    points = np.concatenate((verts, (lo[:, None] + (hi - lo)[:, None] * np.arange(1, per_edge) / per_edge).ravel()))
+    k = np.arange(per_edge)
+    k = np.where((vid < nid)[..., None], k, per_edge - k)
+    index = len(verts) - 1 + (per_edge - 1) * eid.reshape(vid.shape)[..., None] + k
+    index[..., 0] = vid
+    z, vals = points[index.ravel()], f(points)[index.ravel()]
     cell = np.repeat(np.arange(n_poly), z.size // n_poly)
-    vals = f(z)
     out: list = [None] * n_poly
     done = np.zeros(n_poly, dtype=bool)
     # M1 of the last round with a resolved winding; (M1, M2, M3) and their R
@@ -255,7 +268,8 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
             for c in np.unique(cell[singular]):
-                out[c], done[c] = BoundaryPole("evaluator blows up or vanishes on a cell boundary"), True
+                at = z[singular & (cell == c)]
+                out[c], done[c] = BoundaryPole("evaluator blows up or vanishes on a cell boundary", at), True
             if done.all():
                 break
             keep = ~done[cell]
@@ -319,8 +333,20 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
             z, vals, cell, split = z[keep], vals[keep], cell[keep], split[keep]
         z, vals, cell = _refine(f, z, vals, cell, split)
     for c in np.flatnonzero(~done):
-        out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary")
+        at = (0.5 * (z + z[nxt]))[bad & (cell == c)]
+        out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary", at)
     return out
+
+
+def _grid_lines(lo: float, hi: float, n: int) -> list[float]:
+    """Edges of ``n`` cells from ``lo`` to ``hi``, each under 1 for ``n > 1``.
+
+    Interior lines sit an irrational fraction of the slack ``min(g, 1 - g)``
+    below the equal spacing ``g``, off a pole at a rational fraction of the window.
+    """
+    g = (hi - lo) / n
+    shift = 0.5 * (3.0 - math.sqrt(5.0)) * min(g, 1.0 - g)
+    return [lo, *(lo + k * g - shift for k in range(1, n)), hi]
 
 
 def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
@@ -413,13 +439,16 @@ def find_poles_argument_principle(
     the boundary winding count ``Z - P`` together with the centered first
     moment of ``d log f``: the moment exposes zero-pole pairs that cancel
     in the count (zeta functions grow such zeros near every lattice pole)
-    and localizes lone poles for Newton refinement on ``1/f``.  Cells are
-    subdivided with irrational split fractions so singularities stay off
-    shared edges, and until they fit in a unit square.  A level's cells are
-    walked together, each stopping once its moment or that moment's
-    Richardson extrapolation is stable; a quiet cell, with ``W = 0`` and a
-    Simpson first moment from its first round's 96, 48 and 24 segments
-    that is small and agrees with the coarser one (see
+    and localizes lone poles for Newton refinement on ``1/f``.  The first
+    level is a grid over ``rect``, ``floor(side) + 1`` cells along a side
+    longer than 1, its lines off the equal spacing (``_grid_lines``), and
+    each grid edge sampled once for both its cells; later levels split a
+    cell in two at irrational fractions, so singularities stay off shared
+    edges.  A walk obstructed on a grid or split line splits its cell.  A
+    level's cells are walked together, each stopping once its moment or
+    that moment's Richardson extrapolation is stable; a quiet cell, with
+    ``W = 0`` and a Simpson first moment from its first round's 96, 48 and
+    24 segments that is small and agrees with the coarser one (see
     ``_boundary_log_walks``), stops after that round and is discarded.
 
     A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
@@ -438,12 +467,13 @@ def find_poles_argument_principle(
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
-    :class:`BoundaryPole` when a singularity obstructs the outer boundary
-    walk and :class:`NonIsolable` when subdivision stalls or an order
+    :class:`BoundaryPole` when a singularity obstructs the walk on the
+    outline of ``rect`` or of a cell at the size floor, and
+    :class:`NonIsolable` when subdivision stalls or an order
     exceeds 3; :class:`ValueError` for a ``rect`` that is not four real
     numbers or is non-finite or empty, a ``tol`` or ``moment_floor`` that is
-    not a positive finite real number (a ``bool`` is not), or a ``rect`` of
-    over 10^5 unit cells.
+    not a positive finite real number (a ``bool`` is not), or a ``rect``
+    whose grid has over 10^5 cells.
     """
     try:
         entries = tuple(rect)
@@ -459,8 +489,10 @@ def find_poles_argument_principle(
     for name, value in (("tol", tol), ("moment_floor", moment_floor)):
         if not (_is_real(value) and math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a positive finite real number, got {value!r}")
-    if (re_hi - re_lo) * (im_hi - im_lo) > 1e5:  # a level's cells are listed at once
-        raise ValueError(f"rect {rect} would split into over 10^5 unit cells")
+    # the fewest cells shorter than 1 along a side longer than 1
+    nx, ny = (math.floor(hi - lo) + 1 if hi - lo > 1.0 else 1 for lo, hi in ((re_lo, re_hi), (im_lo, im_hi)))
+    if nx * ny > 1e5:  # a level's cells are listed at once
+        raise ValueError(f"rect {rect} would split into over 10^5 cells")
     f = _vectorized(evaluator)
     fprime = (lambda s: complex(evaluator.derivative(s))) if isinstance(
         evaluator, ClosedFormZeta
@@ -481,21 +513,22 @@ def find_poles_argument_principle(
         return [(a, b, c, mid), (a, b, mid, d)]
 
     extent = lambda cell: max(cell[1] - cell[0], cell[3] - cell[2])
-    cells = [(re_lo, re_hi, im_lo, im_hi)]
+    on_outline = lambda p: p.real in (re_lo, re_hi) or p.imag in (im_lo, im_hi)
+    xs, ys = _grid_lines(re_lo, re_hi, nx), _grid_lines(im_lo, im_hi, ny)
+    cells = [(a, b, c, d) for c, d in zip(ys, ys[1:]) for a, b in zip(xs, xs[1:])]
     found: list[tuple[complex, int]] = []
     depth = 0
     while cells:
         # one level at a time; children of its cells form the next level
-        walk = [cell for cell in cells if extent(cell) <= 1.0]
-        below = [sc for cell in cells if extent(cell) > 1.0 for sc in split(cell, depth)]
-        walks = []
-        for k in range(0, len(walk), 256):  # batches of 256 cells bound the samples held at once
-            walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in walk[k : k + 256]], moment_floor)
-        for cell, res in zip(walk, walks):
+        below, walks = [], []
+        for k in range(0, len(cells), 256):  # batches of 256 cells bound the samples held at once
+            walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in cells[k : k + 256]], moment_floor)
+        for cell, res in zip(cells, walks):
             a, b, c, d = cell
             size = extent(cell)
             if isinstance(res, BoundaryPole):
-                if size > min_cell and depth > 0:
+                # an obstruction on a grid or split line splits its cell; one on the outline is the caller's
+                if size > min_cell and not any(map(on_outline, res.at)):
                     below.extend(split(cell, depth))
                     continue
                 raise res

@@ -1489,9 +1489,12 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     (the self-similar sets by one gather from their level tables); any
     other array goes through the dispatcher of :func:`tube_volume`.
     Raises :class:`ValueError` for an array that is not of integers or
-    floats (of ``bool`` included), a non-finite or non-positive radius and,
-    as ``tube_volume`` does, for one too large for a float volume.
+    floats, an element of other input that is not a real number (``bool``
+    included in both), a non-finite or non-positive radius and, as
+    ``tube_volume`` does, for one too large for a float volume.
     """
+    if not (isinstance(ts, np.ndarray) or all(map(_is_real, np.asarray(ts, dtype=object).ravel()))):
+        raise ValueError("t values must be real numbers")
     ts = np.asarray(ts)
     if ts.dtype.kind not in "iuf":
         raise ValueError(f"t values must be an array of real numbers, not of {ts.dtype}")

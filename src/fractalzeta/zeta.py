@@ -449,7 +449,10 @@ class NumericZetaConfig:
 
 
 def _finite_s(s) -> complex:
-    s = complex(s)
+    try:
+        s = complex(s)
+    except TypeError:
+        raise ValueError(f"s must be a number, got {s!r}") from None
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s must be finite, got {s}")
     return s
@@ -692,11 +695,12 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
                     # unknown: NaN keeps this panel and every later one loud, so the pass ends at the floor
                     joined = np.exp((s - n_dim) * u[bad] + np.log(vol[bad]))
                     vals[bad] = np.where((vol[bad] > 0.0) & np.isfinite(joined), joined, np.nan)
-            contrib = uh * np.sum(w * vals, axis=1)
-            # accumulate adds in order: sums[k] is acc += contrib after k panels
-            sums = np.add.accumulate(np.concatenate(([acc], contrib)))
+                # sums past the float range (Re s at or below the abscissa) are loud, not warnings
+                contrib = uh * np.sum(w * vals, axis=1)
+                # accumulate adds in order: sums[k] is acc += contrib after k panels
+                sums = np.add.accumulate(np.concatenate(([acc], contrib)))
             tol = tail_tol * widths[: len(contrib)]
-            loud = ~(np.abs(contrib) <= tol * np.maximum(np.abs(sums[1:]), 1e-300))
+            loud = ~(np.abs(contrib) <= tol * np.maximum(np.abs(sums[1:]), 1e-300)) | ~np.isfinite(contrib)
             # quiet panels in a row up to each panel, the run carried in included
             k = np.arange(1, len(contrib) + 1)
             run = k - np.maximum.accumulate(np.where(loud, k, -quiet))

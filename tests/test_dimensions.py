@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fractalzeta.dimensions import (
@@ -196,12 +196,13 @@ class _PointBudget:
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": math.nan}),  # split every cell forever
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": -1e-6}),
         ((-0.5, 1000.0, -50.0, 50.0), {}),  # over 10^5 unit cells in one level
+        ((0.0, 1e-3, 0.0, 2e5), {}),  # an area of 200, but a grid of 200,001 cells
         ((-0.5, 1.0, -3.0, 3.0), {"tol": True}),  # ran as tol=1.0
         ((-0.5, 1.0, -3.0, 3.0), {"moment_floor": True}),
     ],
     ids=[
         "reversed_re", "reversed_im", "empty_im", "nan_re", "inf_im", "tol_0", "tol_nan", "tol_inf",
-        "floor_nan", "floor_negative", "cell_count", "tol_bool", "floor_bool",
+        "floor_nan", "floor_negative", "cell_count", "thin_cell_count", "tol_bool", "floor_bool",
     ],
 )
 def test_find_poles_rejects_bad_input(rect, kwargs):
@@ -407,6 +408,110 @@ def test_a_pole_just_inside_an_edge_between_two_samples_is_found(depth):
     )
     assert pole.order == 1 and abs(pole.location - p) <= 1e-9
     assert pole.residue == pytest.approx(np.exp(p), rel=1e-9)
+
+
+# a window of 3 x 2 grid cells; its lines from the finder's own layout
+GRID_RECT = (0.0, 2.5, 0.0, 1.5)
+
+
+def _grid():
+    from fractalzeta.dimensions import _grid_lines
+
+    return _grid_lines(0.0, 2.5, 3), _grid_lines(0.0, 1.5, 2)
+
+
+def _simple_pole(p):
+    def f(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.exp(s) / (s - p)
+
+    return f
+
+
+def test_grid_round_zero_evaluates_each_corner_and_edge_once():
+    # 17 edges (3 x 3 horizontal, 4 x 2 vertical) and 12 corners: 23 inner
+    # points per edge and each corner once, not 96 per cell (576); e^s has
+    # no pole or zero, so every cell ends quiet after round 0
+    xs, ys = _grid()
+    assert (len(xs), len(ys)) == (4, 3)
+    points = []
+
+    def f(s):
+        points.append(s)
+        return np.exp(s)
+
+    assert find_poles_argument_principle(f, GRID_RECT, tol=1e-9, moment_floor=1e-6) == []
+    assert len(points) == 17 * 23 + 12
+    assert len(set(points)) == len(points)
+
+
+def test_grid_lines_are_shorter_than_one_and_off_the_equal_spacing():
+    from fractalzeta.dimensions import _grid_lines
+
+    for lo, hi, n in [(0.0, 2.0, 3), (-0.5, 3.5, 5), (-8.6, 8.6, 18), (0.0, 2.5, 3)]:
+        lines = _grid_lines(lo, hi, n)
+        sizes = np.diff(lines)
+        assert lines[0] == lo and lines[-1] == hi and len(lines) == n + 1
+        assert (sizes > 0).all() and (sizes < 1.0).all()
+        # the middle of a symmetric window, where a real pole sits, is on no line
+        assert min(abs(x - 0.5 * (lo + hi)) for x in lines) > 1e-3
+    assert _grid_lines(0.0, 1.0, 1) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("axis", ["vertical", "horizontal"])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["after", "before"])
+def test_a_pole_by_an_interior_grid_line_is_found_once(axis, side):
+    # 1e-7 off a line that two cells share: one cell holds it, the other's
+    # walk refines past it, and the pole is listed once with its residue
+    xs, ys = _grid()
+    p = complex(xs[1] + side * 1e-7, 0.7) if axis == "vertical" else complex(1.1, ys[1] + side * 1e-7)
+    [pole] = find_poles_argument_principle(_simple_pole(p), GRID_RECT, tol=1e-9, moment_floor=1e-6)
+    assert pole.order == 1 and abs(pole.location - p) <= 1e-9
+    assert pole.residue == pytest.approx(np.exp(p), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "where", ["bottom", "left", "line_meets_bottom", "corner"],
+)
+def test_a_pole_on_the_outline_of_a_grid_window_raises_at_once(monkeypatch, where):
+    # only an obstruction on the window's outline raises, and it raises at the
+    # grid level: no cell is split to chase it
+    levels = _count_walks(monkeypatch)
+    xs, _ = _grid()
+    p = {"bottom": 1.3, "left": 0.9j, "line_meets_bottom": complex(xs[1], 0.0), "corner": complex(2.5, 1.5)}[where]
+    with pytest.raises(BoundaryPole) as info:
+        find_poles_argument_principle(_simple_pole(p), GRID_RECT, tol=1e-9, moment_floor=1e-6)
+    assert levels == [6]
+    assert min(abs(q - p) for q in info.value.at) <= 1e-8
+
+
+def test_a_pole_on_an_interior_grid_line_splits_its_cells(monkeypatch):
+    # both cells split, and so do their halves along the line, down to the
+    # size floor, where the obstruction is the caller's
+    levels = _count_walks(monkeypatch)
+    xs, _ = _grid()
+    with pytest.raises(BoundaryPole):
+        find_poles_argument_principle(_simple_pole(complex(xs[1], 0.7)), GRID_RECT, tol=1e-9, moment_floor=1e-6)
+    assert len(levels) > 20 and levels[0] == 6
+
+
+def _near(line):
+    return st.floats(-1e-6, 1e-6).map(lambda d: line + d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.floats(0.01, 2.49), _near(_grid()[0][1]), _near(_grid()[0][2])),
+    st.one_of(st.floats(0.01, 1.49), _near(_grid()[1][1])),
+)
+def test_a_lone_pole_anywhere_in_a_grid_window_is_found(x, y):
+    # anywhere in the cells, and within 1e-6 of the lines between them, but on none
+    xs, ys = _grid()
+    assume(x not in xs and y not in ys)
+    p = complex(x, y)
+    [pole] = find_poles_argument_principle(_simple_pole(p), GRID_RECT, tol=1e-9, moment_floor=1e-6)
+    assert pole.order == 1 and abs(pole.location - p) <= 1e-9
+    assert pole.residue == pytest.approx(np.exp(p), rel=1e-8)
 
 
 @pytest.mark.parametrize("separation, found", [(5e-7, False), (1.2e-6, True), (2e-6, True), (4e-6, True)])

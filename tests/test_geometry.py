@@ -1134,7 +1134,8 @@ def test_tube_volume_dispatch_is_pinned(set_, ts, methods, monkeypatch):
 
 def test_tube_volumes_rejects_bad_radii():
     bools = np.array([True, False])
-    for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3], [True], bools, ["0.1"], [0.1j]):
+    # a bool among floats was cast to 1.0
+    for bad in ([0.1, math.nan], [math.inf], [0.0], [-1e-3], [True], bools, ["0.1"], [0.1j], [True, 0.1], [0.1, np.True_]):
         for set_ in (CantorLike(), PointSet([[0.0]])):
             with pytest.raises(ValueError):
                 tube_volumes(set_, bad)

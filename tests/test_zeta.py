@@ -572,6 +572,32 @@ def test_non_finite_s_is_rejected_up_front():
             distance_zeta_numeric(CantorLike(), bad, cfg)
 
 
+@pytest.mark.parametrize("bad", [None, [1.0, 2.0], object()], ids=["none", "list", "object"])
+def test_s_that_is_not_a_number_is_rejected(bad):
+    # complex(s) raised a bare TypeError in each
+    cfg = NumericZetaConfig(delta=0.5, seed=1)
+    calls = {
+        "tube_zeta_numeric": lambda: tube_zeta_numeric(CantorLike(), bad, cfg),
+        "distance_zeta_numeric": lambda: distance_zeta_numeric(CantorLike(), bad, cfg),
+        "functional_equation_residual": lambda: functional_equation_residual(CantorLike(), bad, cfg),
+        "closed_form_eval": lambda: closed_form_eval(catalog_zeta(CantorLike(), 0.5), bad),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="s must be a number"):
+            call()
+
+
+def test_functional_equation_below_the_abscissa_raises_without_warnings():
+    # the panel sums overflowed with numpy RuntimeWarnings before the error,
+    # which a warnings-as-errors run got in its place
+    from fractalzeta.errors import QuadratureNonconvergent
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonconvergent):
+            functional_equation_residual(SierpinskiGasket(), 0.1, NumericZetaConfig(0.5, 1))
+
+
 def test_functional_equation_near_abscissa_past_hole_count_overflow():
     # the quadrature reaches radii where 3^(k-1) (gasket) and 26^(k-1)
     # (carpet) overflow; a value or QuadratureNonconvergent, no bare error
