@@ -208,12 +208,12 @@ def _refine(f, z, vals, cell, split):
 def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     """Winding number and centered moments along each closed polygon, all walked together.
 
-    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole` at
-    the samples or segments where a singularity obstructs the walk.
-    ``W = (1/2 pi i) contour d log f`` counts zeros minus poles and
-    ``Mk = (1/2 pi i) contour (s - c)^k d log f`` sums ``(z - c)^k`` over
-    zeros minus ``(p - c)^k`` over poles, ``c`` the centroid: a zero-pole
-    pair hidden inside leaves ``W = 0`` but ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
+    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole`
+    where a singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
+    counts zeros minus poles and ``Mk = (1/2 pi i) contour (s - c)^k d log f``
+    sums ``(z - c)^k`` over zeros minus ``(p - c)^k`` over poles, ``c`` the
+    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but
+    ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
     such walks (``W = 0``, ``|M1| > moment_tol``) and are NaN for the others.
 
     The samples of all polygons share flat arrays, so a refinement round is
@@ -268,8 +268,7 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
             for c in np.unique(cell[singular]):
-                at = z[singular & (cell == c)]
-                out[c], done[c] = BoundaryPole("evaluator blows up or vanishes on a cell boundary", at), True
+                out[c], done[c] = BoundaryPole("evaluator blows up or vanishes on a cell boundary"), True
             if done.all():
                 break
             keep = ~done[cell]
@@ -333,8 +332,7 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
             z, vals, cell, split = z[keep], vals[keep], cell[keep], split[keep]
         z, vals, cell = _refine(f, z, vals, cell, split)
     for c in np.flatnonzero(~done):
-        at = (0.5 * (z + z[nxt]))[bad & (cell == c)]
-        out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary", at)
+        out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary")
     return out
 
 
@@ -444,12 +442,12 @@ def find_poles_argument_principle(
     longer than 1, its lines off the equal spacing (``_grid_lines``), and
     each grid edge sampled once for both its cells; later levels split a
     cell in two at irrational fractions, so singularities stay off shared
-    edges.  A walk obstructed on a grid or split line splits its cell.  A
-    level's cells are walked together, each stopping once its moment or
-    that moment's Richardson extrapolation is stable; a quiet cell, with
-    ``W = 0`` and a Simpson first moment from its first round's 96, 48 and
-    24 segments that is small and agrees with the coarser one (see
-    ``_boundary_log_walks``), stops after that round and is discarded.
+    edges.  An obstructed walk splits its cell.  A level's cells are walked
+    together, each stopping once its moment or that moment's Richardson
+    extrapolation is stable; a quiet cell, with ``W = 0`` and a Simpson
+    first moment from its first round's 96, 48 and 24 segments that is
+    small and agrees with the coarser one (see ``_boundary_log_walks``),
+    stops after that round and is discarded.
 
     A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
     when it holds one pair: its second and third moments give the pair
@@ -467,8 +465,8 @@ def find_poles_argument_principle(
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
-    :class:`BoundaryPole` when a singularity obstructs the walk on the
-    outline of ``rect`` or of a cell at the size floor, and
+    :class:`BoundaryPole` when a singularity obstructs the walk of a cell
+    at the size floor, as one on the outline of ``rect`` does, and
     :class:`NonIsolable` when subdivision stalls or an order
     exceeds 3; :class:`ValueError` for a ``rect`` that is not four real
     numbers or is non-finite or empty, a ``tol`` or ``moment_floor`` that is
@@ -513,7 +511,6 @@ def find_poles_argument_principle(
         return [(a, b, c, mid), (a, b, mid, d)]
 
     extent = lambda cell: max(cell[1] - cell[0], cell[3] - cell[2])
-    on_outline = lambda p: p.real in (re_lo, re_hi) or p.imag in (im_lo, im_hi)
     xs, ys = _grid_lines(re_lo, re_hi, nx), _grid_lines(im_lo, im_hi, ny)
     cells = [(a, b, c, d) for c, d in zip(ys, ys[1:]) for a, b in zip(xs, xs[1:])]
     found: list[tuple[complex, int]] = []
@@ -527,8 +524,7 @@ def find_poles_argument_principle(
             a, b, c, d = cell
             size = extent(cell)
             if isinstance(res, BoundaryPole):
-                # an obstruction on a grid or split line splits its cell; one on the outline is the caller's
-                if size > min_cell and not any(map(on_outline, res.at)):
+                if size > min_cell:
                     below.extend(split(cell, depth))
                     continue
                 raise res

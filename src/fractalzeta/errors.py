@@ -30,11 +30,7 @@ class NearPole(FractalZetaError):
 
 
 class BoundaryPole(FractalZetaError):
-    """A pole or zero sits too close to the search-region boundary, at the points ``at`` where known."""
-
-    def __init__(self, message: str = "", at=()):
-        super().__init__(message)
-        self.at = tuple(at)
+    """A pole or zero sits too close to the search-region boundary."""
 
 
 class NonIsolable(FractalZetaError):
