@@ -4,13 +4,13 @@ Complex dimensions of a compact set are the poles of its meromorphically
 continued distance zeta function.  For lattice closed forms they form
 arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
-principle on a grid of cells shorter than 1, each grid edge sampled once
-for the two cells that share it, and on halves of those cells, walked a
-level at a time with an extrapolated first moment of ``d log f`` (and the
-second and third where a zero-pole pair hides in a cell; a quiet cell,
-with no winding and a small Simpson moment from its first round's nested
-samples, ends after that round), and refined by Newton iteration on the
-reciprocal.  Residues come either
+principle.  A grid of cells shorter than 1 covers the window, each grid
+edge sampled once for the two cells that share it, and a cell that
+cannot be settled is halved.  A quiet cell, with no winding and a small
+Simpson first moment from its first round's nested samples, ends after
+that round.  Every other cell's moments of ``d log f`` give its distinct
+zeros and poles through a Hankel pencil, each polished by Newton
+iteration.  Residues come either
 from the closed-form term algebra or from trapezoidal contour quadrature
 on circles (which converges geometrically for analytic integrands).
 """
@@ -187,6 +187,12 @@ def _circle_values(
     return ring, vals
 
 
+# the most distinct zeros and poles a cell is solved for, and the moments
+# s_1..s_(2n - 1) that its Hankel pencil of that size reads
+_MAX_RANK = 3
+_MOMENTS = 2 * _MAX_RANK - 1
+
+
 def _successors(cell: np.ndarray) -> np.ndarray:
     """Index of each sample's successor on its cell's closed polyline (cells stored contiguously)."""
     nxt = np.arange(1, len(cell) + 1)
@@ -206,33 +212,34 @@ def _refine(f, z, vals, cell, split):
 
 
 def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
-    """Winding number and centered moments along each closed polygon, all walked together.
+    """Winding number and scaled moments along each closed polygon, all walked together.
 
-    Returns ``(W, M1, M2, M3)`` per polygon, or a :class:`BoundaryPole`
-    where a singularity obstructs the walk.  ``W = (1/2 pi i) contour d log f``
-    counts zeros minus poles and ``Mk = (1/2 pi i) contour (s - c)^k d log f``
-    sums ``(z - c)^k`` over zeros minus ``(p - c)^k`` over poles, ``c`` the
-    centroid: a zero-pole pair hidden inside leaves ``W = 0`` but
-    ``Mk = (z - c)^k - (p - c)^k``.  ``M2`` and ``M3`` are summed only for
-    such walks (``W = 0``, ``|M1| > moment_tol``) and are NaN for the others.
+    Returns ``(W, s, L)`` per polygon, ``s`` None for a quiet walk, or a
+    :class:`BoundaryPole` where a singularity obstructs the walk.
+    ``W = (1/2 pi i) contour d log f`` counts zeros minus poles, and ``s``
+    holds ``s_k = (1/2 pi i) contour ((x - c) / L)^k d log f(x)`` for
+    ``k = 1..5``: the sum of ``((z - c) / L)^k`` over zeros minus that of
+    ``((p - c) / L)^k`` over poles, ``c`` the centroid and ``L`` the power
+    of 2 at or above the polygon's largest distance from it (so the scaled
+    points lie in the unit disc and the scaling is exact).
 
     The samples of all polygons share flat arrays, so a refinement round is
     one call of ``f``.  Segments with a large phase or log-modulus step are
-    halved; once none is, all are.  Each ``Mk`` is a midpoint sum with
-    O(h^2) error, so ``R_k = Mk_k + (Mk_k - Mk_(k-1))/3`` over a full split
-    is O(h^4).  A walk returns the ``R`` once they moved by at most
-    ``moment_tol / 4`` over a full split (``R1`` alone, or all three for a
-    pair), else, if it has no pair, ``M1`` once it did since the last
-    smooth round; after 28 rounds it gets a :class:`BoundaryPole`.
+    halved; once none is, all are.  Each moment is a midpoint sum with
+    O(h^2) error, so ``R = s_h + (s_h - s_2h)/3`` over a full split is
+    O(h^4).  A walk returns its ``R`` once every one moved by at most
+    ``moment_tol / (4 L)`` over a full split, else its plain moments once
+    they did since the last smooth round; after 28 rounds it gets a
+    :class:`BoundaryPole`.
 
     Round 0 samples each edge uniformly, 24 times with its first corner,
     so its every-other and every-fourth samples are walks of 12 and 6 per
     edge whose segment midpoints are the samples they skip.  Their plain
-    first moments ``M1_96``, ``M1_48`` and ``M1_24`` give the Simpson values
-    ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise, and a smooth
-    walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol`` is quiet:
-    it returns ``(0, S96, NaN, NaN)`` after round 0, with no further call
-    of ``f``.  Every other walk goes on as above.  Round 0 evaluates each
+    first moments ``M1_96``, ``M1_48`` and ``M1_24`` (unscaled) give the
+    Simpson values ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise,
+    and a smooth walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol``
+    is quiet: it ends after round 0, with no further call of ``f``.  Only
+    the other walks sum the higher moments.  Round 0 evaluates each
     distinct corner and edge once, ``23 edges + corners`` points for a
     grid, each edge from its lesser end and reversed where walked the
     other way.
@@ -240,6 +247,7 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
     center = corners.sum(axis=1) / n_corner
+    scale = 2.0 ** np.ceil(np.log2(np.abs(corners - center[:, None]).max(axis=1)))
     # a multiple of 4, so round 0's stride-2 and stride-4 samples, corners
     # among them, are the 12- and 6-per-edge walks of the quiet exit either way
     per_edge = 24
@@ -258,12 +266,13 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     cell = np.repeat(np.arange(n_poly), z.size // n_poly)
     out: list = [None] * n_poly
     done = np.zeros(n_poly, dtype=bool)
-    # M1 of the last round with a resolved winding; (M1, M2, M3) and their R
-    # of the previous round, NaN unless it resolved its winding (and so split
-    # every segment)
-    prev_m1 = np.full(n_poly, np.nan, dtype=complex)
-    last_m, last_r = (np.full((3, n_poly), np.nan, dtype=complex) for _ in range(2))
+    # the moments of the last round with a resolved winding, and the moments
+    # and their R of the previous round, NaN unless it resolved its winding
+    # (and so split every segment)
+    prev_m, last_m, last_r = (np.full((_MOMENTS, n_poly), np.nan, dtype=complex) for _ in range(3))
     sums = lambda cell, t: np.bincount(cell, t.real, n_poly) + 1j * np.bincount(cell, t.imag, n_poly)
+    # NaN (no earlier round to compare) is never stable
+    stable = lambda a, b: (np.abs(a - b) <= 0.25 * moment_tol / scale).all(axis=0)
     for rnd in range(28):
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
@@ -282,55 +291,46 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         total = np.bincount(cell, dphi, n_poly) / (2.0 * math.pi)
         w = np.round(total)
         ok = smooth & (np.abs(total - w) <= 0.25)
-        if ok.any():
-            u = 0.5 * (z + z[nxt]) - center[cell]
-            terms = u * (dphi - 1j * dlnr) / (2.0 * math.pi)
-            m = np.full((3, n_poly), np.nan, dtype=complex)
-            m[0] = sums(cell, terms)
-            # M2 and M3 only where a hidden zero-pole pair shows
-            pair = ok & (w == 0) & (np.abs(m[0]) > moment_tol)
-            if pair.any():
-                on = pair[cell]
-                t2 = u[on] * terms[on]
-                m[1:, pair] = [sums(cell[on], t2)[pair], sums(cell[on], u[on] * t2)[pair]]
+        if rnd == 0 and ok.any():
+            # the quiet exit: the 48- and 24-segment walks take the skipped samples
+            # as their midpoints and sums of the fine increments as their own
+            step = (dphi - 1j * dlnr).reshape(-1, n_corner * per_edge) / (2.0 * math.pi)
+            ids = cell[:: step.shape[1]]
+            zc = z.reshape(step.shape) - center[ids, None]
+            m96 = sums(cell, (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi))[ids]
+            step2 = step[:, ::2] + step[:, 1::2]
+            m48 = (zc[:, 1::2] * step2).sum(axis=1)
+            m24 = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
+            s96 = m96 + (m96 - m48) / 3.0
+            s48 = m48 + (m48 - m24) / 3.0
+            quiet = ids[ok[ids] & (w[ids] == 0) & (np.abs(s96) + 2.0 * np.abs(s96 - s48) <= moment_tol)]
+            for c in quiet:
+                out[c] = (0, None, scale[c])
+            done[quiet] = True
+        live = ok & ~done
+        m = r = np.full((_MOMENTS, n_poly), np.nan, dtype=complex)
+        if live.any():
+            on = live[cell]
+            ids = cell[on]
+            u = (0.5 * (z[on] + z[nxt[on]]) - center[ids]) / scale[ids]
+            t = u * (dphi[on] - 1j * dlnr[on]) / (2.0 * math.pi)
+            for j in range(_MOMENTS):
+                m[j] = sums(ids, t)
+                t = u * t
+            m[:, ~live] = np.nan
             r = m + (m - last_m) / 3.0
-            # a pair's walk returns extrapolated moments only, all three stable
-            moved = np.abs(r - last_r)
-            moved = np.where(pair, moved.max(axis=0), moved[0])
-            by_r = ok & (moved <= 0.25 * moment_tol)
-            resolved = by_r | (ok & ~pair & (np.abs(m[0] - prev_m1) <= 0.25 * moment_tol))
-            for c in np.flatnonzero(resolved):
-                out[c] = (int(w[c]), *map(complex, (r if by_r[c] else m)[:, c]))
-            if rnd == 0:
-                # the quiet exit: the 48- and 24-segment walks take the skipped samples
-                # as their midpoints and sums of the fine increments as their own
-                step =(dphi - 1j * dlnr).reshape(-1, n_corner * per_edge) / (2.0 * math.pi)
-                ids = cell[:: step.shape[1]]
-                zc = z.reshape(step.shape) - center[ids, None]
-                step2 = step[:, ::2] + step[:, 1::2]
-                m48 = (zc[:, 1::2] * step2).sum(axis=1)
-                m24 = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
-                s96 = m[0, ids] + (m[0, ids] - m48) / 3.0
-                s48 = m48 + (m48 - m24) / 3.0
-                quiet = ok[ids] & (w[ids] == 0) & (np.abs(s96) + 2.0 * np.abs(s96 - s48) <= moment_tol)
-                for c, s in zip(ids[quiet], s96[quiet]):
-                    out[c] = (0, complex(s), complex(math.nan), complex(math.nan))
-                resolved[ids[quiet]] = True
-            done |= resolved
-            prev_m1 = np.where(ok, m[0], prev_m1)
-            last_m = np.where(ok, m, np.nan)
-            last_r = np.where(ok, r, np.nan)
-        else:
-            # no walk has a resolved winding, so no moment this round
-            resolved = ok
-            last_m = last_r = np.full((3, n_poly), np.nan, dtype=complex)
+            by_r = live & stable(r, last_r)
+            ended = by_r | (live & stable(m, prev_m))
+            for c in np.flatnonzero(ended):
+                out[c] = (int(w[c]), (r if by_r[c] else m)[:, c], scale[c])
+            done |= ended
+            prev_m = np.where(live, m, prev_m)
+        last_m, last_r = m, r
         if rnd == 27 or done.all():
             break
-        split = bad | smooth[cell]
-        if resolved.any():
-            keep = ~done[cell]
-            z, vals, cell, split = z[keep], vals[keep], cell[keep], split[keep]
-        z, vals, cell = _refine(f, z, vals, cell, split)
+        keep = ~done[cell]
+        split = (bad | smooth[cell])[keep]
+        z, vals, cell = _refine(f, z[keep], vals[keep], cell[keep], split)
     for c in np.flatnonzero(~done):
         out[c] = BoundaryPole("phase refinement exhausted; a pole or zero sits on the boundary")
     return out
@@ -352,17 +352,18 @@ def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
 
 
 def _newton_on_reciprocal(
-    f, fprime_exact, start: complex, tol: float, max_iter: int = 80, *, zero: bool = False
+    f, fprime_exact, start: complex, tol: float, *, zero: bool = False, gap: float = math.inf
 ) -> Optional[complex]:
     """Newton iteration on ``g = 1/f`` whose zeros are the poles of ``f``.
 
     With an exact derivative the step is ``s + f/f'``; for black boxes the
     derivative of ``g`` itself is finite-differenced (``g`` is smooth near
-    a pole of ``f``, unlike ``f``).  With ``zero`` the iteration runs on
-    ``g = f`` instead and finds a zero of ``f``.
+    a pole of ``f``, unlike ``f``) with a step under ``gap / 8``, ``gap``
+    the distance to the nearest other zero or pole expected.  With ``zero``
+    the iteration runs on ``g = f`` instead and finds a zero of ``f``.
     """
     s = complex(start)
-    for _ in range(max_iter):
+    for _ in range(80):
         if fprime_exact is not None:
             fv = complex(f(np.array([s]))[0])
             dv = complex(fprime_exact(s))
@@ -370,7 +371,7 @@ def _newton_on_reciprocal(
                 return None
             step = -fv / dv if zero else fv / dv
         else:
-            h = 1e-6 * (1.0 + abs(s))
+            h = min(1e-6 * (1.0 + abs(s)), 0.125 * gap)
             vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
             with np.errstate(divide="ignore", invalid="ignore"):
                 gv = vals if zero else 1.0 / vals
@@ -388,40 +389,83 @@ def _newton_on_reciprocal(
     return None
 
 
-def _pair_pole(f, fprime, cell, moments, tol: float, moment_tol: float) -> Optional[complex]:
-    """The pole of a lone zero-pole pair in ``cell`` from its boundary moments, or None.
+def _moment_points(w: int, s: np.ndarray, tol: float):
+    """The distinct zeros and poles, with integer weights, that a cell's scaled moments show.
 
-    A zero ``z`` and a pole ``p`` leave ``M_k = (z - c)^k - (p - c)^k``, so
-    ``M2 / M1 = (z - c) + (p - c)`` and Newton on ``1/f`` starts at
-    ``c + (M2/M1 - M1)/2``; Newton on ``f`` from ``p + M1`` then finds
-    ``z`` on its own.  The pole is taken only if both land in the cell,
-    ``z - p`` reproduces ``M1`` within ``moment_tol / 2`` (a second pair
-    in the cell moves ``M1`` by its own offset), ``p`` and ``z`` reproduce
-    ``M2`` and ``M3`` within ``moment_tol / 64``, and the circle of radius
-    ``0.3 |M1|`` about ``p`` winds once around a pole; otherwise the cell
-    holds more than one pair.
+    ``s`` holds ``s_1..s_5`` of ``_boundary_log_walks`` and ``s_0 = w``.  The
+    rank ``n`` is the least whose ``n`` points reproduce every moment within
+    ``tol``; the points are the generalized eigenvalues of the Hankel pencil
+    ``(s_(i+j+1)) - lambda (s_(i+j))`` of size ``n`` and their weights, each
+    point's multiplicity with a sign (+ for a zero), solve the Vandermonde
+    system of ``s_0..s_(n-1)`` (Delves and Lyness; Kravanja and Van Barel).
+    For ``n = 2`` and ``w = 0`` the pencil's spread would rest on ``s_3``,
+    where a close pair's separation ``d`` enters only as ``d^3``, so the
+    zero and the pole are placed from ``s_1`` (their offset) and ``s_2``
+    (their centre, ``s_2 / (2 s_1)``).  Returns ``(points, weights)``, or
+    None for a rank above ``_MAX_RANK`` or weights that are not nonzero
+    integers summing to ``w``.
     """
-    m1, m2, m3 = moments
+    s = np.concatenate(([w], s))
+    powers = np.arange(len(s))[:, None]
+    with np.errstate(all="ignore"):
+        # no point carries W = 0, and one point carries all of W != 0
+        for n in (0 if w == 0 else 1, *range(2, _MAX_RANK + 1)):
+            if n < 2:
+                points = s[1:n + 1] / s[0]
+            elif n == 2 and w == 0:
+                points = 0.5 * (complex(s[2]) / complex(s[1]) + np.array([-s[1], s[1]]))
+            else:
+                hankel = lambda k: np.array([s[k + i : k + i + n] for i in range(n)])
+                try:
+                    points = np.linalg.eigvals(np.linalg.solve(hankel(0), hankel(1)))
+                except np.linalg.LinAlgError:
+                    continue
+            vander = points**powers
+            try:
+                weights = np.linalg.solve(vander[:n], s[:n]) if n > 1 else s[:n]
+            except np.linalg.LinAlgError:
+                continue
+            if np.abs(vander @ weights - s).max() <= tol:
+                break
+        else:
+            return None
+    m = np.round(weights.real)
+    if not (np.abs(weights - m) <= 0.25).all() or (m == 0).any() or m.sum() != w:
+        return None
+    return points, m.astype(int)
+
+
+def _cell_poles(f, fprime, cell, walk: tuple, tol: float, moment_tol: float):
+    """The poles of ``cell`` with their orders, from the walk of its outline, or None to split it.
+
+    Every zero and pole that the moments show is polished by Newton (on
+    ``f`` for a zero, on ``1/f`` for a pole) from its pencil eigenvalue, and
+    the poles are kept only if every point lands in the cell and the
+    polished points reproduce each moment within ``moment_tol / 2``: a
+    zero-pole pair that the rank missed moves them by its offset.  A cell
+    whose points are all zeros holds no pole; a quiet walk shows none.
+    """
     a, b, c, d = cell
+    w, s, scale = walk
+    if s is None:  # a quiet walk
+        return []
     center = complex(0.5 * (a + b), 0.5 * (c + d))
-    seed = center + 0.5 * (m2 / m1 - m1)
-    radius = 0.3 * abs(m1)
-    if not cmath.isfinite(seed) or radius < 4.0 * tol:
+    found = _moment_points(w, s, 0.5 * moment_tol / scale)
+    if found is None:
         return None
-    in_cell = lambda s: s is not None and a - tol <= s.real <= b + tol and c - tol <= s.imag <= d + tol
-    p = _newton_on_reciprocal(f, fprime, seed, tol, max_iter=12)
-    if not in_cell(p):
+    points, weights = found
+    seeds = center + scale * points
+    polished = []
+    for j, (seed, m) in enumerate(zip(seeds, weights)):
+        gap = min((abs(seed - other) for i, other in enumerate(seeds) if i != j), default=math.inf)
+        p = _newton_on_reciprocal(f, fprime, seed, tol, zero=m > 0, gap=gap)
+        if p is None or not (a - tol <= p.real <= b + tol and c - tol <= p.imag <= d + tol):
+            return None
+        polished.append(p)
+    u = (np.array(polished) - center) / scale
+    if np.abs(u ** np.arange(1, _MOMENTS + 1)[:, None] @ weights - s).max() > 0.5 * moment_tol / scale:
         return None
-    z = _newton_on_reciprocal(f, fprime, p + m1, tol, max_iter=12, zero=True)
-    if not in_cell(z) or abs(z - p - m1) > 0.5 * moment_tol:
-        return None
-    pc, zc = p - center, z - center
-    if max(abs(zc**2 - pc**2 - m2), abs(zc**3 - pc**3 - m3)) > moment_tol / 64.0:
-        return None
-    try:
-        return p if _winding_circle(f, p, radius) == -1 else None
-    except BoundaryPole:
-        return None
+    return [(p, -int(m)) for p, m in zip(polished, weights) if m < 0]
 
 
 def find_poles_argument_principle(
@@ -433,35 +477,32 @@ def find_poles_argument_principle(
 ) -> list[Pole]:
     """Locate the poles of a meromorphic function inside an axis rectangle.
 
-    ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``.  Cells are classified by
-    the boundary winding count ``Z - P`` together with the centered first
-    moment of ``d log f``: the moment exposes zero-pole pairs that cancel
-    in the count (zeta functions grow such zeros near every lattice pole)
-    and localizes lone poles for Newton refinement on ``1/f``.  The first
+    ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``.  Each cell is solved from
+    the boundary winding count ``W = Z - P`` and the centred moments of
+    ``d log f``, which see zero-pole pairs that cancel in the count (zeta
+    functions grow such zeros near every lattice pole).  The first
     level is a grid over ``rect``, ``floor(side) + 1`` cells along a side
     longer than 1, its lines off the equal spacing (``_grid_lines``), and
     each grid edge sampled once for both its cells; later levels split a
     cell in two at irrational fractions, so singularities stay off shared
     edges.  An obstructed walk splits its cell.  A level's cells are walked
-    together, each stopping once its moment or that moment's Richardson
-    extrapolation is stable; a quiet cell, with ``W = 0`` and a Simpson
+    together, each stopping once its moments or their Richardson
+    extrapolations are stable; a quiet cell, with ``W = 0`` and a Simpson
     first moment from its first round's 96, 48 and 24 segments that is
     small and agrees with the coarser one (see ``_boundary_log_walks``),
     stops after that round and is discarded.
 
-    A cell with ``W = 0`` and ``|M1| > moment_floor`` is resolved in place
-    when it holds one pair: its second and third moments give the pair
-    (``M2 / M1 = (z - c) + (p - c)``, Delves and Lyness), Newton on ``1/f``
-    starts at the pole so named, Newton on ``f`` from ``p + M1`` finds the
-    zero ``z``, and the pole is kept as order 1 only if both land in the
-    cell, ``z - p`` reproduces ``M1`` within ``moment_floor / 2``, ``p``
-    and ``z`` reproduce ``M2`` and ``M3`` within ``moment_floor / 64``, and
-    the circle of radius ``0.3 |M1|`` about ``p`` winds once around a pole.
-    Any other such cell (two pairs, a double pole with two zeros) is split.
-    A cell with ``W < 0`` is kept as one pole of order ``-W`` only if
-    Newton on ``1/f`` lands in it, the order circle about it winds ``W``
-    times, and ``W (p - c)`` reproduces ``M1`` within ``moment_floor / 2``
-    (a hidden zero-pole pair moves ``M1`` by its offset); else it is split.
+    Every other cell goes to one solver (``_moment_points``): the least
+    number ``n <= 3`` of distinct zeros and poles that reproduces its
+    moments, placed by the Hankel pencil of size ``n`` and signed by their
+    Vandermonde weights, each an integer multiplicity (Delves and Lyness).
+    Newton polishes each point, and the cell's poles are kept, with their
+    weights as orders, only if every point lands in the cell and the
+    polished points reproduce the moments within ``moment_floor / 2``; a
+    cell with more than three points, weights that are not integers or
+    points that fail the check is split.  A pole of even order on a line
+    two cells share has no phase jump there and is counted half in each;
+    the two halves are listed once, their orders added.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
@@ -521,65 +562,13 @@ def find_poles_argument_principle(
         for k in range(0, len(cells), 256):  # batches of 256 cells bound the samples held at once
             walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in cells[k : k + 256]], moment_floor)
         for cell, res in zip(cells, walks):
-            a, b, c, d = cell
-            size = extent(cell)
-            if isinstance(res, BoundaryPole):
-                if size > min_cell:
-                    below.extend(split(cell, depth))
-                    continue
-                raise res
-            w, m1, m2, m3 = res
-            if w == 0:
-                if abs(m1) <= moment_floor:
-                    continue
-                loc = _pair_pole(f, fprime, cell, (m1, m2, m3), tol, moment_floor)
-                if loc is not None:
-                    found.append((loc, 1))
-                    continue
-                if size <= max(64.0 * tol, min_cell):
-                    raise NonIsolable(f"cell {cell} hides a zero-pole pair below the resolution floor")
+            poles = None if isinstance(res, BoundaryPole) else _cell_poles(f, fprime, cell, res, tol, moment_floor)
+            if poles is not None:
+                found.extend(poles)
+            elif extent(cell) > min_cell:
                 below.extend(split(cell, depth))
-                continue
-            if w > 0:
-                # net zeros; treated as a zero cluster (a pole co-located with
-                # two or more zeros below the cell scale is out of contract)
-                continue
-            # net poles: the moment centroid seeds Newton refinement
-            centroid = complex(0.5 * (a + b), 0.5 * (c + d))
-            seed = centroid - m1 / (-w)
-            if not (a <= seed.real <= b and c <= seed.imag <= d):
-                seed = centroid
-            loc = _newton_on_reciprocal(f, fprime, seed, tol)
-            in_cell = loc is not None and a - tol <= loc.real <= b + tol and c - tol <= loc.imag <= d + tol
-            if not in_cell:
-                if size > min_cell:
-                    below.extend(split(cell, depth))
-                    continue
-                raise NonIsolable(f"Newton refinement failed in cell {cell}")
-            order = None
-            radius = 0.3 * size
-            for _ in range(8):
-                if radius < 4.0 * tol:
-                    break
-                try:
-                    order = -_winding_circle(f, loc, radius)
-                except BoundaryPole:
-                    radius *= 0.5
-                    continue
-                if order == -w:
-                    break
-                radius *= 0.5
-                order = None
-            if order is None or order != -w or abs(m1 - w * (loc - centroid)) > 0.5 * moment_floor:
-                # mixed content (extra zero or second pole inside, or a zero-pole pair
-                # whose offset moves M1 off the lone pole's w (loc - c)): separate it
-                if size > min_cell:
-                    below.extend(split(cell, depth))
-                    continue
-                raise NonIsolable(f"could not isolate the pole content of cell {cell}")
-            if order > 3:
-                raise NonIsolable(f"pole at {loc} has order {order} > 3")
-            found.append((loc, order))
+            else:
+                raise res if isinstance(res, BoundaryPole) else NonIsolable(f"could not isolate the poles of cell {cell}")
         cells = below
         depth += 1
 
@@ -590,36 +579,23 @@ def find_poles_argument_principle(
     found.sort(key=lambda item: sort_key(item[0]))
     uniq: list[tuple[complex, int]] = []
     for z, order in found:
-        if not uniq or abs(z - uniq[-1][0]) > max(100 * tol, 1e-10):
+        if uniq and abs(z - uniq[-1][0]) <= max(100 * tol, 1e-10):
+            # a pole of even order on the line two cells share is counted half in each
+            uniq[-1] = (uniq[-1][0], uniq[-1][1] + order)
+        else:
             uniq.append((z, order))
 
     poles: list[Pole] = []
     locs = [z for z, _ in uniq]
     for z, order in uniq:
+        if order > 3:
+            raise NonIsolable(f"pole at {z} has order {order} > 3")
         gaps = [abs(z - other) for other in locs if abs(z - other) > 1e-12]
         radius = min(0.05, 0.25 * min(gaps)) if gaps else 0.05
         principal = _circle_coefficients(f, z, radius, order, 512) if order > 1 else ()
         residue = principal[-1] if principal else residue_contour(evaluator, z, radius=radius)
         poles.append(Pole(z, order=order, residue=residue, principal_part=principal))
     return poles
-
-
-def _winding_circle(f, center: complex, radius: float, nodes: int = 128) -> int:
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    z = center + radius * np.exp(1j * theta)
-    vals = f(z)
-    cell = np.zeros(nodes, dtype=int)
-    for _ in range(20):
-        if not np.isfinite(vals).all():
-            raise BoundaryPole("evaluator blows up on the order-check circle")
-        if np.abs(vals).min() < 1e-280:
-            raise BoundaryPole("evaluator vanishes on the order-check circle")
-        dphi = np.angle(vals[_successors(cell)] / vals)
-        bad = np.abs(dphi) > 0.5 * math.pi
-        if not bad.any():
-            return int(round(float(dphi.sum()) / (2.0 * math.pi)))
-        z, vals, cell = _refine(f, z, vals, cell, bad)
-    raise BoundaryPole("could not resolve phase on the order-check circle")
 
 
 def languidity_probe(

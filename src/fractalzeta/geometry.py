@@ -399,9 +399,9 @@ class CantorLike(CompactSet):
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.ratio < 0.5):
-            raise ValueError("ratio must lie in (0, 1/2)")
-        if not (math.isfinite(self.scale) and self.scale > 0):
+        if not (_is_real(self.ratio) and 0.0 < self.ratio < 0.5):
+            raise ValueError("ratio must be a real number in (0, 1/2)")
+        if not (_is_real(self.scale) and math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
 
     variant = "cantor_like"
@@ -1112,8 +1112,16 @@ def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     ``2^-1022 max(1, scale)``, a Cantor interval below a point's ulp for
     its points; a self-similar string with ``base / multiplicity <= 1 +
     1e-12`` may miss a level.  A distance past the float range is ``inf``.
+    Raises :class:`ValueError` for an array that is not of integers or
+    floats, or an element of other input that is not a real number (a
+    ``bool`` in either).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not (isinstance(points, np.ndarray) or all(map(_is_real, np.asarray(points, dtype=object).ravel()))):
+        raise ValueError("points must be real numbers")
+    pts = np.atleast_2d(points)
+    if pts.dtype.kind not in "iuf":
+        raise ValueError(f"points must be an array of real numbers, not of {pts.dtype}")
+    pts = pts.astype(float, copy=False)
     if pts.shape[1] != set_.ambient_dim:
         raise ValueError(f"points have dimension {pts.shape[1]}, set has {set_.ambient_dim}")
     if not np.isfinite(pts).all():

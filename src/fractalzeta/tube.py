@@ -30,7 +30,7 @@ from .errors import (
     NonpositiveContent,
 )
 from .geometry import TubeSample, _is_real
-from .zeta import ClosedFormZeta
+from .zeta import ClosedFormZeta, _finite_real
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
     residue is checked against a 1e-10 relative bound.  Raises
     :class:`ValueError` unless ``0 < t < series.t_valid_max``.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    if not (_finite_real(t) and t > 0):
+        raise ValueError("t must be a positive finite real number")
     if t >= series.t_valid_max:
         raise ValueError(
             f"t={t} is outside the formula's validity range (t < {series.t_valid_max})"

@@ -976,6 +976,10 @@ def test_distances_reject_non_finite_points():
             distances_to_set([[0.5, bad]], SierpinskiGasket())
         with pytest.raises(ValueError):
             distances_to_set([[bad]], PointSet([[0.0]]))
+    # True was taken as the coordinate 1.0
+    for bad in ([[True, 0.2]], np.array([[True, False]])):
+        with pytest.raises(ValueError):
+            distances_to_set(bad, SierpinskiGasket())
 
 
 def test_tube_volume_rejects_non_finite_t():
@@ -1344,6 +1348,11 @@ def test_descriptor_validation():
 def test_cantor_rejects_infinite_scale():
     with pytest.raises(ValueError):
         CantorLike(scale=math.inf)
+    # a string ratio raised a bare TypeError from the range comparison
+    with pytest.raises(ValueError):
+        CantorLike(ratio="0.1")
+    with pytest.raises(ValueError):
+        set_from_json({"variant": "cantor_like", "ratio": "0.1"})
 
 
 def test_string_rejects_nan_base():

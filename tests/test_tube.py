@@ -408,6 +408,8 @@ NON_FINITE_CASES = {
         catalog_zeta(SierpinskiGasket(), 0.5), LOG2_3 + 0.5, _HEIGHTS[:-1] + [math.inf]
     ),
     "truncation_tail_estimate(t=nan)": lambda: truncation_tail_estimate(gasket_series(3), math.nan),
+    # a string raised a bare TypeError from math.isfinite
+    "tube_formula_truncated(t='0.1')": lambda: tube_formula_truncated(gasket_series(5), "0.1"),
     "lattice_poles(infinite window)": lambda: lattice_poles(2.0, 3.0, Window((-math.inf, math.inf))),
     "lattice_poles(1e300 window)": lambda: lattice_poles(2.0, 3.0, Window((-1e300, 1e300))),
 }
