@@ -10,9 +10,11 @@ cannot be settled is halved.  A quiet cell, with no winding and a small
 Simpson first moment from its first round's nested samples, ends after
 that round.  Every other cell's moments of ``d log f`` give its distinct
 zeros and poles through a Hankel pencil, each polished by Newton
-iteration.  Residues come either
-from the closed-form term algebra or from trapezoidal contour quadrature
-on circles (which converges geometrically for analytic integrands).
+iteration with a central-difference derivative, the same for a closed
+form as for any function: the finder sees an evaluator only through its
+values.  Residues come either from the closed-form term algebra or from
+trapezoidal contour quadrature on circles (which converges geometrically
+for analytic integrands).
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .errors import (
     NonIsolable,
     PoleOnLine,
 )
-from .geometry import _is_real
-from .zeta import ClosedFormZeta, LatticeTerm, _lattice_ks
+from .geometry import _is_integer, _is_real
+from .zeta import ClosedFormZeta, LatticeTerm, _finite_real, _lattice_ks
 
 Evaluator = Union[ClosedFormZeta, Callable[[complex], complex]]
 
@@ -50,8 +52,8 @@ class Pole:
     principal_part: tuple[complex, ...] = ()
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("pole order must be >= 1")
+        if not (_is_integer(self.order) and self.order >= 1):
+            raise ValueError(f"pole order must be an integer >= 1, got {self.order!r}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class Window:
 
     def __post_init__(self):
         lo, hi = self.imag_range
-        if not lo < hi:
-            raise ValueError("imag_range must be a nonempty interval")
+        if not (_is_real(lo) and _is_real(hi) and lo < hi):
+            raise ValueError(f"imag_range must be a nonempty interval of real numbers, got {self.imag_range!r}")
 
     def contains(self, w: complex) -> bool:
         lo, hi = self.imag_range
@@ -352,35 +354,30 @@ def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
 
 
 def _newton_on_reciprocal(
-    f, fprime_exact, start: complex, tol: float, *, zero: bool = False, gap: float = math.inf
+    f, start: complex, tol: float, *, zero: bool = False, gap: float = math.inf
 ) -> Optional[complex]:
     """Newton iteration on ``g = 1/f`` whose zeros are the poles of ``f``.
 
-    With an exact derivative the step is ``s + f/f'``; for black boxes the
-    derivative of ``g`` itself is finite-differenced (``g`` is smooth near
-    a pole of ``f``, unlike ``f``) with a step under ``gap / 8``, ``gap``
-    the distance to the nearest other zero or pole expected.  With ``zero``
-    the iteration runs on ``g = f`` instead and finds a zero of ``f``.
+    The derivative of ``g`` is a central difference over the four points
+    ``s +- h`` and ``s +- ih``, ``h = min(1e-6 (1 + |s|), gap / 8)``, taken
+    with ``g(s)`` in one call of ``f``, the same for a closed form as for
+    any function: ``g`` is smooth near a pole of ``f``, unlike ``f``, and
+    ``gap`` is the distance to the nearest other zero or pole expected.
+    With ``zero`` the iteration runs on ``g = f`` instead and finds a zero
+    of ``f``.
     """
     s = complex(start)
     for _ in range(80):
-        if fprime_exact is not None:
-            fv = complex(f(np.array([s]))[0])
-            dv = complex(fprime_exact(s))
-            if dv == 0 or not np.isfinite(fv):
-                return None
-            step = -fv / dv if zero else fv / dv
-        else:
-            h = min(1e-6 * (1.0 + abs(s)), 0.125 * gap)
-            vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gv = vals if zero else 1.0 / vals
-            if not np.isfinite(gv).all():
-                return None
-            gp = 0.5 * ((gv[1] - gv[2]) / (2 * h) + (gv[3] - gv[4]) / (2j * h))
-            if gp == 0:
-                return None
-            step = -gv[0] / gp
+        h = min(1e-6 * (1.0 + abs(s)), 0.125 * gap)
+        vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gv = vals if zero else 1.0 / vals
+        if not np.isfinite(gv).all():
+            return None
+        gp = 0.5 * ((gv[1] - gv[2]) / (2 * h) + (gv[3] - gv[4]) / (2j * h))
+        if gp == 0:
+            return None
+        step = complex(-gv[0] / gp)
         s = s + step
         if not (math.isfinite(s.real) and math.isfinite(s.imag)):
             return None
@@ -435,7 +432,7 @@ def _moment_points(w: int, s: np.ndarray, tol: float):
     return points, m.astype(int)
 
 
-def _cell_poles(f, fprime, cell, walk: tuple, tol: float, moment_tol: float):
+def _cell_poles(f, cell, walk: tuple, tol: float, moment_tol: float):
     """The poles of ``cell`` with their orders, from the walk of its outline, or None to split it.
 
     Every zero and pole that the moments show is polished by Newton (on
@@ -458,7 +455,7 @@ def _cell_poles(f, fprime, cell, walk: tuple, tol: float, moment_tol: float):
     polished = []
     for j, (seed, m) in enumerate(zip(seeds, weights)):
         gap = min((abs(seed - other) for i, other in enumerate(seeds) if i != j), default=math.inf)
-        p = _newton_on_reciprocal(f, fprime, seed, tol, zero=m > 0, gap=gap)
+        p = _newton_on_reciprocal(f, seed, tol, zero=m > 0, gap=gap)
         if p is None or not (a - tol <= p.real <= b + tol and c - tol <= p.imag <= d + tol):
             return None
         polished.append(p)
@@ -496,9 +493,11 @@ def find_poles_argument_principle(
     number ``n <= 3`` of distinct zeros and poles that reproduces its
     moments, placed by the Hankel pencil of size ``n`` and signed by their
     Vandermonde weights, each an integer multiplicity (Delves and Lyness).
-    Newton polishes each point, and the cell's poles are kept, with their
-    weights as orders, only if every point lands in the cell and the
-    polished points reproduce the moments within ``moment_floor / 2``; a
+    Newton polishes each point with a central-difference derivative, the
+    same for a closed form as for any function (``_newton_on_reciprocal``),
+    and the cell's poles are kept, with their weights as orders, only if
+    every point lands in the cell and the polished points reproduce the
+    moments within ``moment_floor / 2``; a
     cell with more than three points, weights that are not integers or
     points that fail the check is split.  A pole of even order on a line
     two cells share has no phase jump there and is counted half in each;
@@ -533,9 +532,6 @@ def find_poles_argument_principle(
     if nx * ny > 1e5:  # a level's cells are listed at once
         raise ValueError(f"rect {rect} would split into over 10^5 cells")
     f = _vectorized(evaluator)
-    fprime = (lambda s: complex(evaluator.derivative(s))) if isinstance(
-        evaluator, ClosedFormZeta
-    ) else None
 
     diag = math.hypot(re_hi - re_lo, im_hi - im_lo)
     min_cell = max(16.0 * tol, 1e-9 * diag)
@@ -562,7 +558,7 @@ def find_poles_argument_principle(
         for k in range(0, len(cells), 256):  # batches of 256 cells bound the samples held at once
             walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in cells[k : k + 256]], moment_floor)
         for cell, res in zip(cells, walks):
-            poles = None if isinstance(res, BoundaryPole) else _cell_poles(f, fprime, cell, res, tol, moment_floor)
+            poles = None if isinstance(res, BoundaryPole) else _cell_poles(f, cell, res, tol, moment_floor)
             if poles is not None:
                 found.extend(poles)
             elif extent(cell) > min_cell:
@@ -613,7 +609,7 @@ def languidity_probe(
     has no poles listed.  Raises :class:`ValueError` for a non-finite
     abscissa or height.
     """
-    if not math.isfinite(screen_abscissa):
+    if not _finite_real(screen_abscissa):
         raise ValueError(f"screen abscissa must be finite, got {screen_abscissa}")
     hs = [float(h) for h in heights]
     if len(hs) < 8:

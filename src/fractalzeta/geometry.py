@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -234,6 +234,9 @@ class CompactSet:
 
     @classmethod
     def from_json(cls, data: dict):
+        missing = [f.name for f in fields(cls) if f.name not in data and f.default is MISSING]
+        if missing:
+            raise ValueError(f"a {cls.variant} descriptor needs {', '.join(missing)}")
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
@@ -511,22 +514,23 @@ class FractalStringBoundary(CompactSet):
         if (self.lengths is None) == (self.base is None):
             raise ValueError("give either explicit lengths or a self-similar generator")
         if self.lengths is not None:
-            ls = tuple(float(v) for v in self.lengths)
-            if not ls or not all(math.isfinite(v) and v > 0 for v in ls):
+            ls = self.lengths
+            if not (isinstance(ls, (tuple, list, np.ndarray)) and len(ls) and all(map(_is_real, ls))):
+                raise ValueError(f"lengths must be a nonempty sequence of real numbers, got {ls!r}")
+            ls = tuple(float(v) for v in ls)
+            if not all(math.isfinite(v) and v > 0 for v in ls):
                 raise ValueError("lengths must be positive and finite")
             if any(a < b for a, b in zip(ls, ls[1:])):
                 raise ValueError("lengths must be nonincreasing")
             object.__setattr__(self, "lengths", ls)
         else:
-            if self.base is None or self.multiplicity is None:
-                raise ValueError("self-similar mode needs base and multiplicity")
-            if not (math.isfinite(self.base) and math.isfinite(self.multiplicity)):
-                raise ValueError("base and multiplicity must be finite")
+            if not (_is_real(self.base) and math.isfinite(self.base) and _is_integer(self.multiplicity)):
+                raise ValueError("self-similar mode needs a finite real base and an integer multiplicity")
             if self.base <= 1.0 or self.multiplicity < 1:
                 raise ValueError("need base > 1 and multiplicity >= 1")
             if self.multiplicity >= self.base:
                 raise ValueError("multiplicity must be < base for a summable string")
-        if not (math.isfinite(self.scale) and self.scale > 0):
+        if not (_is_real(self.scale) and math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
 
     @classmethod
@@ -696,13 +700,13 @@ class FractalStringBoundary(CompactSet):
     @classmethod
     def from_json(cls, data: dict) -> "FractalStringBoundary":
         if "lengths" in data:
-            return cls(lengths=tuple(data["lengths"]))
-        multiplicity = float(data["multiplicity"])
-        if not multiplicity.is_integer():
+            return cls(lengths=data["lengths"])
+        base, multiplicity, scale = data.get("base"), data.get("multiplicity"), data.get("scale", 1.0)
+        if not all(map(_is_real, (base, multiplicity, scale))):
+            raise ValueError(f"base, multiplicity and scale must be real: {base!r}, {multiplicity!r}, {scale!r}")
+        if not float(multiplicity).is_integer():
             raise ValueError("multiplicity must be an integer")
-        return cls(
-            base=float(data["base"]), multiplicity=int(multiplicity), scale=float(data.get("scale", 1.0))
-        )
+        return cls(base=float(base), multiplicity=int(multiplicity), scale=float(scale))
 
 
 @dataclass(frozen=True)

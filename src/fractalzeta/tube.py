@@ -29,7 +29,7 @@ from .errors import (
     InsufficientSamples,
     NonpositiveContent,
 )
-from .geometry import TubeSample, _is_real
+from .geometry import TubeSample
 from .zeta import ClosedFormZeta, _finite_real
 
 
@@ -83,8 +83,8 @@ def tube_term(pole: Pole, t: float, ambient_dim: int, evaluator=None) -> complex
     come out real).  Higher orders need ``evaluator`` and use contour
     quadrature around the pole.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    if not (_finite_real(t) and t > 0):
+        raise ValueError("t must be a positive finite real number")
     n = ambient_dim
     w = pole.location
     if abs(n - w) < 1e-10:
@@ -140,8 +140,8 @@ def truncation_tail_estimate(series: TubeFormulaSeries, t: float) -> float:
     nonreal poles.  Raises :class:`ValueError` unless ``t`` is positive
     and finite.
     """
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError("t must be positive and finite")
+    if not (_finite_real(t) and t > 0):
+        raise ValueError("t must be a positive finite real number")
     n = series.ambient_dim
     nonreal = [p for p in series.poles if p.location.imag > 1e-12]
     if not nonreal:
@@ -176,7 +176,7 @@ def minkowski_content_from_residue(residue_at_d: float, ambient_dim: int, d: flo
     value is reported without a measurability claim.  Raises
     :class:`ValueError` for non-finite input or ``D >= N``.
     """
-    if not (math.isfinite(residue_at_d) and math.isfinite(d) and d < ambient_dim):
+    if not (_finite_real(residue_at_d) and _finite_real(d) and d < ambient_dim):
         raise ValueError(f"requires a finite residue and a finite D < N, got {residue_at_d} and {d}")
     if residue_at_d <= 0:
         raise NonpositiveContent(f"residue {residue_at_d} is not positive")
@@ -271,11 +271,11 @@ def measurability_criterion(
     kappa when supplied).  Raises :class:`ValueError` for ``d >= N``, a
     non-finite ``d`` and a ``tol`` that is not a positive finite real number.
     """
+    if not _finite_real(d):
+        raise ValueError(f"D must be a finite real number, got {d!r}")
     if d >= ambient_dim:
         raise ValueError("criterion requires D < N")
-    if not (_is_real(d) and math.isfinite(d)):
-        raise ValueError(f"D must be a finite real number, got {d!r}")
-    if not (_is_real(tol) and math.isfinite(tol) and tol > 0):
+    if not (_finite_real(tol) and tol > 0):
         raise ValueError(f"tol must be a positive finite real number, got {tol!r}")
     notes = [
         "screen and languidity hypotheses assumed, not machine-verified",

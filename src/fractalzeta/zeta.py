@@ -210,30 +210,6 @@ class ClosedFormZeta:
 
     __call__ = evaluate
 
-    def derivative(self, s):
-        """Exact term-wise derivative (for Newton refinement of poles); ValueError for a non-finite point."""
-        s = _finite_points(s)
-        total = np.zeros(s.shape, dtype=complex)
-        for term in self.lattice_terms:
-            lnb = math.log(term.base_scale)
-            num = term.amplitude * np.exp(-s * lnb)
-            den = np.ones(s.shape, dtype=complex)
-            logd = np.zeros(s.shape, dtype=complex)
-            for rho in term.roots:
-                den = den * (s - rho)
-                logd = logd + 1.0 / (s - rho)
-            if term.lattice is not None:
-                m, r = term.lattice
-                ms = np.exp(s * math.log(m))
-                den = den * (ms - r)
-                logd = logd + math.log(m) * ms / (ms - r)
-            total = total + num / den * (-lnb - logd)
-        ln_delta = math.log(self.delta)
-        for term in self.elementary_terms:
-            f = term.coefficient * np.exp((s - term.shift) * ln_delta) / (s - term.pole)
-            total = total + f * (ln_delta - 1.0 / (s - term.pole))
-        return total if total.shape else complex(total)
-
     # -- pole structure -----------------------------------------------------
 
     def _genuine_poles(self, lattice_ks, keep=None) -> list:

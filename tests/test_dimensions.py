@@ -631,8 +631,8 @@ def test_a_unit_cell_that_is_not_one_pair_is_split(monkeypatch, name):
     verdicts = {}
     cell_poles = dimensions._cell_poles
 
-    def spying(f, fprime, cell, walk, tol, moment_tol):
-        verdicts[cell] = cell_poles(f, fprime, cell, walk, tol, moment_tol)
+    def spying(f, cell, walk, tol, moment_tol):
+        verdicts[cell] = cell_poles(f, cell, walk, tol, moment_tol)
         return verdicts[cell]
 
     monkeypatch.setattr(dimensions, "_cell_poles", spying)
@@ -767,6 +767,34 @@ def test_completeness_carpet_band_20():
         assert abs(p.location - e) < 1e-8
         assert p.order == 1
     assert conjugate_closed(poles)
+
+
+@pytest.mark.parametrize("periods_up", [10, 30, 100, 300])
+@pytest.mark.parametrize(
+    "set_, delta, re_range",
+    [
+        (SierpinskiGasket(), 0.5, (-0.5, 2.0)),
+        (SierpinskiCarpet3D(), 0.25, (-0.5, 3.5)),
+        (CantorLike(), 0.5, (-0.5, 1.0)),
+        (FractalStringBoundary.cantor_string(), 1.0 / 3.0, (-0.5, 1.0)),
+    ],
+    ids=["gasket", "carpet", "cantor", "cantor_string"],
+)
+def test_lattice_poles_high_up_are_found_to_rounding(set_, delta, re_range, periods_up):
+    form = catalog_zeta(set_, delta)
+    period = min(form.lattice_periods())
+    # three periods tall, from half a period below the row periods_up, so no pole is on the outline;
+    # the carpet's zero-pole pairs are 2.4e-8 apart at 300 periods up, so the floor is below that
+    lo = (periods_up - 0.5) * period
+    poles = find_poles_argument_principle(form, (*re_range, lo, lo + 3.0 * period), tol=1e-9, moment_floor=1e-8)
+    want = form.poles_near([(periods_up + 1) * period], 1.5 * period)
+    assert len(poles) == len(want) == 3
+    for pole, (w, _) in zip(poles, want):
+        assert pole.order == 1 and abs(pole.location - w) <= 1e-15 * abs(w)
+        # the contour's rounding leaves up to 1.4e-18 absolute (the carpet's residues are 4e-11 at
+        # 300 periods up), the same with the closed form's exact derivative in Newton
+        residue = form.residue_at(w)
+        assert abs(pole.residue - residue) <= 1e-12 * abs(residue) + 1e-17
 
 
 # ---------------------------------------------------------------------------

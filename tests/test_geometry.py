@@ -1332,6 +1332,19 @@ def test_descriptor_validation():
         FractalStringBoundary(base=3.0, multiplicity=4)  # not summable
     with pytest.raises(ValueError):
         FractalStringBoundary()
+    # these raised a bare TypeError, or were accepted: a fractional multiplicity
+    # then failed the JSON round trip, and a bool was serialised as true
+    for bad in (
+        dict(base="3", multiplicity=2),
+        dict(base=3.0, multiplicity=2, scale="1"),
+        dict(lengths=0.5),
+        dict(base=3.0, multiplicity=2.5),
+        dict(base=3.0, multiplicity=True),
+        dict(lengths=("0.5",)),
+        dict(lengths=(True,)),
+    ):
+        with pytest.raises(ValueError):
+            FractalStringBoundary(**bad)
     with pytest.raises(ValueError):
         PointSet([])
     with pytest.raises(ValueError):
@@ -1631,8 +1644,17 @@ def test_descriptor_facts_pinned(index):
 
 
 def test_json_rejects_fractional_multiplicity():
-    for bad in (2.7, math.inf, math.nan):
+    # a string or bool went through float(), and a missing field raised a bare TypeError
+    for bad in (2.7, math.inf, math.nan, "2", True):
         with pytest.raises(ValueError):
             set_from_json({"variant": "string_boundary", "base": 3.0, "multiplicity": bad})
+    for data in (
+        {"variant": "string_boundary", "base": "3", "multiplicity": 2},
+        {"variant": "string_boundary", "base": 3.0},
+        {"variant": "string_boundary", "lengths": 0.5},
+        {"variant": "point_set"},
+    ):
+        with pytest.raises(ValueError):
+            set_from_json(data)
     again = set_from_json({"variant": "string_boundary", "base": 3.0, "multiplicity": 2.0})
     assert again == FractalStringBoundary.cantor_string()

@@ -412,6 +412,14 @@ NON_FINITE_CASES = {
     "tube_formula_truncated(t='0.1')": lambda: tube_formula_truncated(gasket_series(5), "0.1"),
     "lattice_poles(infinite window)": lambda: lattice_poles(2.0, 3.0, Window((-math.inf, math.inf))),
     "lattice_poles(1e300 window)": lambda: lattice_poles(2.0, 3.0, Window((-1e300, 1e300))),
+    # strings raised a bare TypeError from math.isfinite or a comparison, and a fractional order passed
+    "tube_term(t='0.1')": lambda: tube_term(Pole(0j, residue=1.0 + 0j), "0.1", 1),
+    "truncation_tail_estimate(t='0.1')": lambda: truncation_tail_estimate(gasket_series(3), "0.1"),
+    "minkowski_content_from_residue('1')": lambda: minkowski_content_from_residue("1", 1, 0.5),
+    "measurability_criterion(d='0.5')": lambda: measurability_criterion([], "0.5", 1e-6, ambient_dim=1),
+    "languidity_probe(abscissa='1')": lambda: languidity_probe(catalog_zeta(SierpinskiGasket(), 0.5), "1", _HEIGHTS),
+    "Window((0, '1'))": lambda: Window((0, "1")),
+    "Pole(order=1.5)": lambda: Pole(1j, order=1.5),
 }
 
 
