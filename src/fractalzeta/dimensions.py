@@ -7,20 +7,23 @@ arbitrary evaluators they are located numerically by the argument
 principle.  A grid of cells shorter than 1 covers the window, each grid
 edge sampled once for the two cells that share it, and a cell that
 cannot be settled is halved.  A quiet cell, with no winding and a small
-Simpson first moment from its first round's nested samples, ends after
-that round.  Every other cell's moments of ``d log f`` give its distinct
-zeros and poles through a Hankel pencil, each polished by Newton
-iteration with a central-difference derivative, the same for a closed
-form as for any function: the finder sees an evaluator only through its
-values.  Residues come either from the closed-form term algebra or from
-trapezoidal contour quadrature on circles (which converges geometrically
-for analytic integrands).
+Simpson first moment from the nested samples of a coarse walk, ends on
+that walk's samples; the others evaluate the rest of their first round.
+Every other cell's moments of ``d log f`` give its distinct zeros and
+poles through a Hankel pencil, each polished by Newton iteration with a
+central-difference derivative, the same for a closed form as for any
+function (the finder sees an evaluator only through its values), all the
+points of a level in one evaluator call per round.  Residues come either
+from the closed-form term algebra or from trapezoidal contour quadrature
+on circles (which converges geometrically for analytic integrands), all
+the circles of a window in one evaluator call per node count.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -104,8 +107,11 @@ def lattice_poles(m: float, r: float, window: Window) -> list[complex]:
     """Arithmetic pole family ``log_m r + (2 pi / ln m) k i`` inside the window.
 
     Raises :class:`ValueError` unless ``m > 1`` and ``r > 0`` are finite,
-    and for a window that is unbounded or over ``2 * 10^6`` periods tall.
+    and for a ``window`` that is not a :class:`Window` or is unbounded or
+    over ``2 * 10^6`` periods tall.
     """
+    if not isinstance(window, Window):
+        raise ValueError(f"window must be a Window, got {window!r}")
     family = LatticeTerm(1.0, 1.0, (), (m, r))
     lo, hi = window.imag_range
     out = map(family.lattice_pole, _lattice_ks(lo / family.period, hi / family.period))
@@ -124,68 +130,96 @@ def residue_contour(
     *,
     known_poles: Sequence[complex] = (),
 ) -> complex:
-    """Residue at ``omega`` by trapezoidal circle quadrature.
+    """Residue at ``omega`` by trapezoidal circle quadrature (``_ring_residues``).
 
     The radius defaults to half the distance to the nearest other known
-    pole, capped at 0.1.  The node count doubles from 256 until the value
+    pole, capped at 0.1.  The node count doubles from 64 until the value
     is stable to 1e-10; drift up to 4096 nodes raises :class:`ContourContaminated`
-    (another singularity inside or on the contour).  A non-finite ``omega``
-    or entry of ``known_poles``, or a radius that is not positive and
-    finite, raises :class:`ValueError`.
+    (another singularity inside or on the contour).  An ``omega`` or entry
+    of ``known_poles`` that is not a finite number, ``known_poles`` that is
+    not a sequence, or a radius that is not a positive finite real number
+    (a ``bool`` is not) raises :class:`ValueError`.
     """
-    omega = complex(omega)
-    if not cmath.isfinite(omega):
-        raise ValueError(f"omega must be finite, got {omega}")
-    if not all(cmath.isfinite(complex(p)) for p in known_poles):
-        raise ValueError(f"known_poles must be finite, got {list(known_poles)}")
-    f = _vectorized(evaluator)
+    if not (_is_complex(omega) and cmath.isfinite(omega)):
+        raise ValueError(f"omega must be a finite number, got {omega!r}")
+    try:
+        known = list(known_poles)
+    except TypeError:
+        known = None
+    if known is None or not all(_is_complex(p) and cmath.isfinite(p) for p in known):
+        raise ValueError(f"known_poles must be a sequence of finite numbers, got {known_poles!r}")
     if radius is None:
-        others = [abs(omega - p) for p in known_poles if abs(omega - p) > 1e-12]
+        others = [abs(omega - p) for p in known if abs(omega - p) > 1e-12]
         radius = min(0.1, 0.5 * min(others)) if others else 0.1
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"contour radius must be positive and finite, got {radius}")
+    if not (_finite_real(radius) and radius > 0):
+        raise ValueError(f"contour radius must be a positive finite real number, got {radius!r}")
+    return complex(_ring_residues(_vectorized(evaluator), [omega], [radius])[0])
 
-    n = 256
-    ring, vals = _circle_values(f, omega, radius, n)
-    prev = radius * complex(np.mean(vals * ring))
-    while n < 4096:
+
+def _is_complex(value) -> bool:
+    """A real or complex number that is not a ``bool``."""
+    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+
+
+def _ring_residues(f, centers, radii) -> np.ndarray:
+    """Residues of ``f`` at ``centers`` by the trapezoidal rule on circles of ``radii``.
+
+    The rule converges geometrically on a circle whose annulus out to the
+    next singularity is free (Trefethen and Weideman).  The node count
+    doubles from 64 until each value is stable to ``1e-10 max(1, |value|)``;
+    each count evaluates the circles not yet stable in one call of ``f``,
+    reusing the values of the count before at the even nodes.  Drift up to
+    4096 nodes raises :class:`ContourContaminated`.
+    """
+    centers, radii = np.asarray(centers, dtype=complex), np.asarray(radii, dtype=float)
+    out = np.empty(centers.shape, dtype=complex)
+    live, vals, prev, n = np.arange(centers.size), None, np.nan, 32
+    while live.size:
+        if n == 4096:
+            raise ContourContaminated(
+                f"contour at {complex(centers[live[0]])} (radius {float(radii[live[0]])}) did not stabilize; "
+                "another singularity is inside or on the circle"
+            )
         n *= 2
-        ring, vals = _circle_values(f, omega, radius, n, vals)
-        cur = radius * complex(np.mean(vals * ring))
-        if abs(cur - prev) <= 1e-10 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise ContourContaminated(
-        f"contour at {omega} (radius {radius}) did not stabilize; "
-        "another singularity is inside or on the circle"
-    )
+        ring, vals = _circle_values(f, centers[live], radii[live], n, vals)
+        cur = radii[live] * (vals * ring).mean(axis=1)
+        stable = np.abs(cur - prev) <= 1e-10 * np.maximum(1.0, np.abs(cur))
+        out[live[stable]] = cur[stable]
+        live, vals, prev = live[~stable], vals[~stable], cur[~stable]
+    return out
 
 
 def _circle_coefficients(
     f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, order: int, nodes: int
 ) -> tuple[complex, ...]:
     """``(c_-order, ..., c_-1)`` of ``f`` at ``omega``: trapezoidal rule on ``nodes`` points of a circle."""
-    ring, vals = _circle_values(f, omega, radius, nodes)
+    ring, [vals] = _circle_values(f, np.array([omega]), np.array([radius]), nodes)
     # c_{-j} = (1/2 pi i) contour f(s) (s - omega)^(j-1) ds
     return tuple(radius**j * complex(np.mean(vals * ring**j)) for j in range(order, 0, -1))
 
 
 def _circle_values(
-    f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, nodes: int, even: Optional[np.ndarray] = None
+    f: Callable[[np.ndarray], np.ndarray],
+    centers: np.ndarray,
+    radii: np.ndarray,
+    nodes: int,
+    even: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ring ``e^(i theta)`` of the trapezoidal rule on ``nodes`` points of a circle, and ``f`` there.
+    """The ring ``e^(i theta)`` of the trapezoidal rule on ``nodes`` points, and ``f`` on each circle.
 
-    ``even``, the values of the rule on ``nodes / 2`` points, are its values
-    at the even nodes, so only the odd ones are evaluated: the angles
-    ``2 pi (2k) / nodes`` and ``2 pi k / (nodes / 2)`` round to the same float.
+    Row ``i`` of the values is the circle of ``radii[i]`` about
+    ``centers[i]``, all rows from one call of ``f``.  ``even``, the values
+    of the rule on ``nodes / 2`` points, are its values at the even nodes,
+    so only the odd ones are evaluated: the angles ``2 pi (2k) / nodes``
+    and ``2 pi k / (nodes / 2)`` round to the same float.
     """
     ring = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
-    z = omega + radius * ring
+    z = centers[:, None] + radii[:, None] * ring
     if even is None:
-        return ring, f(z)
-    vals = np.empty(nodes, dtype=complex)
-    vals[0::2] = even
-    vals[1::2] = f(np.ascontiguousarray(z[1::2]))
+        return ring, f(z.ravel()).reshape(z.shape)
+    vals = np.empty(z.shape, dtype=complex)
+    vals[:, 0::2] = even
+    vals[:, 1::2] = f(z[:, 1::2].ravel()).reshape(even.shape)
     return ring, vals
 
 
@@ -193,6 +227,10 @@ def _circle_values(
 # s_1..s_(2n - 1) that its Hankel pencil of that size reads
 _MAX_RANK = 3
 _MOMENTS = 2 * _MAX_RANK - 1
+# the most cells the finder walks below its grid, over all levels: an
+# evaluator that is non-finite or zero over a region obstructs every cell
+# there, and their halves, without end
+_MAX_CELLS_BELOW_GRID = 10**4
 
 
 def _successors(cell: np.ndarray) -> np.ndarray:
@@ -241,17 +279,26 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     Simpson values ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise,
     and a smooth walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol``
     is quiet: it ends after round 0, with no further call of ``f``.  Only
-    the other walks sum the higher moments.  Round 0 evaluates each
-    distinct corner and edge once, ``23 edges + corners`` points for a
-    grid, each edge from its lesser end and reversed where walked the
-    other way.
+    the other walks sum the higher moments.
+
+    The same test runs first one level coarser, on round 0's even samples
+    (12 per edge, corners among them): ``S48`` and ``S24`` from the 48-,
+    24- and 12-segment walks, against ``moment_tol / 2``, since the coarse
+    walk resolves a pair by a corner worse (for pairs 0.02 or more inside
+    the unit cell, the test reads at least 0.73 of the pair's offset on
+    the coarse walks, and 0.98 on round 0's).  A walk quiet there ends on
+    those samples; the others evaluate the odd samples of their edges and
+    run round 0 as above.  Each stage evaluates each distinct corner and
+    edge once, ``11 edges + corners`` points and then 12 per edge of the
+    cells left, each edge from its lesser end and reversed where walked
+    the other way.
     """
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
     center = corners.sum(axis=1) / n_corner
     scale = 2.0 ** np.ceil(np.log2(np.abs(corners - center[:, None]).max(axis=1)))
-    # a multiple of 4, so round 0's stride-2 and stride-4 samples, corners
-    # among them, are the 12- and 6-per-edge walks of the quiet exit either way
+    # a multiple of 8, so the stride-2 and stride-4 samples of round 0 and of
+    # its coarse walk, corners among them, are the walks of the quiet exit either way
     per_edge = 24
     # corner ids in np.unique's order (by real, then imaginary part); an edge is a
     # pair of them, and its point k from the lesser end is sample per_edge - k the other way
@@ -264,8 +311,14 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     k = np.where((vid < nid)[..., None], k, per_edge - k)
     index = len(verts) - 1 + (per_edge - 1) * eid.reshape(vid.shape)[..., None] + k
     index[..., 0] = vid
-    z, vals = points[index.ravel()], f(points)[index.ravel()]
-    cell = np.repeat(np.arange(n_poly), z.size // n_poly)
+    # the coarse walk first: every other sample of each edge, each distinct one evaluated once
+    fine, index = index.reshape(n_poly, -1), index[..., ::2].reshape(n_poly, -1)
+    inner = len(verts) + (per_edge - 1) * np.arange(len(keys))[:, None] + np.arange(per_edge - 1)
+    at = np.empty(len(points), dtype=complex)
+    first = np.concatenate((np.arange(len(verts)), inner[:, 1::2].ravel()))
+    at[first] = f(points[first])
+    z, vals = points[index.ravel()], at[index.ravel()]
+    cell = np.repeat(np.arange(n_poly), index.shape[1])
     out: list = [None] * n_poly
     done = np.zeros(n_poly, dtype=bool)
     # the moments of the last round with a resolved winding, and the moments
@@ -275,7 +328,8 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     sums = lambda cell, t: np.bincount(cell, t.real, n_poly) + 1j * np.bincount(cell, t.imag, n_poly)
     # NaN (no earlier round to compare) is never stable
     stable = lambda a, b: (np.abs(a - b) <= 0.25 * moment_tol / scale).all(axis=0)
-    for rnd in range(28):
+    # round -1 is the coarse walk
+    for rnd in range(-1, 28):
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
             for c in np.unique(cell[singular]):
@@ -293,22 +347,35 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         total = np.bincount(cell, dphi, n_poly) / (2.0 * math.pi)
         w = np.round(total)
         ok = smooth & (np.abs(total - w) <= 0.25)
-        if rnd == 0 and ok.any():
-            # the quiet exit: the 48- and 24-segment walks take the skipped samples
-            # as their midpoints and sums of the fine increments as their own
-            step = (dphi - 1j * dlnr).reshape(-1, n_corner * per_edge) / (2.0 * math.pi)
+        if rnd <= 0 and ok.any():
+            # the quiet exit: the walks of every other and every fourth sample take
+            # the skipped samples as their midpoints and sums of the fine increments as their own
+            step = (dphi - 1j * dlnr).reshape(-1, index.shape[1]) / (2.0 * math.pi)
             ids = cell[:: step.shape[1]]
             zc = z.reshape(step.shape) - center[ids, None]
-            m96 = sums(cell, (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi))[ids]
+            full = sums(cell, (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi))[ids]
             step2 = step[:, ::2] + step[:, 1::2]
-            m48 = (zc[:, 1::2] * step2).sum(axis=1)
-            m24 = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
-            s96 = m96 + (m96 - m48) / 3.0
-            s48 = m48 + (m48 - m24) / 3.0
-            quiet = ids[ok[ids] & (w[ids] == 0) & (np.abs(s96) + 2.0 * np.abs(s96 - s48) <= moment_tol)]
+            half = (zc[:, 1::2] * step2).sum(axis=1)
+            quarter = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
+            s_full = full + (full - half) / 3.0
+            s_half = half + (half - quarter) / 3.0
+            bound = 0.5 * moment_tol if rnd < 0 else moment_tol
+            quiet = ids[ok[ids] & (w[ids] == 0) & (np.abs(s_full) + 2.0 * np.abs(s_full - s_half) <= bound)]
             for c in quiet:
                 out[c] = (0, None, scale[c])
             done[quiet] = True
+        if rnd < 0:
+            # round 0 on every sample for the rest, the odd ones evaluated once per distinct edge
+            rest = np.flatnonzero(~done)
+            if not rest.size:
+                break
+            index = fine[rest]
+            need = np.zeros(len(keys), dtype=bool)
+            need[eid.reshape(vid.shape)[rest]] = True
+            odd = inner[need, ::2].ravel()
+            at[odd] = f(points[odd])
+            z, vals, cell = points[index.ravel()], at[index.ravel()], np.repeat(rest, index.shape[1])
+            continue
         live = ok & ~done
         m = r = np.full((_MOMENTS, n_poly), np.nan, dtype=complex)
         if live.any():
@@ -353,37 +420,40 @@ def _rect_corners(re_lo, re_hi, im_lo, im_hi) -> tuple[complex, ...]:
     return complex(re_lo, im_lo), complex(re_hi, im_lo), complex(re_hi, im_hi), complex(re_lo, im_hi)
 
 
-def _newton_on_reciprocal(
-    f, start: complex, tol: float, *, zero: bool = False, gap: float = math.inf
-) -> Optional[complex]:
-    """Newton iteration on ``g = 1/f`` whose zeros are the poles of ``f``.
+def _newton_on_reciprocal(f, starts: np.ndarray, tol: float, zero: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Newton iteration on ``g = 1/f``, whose zeros are the poles of ``f``, from every start at once.
 
     The derivative of ``g`` is a central difference over the four points
-    ``s +- h`` and ``s +- ih``, ``h = min(1e-6 (1 + |s|), gap / 8)``, taken
-    with ``g(s)`` in one call of ``f``, the same for a closed form as for
-    any function: ``g`` is smooth near a pole of ``f``, unlike ``f``, and
-    ``gap`` is the distance to the nearest other zero or pole expected.
-    With ``zero`` the iteration runs on ``g = f`` instead and finds a zero
-    of ``f``.
+    ``s +- h`` and ``s +- ih``, ``h = min(1e-6 (1 + |s|), gap / 8)``, the
+    same for a closed form as for any function: ``g`` is smooth near a pole
+    of ``f``, unlike ``f``, and ``gap`` is the distance to the nearest other
+    zero or pole expected.  Where ``zero`` is set the iteration runs on
+    ``g = f`` instead and finds a zero of ``f``.  Each point iterates on its
+    own until its step is under ``tol / 4``; a round evaluates ``f`` at the
+    five points of every point still iterating in one call.  Returns the
+    polished points, NaN where ``g`` or the step is not finite, the
+    derivative is 0 or 80 rounds did not settle.
     """
-    s = complex(start)
+    s = np.array(starts, dtype=complex)
+    out = np.full(s.shape, np.nan, dtype=complex)
+    live = np.arange(s.size)
     for _ in range(80):
-        h = min(1e-6 * (1.0 + abs(s)), 0.125 * gap)
-        vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gv = vals if zero else 1.0 / vals
-        if not np.isfinite(gv).all():
-            return None
-        gp = 0.5 * ((gv[1] - gv[2]) / (2 * h) + (gv[3] - gv[4]) / (2j * h))
-        if gp == 0:
-            return None
-        step = complex(-gv[0] / gp)
-        s = s + step
-        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-            return None
-        if abs(step) < 0.25 * tol:
-            return s
-    return None
+        if not live.size:
+            break
+        x = s[live]
+        h = np.minimum(1e-6 * (1.0 + np.abs(x)), 0.125 * gap[live])
+        vals = f(np.stack((x, x + h, x - h, x + 1j * h, x - 1j * h), axis=1).ravel()).reshape(-1, 5)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gv = np.where(zero[live, None], vals, 1.0 / vals)
+            gp = 0.5 * ((gv[:, 1] - gv[:, 2]) / (2 * h) + (gv[:, 3] - gv[:, 4]) / (2j * h))
+            step = -gv[:, 0] / gp
+            x = x + step
+        ok = np.isfinite(gv).all(axis=1) & (gp != 0) & np.isfinite(x)
+        settled = ok & (np.abs(step) < 0.25 * tol)
+        out[live[settled]] = x[settled]
+        s[live] = x
+        live = live[ok & ~settled]
+    return out
 
 
 def _moment_points(w: int, s: np.ndarray, tol: float):
@@ -432,37 +502,49 @@ def _moment_points(w: int, s: np.ndarray, tol: float):
     return points, m.astype(int)
 
 
-def _cell_poles(f, cell, walk: tuple, tol: float, moment_tol: float):
-    """The poles of ``cell`` with their orders, from the walk of its outline, or None to split it.
+def _level_poles(f, cells, walks, tol: float, moment_tol: float) -> list:
+    """The poles of each cell with their orders, from the walk of its outline, or None to split it.
 
-    Every zero and pole that the moments show is polished by Newton (on
-    ``f`` for a zero, on ``1/f`` for a pole) from its pencil eigenvalue, and
-    the poles are kept only if every point lands in the cell and the
-    polished points reproduce each moment within ``moment_tol / 2``: a
-    zero-pole pair that the rank missed moves them by its offset.  A cell
-    whose points are all zeros holds no pole; a quiet walk shows none.
+    Every zero and pole that a cell's moments show is polished by Newton (on
+    ``f`` for a zero, on ``1/f`` for a pole) from its pencil eigenvalue, the
+    points of all the cells together, and a cell's poles are kept only if
+    every point lands in the cell and the polished points reproduce each
+    moment within ``moment_tol / 2``: a zero-pole pair that the rank missed
+    moves them by its offset.  A cell whose points are all zeros holds no
+    pole; a quiet walk shows none; an obstructed one is split.
     """
-    a, b, c, d = cell
-    w, s, scale = walk
-    if s is None:  # a quiet walk
-        return []
-    center = complex(0.5 * (a + b), 0.5 * (c + d))
-    found = _moment_points(w, s, 0.5 * moment_tol / scale)
-    if found is None:
-        return None
-    points, weights = found
-    seeds = center + scale * points
-    polished = []
-    for j, (seed, m) in enumerate(zip(seeds, weights)):
-        gap = min((abs(seed - other) for i, other in enumerate(seeds) if i != j), default=math.inf)
-        p = _newton_on_reciprocal(f, seed, tol, zero=m > 0, gap=gap)
-        if p is None or not (a - tol <= p.real <= b + tol and c - tol <= p.imag <= d + tol):
-            return None
-        polished.append(p)
-    u = (np.array(polished) - center) / scale
-    if np.abs(u ** np.arange(1, _MOMENTS + 1)[:, None] @ weights - s).max() > 0.5 * moment_tol / scale:
-        return None
-    return [(p, -int(m)) for p, m in zip(polished, weights) if m < 0]
+    verdicts: list = [None] * len(cells)
+    solved, seeds, zero, gap = [], [], [], []
+    for i, (cell, walk) in enumerate(zip(cells, walks)):
+        if isinstance(walk, BoundaryPole):
+            continue
+        w, s, scale = walk
+        if s is None:  # a quiet walk
+            verdicts[i] = []
+            continue
+        a, b, c, d = cell
+        center = complex(0.5 * (a + b), 0.5 * (c + d))
+        found = _moment_points(w, s, 0.5 * moment_tol / scale)
+        if found is None:
+            continue
+        points, weights = found
+        start = center + scale * points
+        solved.append((i, center, len(seeds), weights))
+        for j, p in enumerate(start):
+            gap.append(min((abs(p - q) for k, q in enumerate(start) if k != j), default=math.inf))
+        seeds.extend(start)
+        zero.extend(weights > 0)
+    polished = _newton_on_reciprocal(f, np.array(seeds), tol, np.array(zero, dtype=bool), np.array(gap))
+    for i, center, first, weights in solved:
+        (a, b, c, d), (_, s, scale) = cells[i], walks[i]
+        p = polished[first : first + len(weights)]
+        if not ((a - tol <= p.real) & (p.real <= b + tol) & (c - tol <= p.imag) & (p.imag <= d + tol)).all():
+            continue
+        u = (p - center) / scale
+        if np.abs(u ** np.arange(1, _MOMENTS + 1)[:, None] @ weights - s).max() > 0.5 * moment_tol / scale:
+            continue
+        verdicts[i] = [(complex(z), -int(m)) for z, m in zip(p, weights) if m < 0]
+    return verdicts
 
 
 def find_poles_argument_principle(
@@ -485,30 +567,37 @@ def find_poles_argument_principle(
     edges.  An obstructed walk splits its cell.  A level's cells are walked
     together, each stopping once its moments or their Richardson
     extrapolations are stable; a quiet cell, with ``W = 0`` and a Simpson
-    first moment from its first round's 96, 48 and 24 segments that is
-    small and agrees with the coarser one (see ``_boundary_log_walks``),
-    stops after that round and is discarded.
+    first moment that is small and agrees with the coarser one, first from
+    a coarse walk of 12 samples per edge and then from the first round's
+    24 (see ``_boundary_log_walks``), stops there and is discarded.
 
     Every other cell goes to one solver (``_moment_points``): the least
     number ``n <= 3`` of distinct zeros and poles that reproduces its
     moments, placed by the Hankel pencil of size ``n`` and signed by their
     Vandermonde weights, each an integer multiplicity (Delves and Lyness).
     Newton polishes each point with a central-difference derivative, the
-    same for a closed form as for any function (``_newton_on_reciprocal``),
+    same for a closed form as for any function, all the points of a level
+    in one call of the evaluator per round (``_newton_on_reciprocal``),
     and the cell's poles are kept, with their weights as orders, only if
     every point lands in the cell and the polished points reproduce the
     moments within ``moment_floor / 2``; a
     cell with more than three points, weights that are not integers or
     points that fail the check is split.  A pole of even order on a line
     two cells share has no phase jump there and is counted half in each;
-    the two halves are listed once, their orders added.
+    the two halves are listed once, their orders added.  The residues of
+    the simple poles come from ``_ring_residues`` on circles of radius
+    ``min(0.05, gap / 4)``, all of them in one call per node count; a pole
+    of order 2 or 3 takes its principal part from a 512-node circle.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
     :class:`BoundaryPole` when a singularity obstructs the walk of a cell
     at the size floor, as one on the outline of ``rect`` does, and
-    :class:`NonIsolable` when subdivision stalls or an order
-    exceeds 3; :class:`ValueError` for a ``rect`` that is not four real
+    :class:`NonIsolable` when subdivision stalls, an order exceeds 3 or
+    the cells walked below the grid, over all levels, pass
+    ``_MAX_CELLS_BELOW_GRID`` (10^4), as every cell of a region where the
+    evaluator is non-finite or zero is obstructed and split again;
+    :class:`ValueError` for a ``rect`` that is not four real
     numbers or is non-finite or empty, a ``tol`` or ``moment_floor`` that is
     not a positive finite real number (a ``bool`` is not), or a ``rect``
     whose grid has over 10^5 cells.
@@ -551,14 +640,20 @@ def find_poles_argument_principle(
     xs, ys = _grid_lines(re_lo, re_hi, nx), _grid_lines(im_lo, im_hi, ny)
     cells = [(a, b, c, d) for c, d in zip(ys, ys[1:]) for a, b in zip(xs, xs[1:])]
     found: list[tuple[complex, int]] = []
-    depth = 0
+    depth = walked = 0
     while cells:
         # one level at a time; children of its cells form the next level
+        if depth:
+            walked += len(cells)
+            if walked > _MAX_CELLS_BELOW_GRID:
+                raise NonIsolable(
+                    f"over {_MAX_CELLS_BELOW_GRID} cells walked below the grid of {rect}; "
+                    "is the evaluator non-finite or zero over a region?"
+                )
         below, walks = [], []
         for k in range(0, len(cells), 256):  # batches of 256 cells bound the samples held at once
             walks += _boundary_log_walks(f, [_rect_corners(*cell) for cell in cells[k : k + 256]], moment_floor)
-        for cell, res in zip(cells, walks):
-            poles = None if isinstance(res, BoundaryPole) else _cell_poles(f, cell, res, tol, moment_floor)
+        for cell, res, poles in zip(cells, walks, _level_poles(f, cells, walks, tol, moment_floor)):
             if poles is not None:
                 found.extend(poles)
             elif extent(cell) > min_cell:
@@ -581,15 +676,20 @@ def find_poles_argument_principle(
         else:
             uniq.append((z, order))
 
-    poles: list[Pole] = []
     locs = [z for z, _ in uniq]
+    radii = []
     for z, order in uniq:
         if order > 3:
             raise NonIsolable(f"pole at {z} has order {order} > 3")
         gaps = [abs(z - other) for other in locs if abs(z - other) > 1e-12]
-        radius = min(0.05, 0.25 * min(gaps)) if gaps else 0.05
+        radii.append(min(0.05, 0.25 * min(gaps)) if gaps else 0.05)
+    # the simple poles' circles share one call of f per node count
+    simple = [i for i, (_, order) in enumerate(uniq) if order == 1]
+    residues = dict(zip(simple, _ring_residues(f, [locs[i] for i in simple], [radii[i] for i in simple])))
+    poles: list[Pole] = []
+    for i, ((z, order), radius) in enumerate(zip(uniq, radii)):
         principal = _circle_coefficients(f, z, radius, order, 512) if order > 1 else ()
-        residue = principal[-1] if principal else residue_contour(evaluator, z, radius=radius)
+        residue = principal[-1] if principal else complex(residues[i])
         poles.append(Pole(z, order=order, residue=residue, principal_part=principal))
     return poles
 
@@ -606,12 +706,19 @@ def languidity_probe(
     estimates the languidity exponent kappa.  For a closed form, heights
     within 1 of the ordinate of a pole near the line are skipped and a
     sample within 1e-3 of a pole raises :class:`PoleOnLine`; a black box
-    has no poles listed.  Raises :class:`ValueError` for a non-finite
-    abscissa or height.
+    has no poles listed.  Raises :class:`ValueError` for an abscissa that
+    is not a finite real number, and for ``heights`` that are not a
+    sequence of real numbers or hold a non-finite one.
     """
     if not _finite_real(screen_abscissa):
         raise ValueError(f"screen abscissa must be finite, got {screen_abscissa}")
-    hs = [float(h) for h in heights]
+    try:
+        hs = list(heights)
+    except TypeError:
+        hs = None
+    if hs is None or not all(map(_is_real, hs)):
+        raise ValueError(f"heights must be a sequence of real numbers, got {heights!r}")
+    hs = [float(h) for h in hs]
     if len(hs) < 8:
         raise ValueError("need at least 8 heights")
     if not (all(0 < h < math.inf for h in hs) and all(a < b for a, b in zip(hs, hs[1:]))):

@@ -172,14 +172,25 @@ def test_find_poles_splits_a_negative_winding_cell_that_hides_a_pair():
 class _PointBudget:
     """Scalar evaluator that raises after ``limit`` points, so a missing guard fails instead of hanging."""
 
-    def __init__(self, form, limit=10**5):
-        self.form, self.left = form, limit
+    def __init__(self, f, limit=10**5):
+        self.f, self.left = f, limit
 
     def __call__(self, s):
         self.left -= 1
         if self.left < 0:
             raise RuntimeError("evaluator point budget exhausted")
-        return complex(self.form.evaluate(s))
+        return complex(self.f(s))
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0], ids=["nan", "zero"])
+def test_an_evaluator_that_is_nan_or_zero_over_a_region_raises(value):
+    # every cell is obstructed and split again: 202k cells walked in 8 s, and
+    # past 1.7 GB in 5 min, before the budget of cells walked below the grid
+    from fractalzeta.errors import NonIsolable
+
+    evaluator = _PointBudget(lambda s: value, limit=10**6)
+    with pytest.raises(NonIsolable, match="cells walked below the grid"):
+        find_poles_argument_principle(evaluator, (0.0, 1.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -233,13 +244,24 @@ def test_find_poles_names_a_rect_that_is_not_four_real_numbers(rect):
         (0.0, -math.inf, "radius", ()),
         (0.0, None, "known_poles", (0.05, complex(math.nan, 0.05))),
         (0.0, None, "known_poles", (complex(0.05, -math.inf),)),
+        (0.0, True, "radius", ()),
+        (0.0, "0.1", "radius", ()),
+        (0.0, [0.1], "radius", ()),
+        (None, 0.1, "omega", ()),
+        (0.0, None, "known_poles", [None]),
+        (0.0, None, "known_poles", "12"),
+        (0.0, None, "known_poles", 5),
     ],
-    ids=["omega_nan", "omega_inf", "radius_nan", "radius_inf", "radius_minus_inf", "known_nan", "known_inf"],
+    ids=[
+        "omega_nan", "omega_inf", "radius_nan", "radius_inf", "radius_minus_inf", "known_nan", "known_inf",
+        "radius_bool", "radius_str", "radius_list", "omega_none", "known_none", "known_str", "known_int",
+    ],
 )
 def test_residue_contour_rejects_non_finite_input_before_evaluating(omega, radius, named, known):
     # radius nan or inf leaked two RuntimeWarnings, then failed converting NaN
     # to an integer; omega nan raised ContourContaminated; a NaN known pole was
-    # dropped, so the default radius could enclose the pole it stood for
+    # dropped, so the default radius could enclose the pole it stood for;
+    # radius True ran as 1.0, and the other types raised a bare TypeError
     evaluator = _PointBudget(catalog_zeta(SierpinskiGasket(), 0.5), limit=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -397,8 +419,8 @@ def test_a_pair_is_resolved_in_its_unit_cell(monkeypatch, separation):
 
 
 def test_a_quiet_walk_ends_after_its_first_round():
-    # W = 0, and the Simpson M1 of round 0's 96-, 48- and 24-segment walks is
-    # about 1e-16: the walk ends on its first 96 samples
+    # W = 0, and the Simpson M1 of the coarse 48-, 24- and 12-segment walks is
+    # about 1e-16: the walk ends on its first 48 samples, round 0's even ones
     from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
 
     points = []
@@ -408,7 +430,7 @@ def test_a_quiet_walk_ends_after_its_first_round():
         return np.exp(s)
 
     [(w, s, _)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
-    assert points == [96]
+    assert points == [48]
     assert w == 0 and s is None
 
 
@@ -442,9 +464,9 @@ def _simple_pole(p):
 
 
 def test_grid_round_zero_evaluates_each_corner_and_edge_once():
-    # 17 edges (3 x 3 horizontal, 4 x 2 vertical) and 12 corners: 23 inner
-    # points per edge and each corner once, not 96 per cell (576); e^s has
-    # no pole or zero, so every cell ends quiet after round 0
+    # 17 edges (3 x 3 horizontal, 4 x 2 vertical) and 12 corners: the 11 even
+    # inner points of round 0 per edge and each corner once, not 48 per cell
+    # (288); e^s has no pole or zero, so every cell ends quiet on its coarse walk
     xs, ys = _grid()
     assert (len(xs), len(ys)) == (4, 3)
     points = []
@@ -454,8 +476,45 @@ def test_grid_round_zero_evaluates_each_corner_and_edge_once():
         return np.exp(s)
 
     assert find_poles_argument_principle(f, GRID_RECT, tol=1e-9, moment_floor=1e-6) == []
-    assert len(points) == 17 * 23 + 12
+    assert len(points) == 17 * 11 + 12
     assert len(set(points)) == len(points)
+
+
+# over the coarse sample spacing of the grid's cells, a twelfth of a side under 1
+_COARSE = 1.0 / 12.0
+
+
+def _by_a_line(lines):
+    return st.sampled_from(lines).flatmap(lambda line: st.floats(line - _COARSE, line + _COARSE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(_by_a_line(_grid()[0]), st.floats(0.01, 2.49)),
+    st.one_of(_by_a_line(_grid()[1]), st.floats(0.01, 1.49)),
+    st.floats(-5.0, -2.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_a_pair_by_a_grid_edge_or_corner_is_found(x, y, log_separation, angle):
+    # a pair at least 10 moment floors wide within a coarse spacing of a grid
+    # line (or two, by a corner), where the coarse walk samples it worst: the
+    # coarse quiet test passes it on to round 0 instead of ending it as quiet
+    xs, ys = _grid()
+    assume(min(abs(x - line) for line in xs) <= _COARSE or min(abs(y - line) for line in ys) <= _COARSE)
+    p0 = complex(x, y)
+    z0 = p0 + 10.0**log_separation * complex(math.cos(angle), math.sin(angle))
+    # inside the window, 1e-6 off its outline, and on no line
+    assume(all(1e-6 <= u.real <= 2.5 - 1e-6 and 1e-6 <= u.imag <= 1.5 - 1e-6 for u in (p0, z0)))
+    assume(all(u.real not in xs and u.imag not in ys for u in (p0, z0)))
+
+    def f(s):
+        # Newton can land on p0 exactly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (s - z0) / (s - p0) * np.exp(s)
+
+    [pole] = find_poles_argument_principle(f, GRID_RECT, tol=1e-9, moment_floor=1e-6)
+    assert pole.order == 1 and abs(pole.location - p0) <= 1e-9
+    assert pole.residue == pytest.approx((p0 - z0) * np.exp(p0), rel=1e-8)
 
 
 def test_grid_lines_are_shorter_than_one_and_off_the_equal_spacing():
@@ -629,13 +688,14 @@ def test_a_unit_cell_that_is_not_one_pair_is_split(monkeypatch, name):
 
     f, want = _CONTROLS[name]
     verdicts = {}
-    cell_poles = dimensions._cell_poles
+    level_poles = dimensions._level_poles
 
-    def spying(f, cell, walk, tol, moment_tol):
-        verdicts[cell] = cell_poles(f, cell, walk, tol, moment_tol)
-        return verdicts[cell]
+    def spying(f, cells, walks, tol, moment_tol):
+        level = level_poles(f, cells, walks, tol, moment_tol)
+        verdicts.update(zip(cells, level))
+        return level
 
-    monkeypatch.setattr(dimensions, "_cell_poles", spying)
+    monkeypatch.setattr(dimensions, "_level_poles", spying)
     levels = _count_walks(monkeypatch)
     poles = find_poles_argument_principle(f, (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6)
     if name in _SETTLED_IN_THE_UNIT_CELL:
@@ -649,6 +709,63 @@ def test_a_unit_cell_that_is_not_one_pair_is_split(monkeypatch, name):
         # the contour residue of a pole stands against f's Laurent coefficient
         residue = residue_contour(f, loc, radius=1e-5 if order == 1 else 0.05)
         assert pole.residue == pytest.approx(residue, rel=1e-6, abs=1e-12)
+
+
+def _scalar_newton(f, s, tol, zero, gap):
+    # the one-point iteration as it ran before a level's points went in
+    # lockstep; returns the point, or None, and the rounds it took
+    for rounds in range(1, 81):
+        h = min(1e-6 * (1.0 + abs(s)), 0.125 * gap)
+        vals = f(np.array([s, s + h, s - h, s + 1j * h, s - 1j * h]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gv = vals if zero else 1.0 / vals
+        if not np.isfinite(gv).all():
+            return None, rounds
+        gp = 0.5 * ((gv[1] - gv[2]) / (2 * h) + (gv[3] - gv[4]) / (2j * h))
+        if gp == 0:
+            return None, rounds
+        step = complex(-gv[0] / gp)
+        s = s + step
+        if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+            return None, rounds
+        if abs(step) < 0.25 * tol:
+            return s, rounds
+    return None, 80
+
+
+def test_a_newton_level_makes_one_evaluator_call_per_round(monkeypatch):
+    # the grid level of the gasket window holds four poles over 1 apart, so in
+    # four cells; every round evaluates the five points of each point still
+    # iterating in one call, and each point lands where it did on its own
+    from fractalzeta import dimensions
+
+    form = catalog_zeta(SierpinskiGasket(), 0.5)
+    sizes, levels = [], []
+    evaluate, newton = ClosedFormZeta.evaluate, dimensions._newton_on_reciprocal
+
+    def counting(self, s):
+        sizes.append(np.size(s))
+        return evaluate(self, s)
+
+    def spying(f, starts, tol, zero, gap):
+        first = len(sizes)
+        polished = newton(f, starts, tol, zero, gap)
+        levels.append((starts, tol, zero, gap, polished, sizes[first:]))
+        return polished
+
+    monkeypatch.setattr(ClosedFormZeta, "evaluate", counting)
+    monkeypatch.setattr(dimensions, "_newton_on_reciprocal", spying)
+    poles = find_poles_argument_principle(form, (-0.5, 2.0, -10.0, 10.0), tol=1e-9, moment_floor=1e-6)
+    assert len(poles) == 4
+    starts, tol, zero, gap, polished, calls = levels[0]
+    assert (~zero).sum() >= 4
+    f = dimensions._vectorized(form)
+    rounds = []
+    for start, z, g, got in zip(starts, zero, gap, polished):
+        want, r = _scalar_newton(f, complex(start), tol, z, g)
+        assert (np.isnan(got) and want is None) or got == want
+        rounds.append(r)
+    assert calls == [5 * sum(r > k for r in rounds) for k in range(max(rounds))]
 
 
 def _exact_residue(members, p):

@@ -420,6 +420,12 @@ NON_FINITE_CASES = {
     "languidity_probe(abscissa='1')": lambda: languidity_probe(catalog_zeta(SierpinskiGasket(), 0.5), "1", _HEIGHTS),
     "Window((0, '1'))": lambda: Window((0, "1")),
     "Pole(order=1.5)": lambda: Pole(1j, order=1.5),
+    # a bare TypeError from iterating None, an AttributeError from None.imag_range
+    "languidity_probe(heights=None)": lambda: languidity_probe(catalog_zeta(SierpinskiGasket(), 0.5), 2.0, None),
+    "languidity_probe(heights=str)": lambda: languidity_probe(
+        catalog_zeta(SierpinskiGasket(), 0.5), 2.0, [str(h) for h in _HEIGHTS]
+    ),
+    "lattice_poles(window=None)": lambda: lattice_poles(2.0, 3.0, None),
 }
 
 
