@@ -6,17 +6,18 @@ arithmetic progressions ``omega_k = log_m r + (2 pi k / ln m) i``; for
 arbitrary evaluators they are located numerically by the argument
 principle.  A grid of cells shorter than 1 covers the window, each grid
 edge sampled once for the two cells that share it, and a cell that
-cannot be settled is halved.  A quiet cell, with no winding and a small
-Simpson first moment from the nested samples of a coarse walk, ends on
-that walk's samples; the others evaluate the rest of their first round.
-Every other cell's moments of ``d log f`` give its distinct zeros and
-poles through a Hankel pencil, each polished by Newton iteration with a
-central-difference derivative, the same for a closed form as for any
-function (the finder sees an evaluator only through its values), all the
-points of a level in one evaluator call per round.  Residues come either
-from the closed-form term algebra or from trapezoidal contour quadrature
-on circles (which converges geometrically for analytic integrands), all
-the circles of a window in one evaluator call per node count.
+cannot be settled is halved.  A quiet cell, with no winding and small
+Simpson first and second moments from the nested samples of a coarse
+walk, ends on that walk's samples; the others evaluate the rest of their
+first round.  Every other cell's moments of ``d log f`` give its distinct
+zeros and poles through a Hankel pencil, each polished by Newton iteration
+with a central-difference derivative, the same for a closed form as for
+any function (the finder sees an evaluator only through its values), all
+the points of a level in one evaluator call per round.  Residues come
+either from the closed-form term algebra or from one adaptive trapezoidal
+rule on circles (which converges geometrically for analytic integrands),
+``_ring_residues``, which gives the whole principal part of a pole of any
+order, all the circles of a window in one evaluator call per node count.
 """
 
 from __future__ import annotations
@@ -46,7 +47,12 @@ class Pole:
     """A complex dimension: location, order, and principal-part data.
 
     ``residue`` is the coefficient of ``1/(s - omega)``; ``principal_part``
-    lists ``(c_-order, ..., c_-1)`` for orders above one.
+    lists ``(c_-order, ..., c_-1)`` for orders above one.  Raises
+    :class:`ValueError` for a location that is not a finite number, an
+    order that is not an integer ``>= 1``, a residue that is neither None
+    nor a finite number, a principal part that is not a tuple of finite
+    numbers of length 0 or ``order``, and one whose last entry is not the
+    residue given.
     """
 
     location: complex
@@ -55,8 +61,18 @@ class Pole:
     principal_part: tuple[complex, ...] = ()
 
     def __post_init__(self):
+        finite = lambda c: _is_complex(c) and cmath.isfinite(c)
+        if not finite(self.location):
+            raise ValueError(f"pole location must be a finite number, got {self.location!r}")
         if not (_is_integer(self.order) and self.order >= 1):
             raise ValueError(f"pole order must be an integer >= 1, got {self.order!r}")
+        if not (self.residue is None or finite(self.residue)):
+            raise ValueError(f"pole residue must be None or a finite number, got {self.residue!r}")
+        part = self.principal_part
+        if not (isinstance(part, tuple) and len(part) in (0, self.order) and all(map(finite, part))):
+            raise ValueError(f"principal part must be a tuple of {self.order} finite numbers or empty, got {part!r}")
+        if part and self.residue is not None and part[-1] != self.residue:
+            raise ValueError(f"principal part {part!r} does not end in the residue {self.residue!r}")
 
 
 @dataclass(frozen=True)
@@ -153,7 +169,7 @@ def residue_contour(
         radius = min(0.1, 0.5 * min(others)) if others else 0.1
     if not (_finite_real(radius) and radius > 0):
         raise ValueError(f"contour radius must be a positive finite real number, got {radius!r}")
-    return complex(_ring_residues(_vectorized(evaluator), [omega], [radius])[0])
+    return _ring_residues(_vectorized(evaluator), [omega], [radius], [1])[0][-1]
 
 
 def _is_complex(value) -> bool:
@@ -161,18 +177,21 @@ def _is_complex(value) -> bool:
     return isinstance(value, numbers.Complex) and not isinstance(value, bool)
 
 
-def _ring_residues(f, centers, radii) -> np.ndarray:
-    """Residues of ``f`` at ``centers`` by the trapezoidal rule on circles of ``radii``.
+def _ring_residues(f, centers, radii, orders) -> list[tuple[complex, ...]]:
+    """Principal parts ``(c_-n, ..., c_-1)`` of ``f`` at ``centers``, ``n`` from ``orders``.
 
-    The rule converges geometrically on a circle whose annulus out to the
-    next singularity is free (Trefethen and Weideman).  The node count
-    doubles from 64 until each value is stable to ``1e-10 max(1, |value|)``;
-    each count evaluates the circles not yet stable in one call of ``f``,
-    reusing the values of the count before at the even nodes.  Drift up to
-    4096 nodes raises :class:`ContourContaminated`.
+    ``c_-j = r^j mean(f e^(i j theta))``, the trapezoidal rule on the circle
+    of radius ``r``, converges geometrically when the annulus out to the next
+    singularity is free (Trefethen and Weideman).  The node count doubles
+    from 64 until each of a centre's ``n`` coefficients is stable to
+    ``1e-10 max(1, |c|)``; each count evaluates the circles not yet stable
+    in one call of ``f``, reusing the values of the count before at the even
+    nodes.  Drift up to 4096 nodes raises :class:`ContourContaminated`.
     """
     centers, radii = np.asarray(centers, dtype=complex), np.asarray(radii, dtype=float)
-    out = np.empty(centers.shape, dtype=complex)
+    orders = np.asarray(orders, dtype=int)
+    # row j - 1 holds c_-j
+    coef = np.empty((orders.max(initial=1), centers.size), dtype=complex)
     live, vals, prev, n = np.arange(centers.size), None, np.nan, 32
     while live.size:
         if n == 4096:
@@ -182,20 +201,13 @@ def _ring_residues(f, centers, radii) -> np.ndarray:
             )
         n *= 2
         ring, vals = _circle_values(f, centers[live], radii[live], n, vals)
-        cur = radii[live] * (vals * ring).mean(axis=1)
-        stable = np.abs(cur - prev) <= 1e-10 * np.maximum(1.0, np.abs(cur))
-        out[live[stable]] = cur[stable]
-        live, vals, prev = live[~stable], vals[~stable], cur[~stable]
-    return out
-
-
-def _circle_coefficients(
-    f: Callable[[np.ndarray], np.ndarray], omega: complex, radius: float, order: int, nodes: int
-) -> tuple[complex, ...]:
-    """``(c_-order, ..., c_-1)`` of ``f`` at ``omega``: trapezoidal rule on ``nodes`` points of a circle."""
-    ring, [vals] = _circle_values(f, np.array([omega]), np.array([radius]), nodes)
-    # c_{-j} = (1/2 pi i) contour f(s) (s - omega)^(j-1) ds
-    return tuple(radius**j * complex(np.mean(vals * ring**j)) for j in range(order, 0, -1))
+        # for j = 1 this is radii * (vals * ring).mean(axis=1) bit for bit
+        cur = np.array([radii[live] ** j * (vals * ring**j).mean(axis=1) for j in range(1, len(coef) + 1)])
+        beyond = np.arange(len(coef))[:, None] >= orders[live]
+        stable = (beyond | (np.abs(cur - prev) <= 1e-10 * np.maximum(1.0, np.abs(cur)))).all(axis=0)
+        coef[:, live[stable]] = cur[:, stable]
+        live, vals, prev = live[~stable], vals[~stable], cur[:, ~stable]
+    return [tuple(coef[m - 1 :: -1, i].tolist()) for i, m in enumerate(orders.tolist())]
 
 
 def _circle_values(
@@ -275,11 +287,16 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     Round 0 samples each edge uniformly, 24 times with its first corner,
     so its every-other and every-fourth samples are walks of 12 and 6 per
     edge whose segment midpoints are the samples they skip.  Their plain
-    first moments ``M1_96``, ``M1_48`` and ``M1_24`` (unscaled) give the
-    Simpson values ``S96 = M1_96 + (M1_96 - M1_48)/3`` and ``S48`` likewise,
-    and a smooth walk with ``W = 0`` and ``|S96| + 2 |S96 - S48| <= moment_tol``
-    is quiet: it ends after round 0, with no further call of ``f``.  Only
-    the other walks sum the higher moments.
+    first moments ``M1_96``, ``M1_48`` and ``M1_24`` (unscaled, about the
+    centroid) give the Simpson values ``S96 = M1_96 + (M1_96 - M1_48)/3``
+    and ``S48`` likewise, and a smooth walk with ``W = 0`` and
+    ``|S96| + 2 |S96 - S48| <= moment_tol`` is quiet if its second moments
+    pass the same test against ``4 moment_tol``: it ends after round 0, with
+    no further call of ``f``.  The second moment sees two pairs whose
+    offsets cancel in the first (``|s_2| = 2 d |a - b|`` for pairs at ``a``
+    and ``b``), while a lone pair below the floor in a cell under 1 has
+    ``|s_2| <= 1.42 d`` and stays quiet; three or more pairs that cancel in
+    both can still end quiet.  Only the other walks sum the higher moments.
 
     The same test runs first one level coarser, on round 0's even samples
     (12 per edge, corners among them): ``S48`` and ``S24`` from the 48-,
@@ -353,14 +370,20 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
             step = (dphi - 1j * dlnr).reshape(-1, index.shape[1]) / (2.0 * math.pi)
             ids = cell[:: step.shape[1]]
             zc = z.reshape(step.shape) - center[ids, None]
-            full = sums(cell, (0.5 * (z + z[nxt]) - center[cell]) * (dphi - 1j * dlnr) / (2.0 * math.pi))[ids]
+            zm = 0.5 * (z + z[nxt]) - center[cell]
+            t_full = zm * (dphi - 1j * dlnr) / (2.0 * math.pi)
             step2 = step[:, ::2] + step[:, 1::2]
-            half = (zc[:, 1::2] * step2).sum(axis=1)
-            quarter = (zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])).sum(axis=1)
+            t_half = zc[:, 1::2] * step2
+            t_quarter = zc[:, 2::4] * (step2[:, ::2] + step2[:, 1::2])
+            # row 0 the first moments, row 1 the second: each is one more product by the same points
+            full = np.stack((sums(cell, t_full)[ids], (zm * t_full).reshape(step.shape).sum(axis=1)))
+            half = np.stack((t_half.sum(axis=1), (zc[:, 1::2] * t_half).sum(axis=1)))
+            quarter = np.stack((t_quarter.sum(axis=1), (zc[:, 2::4] * t_quarter).sum(axis=1)))
             s_full = full + (full - half) / 3.0
             s_half = half + (half - quarter) / 3.0
+            err = np.abs(s_full) + 2.0 * np.abs(s_full - s_half)
             bound = 0.5 * moment_tol if rnd < 0 else moment_tol
-            quiet = ids[ok[ids] & (w[ids] == 0) & (np.abs(s_full) + 2.0 * np.abs(s_full - s_half) <= bound)]
+            quiet = ids[ok[ids] & (w[ids] == 0) & (err[0] <= bound) & (err[1] <= 4.0 * bound)]
             for c in quiet:
                 out[c] = (0, None, scale[c])
             done[quiet] = True
@@ -566,10 +589,11 @@ def find_poles_argument_principle(
     cell in two at irrational fractions, so singularities stay off shared
     edges.  An obstructed walk splits its cell.  A level's cells are walked
     together, each stopping once its moments or their Richardson
-    extrapolations are stable; a quiet cell, with ``W = 0`` and a Simpson
-    first moment that is small and agrees with the coarser one, first from
-    a coarse walk of 12 samples per edge and then from the first round's
-    24 (see ``_boundary_log_walks``), stops there and is discarded.
+    extrapolations are stable; a quiet cell, with ``W = 0`` and Simpson
+    first and second moments that are small and agree with the coarser
+    ones, first from a coarse walk of 12 samples per edge and then from the
+    first round's 24 (see ``_boundary_log_walks``), stops there and is
+    discarded.
 
     Every other cell goes to one solver (``_moment_points``): the least
     number ``n <= 3`` of distinct zeros and poles that reproduces its
@@ -584,10 +608,10 @@ def find_poles_argument_principle(
     cell with more than three points, weights that are not integers or
     points that fail the check is split.  A pole of even order on a line
     two cells share has no phase jump there and is counted half in each;
-    the two halves are listed once, their orders added.  The residues of
-    the simple poles come from ``_ring_residues`` on circles of radius
-    ``min(0.05, gap / 4)``, all of them in one call per node count; a pole
-    of order 2 or 3 takes its principal part from a 512-node circle.
+    the two halves are listed once, their orders added.  Every pole takes
+    its principal part (its residue alone for a simple pole) from
+    ``_ring_residues`` on a circle of radius ``min(0.05, gap / 4)``, all of
+    them in one call per node count.
 
     ``moment_floor`` is the pair-detection resolution: a zero-pole pair
     closer than this is treated as cancelled.  Raises
@@ -683,15 +707,12 @@ def find_poles_argument_principle(
             raise NonIsolable(f"pole at {z} has order {order} > 3")
         gaps = [abs(z - other) for other in locs if abs(z - other) > 1e-12]
         radii.append(min(0.05, 0.25 * min(gaps)) if gaps else 0.05)
-    # the simple poles' circles share one call of f per node count
-    simple = [i for i, (_, order) in enumerate(uniq) if order == 1]
-    residues = dict(zip(simple, _ring_residues(f, [locs[i] for i in simple], [radii[i] for i in simple])))
-    poles: list[Pole] = []
-    for i, ((z, order), radius) in enumerate(zip(uniq, radii)):
-        principal = _circle_coefficients(f, z, radius, order, 512) if order > 1 else ()
-        residue = principal[-1] if principal else complex(residues[i])
-        poles.append(Pole(z, order=order, residue=residue, principal_part=principal))
-    return poles
+    # every pole's circle shares one call of f per node count
+    parts = _ring_residues(f, locs, radii, [order for _, order in uniq])
+    return [
+        Pole(z, order=order, residue=part[-1], principal_part=part if order > 1 else ())
+        for (z, order), part in zip(uniq, parts)
+    ]
 
 
 def languidity_probe(

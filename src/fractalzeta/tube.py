@@ -22,14 +22,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dimensions import Pole, _circle_coefficients, _vectorized, conjugate_closed
+from .dimensions import Pole, conjugate_closed
 from .errors import (
     DimensionCollision,
     FractalZetaError,
     InsufficientSamples,
     NonpositiveContent,
 )
-from .geometry import TubeSample
+from .geometry import TubeSample, _is_integer
 from .zeta import ClosedFormZeta, _finite_real
 
 
@@ -40,16 +40,19 @@ class TubeFormulaSeries:
     ``truncation`` is the lattice cutoff K: each lattice family contributes
     poles with ``|k| <= K`` while real poles are always included.
     ``t_valid_max`` records the range on which the underlying exact formula
-    is known to hold (infinity when unknown).
+    is known to hold (infinity when unknown).  Each pole carries its
+    residue, or its principal part if it is multiple; an ``ambient_dim``
+    that is not an integer ``>= 1`` raises :class:`ValueError`.
     """
 
     ambient_dim: int
     poles: tuple[Pole, ...]
     truncation: int
-    source: Optional[ClosedFormZeta] = None
     t_valid_max: float = math.inf
 
     def __post_init__(self):
+        if not (_is_integer(self.ambient_dim) and self.ambient_dim >= 1):
+            raise ValueError(f"ambient dimension must be an integer >= 1, got {self.ambient_dim!r}")
         for p in self.poles:
             if abs(self.ambient_dim - p.location) < 1e-10:
                 raise DimensionCollision(
@@ -70,35 +73,37 @@ def series_from_zeta(
         ambient_dim=zeta.ambient_dim,
         poles=poles,
         truncation=truncation,
-        source=zeta,
         t_valid_max=t_valid_max,
     )
 
 
-def tube_term(pole: Pole, t: float, ambient_dim: int, evaluator=None) -> complex:
+def tube_term(pole: Pole, t: float, ambient_dim: int) -> complex:
     """One pole's contribution: the residue of ``t^(N-s) zeta(s) / (N-s)``.
 
-    Simple poles use the algebraic form ``c * t^(N-omega) / (N-omega)``
-    (complex valued: conjugate pairs are combined by the caller so totals
-    come out real).  Higher orders need ``evaluator`` and use contour
-    quadrature around the pole.
+    With ``v = N - omega``, a simple pole of residue ``c`` gives ``c t^v / v``
+    and one of order ``m`` with principal part ``(c_-m, ..., c_-1)`` gives
+    ``t^v sum_j c_-j sum_(a<j) (-ln t)^a / (a! v^(j-a))`` (complex valued:
+    conjugate pairs are combined by the caller so totals come out real).
+    Raises :class:`ValueError` for a ``t`` that is not positive and finite,
+    an ``ambient_dim`` that is not an integer ``>= 1`` and a pole without
+    its residue or principal part.
     """
     if not (_finite_real(t) and t > 0):
         raise ValueError("t must be a positive finite real number")
-    n = ambient_dim
-    w = pole.location
-    if abs(n - w) < 1e-10:
-        raise DimensionCollision(f"pole {w} collides with ambient dimension {n}")
+    if not (_is_integer(ambient_dim) and ambient_dim >= 1):
+        raise ValueError(f"ambient dimension must be an integer >= 1, got {ambient_dim!r}")
+    v = ambient_dim - pole.location
+    if abs(v) < 1e-10:
+        raise DimensionCollision(f"pole {pole.location} collides with ambient dimension {ambient_dim}")
     if pole.order == 1:
         if pole.residue is None:
             raise ValueError("simple-pole tube term needs the residue")
-        return pole.residue * np.exp((n - w) * math.log(t)) / (n - w)
-    if evaluator is None:
-        raise ValueError("higher-order tube terms need the zeta evaluator")
-    f = _vectorized(evaluator)
-    radius = min(0.05, 0.45 * abs(n - w))
-    term = lambda s: np.exp((n - s) * math.log(t)) * f(s) / (n - s)
-    return _circle_coefficients(term, w, radius, 1, 512)[0]
+        return pole.residue * np.exp(v * math.log(t)) / v
+    if len(pole.principal_part) != pole.order:
+        raise ValueError(f"a pole of order {pole.order} needs its principal part (c_-{pole.order}, ..., c_-1)")
+    ln_t, part = math.log(t), enumerate(reversed(pole.principal_part), start=1)
+    total = sum(c * sum((-ln_t) ** a / (math.factorial(a) * v ** (j - a)) for a in range(j)) for j, c in part)
+    return complex(np.exp(v * ln_t) * total)
 
 
 def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
@@ -119,7 +124,7 @@ def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
     for p in series.poles:
         if p.location.imag < -1e-12:
             continue  # conjugate partner of an Im > 0 pole
-        term = tube_term(p, t, series.ambient_dim, evaluator=series.source)
+        term = tube_term(p, t, series.ambient_dim)
         if p.location.imag > 1e-12:
             term = 2.0 * term.real + 0.0j
         total += term

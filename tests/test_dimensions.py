@@ -829,6 +829,52 @@ def test_a_black_box_pair_just_past_the_moment_floor_is_found(p0, offset, floor)
     assert abs(pole.residue - (p0 - z0) * np.exp(p0)) <= 1e-8
 
 
+def _opposite_pairs(p1, z2, offset):
+    # a pole with its zero at +offset, and a zero with its pole at +offset: s_1 = 0
+    return [(p1, -1), (p1 + offset, 1), (z2, 1), (z2 + offset, -1)]
+
+
+def _assert_finds_exactly(members, poles):
+    want = [u for u, w in members if w < 0]
+    assert len(poles) == len(want)
+    for p in want:
+        [pole] = [q for q in poles if abs(q.location - p) <= 1e-9]
+        assert pole.order == 1
+        residue = _exact_residue(members, p)
+        assert abs(pole.residue - residue) <= 1e-8 * abs(residue)
+
+
+@pytest.mark.parametrize("floor", [None, 1e-6])
+@pytest.mark.parametrize("offset", [1e-3, 1e-2, 5e-2])
+def test_two_pairs_that_cancel_in_the_first_moment_are_found(offset, floor):
+    # the quiet exit read only s_1 = offset - offset = 0 and returned []; the
+    # second moment about the centroid, 2 offset (p1 - z2), is far above the floor
+    members = _opposite_pairs(0.3 + 0.3j, 0.7 + 0.7j, offset)
+    poles = find_poles_argument_principle(_cluster(members), (0.0, 1.0, 0.0, 1.0), moment_floor=floor)
+    _assert_finds_exactly(members, poles)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.floats(-4.0, -2.0),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_two_pairs_that_cancel_in_the_first_moment_are_found_anywhere(x1, y1, x2, y2, log_offset, angle):
+    # pair centres in [0.15, 0.85]^2, mapped from [0, 1] as in the cluster
+    # test below, at least 0.1 apart; three or more pairs that cancel in
+    # both s_1 and s_2 can still end quiet
+    offset = 10.0**log_offset * complex(math.cos(angle), math.sin(angle))
+    c1, c2 = (complex(0.15 + 0.7 * x, 0.15 + 0.7 * y) for x, y in ((x1, y1), (x2, y2)))
+    assume(abs(c1 - c2) >= 0.1)
+    members = _opposite_pairs(c1 - 0.5 * offset, c2 - 0.5 * offset, offset)
+    poles = find_poles_argument_principle(_cluster(members), (0.0, 1.0, 0.0, 1.0), tol=1e-9, moment_floor=1e-6)
+    _assert_finds_exactly(members, poles)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.0, 1.0),
@@ -946,6 +992,20 @@ def test_residue_contour_contaminated():
     f = lambda s: 1.0 / s + 1.0 / (s - 0.1001)
     with pytest.raises(ContourContaminated):
         residue_contour(f, 0.0, radius=0.1)
+
+
+@pytest.mark.parametrize("other, contaminated", [(1.1001, True), (1.3, False)])
+def test_a_principal_part_by_another_pole_is_contaminated(other, contaminated):
+    # a fixed 512-node circle gave (0.850, -1.497) for (1, 0) with the other pole at 1.1001
+    from fractalzeta.dimensions import _ring_residues, _vectorized
+
+    f = _vectorized(lambda s: 1.0 / (s - 1.0) ** 2 + 1.0 / (s - other))
+    if contaminated:
+        with pytest.raises(ContourContaminated):
+            _ring_residues(f, [1.0], [0.1], [2])
+    else:
+        [(c2, c1)] = _ring_residues(f, [1.0], [0.1], [2])
+        assert abs(c2 - 1.0) <= 1e-14 and abs(c1) <= 1e-14
 
 
 def test_residues_closed_form_known_values():

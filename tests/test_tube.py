@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from fractalzeta.dimensions import Pole, Window, languidity_probe, lattice_poles
+from fractalzeta.dimensions import Pole, Window, find_poles_argument_principle, languidity_probe, lattice_poles
 from fractalzeta.errors import (
     DimensionCollision,
     InsufficientSamples,
@@ -92,10 +92,49 @@ def test_tube_term_dimension_collision():
 def test_tube_term_higher_order_contour_matches_analytic():
     # f(s) = 1/(s-1)^2: res of t^(2-s) f(s) / (2-s) at 1 is t (1 - ln t)
     pole = Pole(1.0 + 0.0j, order=2, residue=0.0 + 0.0j, principal_part=(1.0 + 0.0j, 0.0 + 0.0j))
-    f = lambda s: 1.0 / (s - 1.0) ** 2
     for t in [0.05, 0.3]:
-        got = tube_term(pole, t, 2, evaluator=f)
-        assert got == pytest.approx(t * (1.0 - math.log(t)), rel=1e-10)
+        got = tube_term(pole, t, 2)
+        assert got == pytest.approx(t * (1.0 - math.log(t)), rel=1e-14)
+
+
+def _contour_tube_term(f, omega, radius, t, n_dim, nodes=4096):
+    """``(1/2 pi i)`` of the circle integral of ``t^(N-s) f(s) / (N-s)`` about ``omega``, by the trapezoidal rule."""
+    ring = np.exp(2j * math.pi * np.arange(nodes) / nodes)
+    s = omega + radius * ring
+    return complex(radius * np.mean(t ** (n_dim - s) * f(s) / (n_dim - s) * ring))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("t", [0.01, 0.1, 0.4])
+def test_multiple_pole_tube_terms_match_an_independent_contour(order, t):
+    # e^s / (s - omega)^m has c_-j = e^omega / (m - j)!
+    omega = 0.6 + 0.4j
+    part = tuple(complex(np.exp(omega)) / math.factorial(order - j) for j in range(order, 0, -1))
+    pole = Pole(omega, order=order, residue=part[-1], principal_part=part)
+    want = _contour_tube_term(lambda s: np.exp(s) / (s - omega) ** order, omega, 0.5, t, 2)
+    assert abs(tube_term(pole, t, 2) - want) <= 1e-13 * abs(want)
+
+
+def test_a_conjugate_pair_of_double_poles_sums_without_an_evaluator():
+    omega, part = 0.7 + 2.0j, (0.3 - 0.2j, -0.1 + 0.05j)
+    upper = Pole(omega, order=2, residue=part[-1], principal_part=part)
+    conj = tuple(c.conjugate() for c in part)
+    lower = Pole(omega.conjugate(), order=2, residue=conj[-1], principal_part=conj)
+    series = TubeFormulaSeries(2, (upper, lower), 1)
+    for t in [0.01, 0.1, 0.4]:
+        assert tube_formula_truncated(series, t) == 2.0 * tube_term(upper, t, 2).real
+
+
+def test_a_multiple_pole_tube_term_needs_its_principal_part():
+    with pytest.raises(ValueError):
+        tube_term(Pole(1.0 + 0.0j, order=2), 0.1, 2)
+
+
+def test_the_finders_principal_part_gives_the_double_pole_tube_term():
+    [pole] = find_poles_argument_principle(lambda s: 1.0 / (s - 1.0) ** 2, (0.0, 2.0, -1.0, 1.0), tol=1e-10)
+    assert pole.order == 2
+    for t in [0.01, 0.05, 0.3]:
+        assert tube_term(pole, t, 2) == pytest.approx(t * (1.0 - math.log(t)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +465,18 @@ NON_FINITE_CASES = {
         catalog_zeta(SierpinskiGasket(), 0.5), 2.0, [str(h) for h in _HEIGHTS]
     ),
     "lattice_poles(window=None)": lambda: lattice_poles(2.0, 3.0, None),
+    # a NaN location came back as a NaN tube term, the others were accepted
+    "Pole(location=nan)": lambda: Pole(complex("nan"), residue=1),
+    "Pole(residue='x')": lambda: Pole(1j, residue="x"),
+    "Pole(residue=inf)": lambda: Pole(1j, residue=complex("inf")),
+    "Pole(principal_part='ab')": lambda: Pole(1j, principal_part="ab"),
+    "Pole(order=2, principal_part=(1,))": lambda: Pole(1j, order=2, principal_part=(1,)),
+    "Pole(principal part off the residue)": lambda: Pole(1j, order=2, residue=1.0, principal_part=(1.0, 2.0)),
+    # a string raised a bare TypeError, a bool or a fraction gave a number
+    "tube_term(ambient_dim='1')": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, "1"),
+    "tube_term(ambient_dim=True)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, True),
+    "tube_term(ambient_dim=1.5)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, 1.5),
+    "TubeFormulaSeries(ambient_dim='1')": lambda: TubeFormulaSeries("1", (Pole(0j, residue=1.0 + 0j),), 1),
 }
 
 
