@@ -75,7 +75,7 @@ from .tube import (
     measurability_criterion,
     minkowski_content_from_residue,
     series_from_zeta,
-    truncation_tail_estimate,
+    truncation_tail_bound,
     tube_formula_truncated,
     tube_term,
 )

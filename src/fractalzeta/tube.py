@@ -6,8 +6,8 @@ The tube volume of a compact set with simple complex dimensions expands as
 
 where ``c_omega`` is the residue of the distance zeta function; the general
 term is the residue of ``t^(N-s) zeta(s) / (N - s)`` at ``omega``.  This
-module evaluates symmetric truncations of that sum, reports an empirical
-tail estimate for the omitted lattice terms, estimates Minkowski contents
+module evaluates symmetric truncations of that sum, bounds the omitted
+lattice terms from the closed form, estimates Minkowski contents
 and box dimensions from measured tube samples, and renders the
 measurability verdict: a set is Minkowski measurable exactly when its box
 dimension is the only pole on the critical line and is simple.
@@ -41,8 +41,11 @@ class TubeFormulaSeries:
     poles with ``|k| <= K`` while real poles are always included.
     ``t_valid_max`` records the range on which the underlying exact formula
     is known to hold (infinity when unknown).  Each pole carries its
-    residue, or its principal part if it is multiple; an ``ambient_dim``
-    that is not an integer ``>= 1`` raises :class:`ValueError`.
+    residue, or its principal part if it is multiple.  Raises
+    :class:`ValueError` for an ``ambient_dim`` that is not an integer
+    ``>= 1``, ``poles`` that are not a tuple of :class:`Pole`, a
+    ``truncation`` that is not an integer ``>= 0`` and a ``t_valid_max``
+    that is neither positive and finite nor infinity.
     """
 
     ambient_dim: int
@@ -53,6 +56,12 @@ class TubeFormulaSeries:
     def __post_init__(self):
         if not (_is_integer(self.ambient_dim) and self.ambient_dim >= 1):
             raise ValueError(f"ambient dimension must be an integer >= 1, got {self.ambient_dim!r}")
+        if not (isinstance(self.poles, tuple) and all(isinstance(p, Pole) for p in self.poles)):
+            raise ValueError("poles must be a tuple of Pole")
+        if not (_is_integer(self.truncation) and self.truncation >= 0):
+            raise ValueError(f"truncation must be an integer >= 0, got {self.truncation!r}")
+        if not (self.t_valid_max == math.inf or (_finite_real(self.t_valid_max) and self.t_valid_max > 0)):
+            raise ValueError(f"t_valid_max must be positive (infinity allowed), got {self.t_valid_max!r}")
         for p in self.poles:
             if abs(self.ambient_dim - p.location) < 1e-10:
                 raise DimensionCollision(
@@ -84,10 +93,12 @@ def tube_term(pole: Pole, t: float, ambient_dim: int) -> complex:
     and one of order ``m`` with principal part ``(c_-m, ..., c_-1)`` gives
     ``t^v sum_j c_-j sum_(a<j) (-ln t)^a / (a! v^(j-a))`` (complex valued:
     conjugate pairs are combined by the caller so totals come out real).
-    Raises :class:`ValueError` for a ``t`` that is not positive and finite,
-    an ``ambient_dim`` that is not an integer ``>= 1`` and a pole without
-    its residue or principal part.
+    Raises :class:`ValueError` for a ``pole`` that is not a :class:`Pole`,
+    a ``t`` that is not positive and finite, an ``ambient_dim`` that is not
+    an integer ``>= 1`` and a pole without its residue or principal part.
     """
+    if not isinstance(pole, Pole):
+        raise ValueError(f"pole must be a Pole, got {pole!r}")
     if not (_finite_real(t) and t > 0):
         raise ValueError("t must be a positive finite real number")
     if not (_is_integer(ambient_dim) and ambient_dim >= 1):
@@ -111,8 +122,11 @@ def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
 
     Conjugate pairs combine as twice the real part; the total's imaginary
     residue is checked against a 1e-10 relative bound.  Raises
-    :class:`ValueError` unless ``0 < t < series.t_valid_max``.
+    :class:`ValueError` unless ``series`` is a :class:`TubeFormulaSeries`
+    and ``0 < t < series.t_valid_max``.
     """
+    if not isinstance(series, TubeFormulaSeries):
+        raise ValueError(f"series must be a TubeFormulaSeries, got {series!r}")
     if not (_finite_real(t) and t > 0):
         raise ValueError("t must be a positive finite real number")
     if t >= series.t_valid_max:
@@ -137,40 +151,33 @@ def tube_formula_truncated(series: TubeFormulaSeries, t: float) -> float:
     return float(total.real)
 
 
-def truncation_tail_estimate(series: TubeFormulaSeries, t: float) -> float:
-    """Empirical bound on the omitted lattice terms beyond the truncation.
+def truncation_tail_bound(zeta: ClosedFormZeta, truncation: int, t: float) -> float:
+    """Certified bound on the lattice tube terms with ``|k| > truncation`` that the series leaves out.
 
-    Uses the observed power-law decay of the term magnitudes along the
-    lattice family; reported, not certified.  Zero when the series has no
-    nonreal poles.  Raises :class:`ValueError` unless ``t`` is positive
-    and finite.
+    At ``w_k = D + i p k`` both ``|w_k - rho|`` and ``|N - w_k|`` are at
+    least ``p |k|``, so a term with ``R`` roots sums to at most
+    ``2 |c| b^-D t^(N-D) / (r ln m p^(R+1)) ((K+1)^-(R+1) + (K+1)^-R / R)``;
+    zero without lattice terms, infinite for a lattice term with no roots.
+    Raises :class:`ValueError` unless ``zeta`` is a closed form,
+    ``truncation`` an integer ``>= 0`` and ``t`` positive and finite.
     """
+    if not isinstance(zeta, ClosedFormZeta):
+        raise ValueError(f"zeta must be a ClosedFormZeta, got {zeta!r}")
+    if not (_is_integer(truncation) and truncation >= 0):
+        raise ValueError(f"truncation must be an integer >= 0, got {truncation!r}")
     if not (_finite_real(t) and t > 0):
         raise ValueError("t must be a positive finite real number")
-    n = series.ambient_dim
-    nonreal = [p for p in series.poles if p.location.imag > 1e-12]
-    if not nonreal:
-        return 0.0
-    top = max(nonreal, key=lambda p: p.location.imag)
-    half = min(nonreal, key=lambda p: abs(p.location.imag - 0.5 * top.location.imag))
-
-    def term_mag(p: Pole) -> float:
-        return (
-            abs(p.residue) * t ** (n - p.location.real) / abs(n - p.location)
-        )
-
-    m_top = term_mag(top)
-    m_half = term_mag(half)
-    if m_top <= 0:
-        return 0.0
-    if m_half > m_top and top.location.imag > half.location.imag * 1.5:
-        q = math.log(m_half / m_top) / math.log(top.location.imag / half.location.imag)
-    else:
-        q = 3.0
-    q = max(q, 1.5)
-    k_count = sum(1 for p in nonreal)
-    # sum_{k>K} k^-q ~ K^(1-q)/(q-1); the K in front counts omitted pairs
-    return 2.0 * m_top * k_count / (q - 1.0)
+    total, k1 = 0.0, truncation + 1.0
+    for term in zeta.lattice_terms:
+        if term.lattice is None:
+            continue
+        n_roots = len(term.roots)
+        if n_roots == 0:
+            return math.inf
+        (m, r), p, d = term.lattice, term.period, term.lattice_pole(0).real
+        scale = abs(term.amplitude) * term.base_scale**-d * t ** (zeta.ambient_dim - d) / (r * math.log(m))
+        total += 2.0 * scale / p ** (n_roots + 1) * (k1 ** -(n_roots + 1) + k1**-n_roots / n_roots)
+    return total
 
 
 def minkowski_content_from_residue(residue_at_d: float, ambient_dim: int, d: float) -> float:
@@ -179,8 +186,11 @@ def minkowski_content_from_residue(residue_at_d: float, ambient_dim: int, d: flo
     Equals the Minkowski content when the set is measurable; in general the
     residue is only bracketed between the lower and upper contents, so the
     value is reported without a measurability claim.  Raises
-    :class:`ValueError` for non-finite input or ``D >= N``.
+    :class:`ValueError` for non-finite input, an ``ambient_dim`` that is
+    not an integer ``>= 1`` or ``D >= N``.
     """
+    if not (_is_integer(ambient_dim) and ambient_dim >= 1):
+        raise ValueError(f"ambient dimension must be an integer >= 1, got {ambient_dim!r}")
     if not (_finite_real(residue_at_d) and _finite_real(d) and d < ambient_dim):
         raise ValueError(f"requires a finite residue and a finite D < N, got {residue_at_d} and {d}")
     if residue_at_d <= 0:
@@ -188,7 +198,11 @@ def minkowski_content_from_residue(residue_at_d: float, ambient_dim: int, d: flo
     return residue_at_d / (ambient_dim - d)
 
 
-def _smallest_decade(samples: Sequence[TubeSample]) -> list[TubeSample]:
+def _smallest_decade(samples: Sequence[TubeSample], ambient_dim: int) -> list[TubeSample]:
+    if not (isinstance(samples, Sequence) and all(isinstance(s, TubeSample) for s in samples)):
+        raise ValueError("samples must be a sequence of TubeSample")
+    if not (_is_integer(ambient_dim) and ambient_dim >= 1):
+        raise ValueError(f"ambient dimension must be an integer >= 1, got {ambient_dim!r}")
     ts = [s.t for s in samples]
     if len(samples) < 16:
         raise InsufficientSamples("need at least 16 samples")
@@ -207,9 +221,13 @@ def content_bounds_estimate(
     """Finite-scale proxies for the lower and upper r-dimensional contents.
 
     Min and max of ``|A_t| / t^(N-r)`` over the smallest sampled decade;
-    these approximate liminf and limsup of the content quotient.
+    these approximate liminf and limsup of the content quotient.  Raises
+    :class:`ValueError` as :func:`box_dimension_fit` and for an ``r`` that
+    is not a finite real number.
     """
-    picked = _smallest_decade(samples)
+    if not _finite_real(r):
+        raise ValueError(f"r must be a finite real number, got {r!r}")
+    picked = _smallest_decade(samples, ambient_dim)
     vals = [s.volume / s.t ** (ambient_dim - r) for s in picked]
     return min(vals), max(vals)
 
@@ -218,9 +236,11 @@ def box_dimension_fit(samples: Sequence[TubeSample], ambient_dim: int) -> float:
     """``N - slope`` of the least-squares fit of ``ln |A_t|`` against ``ln t``.
 
     The fit uses the smallest sampled decade, where the leading power law
-    dominates.
+    dominates.  Raises :class:`ValueError` for ``samples`` that are not a
+    sequence of :class:`TubeSample` and an ``ambient_dim`` that is not an
+    integer ``>= 1``.
     """
-    picked = _smallest_decade(samples)
+    picked = _smallest_decade(samples, ambient_dim)
     ln_t = np.log([s.t for s in picked])
     ln_v = np.log([max(s.volume, 1e-300) for s in picked])
     slope, _ = np.polyfit(ln_t, ln_v, 1)
@@ -273,9 +293,22 @@ def measurability_criterion(
 
     The screen/languidity hypotheses of the underlying criterion are not
     machine-verified; they are recorded in the notes (with the probe's
-    kappa when supplied).  Raises :class:`ValueError` for ``d >= N``, a
-    non-finite ``d`` and a ``tol`` that is not a positive finite real number.
+    kappa when supplied).  Raises :class:`ValueError` for ``poles`` that
+    are not a sequence of :class:`Pole`, an ``ambient_dim`` that is not an
+    integer ``>= 1``, ``d >= N``, a non-finite ``d``, a ``tol``,
+    ``band_height`` or ``lattice_period`` that is not a positive finite real
+    number and a ``languidity_kappa`` that is not a finite real number (the
+    last three may be None).
     """
+    if not (isinstance(poles, Sequence) and all(isinstance(p, Pole) for p in poles)):
+        raise ValueError("poles must be a sequence of Pole")
+    if not (_is_integer(ambient_dim) and ambient_dim >= 1):
+        raise ValueError(f"ambient dimension must be an integer >= 1, got {ambient_dim!r}")
+    for name, value in (("band_height", band_height), ("lattice_period", lattice_period)):
+        if not (value is None or (_finite_real(value) and value > 0)):
+            raise ValueError(f"{name} must be None or a positive finite real number, got {value!r}")
+    if not (languidity_kappa is None or _finite_real(languidity_kappa)):
+        raise ValueError(f"languidity_kappa must be None or a finite real number, got {languidity_kappa!r}")
     if not _finite_real(d):
         raise ValueError(f"D must be a finite real number, got {d!r}")
     if d >= ambient_dim:
@@ -359,7 +392,9 @@ def compare_tube_formula(
     samples: Sequence[TubeSample],
     set_id: str = "",
 ) -> TubeComparison:
-    """Tabulate the truncated formula against direct tube-volume samples."""
+    """Tabulate the truncated formula against direct tube-volume samples; ValueError unless they are TubeSamples."""
+    if not (isinstance(samples, Sequence) and all(isinstance(s, TubeSample) for s in samples)):
+        raise ValueError("samples must be a sequence of TubeSample")
     rows = []
     methods = set()
     for s in samples:

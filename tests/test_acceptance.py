@@ -35,7 +35,7 @@ from fractalzeta.tube import (
     content_bounds_estimate,
     measurability_criterion,
     series_from_zeta,
-    truncation_tail_estimate,
+    truncation_tail_bound,
     tube_formula_truncated,
     tube_term,
 )
@@ -188,7 +188,7 @@ def test_acceptance_06_tube_formula_gasket_vs_grid():
     for t in np.geomspace(1e-2, 1e-1, 8):
         oracle = tube_volume(gasket, t, method="grid", cell=5e-4)
         formula = tube_formula_truncated(series, t)
-        budget = oracle.error_bound + truncation_tail_estimate(series, t)
+        budget = oracle.error_bound + truncation_tail_bound(catalog_zeta(gasket, 0.5), 20, t)
         assert abs(formula - oracle.volume) <= budget
         detail.append(abs(formula - oracle.volume) / budget)
     elapsed = time.time() - start

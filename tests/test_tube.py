@@ -16,6 +16,7 @@ from fractalzeta.geometry import (
     PointSet,
     SierpinskiCarpet3D,
     SierpinskiGasket,
+    TubeMethod,
     TubeSample,
     sample_tube_curve,
     tube_volume,
@@ -30,7 +31,7 @@ from fractalzeta.tube import (
     measurability_criterion,
     minkowski_content_from_residue,
     series_from_zeta,
-    truncation_tail_estimate,
+    truncation_tail_bound,
     tube_formula_truncated,
     tube_term,
 )
@@ -217,16 +218,55 @@ def test_convergence_in_truncation_dominated_by_tail_estimate():
     t = 0.01
     v20 = tube_formula_truncated(gasket_series(20), t)
     v40 = tube_formula_truncated(gasket_series(40), t)
-    assert abs(v40 - v20) <= truncation_tail_estimate(gasket_series(20), t)
+    assert abs(v40 - v20) <= truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), 20, t)
     t = 0.1
     v10 = tube_formula_truncated(carpet_series(10), t)
     v30 = tube_formula_truncated(carpet_series(30), t)
-    assert abs(v30 - v10) <= truncation_tail_estimate(carpet_series(10), t)
+    assert abs(v30 - v10) <= truncation_tail_bound(catalog_zeta(SierpinskiCarpet3D(), 0.25), 10, t)
 
 
 def test_tail_estimate_zero_for_single_real_pole():
-    series = series_from_zeta(catalog_zeta(PointSet([[0.0]]), 1.0), 5)
-    assert truncation_tail_estimate(series, 0.1) == 0.0
+    assert truncation_tail_bound(catalog_zeta(PointSet([[0.0]]), 1.0), 5, 0.1) == 0.0
+
+
+def test_tail_bound_infinite_for_a_lattice_term_without_roots_and_finite_at_zero_truncation():
+    rootless = ClosedFormZeta(1, 1.0, (LatticeTerm(1.0, 1.0, (), (2.0, 3.0)),))
+    assert truncation_tail_bound(rootless, 5, 0.1) == math.inf
+    assert 0.0 < truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), 0, 0.1) < math.inf
+
+
+def _summed_tail_terms(form, k_cut, t, count=20000):
+    """Sum of |tube term| over K < |k| <= K + count, from each lattice term's own residue."""
+    k = np.arange(k_cut + 1, k_cut + count + 1)
+    total = 0.0
+    for term in form.lattice_terms:
+        (m, r), n_dim = term.lattice, form.ambient_dim
+        w = math.log(r) / math.log(m) + 1j * term.period * k
+        den = np.prod([w - rho for rho in term.roots], axis=0) * math.log(m) * r
+        res = term.amplitude * np.exp(-w * math.log(term.base_scale)) / den
+        total += 2.0 * np.abs(res * np.exp((n_dim - w) * math.log(t)) / (n_dim - w)).sum()
+    return total
+
+
+@pytest.mark.parametrize(
+    "set_, delta",
+    [
+        (CantorLike(), 0.5),
+        (FractalStringBoundary.cantor_string(), 1.0 / 3.0),
+        (SierpinskiGasket(), 0.5),
+        (SierpinskiCarpet3D(), 0.25),
+    ],
+    ids=["cantor_set", "cantor_string", "gasket", "carpet"],
+)
+def test_tail_bound_covers_the_exact_deviation_and_is_within_twice_the_summed_terms(set_, delta):
+    form = catalog_zeta(set_, delta)
+    for k_cut in (0, 1, 5, 20, 200):
+        series = series_from_zeta(form, k_cut, t_valid_max=set_.t_valid_max)
+        for t in np.geomspace(1e-6, 0.9 * set_.t_valid_max, 5):
+            bound = truncation_tail_bound(form, k_cut, t)
+            assert abs(tube_volume(set_, t).volume - tube_formula_truncated(series, t)) <= bound
+            summed = _summed_tail_terms(form, k_cut, t)
+            assert summed <= bound <= 2.0 * summed
 
 
 def test_explicit_string_formula_on_first_linear_piece():
@@ -446,14 +486,14 @@ NON_FINITE_CASES = {
     "languidity_probe(height=inf)": lambda: languidity_probe(
         catalog_zeta(SierpinskiGasket(), 0.5), LOG2_3 + 0.5, _HEIGHTS[:-1] + [math.inf]
     ),
-    "truncation_tail_estimate(t=nan)": lambda: truncation_tail_estimate(gasket_series(3), math.nan),
+    "truncation_tail_bound(t=nan)": lambda: truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), 3, math.nan),
     # a string raised a bare TypeError from math.isfinite
     "tube_formula_truncated(t='0.1')": lambda: tube_formula_truncated(gasket_series(5), "0.1"),
     "lattice_poles(infinite window)": lambda: lattice_poles(2.0, 3.0, Window((-math.inf, math.inf))),
     "lattice_poles(1e300 window)": lambda: lattice_poles(2.0, 3.0, Window((-1e300, 1e300))),
     # strings raised a bare TypeError from math.isfinite or a comparison, and a fractional order passed
     "tube_term(t='0.1')": lambda: tube_term(Pole(0j, residue=1.0 + 0j), "0.1", 1),
-    "truncation_tail_estimate(t='0.1')": lambda: truncation_tail_estimate(gasket_series(3), "0.1"),
+    "truncation_tail_bound(t='0.1')": lambda: truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), 3, "0.1"),
     "minkowski_content_from_residue('1')": lambda: minkowski_content_from_residue("1", 1, 0.5),
     "measurability_criterion(d='0.5')": lambda: measurability_criterion([], "0.5", 1e-6, ambient_dim=1),
     "languidity_probe(abscissa='1')": lambda: languidity_probe(catalog_zeta(SierpinskiGasket(), 0.5), "1", _HEIGHTS),
@@ -477,6 +517,38 @@ NON_FINITE_CASES = {
     "tube_term(ambient_dim=True)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, True),
     "tube_term(ambient_dim=1.5)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, 1.5),
     "TubeFormulaSeries(ambient_dim='1')": lambda: TubeFormulaSeries("1", (Pole(0j, residue=1.0 + 0j),), 1),
+    # accepted: a truncation that is not an integer >= 0, a NaN or non-positive t_valid_max
+    "TubeFormulaSeries(truncation='a')": lambda: TubeFormulaSeries(2, (), "a"),
+    "TubeFormulaSeries(truncation=True)": lambda: TubeFormulaSeries(2, (), True),
+    "TubeFormulaSeries(truncation=-1)": lambda: TubeFormulaSeries(2, (), -1),
+    "TubeFormulaSeries(t_valid_max=nan)": lambda: TubeFormulaSeries(2, (), 1, math.nan),
+    "series_from_zeta(t_valid_max='x')": lambda: series_from_zeta(catalog_zeta(SierpinskiGasket(), 0.5), 5, "x"),
+    "series_from_zeta(t_valid_max=0.0)": lambda: series_from_zeta(catalog_zeta(SierpinskiGasket(), 0.5), 5, 0.0),
+    "minkowski_content_from_residue(ambient_dim=2.5)": lambda: minkowski_content_from_residue(1.0, 2.5, 1.0),
+    # accepted, the band check skipped or a NaN kappa written into the notes
+    "measurability_criterion(band_height=nan)": lambda: measurability_criterion(
+        [], 1.0, 1e-6, ambient_dim=2, band_height=math.nan, lattice_period=1.0
+    ),
+    "measurability_criterion(languidity_kappa=nan)": lambda: measurability_criterion(
+        [], 1.0, 1e-6, ambient_dim=2, languidity_kappa=math.nan
+    ),
+    # a bare TypeError
+    "TubeFormulaSeries(poles=None)": lambda: TubeFormulaSeries(2, None, 1),
+    "measurability_criterion(ambient_dim='2')": lambda: measurability_criterion([], 1.0, 1e-6, ambient_dim="2"),
+    "minkowski_content_from_residue(ambient_dim='2')": lambda: minkowski_content_from_residue(1.0, "2", 1.0),
+    "box_dimension_fit(samples=None)": lambda: box_dimension_fit(None, 1),
+    # a bare AttributeError
+    "TubeFormulaSeries(poles=(1j,))": lambda: TubeFormulaSeries(2, (1j,), 1),
+    "tube_term(pole=None)": lambda: tube_term(None, 0.1, 2),
+    "measurability_criterion(poles=[1j])": lambda: measurability_criterion([1j], 1.0, 1e-6, ambient_dim=2),
+    "compare_tube_formula(samples=[1.0])": lambda: compare_tube_formula(gasket_series(3), [1.0]),
+    "content_bounds_estimate(samples=[1])": lambda: content_bounds_estimate([1], 0.5, 1),
+    "content_bounds_estimate(r='x')": lambda: content_bounds_estimate(
+        [TubeSample(t, t, TubeMethod.EXACT_1D) for t in np.geomspace(1e-3, 1.0, 16)], "x", 1
+    ),
+    "tube_formula_truncated(series=None)": lambda: tube_formula_truncated(None, 0.1),
+    "truncation_tail_bound(zeta=None)": lambda: truncation_tail_bound(None, 3, 0.1),
+    "truncation_tail_bound(truncation=True)": lambda: truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), True, 0.1),
 }
 
 
