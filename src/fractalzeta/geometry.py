@@ -128,7 +128,12 @@ class TubeMethod(str, Enum):
 
 @dataclass(frozen=True)
 class TubeSample:
-    """One tube-volume measurement: ``|A_t|`` at radius ``t``."""
+    """One tube-volume measurement: ``|A_t|`` at radius ``t``.
+
+    Raises :class:`ValueError` unless ``t`` is a positive finite real
+    number, ``volume`` and ``error_bound`` are finite real numbers ``>= 0``
+    (a ``bool`` is none of these) and ``method`` is a :class:`TubeMethod`.
+    """
 
     t: float
     volume: float
@@ -136,10 +141,13 @@ class TubeSample:
     error_bound: float = 0.0
 
     def __post_init__(self):
-        if self.t <= 0:
-            raise ValueError("t must be positive")
-        if self.volume < 0:
-            raise ValueError("volume must be nonnegative")
+        if not (_is_real(self.t) and math.isfinite(self.t) and self.t > 0):
+            raise ValueError(f"t must be a positive finite real number, got {self.t!r}")
+        for name, value in (("volume", self.volume), ("error_bound", self.error_bound)):
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite real number >= 0, got {value!r}")
+        if not isinstance(self.method, TubeMethod):
+            raise ValueError(f"method must be a TubeMethod, got {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +670,9 @@ class FractalStringBoundary(CompactSet):
         return np.concatenate([_row_distances(c, *self._rows(self._levels_near(c)), floor) for c in chunks])
 
     @property
-    def _holes(self) -> tuple:
+    def _holes(self) -> Optional[tuple]:
+        if not self.is_self_similar:
+            return None
         b, l1 = self.base, self.first_length
         return self.total_length, l1 / 2.0, 1.0 / b, self.multiplicity / b, (l1,)
 
@@ -1227,19 +1237,22 @@ class _LevelTable:
         """Add fill radii, 4096 levels at a time, until one of them is at most ``floor``."""
         if self.lead.size and -self.lead[-1] <= floor:
             return
-        r1, rho = self.r1, self.rho
         k, grown = self.fill.size - 1, []
-        # r_k = r1 rho^(k // 2) rho^(k - k // 2): two powers of rho, each normal where
-        # rho^(k-1) may not be, from libm pow over the exponents they take
         while not grown or (grown[-1] > floor).all():
-            ks = np.arange(k, k + 4096)
+            grown.append(self.fill_at(np.arange(k, k + 4096)))
             k += 4096
-            half = ks // 2
-            pows = _libm_pow(rho, np.arange(half[0], ks[-1] - half[-1] + 1).astype(float))
-            grown.append(r1 * pows[half - half[0]] * pows[ks - half - half[0]])
         self.fill = np.concatenate([self.fill] + grown)
         self.lead = -np.minimum.accumulate(self.fill[1:])
         self._breaks = (math.nan, None)
+
+    def fill_at(self, ks: np.ndarray) -> np.ndarray:
+        """The fill radii ``fill[k + 1] = r1 rho^k`` of the level indices ``ks``, as the table holds them."""
+        # r1 rho^(k // 2) rho^(k - k // 2): two powers of rho, each normal where
+        # rho^k may not be, from libm pow over the exponents they take
+        half = ks // 2
+        exponents, at = np.unique(np.concatenate((half, ks - half)), return_inverse=True)
+        pows = _libm_pow(self.rho, exponents.astype(float))[at]
+        return self.r1 * pows[: ks.size] * pows[ks.size :]
 
     def reach(self, floor: float) -> None:
         """Grow the tables until :func:`_hole_volumes` can take every radius of at least ``floor``."""

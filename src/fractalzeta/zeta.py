@@ -42,7 +42,7 @@ from .errors import (
     QuadratureNonconvergent,
     VarianceOverflow,
 )
-from .geometry import CompactSet, _is_count, _is_integer, _is_real, distances_to_set, tube_volume, tube_volumes
+from .geometry import CompactSet, _is_count, _is_integer, _is_real, distances_to_set, tube_volumes
 
 TWO_PI = 2.0 * math.pi
 
@@ -219,18 +219,22 @@ class ClosedFormZeta:
         poles of the indices ``lattice_ks(term)``; those within 1e-12 of the
         one before them, in order of real then imaginary part, are dropped.
         """
+        uniq: list[complex] = []
+        for w in sorted(self._candidates(lattice_ks), key=lambda z: (z.real, z.imag)):
+            if not uniq or abs(w - uniq[-1]) > 1e-12:
+                uniq.append(w)
+        pairs = [(w, self._genuine_residue(w)) for w in uniq if keep is None or keep(w)]
+        return [(w, res) for w, res in pairs if res is not None]
+
+    def _candidates(self, lattice_ks) -> list[complex]:
+        """Every denominator root and elementary pole, and each lattice term's poles of indices ``lattice_ks(term)``."""
         locs: list[complex] = []
         for term in self.lattice_terms:
             locs.extend(complex(rho) for rho in term.roots)
             if term.lattice is not None:
                 locs.extend(term.lattice_pole(k) for k in lattice_ks(term))
         locs.extend(complex(term.pole) for term in self.elementary_terms)
-        uniq: list[complex] = []
-        for w in sorted(locs, key=lambda z: (z.real, z.imag)):
-            if not uniq or abs(w - uniq[-1]) > 1e-12:
-                uniq.append(w)
-        pairs = [(w, self._genuine_residue(w)) for w in uniq if keep is None or keep(w)]
-        return [(w, res) for w, res in pairs if res is not None]
+        return locs
 
     def _term_residues(self, omega: complex) -> list:
         """Residues of the terms with a pole candidate within 1e-9 of ``omega``; :class:`NotAPole` if none."""
@@ -343,15 +347,20 @@ class ClosedFormZeta:
     def nearest_pole_distance(self, s: complex) -> float:
         """Distance to the nearest genuine pole (removable candidates excluded); ValueError for non-finite ``s``."""
         s = _finite_s(s)
-
-        def window(term: LatticeTerm) -> range:
-            k = round(s.imag / term.period)
-            return range(k - 1, k + 2)
-
-        return min((abs(s - w) for w, _ in self._genuine_poles(window)), default=math.inf)
+        return min((abs(s - w) for w, _ in self._genuine_poles(_indices_near(s))), default=math.inf)
 
     def lattice_periods(self) -> list[float]:
         return [t.period for t in self.lattice_terms if t.lattice is not None]
+
+
+def _indices_near(s: complex):
+    """Per lattice term, the indices ``k - 1`` to ``k + 1`` about the lattice pole nearest ``s``."""
+
+    def window(term: LatticeTerm) -> range:
+        k = round(s.imag / term.period)
+        return range(k - 1, k + 2)
+
+    return window
 
 
 def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
@@ -363,7 +372,9 @@ def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
     ``s``.
     """
     s = _finite_s(s)
-    if zeta.nearest_pole_distance(s) < 1e-12:
+    # the genuine poles are among the candidates, whose residues are only needed near one
+    near = any(abs(s - w) < 1e-12 for w in zeta._candidates(_indices_near(s)))
+    if near and zeta.nearest_pole_distance(s) < 1e-12:
         raise NearPole(f"s={s} is within 1e-12 of a pole")
     value = complex(zeta.evaluate(s))
     if not cmath.isfinite(value):
@@ -512,9 +523,11 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     return ZetaEstimate(value, half_width)
 
 
-# Panels per tube_volumes call: the first block, then doubling up to the cap.
+# Panels per node array past a pass's opening: the first block, then doubling up to the cap.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 512
+# The least decay rate Re s - D that the first pass's opening assumes.
+_MIN_DECAY = 1e-3
 # Gauss-Legendre nodes per panel.
 _PANEL_NODES = 16
 # Relative agreement of two passes that ends the refinement, and the most halvings of the panel width.
@@ -523,6 +536,12 @@ _MAX_REFINEMENTS = 9
 # One breakpoint per stretch of u = ln t this long gets a panel edge: that keeps every
 # hole family with a closed form (spaced ln 2 or more) and bounds the panels where they crowd.
 _BREAK_GAP = 0.5
+# Radii below which the quadrature takes no panel edge, and the u = ln t of that floor.
+_T_FLOOR = 1e-280
+_U_FLOOR = math.log(_T_FLOOR)
+# Hole families whose fill radii shrink by less than this in u per level may tie or invert
+# consecutive radii under rounding; their breakpoints are listed in full.
+_MIN_LEVEL_STEP = 1e-12
 
 
 @cache
@@ -550,24 +569,200 @@ def _libm_exp(u: np.ndarray) -> np.ndarray:
     return t
 
 
+def _break_logs(set_: CompactSet, delta: float) -> np.ndarray:
+    """``ln`` of the breakpoints in ``(1e-280, delta)``, descending, or of a subset holding each stretch's first.
+
+    A hole family whose fill radii ``r1 rho^i`` fall by ``_MIN_LEVEL_STEP`` or
+    more in ``u`` per level takes the subset: its radii strictly descend, so
+    the first below ``delta`` and the first at least ``j`` stretches of
+    ``_BREAK_GAP`` below that one lie at the level indices that logarithms
+    give, to well within a level.  Four levels about each, from the table's
+    own libm radii, must bracket it: the subset then holds each stretch's
+    first breakpoint with the one before it, and the selection in
+    :func:`_break_tops` keeps the same ones as from the full listing.  Every
+    other set, and a bracket that fails, lists every breakpoint.
+    """
+    holes = set_._holes
+    if holes is not None and -math.log(holes[2]) >= _MIN_LEVEL_STEP:
+        _, r1, rho, q, cover = holes
+        table, step = geometry._level_table(r1, rho, q, cover), -math.log(rho)
+        # the levels i - 2 to i + 1 about each estimate i
+        around = np.arange(-2, 2)
+        levels = np.maximum(math.ceil((math.log(r1) - math.log(delta)) / step) + around, 0)
+        below = table.fill_at(levels) < delta
+        if below[-1] and (levels[0] == 0 or not below[0]):
+            first = levels[np.argmax(below)]
+            r0 = table.fill_at(np.array([first]))
+            u0 = float(np.log(r0)[0])
+            # the first level at least j stretches below the first, for each j down past the floor
+            j = np.arange(1, int(2.0 * max(u0 - _U_FLOOR, 0.0)) + 2)[:, None]
+            levels = np.maximum(np.ceil((math.log(r1) - u0 + _BREAK_GAP * j) / step).astype(np.int64) + around, first)
+            radii = table.fill_at(levels.ravel())
+            with np.errstate(divide="ignore"):
+                u = np.log(radii).reshape(levels.shape)
+            stretch = np.floor((u0 - u) / _BREAK_GAP)
+            if (stretch[:, 0] < j[:, 0]).all() and (stretch[:, -1] >= j[:, 0]).all():
+                _, at = np.unique(np.append(first, levels), return_index=True)
+                u, radii = np.append(u0, u)[at], np.append(r0, radii)[at]
+                return u[radii > _T_FLOOR]
+    breaks = set_.volume_breaks(_T_FLOOR)
+    return np.log(breaks[breaks < delta])
+
+
 @lru_cache(maxsize=16)
 def _break_tops(set_: CompactSet, delta: float) -> np.ndarray:
     """The tops of the quadrature's breakpoint intervals, in ``u = ln t``; kept for the 16 last ``(set_, delta)``.
 
     ``ln delta``, then, for a set with exact volumes up to ``delta``, ``ln``
     of the first breakpoint in each stretch of ``_BREAK_GAP`` down from the
-    first one below ``delta``.
+    first one below ``delta`` (from :func:`_break_logs`).
     """
     u_hi = math.log(delta)
     u_breaks = np.empty(0)
     if set_.exact_max >= delta:
-        breaks = set_.volume_breaks(1e-280)
-        u_breaks = np.log(breaks[breaks < delta])
+        u_breaks = _break_logs(set_, delta)
         stretch = np.floor((u_breaks[:1] - u_breaks) / _BREAK_GAP)
         u_breaks = u_breaks[(np.diff(stretch, prepend=-1.0) > 0) & (u_breaks < u_hi)]
     tops = np.concatenate(([u_hi], u_breaks))
     tops.flags.writeable = False
     return tops
+
+
+def _node_volumes(set_: CompactSet, delta: float):
+    """``tube_volumes(set_, ts)`` for arrays of radii up to ``delta``, bit for bit.
+
+    Where ``exact_max >= delta`` the fattened box is checked once, at
+    ``delta``, and each array takes one ``exact_volumes`` call; otherwise
+    each goes through :func:`tube_volumes`.
+    """
+    if set_.exact_max < delta:
+        return lambda ts: tube_volumes(set_, ts)
+    geometry._check_fattened_box(set_, delta)
+    return lambda ts: set_.exact_volumes(ts.ravel()).reshape(ts.shape)
+
+
+def _panel_contributions(runs: list, s: complex, n_dim: int, volumes) -> list[np.ndarray]:
+    """Per run of panel edges, each panel's Gauss-Legendre integral of ``t^(s-N) |A_t|`` in ``u``; one node array.
+
+    Where ``exp((s - N) u)`` overflows the product is ``exp((s - N) u + ln
+    |A_t|)``; where that passes the float range or ``|A_t|`` underflowed to 0
+    it is unknown (NaN).
+    """
+    x, w = _panel_rule()
+    upper, lower = np.concatenate([e[:-1] for e in runs]), np.concatenate([e[1:] for e in runs])
+    uh = 0.5 * (upper - lower)
+    u = (0.5 * (upper + lower))[:, None] + uh[:, None] * x
+    vol = volumes(_libm_exp(u))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.exp((s - n_dim) * u)
+        vals *= vol
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            # NaN keeps this panel and every later one loud, so the pass ends at the floor
+            joined = np.exp((s - n_dim) * u[bad] + np.log(vol[bad]))
+            vals[bad] = np.where((vol[bad] > 0.0) & np.isfinite(joined), joined, np.nan)
+        # sums past the float range (Re s at or below the abscissa) are loud, not warnings
+        vals *= w
+        contrib = uh * vals.sum(axis=1)
+    ends = np.cumsum([0] + [e.size - 1 for e in runs]).tolist()
+    return [contrib[a:b] for a, b in zip(ends, ends[1:])]
+
+
+class _QuadraturePass:
+    """One pass of the tube-zeta quadrature: its panels down from ``delta`` and its stop scan.
+
+    Interval ``i`` below ``tops[i]`` holds the panels ``firsts[i]`` to
+    ``firsts[i + 1] - 1``, each ``steps[i]`` wide; past the last top they
+    are ``width = steps[-1]`` wide, ``ceil(1200 / width)`` of them at most.
+    ``lay`` gives the next panels' edges; ``scan`` carries the running sum
+    and the run of quiet panels through the panels laid, in order.
+    """
+
+    def __init__(self, tops: np.ndarray, firsts: np.ndarray, steps: np.ndarray) -> None:
+        self.tops, self.firsts, self.steps, self.width = tops, firsts, steps, float(steps[-1])
+        self.left = int(firsts[-1]) + int(math.ceil(1200.0 / self.width))
+        self.laid, self.u_top = 0, float(tops[0])
+        self.used, self.acc, self.quiet = 0, 0.0 + 0.0j, 0
+
+    @classmethod
+    def first(cls, tops: np.ndarray) -> "_QuadraturePass":
+        """The first pass: ``ceil(L / 2)`` panels in an interval of length ``L``, 2 wide past the last top."""
+        gaps = tops[:-1] - tops[1:]
+        counts = np.ceil(0.5 * gaps)
+        return cls(tops, np.cumsum(np.append(0.0, counts)), np.append(gaps / counts, 2.0))
+
+    def halved(self) -> "_QuadraturePass":
+        """The next pass, each panel of this one split in two; halving a width is exact."""
+        return _QuadraturePass(self.tops, 2.0 * self.firsts, 0.5 * self.steps)
+
+    def panels_to(self, depth: float) -> int:
+        """The panels from the top through the one that holds ``u = ln delta - depth``, or the floor if higher."""
+        u = max(self.tops[0] - depth, _U_FLOOR)
+        i = int((-self.tops).searchsorted(-u, side="right")) - 1
+        return int(self.firsts[i] + (self.tops[i] - u) // self.steps[i]) + 1
+
+    def lay(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edges and widths of the next ``size`` panels, at most those left, down to the first crossing the floor."""
+        size = min(size, self.left)
+        n_head = int(self.firsts[-1])
+        edges = np.full(size + 1, self.width)
+        widths = np.full(size, self.width)
+        head = min(size, max(n_head - self.laid, 0))
+        edges[0] = self.u_top
+        if head:
+            # edges inside the breakpoint intervals step from their tops, each breakpoint exact
+            p = np.arange(self.laid, self.laid + head + 1)
+            i = self.firsts.searchsorted(p, side="right") - 1
+            edges[: head + 1] = self.tops[i] - (p - self.firsts[i]) * self.steps[i]
+            widths[:head] = self.steps[i[:-1]]
+        # uniform edges step down one subtraction at a time, as panel by panel
+        np.subtract.accumulate(edges[head:], out=edges[head:])
+        if edges[-1] < _U_FLOOR:
+            edges = edges[: int((edges < _U_FLOOR).argmax()) + 1]
+        self.laid += edges.size - 1
+        self.left -= edges.size - 1
+        self.u_top = float(edges[-1])
+        return edges, widths[: edges.size - 1]
+
+    def scan(self, contrib: np.ndarray, widths: np.ndarray, tail_tol: float) -> Optional[complex]:
+        """The pass's value if it stops within these next panels, else None.
+
+        A pass stops at the third panel in a row whose contribution is at
+        most ``tail_tol`` times its width times the running sum.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            # accumulate adds in order: sums[k] is acc += contrib after k panels
+            sums = np.add.accumulate(np.concatenate(([self.acc], contrib)))
+        quiet = (np.abs(contrib) <= tail_tol * widths * np.maximum(np.abs(sums[1:]), 1e-300)) & np.isfinite(contrib)
+        # the quiet run carried in, then these panels: the first three quiet in a row end the pass
+        q = np.concatenate((np.ones(self.quiet, bool), quiet))
+        stop = (q[:-2] & q[1:-1] & q[2:]).nonzero()[0]
+        if stop.size:
+            n = int(stop[0]) + 3 - self.quiet
+            self.used += n
+            return complex(sums[n])
+        run = q[-2:]
+        self.acc, self.quiet = complex(sums[-1]), int(run.sum()) if run[-1] else 0
+        self.used += contrib.size
+        return None
+
+
+def _block_sizes(blocked: bool, opening: int):
+    """Panels per node array after those laid first: ``opening`` in blocks of at most the cap, then doubling from 8.
+
+    Past ``exact_max`` (``blocked`` false) one panel per array: each node
+    there costs a grid count or a Monte Carlo run, so none past the stop is
+    evaluated.
+    """
+    if not blocked:
+        yield from itertools.repeat(1)
+    while opening > 0:
+        yield min(opening, _MAX_BLOCK)
+        opening -= _MAX_BLOCK
+    block = _FIRST_BLOCK
+    while True:
+        yield block
+        block = min(2 * block, _MAX_BLOCK)
 
 
 def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> complex:
@@ -583,15 +778,22 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     each ``_BREAK_GAP`` of ``u``), and pass ``j`` splits each interval of
     length ``L`` between them into ``2^j ceil(L / 2)`` equal panels, so 16
     nodes integrate a smooth piece to rounding; below the last edge panels
-    are ``2^(1-j)`` wide.  Each :func:`tube_volumes` call covers a block of
-    panels, and the stop rule runs over the whole block with the same
-    additions in the same order as panel by panel.  The first pass takes
-    blocks of 8 panels, doubling to 512.  Every later pass opens with twice
-    the panels the previous pass used, plus 4, in blocks of at most 512,
-    since halving the width moves the stop little in ``u``; past those it
-    doubles from 8 again.  Other sets take one ``2^(1-j)``-wide panel per
-    call.  The node radii ``t = exp(u)`` are libm's, bit for bit, from one
-    array call (:func:`_libm_exp`).
+    are ``2^(1-j)`` wide.
+
+    Such a set takes its node volumes from ``exact_volumes``, a block of
+    panels per node array, and the stop rule runs over a block with the same
+    additions in the same order as panel by panel.  The first pass opens
+    where a tail falling like ``t^(Re s - D)`` (``D`` the box dimension,
+    ``Re s - D`` at least ``_MIN_DECAY``) has its panels below the stop
+    threshold, ``(ln(1 / tail_tol) + ln |s - D|) / (Re s - D)`` below
+    ``delta``, plus the three quiet panels, at most 512; the second opens
+    with twice that plus 4 panels, and both openings share one node array.
+    Every later pass opens with twice the panels the previous pass used,
+    plus 4, in blocks of at most 512, since halving the width moves the
+    stop little in ``u``.  A pass whose stop lies past its opening goes on
+    in blocks of 8, 16, ... 512.  Other sets take one ``2^(1-j)``-wide
+    panel per :func:`tube_volumes` call.  The node radii ``t = exp(u)`` are
+    libm's, bit for bit, from one array call (:func:`_libm_exp`).
 
     Where ``exp((s - N) u)`` overflows the product is ``exp((s - N) u + ln
     |A_t|)``; where ``|A_t|`` underflowed to 0 it is unknown (NaN).
@@ -599,110 +801,57 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     Raises :class:`QuadratureNonconvergent` when passes do not agree or a
     pass reaches ``t = 1e-280`` with its tail still not negligible, which
     is how ``Re s`` at or below the upper box dimension shows, and
-    :class:`ValueError` for non-finite ``s``.
+    :class:`ValueError` for non-finite ``s`` and, for a set with exact
+    volumes up to ``delta``, a ``delta`` at which the fattened bounding box
+    has a volume past the float range.
     """
     s = _finite_s(s)
     n_dim = set_.ambient_dim
-    u_hi = math.log(cfg.delta)
-    u_floor = math.log(1e-280)
-    x, w = _panel_rule()
+    volumes = _node_volumes(set_, cfg.delta)
+    blocked = set_.exact_max >= cfg.delta
     # per-panel stop threshold scales with the panel width so the truncated
     # tail stays ~0.01 _RTOL regardless of how finely the panels are split
     tail_tol = min(1e-9, 1e-3 * _RTOL)
     tops = _break_tops(set_, cfg.delta)
-    halves = np.ceil(0.5 * (tops[:-1] - tops[1:]))
 
-    def block_sizes(opening: int):
-        # blocks pay off where tube_volumes is one exact call; past exact_max the
-        # panels past the stop would cost one grid count or Monte Carlo run per node
-        if set_.exact_max < cfg.delta:
-            yield from itertools.repeat(1)
-        # the previous pass's stop at twice its panels, in blocks of at most the cap
-        while opening > 0:
-            yield min(opening, _MAX_BLOCK)
-            opening -= _MAX_BLOCK
-        block = _FIRST_BLOCK
-        while True:
-            yield block
-            block = min(2 * block, _MAX_BLOCK)
-
-    def integrate(panel_width: float, opening: int) -> tuple[complex, int]:
-        """The pass's value and the number of panels up to its stop."""
-        # interval i holds the panels firsts[i] to firsts[i + 1] - 1, each steps[i] wide; the
-        # last entries start the uniform panels at the last breakpoint
-        counts = (halves * (2.0 / panel_width)).astype(np.int64)
-        firsts = np.concatenate(([0], np.cumsum(counts)))
-        steps = np.append((tops[:-1] - tops[1:]) / counts, panel_width)
-        n_head = int(firsts[-1])
-        acc = 0.0 + 0.0j
-        u_top = u_hi
-        quiet = 0
-        used = 0
-        panels_left = n_head + int(math.ceil(1200.0 / panel_width))
-        blocks = block_sizes(opening)
-        while panels_left and u_top >= u_floor:
-            size = min(next(blocks), panels_left)
-            edges = np.full(size + 1, panel_width)
-            widths = np.full(size, panel_width)
-            head = min(size, max(n_head - used, 0))
-            edges[0] = u_top
-            if head:
-                # edges inside the breakpoint intervals step from their tops, each
-                # breakpoint exact
-                p = np.arange(used, used + head + 1)
-                i = np.searchsorted(firsts, p, side="right") - 1
-                edges[: head + 1] = tops[i] - (p - firsts[i]) * steps[i]
-                widths[:head] = steps[i[:-1]]
-            # uniform edges step down one subtraction at a time, as panel by panel,
-            # and stop after the first panel that crosses the floor
-            np.subtract.accumulate(edges[head:], out=edges[head:])
-            below = np.flatnonzero(edges < u_floor)
-            if below.size:
-                edges = edges[: below[0] + 1]
-            uh = 0.5 * (edges[:-1] - edges[1:])
-            u = (0.5 * (edges[:-1] + edges[1:]))[:, None] + uh[:, None] * x
-            t = _libm_exp(u)
-            vol = tube_volumes(set_, t)
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                vals = np.exp((s - n_dim) * u) * vol
-                bad = ~np.isfinite(vals)
-                if bad.any():
-                    # join the exponents; a product of an underflowed |A_t| or past the float range is
-                    # unknown: NaN keeps this panel and every later one loud, so the pass ends at the floor
-                    joined = np.exp((s - n_dim) * u[bad] + np.log(vol[bad]))
-                    vals[bad] = np.where((vol[bad] > 0.0) & np.isfinite(joined), joined, np.nan)
-                # sums past the float range (Re s at or below the abscissa) are loud, not warnings
-                contrib = uh * np.sum(w * vals, axis=1)
-                # accumulate adds in order: sums[k] is acc += contrib after k panels
-                sums = np.add.accumulate(np.concatenate(([acc], contrib)))
-            tol = tail_tol * widths[: len(contrib)]
-            loud = ~(np.abs(contrib) <= tol * np.maximum(np.abs(sums[1:]), 1e-300)) | ~np.isfinite(contrib)
-            # quiet panels in a row up to each panel, the run carried in included
-            k = np.arange(1, len(contrib) + 1)
-            run = k - np.maximum.accumulate(np.where(loud, k, -quiet))
-            stop = np.flatnonzero(run >= 3)
-            if stop.size:
-                return complex(sums[stop[0] + 1]), used + int(stop[0]) + 1
-            acc = complex(sums[-1])
-            quiet = int(run[-1])
-            used += len(contrib)
-            panels_left -= len(contrib)
-            u_top = float(edges[-1])
-        raise QuadratureNonconvergent(
-            f"tube zeta quadrature at s={s} reached t={math.exp(u_top):.3g} without a negligible "
-            "tail: Re s is at or below the abscissa of convergence, or rounding in |A_t| dominates"
-        )
+    def integrate(p: _QuadraturePass, blocks, opened=None) -> complex:
+        """The pass's value: its opening's (contributions, widths) if laid already, then blocks until it stops."""
+        value = None if opened is None else p.scan(*opened, tail_tol)
+        while value is None:
+            if not p.left or p.u_top < _U_FLOOR:
+                raise QuadratureNonconvergent(
+                    f"tube zeta quadrature at s={s} reached t={math.exp(p.u_top):.3g} without a negligible "
+                    "tail: Re s is at or below the abscissa of convergence, or rounding in |A_t| dominates"
+                )
+            edges, widths = p.lay(next(blocks))
+            value = p.scan(_panel_contributions([edges], s, n_dim, volumes)[0], widths, tail_tol)
+        return value
 
     # halving the panel width (rather than raising the node count) also
     # converges when |A_t| has derivative kinks inside a panel
-    width = 2.0
-    prev, used = integrate(width, 0)
+    p = _QuadraturePass.first(tops)
+    nxt = p.halved()
+    opened = {}
+    if blocked:
+        # the first two passes open together, the first where a tail falling like t^(Re s - D)
+        # has fallen below the stop threshold, plus its three quiet panels
+        d = set_.box_dimension
+        decay = max(s.real - d, _MIN_DECAY)
+        # hypot is |s - D|, and inf where that passes the float range
+        depth = (math.log(1.0 / tail_tol) + math.log(max(math.hypot(s.real - d, s.imag), decay))) / decay
+        opening = min(p.panels_to(depth) + 3, _MAX_BLOCK)
+        runs = {p: p.lay(opening)}
+        if _MAX_REFINEMENTS:
+            runs[nxt] = nxt.lay(2 * opening + 4)
+        laid = _panel_contributions([edges for edges, _ in runs.values()], s, n_dim, volumes)
+        opened = {q: (c, widths) for (q, (_, widths)), c in zip(runs.items(), laid)}
+    prev = integrate(p, _block_sizes(blocked, 0), opened.get(p))
     for _ in range(_MAX_REFINEMENTS):
-        width *= 0.5
-        cur, used = integrate(width, 2 * used + 4)
+        # a pass not opened with the first opens with twice the panels the pass before used, plus 4
+        cur = integrate(nxt, _block_sizes(blocked, 0 if nxt in opened else 2 * p.used + 4), opened.get(nxt))
         if abs(cur - prev) <= _RTOL * max(abs(cur), 1e-300):
             return cur
-        prev = cur
+        p, nxt, prev = nxt, nxt.halved(), cur
     raise QuadratureNonconvergent(
         f"tube zeta quadrature did not stabilize to rtol={_RTOL} at s={s}"
     )
@@ -724,6 +873,6 @@ def functional_equation_residual(set_: CompactSet, s: complex, cfg: NumericZetaC
         lhs = closed_form_eval(catalog_zeta(set_, cfg.delta), s)
     except (NoClosedForm, DeltaTooSmall):
         lhs = distance_zeta_numeric(set_, s, cfg).value
-    a_delta = tube_volume(set_, cfg.delta).volume
+    a_delta = float(_node_volumes(set_, cfg.delta)(np.array([cfg.delta]))[0])
     rhs = cfg.delta ** (s - n_dim) * a_delta + (n_dim - s) * tube_zeta_numeric(set_, s, cfg)
     return abs(lhs - rhs) / (1.0 + abs(lhs))

@@ -549,6 +549,16 @@ NON_FINITE_CASES = {
     "tube_formula_truncated(series=None)": lambda: tube_formula_truncated(None, 0.1),
     "truncation_tail_bound(zeta=None)": lambda: truncation_tail_bound(None, 3, 0.1),
     "truncation_tail_bound(truncation=True)": lambda: truncation_tail_bound(catalog_zeta(SierpinskiGasket(), 0.5), True, 0.1),
+    # accepted, and then NaN errors or a bare AttributeError from compare_tube_formula
+    "TubeSample(t=nan)": lambda: TubeSample(math.nan, 1.0, TubeMethod.EXACT_1D),
+    "TubeSample(volume=nan)": lambda: TubeSample(0.1, math.nan, TubeMethod.EXACT_1D),
+    "TubeSample(error_bound=nan)": lambda: TubeSample(0.1, 1.0, TubeMethod.EXACT_1D, math.nan),
+    "TubeSample(t=inf)": lambda: TubeSample(math.inf, 1.0, TubeMethod.EXACT_1D),
+    "TubeSample(volume=inf)": lambda: TubeSample(0.1, math.inf, TubeMethod.EXACT_1D),
+    "TubeSample(t=True)": lambda: TubeSample(True, 1.0, TubeMethod.EXACT_1D),
+    "TubeSample(method='x')": lambda: TubeSample(0.1, 1.0, "x"),
+    # a bare TypeError
+    "TubeSample(t='a')": lambda: TubeSample("a", 1.0, TubeMethod.EXACT_1D),
 }
 
 

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -203,6 +204,21 @@ def test_near_pole_guard():
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def test_near_pole_guard_at_every_kind_of_pole():
+    # a lattice pole, a denominator root and an elementary pole, each genuine
+    gasket = catalog_zeta(SierpinskiGasket(), 0.5)
+    lattice = next(w for w, _ in gasket.poles(20.0) if w.imag > 10.0)
+    own = ClosedFormZeta(1, 0.5, (LatticeTerm(1.0, 1.0, (0.5,), None),), (ElementaryTerm(1.0, 0, 0.25),))
+    for form, pole in [(gasket, lattice), (own, 0.5), (own, 0.25)]:
+        for offset in (0.0, 5e-13, -5e-13j):
+            with pytest.raises(NearPole):
+                closed_form_eval(form, pole + offset)
+        assert cmath.isfinite(closed_form_eval(form, pole + 2e-12))
+    # the gasket's removable point s = 1, a candidate of two terms, is filled by its limit
+    assert closed_form_eval(gasket, 1.0) == gasket.evaluate(1.0)
+    assert cmath.isfinite(closed_form_eval(gasket, 1.0 + 5e-13))
+
+
 def test_closed_form_overflow_raises_not_a_pole():
     # far left of every pole the gasket form overflows; that is no pole
     form = catalog_zeta(SierpinskiGasket(), 0.5)
@@ -366,6 +382,22 @@ def test_quadrature_nonconvergent_at_unreachable_tolerance(monkeypatch):
         tube_zeta_numeric(c, 1.4 + 0.3j, cfg)
 
 
+def _panel_loop_tops(set_, delta):
+    # ln delta, then ln of the first breakpoint in each stretch of 0.5 in u down from the
+    # first below delta, from the full listing of volume_breaks
+    tops = [math.log(delta)]
+    if set_.exact_max >= delta:
+        breaks = set_.volume_breaks(1e-280)
+        us = np.log(breaks[breaks < delta]).tolist()
+        last = -1
+        for u in us:
+            stretch = math.floor((us[0] - u) / 0.5)
+            if stretch > last and u < tops[0]:
+                tops.append(u)
+            last = stretch
+    return tops
+
+
 def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
     # the quadrature as it ran before block evaluation: one panel and 16
     # scalar tube volumes at a time, stopping quietly at the 1e-280 floor;
@@ -376,16 +408,7 @@ def _tube_zeta_panel_loop(set_, s, cfg, rtol=1e-6, max_refinements=9):
 
     x, w = np.polynomial.legendre.leggauss(16)
     tail_tol = min(1e-9, 1e-3 * rtol)
-    tops = [math.log(cfg.delta)]
-    if set_.exact_max >= cfg.delta:
-        breaks = set_.volume_breaks(1e-280)
-        us = np.log(breaks[breaks < cfg.delta]).tolist()
-        last = -1
-        for u in us:
-            stretch = math.floor((us[0] - u) / 0.5)
-            if stretch > last and u < tops[0]:
-                tops.append(u)
-            last = stretch
+    tops = _panel_loop_tops(set_, cfg.delta)
 
     def panels(panel_width):
         """(top, bottom, width) of each panel of a pass, down from delta."""
@@ -452,17 +475,17 @@ def test_node_radii_are_libm_exp_bit_for_bit():
 
 
 def _spy_block_sizes(monkeypatch) -> list:
-    """Record the panels (rows of radii) of each tube_volumes call the quadrature makes."""
+    """Record the panels (rows of radii) of each node array the quadrature evaluates."""
     from fractalzeta import zeta
-    from fractalzeta.geometry import tube_volumes
 
     sizes = []
+    contributions = zeta._panel_contributions
 
-    def spy(set_, ts):
-        sizes.append(ts.shape[0])
-        return tube_volumes(set_, ts)
+    def spy(runs, *args):
+        sizes.append(sum(edges.size - 1 for edges in runs))
+        return contributions(runs, *args)
 
-    monkeypatch.setattr(zeta, "tube_volumes", spy)
+    monkeypatch.setattr(zeta, "_panel_contributions", spy)
     return sizes
 
 
@@ -491,22 +514,102 @@ def test_block_quadrature_equals_panel_loop(monkeypatch):
     # differs from libm's exp in the last bit
     point, cfg = PointSet([[0.3]]), NumericZetaConfig(delta=8.98e307, seed=1)
     assert tube_zeta_numeric(point, 0.97 + 6.24j, cfg) == _tube_zeta_panel_loop(point, 0.97 + 6.24j, cfg)
-    # the first pass takes blocks of 8, 16, ... panels; each later pass opens
-    # with one block of 2 * (panels the pass before used) + 4, then doubles from 8
+    # the first pass opens where a tail falling like t^(Re s - D) is below the stop
+    # threshold, plus 3 panels; the second opens with twice that plus 4, and both
+    # openings are one node array
     sizes = _spy_block_sizes(monkeypatch)
     for set_, s, blocks in [
-        # the second pass (width 1) stops past its 138 = 2 * 67 + 4 panels
-        (PointSet([[0.2]]), 0.15 + 3.0j, [8, 16, 32, 64, 138, 8]),
-        # the carpet's breakpoints are ln 3 apart: the first pass stops at panel 16
-        # of its 24, so the second opens with 36, stops inside them and agrees
-        (SierpinskiCarpet3D(), 4.466 + 18.0j, [8, 16, 36]),
+        # D = 0: the tail falls below the threshold 145.5 below ln delta, in panel 73, so the
+        # passes open with 76 and 156 panels and stop at panels 67 and 146
+        (PointSet([[0.2]]), 0.15 + 3.0j, [232]),
+        # the carpet's breakpoints are ln 3 apart: the first pass opens with 18 panels and
+        # stops at panel 16, the second opens with 40, stops inside them and agrees
+        (SierpinskiCarpet3D(), 4.466 + 18.0j, [58]),
         # a point in the plane has exact volumes at every radius, so it takes blocks too
-        (PointSet([[0.0, 0.0]]), 0.3 + 3.0j, [8, 16, 32, 76]),
+        (PointSet([[0.0, 0.0]]), 0.3 + 3.0j, [124]),
     ]:
         sizes.clear()
         cfg = cfg_for(set_)
         assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
         assert sizes == blocks
+
+
+BREAK_SETS = {
+    "cantor_string": FractalStringBoundary.cantor_string(),
+    "cantor": CantorLike(),
+    "cantor_0.1": CantorLike(ratio=0.1),
+    "cantor_0.4999": CantorLike(ratio=0.4999),
+    "string_1.001": FractalStringBoundary(base=1.001, multiplicity=1),
+    "string_1.01": FractalStringBoundary(base=1.01, multiplicity=1),
+    "string_1.5": FractalStringBoundary(base=1.5, multiplicity=1),
+    "explicit": FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125)),
+    "explicit_close": FractalStringBoundary(lengths=(0.5, 0.45, 0.3, 0.29, 0.1)),
+    "points": PointSet([[0.0], [0.3], [1.0]]),
+    "gasket": SierpinskiGasket(),
+    "carpet": SierpinskiCarpet3D(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BREAK_SETS))
+def test_break_tops_equal_those_from_the_full_listing(name):
+    # a hole family reaches each stretch's first breakpoint from its level index
+    from fractalzeta.zeta import _break_tops
+
+    set_ = BREAK_SETS[name]
+    for delta in (1.0, set_.default_delta):
+        _break_tops.cache_clear()
+        assert _break_tops(set_, delta).tobytes() == np.array(_panel_loop_tops(set_, delta)).tobytes()
+
+
+def test_thin_string_quadrature_leaves_the_level_table_short():
+    # base 1.001 has 644,352 fill radii above 1e-280, of which the tops keep 1,290 and
+    # the quadrature's deepest node, near t = e^-60, needs about 59,500
+    from fractalzeta import geometry
+    from fractalzeta.zeta import _break_tops
+
+    geometry._level_table.cache_clear()
+    _break_tops.cache_clear()
+    thin = FractalStringBoundary(base=1.001, multiplicity=1)
+    tube_zeta_numeric(thin, 0.5 + 1.0j, cfg_for(thin))
+    assert geometry._level_table(*thin._holes[1:]).fill.size < 70_000
+
+
+def test_quadrature_openings_equal_panel_loop(monkeypatch):
+    from fractalzeta import zeta
+
+    def check(set_, s, blocks):
+        sizes.clear()
+        cfg = NumericZetaConfig(delta=1.0, seed=1)
+        assert tube_zeta_numeric(set_, s, cfg) == _tube_zeta_panel_loop(set_, s, cfg)
+        assert sizes == blocks
+
+    sizes = _spy_block_sizes(monkeypatch)
+    # multiplicity 1 puts t ln(1/t) in |A_t|, whose tail falls slower than t^(Re s):
+    # the first pass opens with 35 panels and stops at 38, a block of 8 past them;
+    # the second stops at panel 74 of its 74, the third opens with 2 * 74 + 4
+    thin = FractalStringBoundary(base=1.5, multiplicity=1)
+    check(thin, 1.35 - 2.97j, [35 + 74, 8, 152])
+    # the first pass opens with 102 and stops at 121, the second opens with 208 and
+    # stops at 239, past them, after blocks of 8, 16 and 32
+    check(thin, 0.44 - 3.53j, [102 + 208, 8, 16, 8, 16, 32, 482])
+    # above its holes, about 1e-101 wide, the string is a point, whose tail falls like
+    # t^(Re s), not t^(Re s - D): the openings of 182 and 368 panels overshoot the
+    # stops at 18 and 33
+    tiny = FractalStringBoundary(base=3.0, multiplicity=2, scale=1e-100)
+    check(tiny, 0.7 + 1.0j, [182 + 368])
+    # Re s - D = 5e-4 is below its clamp of 1e-3, which puts the threshold past t = 1e-280:
+    # the openings of 493 + 3 and 2 * 496 + 4 panels end at the panel that crosses it, the
+    # 493rd and the 985th; with a cap of 64 panels they are 64 and 132
+    check(tiny, 0.6314 + 1.0j, [493 + 985])
+    monkeypatch.setattr(zeta, "_MAX_BLOCK", 64)
+    check(tiny, 0.6314 + 1.0j, [64 + 132])
+
+
+def test_quadrature_opens_where_the_modulus_of_s_overflows():
+    # |s - D| passes the float range, so the first pass opens down to t = 1e-280;
+    # t^(s - N) underflows to 0 at every node
+    cfg = NumericZetaConfig(delta=0.5, seed=1)
+    assert tube_zeta_numeric(CantorLike(), 1.7e308 + 1.7e308j, cfg) == 0j
 
 
 def test_quadrature_past_exact_max_takes_one_panel_per_call(monkeypatch):
@@ -533,13 +636,15 @@ def test_quadrature_below_abscissa_raises():
 def test_quadrature_crossing_the_floor_mid_block_raises(monkeypatch):
     # the first pass takes one panel per interval between the 586 breakpoints in
     # (1e-280, 0.5), each ln 3 wide, then its 587th panel, of width 2, crosses
-    # t = 1e-280: 504 panels in blocks of 8 to 256, then 83 of the next block of 512
+    # t = 1e-280; Re s is below D, so it opens with the cap of 512 panels, with the
+    # second pass's 2 * 512 + 4 in the same node array, then 56 panels in blocks of
+    # 8 to 32 and 19 of the next block of 64
     from fractalzeta.errors import QuadratureNonconvergent
 
     sizes = _spy_block_sizes(monkeypatch)
     with pytest.raises(QuadratureNonconvergent):
         tube_zeta_numeric(CantorLike(), 0.3 + 1.0j, NumericZetaConfig(delta=0.5, seed=1))
-    assert sizes == [8, 16, 32, 64, 128, 256, 83]
+    assert sizes == [512 + 1028, 8, 16, 32, 19]
     assert CantorLike().volume_breaks(1e-280).size == 586
 
 
