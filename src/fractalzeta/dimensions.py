@@ -174,7 +174,8 @@ def residue_contour(
 
 def _is_complex(value) -> bool:
     """A real or complex number that is not a ``bool``."""
-    return isinstance(value, numbers.Complex) and not isinstance(value, bool)
+    # an exact complex, float or int is known by its type, before the slower ABC check
+    return type(value) in (complex, float, int) or (isinstance(value, numbers.Complex) and not isinstance(value, bool))
 
 
 def _ring_residues(f, centers, radii, orders) -> list[tuple[complex, ...]]:
@@ -775,17 +776,28 @@ def languidity_probe(
 
 
 def conjugate_closed(poles: Sequence[Pole]) -> bool:
-    """Whether every nonreal pole has its conjugate (within 1e-9) with conjugated residue."""
-    for p in poles:
-        if abs(p.location.imag) <= 1e-9:
-            continue
-        target = p.location.conjugate()
-        match = [q for q in poles if abs(q.location - target) <= 1e-9]
-        if not match:
+    """Whether every nonreal pole has its conjugate (within 1e-9) with conjugated residue.
+
+    The match of a pole is the first in list order within 1e-9 of its
+    conjugate; the distances to every location are taken at once, as the
+    ``abs`` of the complex differences, by blocks of nonreal poles.  Raises
+    :class:`ValueError` for ``poles`` that are not a sequence of :class:`Pole`.
+    """
+    if not (isinstance(poles, Sequence) and all(isinstance(p, Pole) for p in poles)):
+        raise ValueError("poles must be a sequence of Pole")
+    locs = np.array([complex(p.location) for p in poles], dtype=complex)
+    nonreal = np.flatnonzero(np.abs(locs.imag) > 1e-9)
+    # about a million distances per block
+    step = max(1, (1 << 20) // max(1, locs.size))
+    for k in range(0, nonreal.size, step):
+        rows = nonreal[k : k + step]
+        near = np.hypot(locs.real - locs.real[rows, None], locs.imag + locs.imag[rows, None]) <= 1e-9
+        if not near.any(axis=1).all():
             return False
-        q = match[0]
-        if p.residue is not None and q.residue is not None:
-            scale = max(1.0, abs(p.residue))
-            if abs(q.residue - p.residue.conjugate()) > 1e-8 * scale:
-                return False
+        for i, j in zip(rows.tolist(), near.argmax(axis=1).tolist()):
+            p, q = poles[i], poles[j]
+            if p.residue is not None and q.residue is not None:
+                scale = max(1.0, abs(p.residue))
+                if abs(q.residue - p.residue.conjugate()) > 1e-8 * scale:
+                    return False
     return True

@@ -55,8 +55,10 @@ Where the geometry allows it the tube volume is computed exactly:
 
 For everything else there is a deterministic grid-count oracle (cells whose
 center lies within distance t, with a conservative boundary-cell error
-bound; the gasket counts it by lattice rows, with exact distances only at a
-flip of a comparison, and the other sets by block refinement, so the counts
+bound; the gasket counts it by lattice rows at ``tau - tol`` for each of the
+three flips ``tau`` of its comparisons, with exact distances only on a row
+whose interval ends could cross a centre within ``tol`` of a flip, bounded
+by how far they move, and the other sets by block refinement, so the counts
 are those of exact distances) and a seeded Monte Carlo oracle with a
 reported confidence half-width.
 
@@ -106,12 +108,13 @@ _POW2 = np.ldexp(1.0, np.arange(_DIGITS + 1))
 
 def _is_real(value) -> bool:
     """A real number that is not a ``bool``."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # an exact float or int is known by its type, before the slower ABC check
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _is_integer(value) -> bool:
     """An integer that is not a ``bool``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def _is_count(value) -> bool:
@@ -290,7 +293,7 @@ class PointSet(CompactSet):
 
     @cached_property
     def _tree(self) -> cKDTree:
-        """k-d tree over the points, built once for ``min_gap`` and ``distances``."""
+        """k-d tree over the points, built once for ``distances`` and a large set's ``min_gap``."""
         # scipy is imported here, by the first set that needs a tree, and by no other code
         from scipy.spatial import cKDTree
 
@@ -298,11 +301,31 @@ class PointSet(CompactSet):
 
     @cached_property
     def min_gap(self) -> float:
-        """Smallest pairwise distance (inf for a single point), computed once."""
+        """Smallest pairwise distance (inf for a single point), computed once.
+
+        Up to 4000 points (the bound of ``diameter``) in at most 7 dimensions,
+        by numpy, which spares a small set the import of scipy: the squared
+        offsets summed coordinate by coordinate, in order, then the root of the
+        least sum, the k-d tree's bits.  Larger sets ask the tree, and so do
+        sets in 8 or more dimensions, whose squares the tree sums in four
+        interleaved lanes.
+        """
         if len(self.points) < 2:
             return math.inf
-        d, _ = self._tree.query(np.asarray(self.points), k=2)
-        return float(d[:, 1].min())
+        arr = np.asarray(self.points, dtype=float)
+        if len(arr) > 4000 or arr.shape[1] >= 8:
+            d, _ = self._tree.query(arr, k=2)
+            return float(d[:, 1].min())
+        least = math.inf
+        # 256 rows at a time bound the memory of the n x n table
+        for i in range(0, len(arr), 256):
+            diff = arr[i : i + 256, None, :] - arr[None, :, :]
+            with np.errstate(over="ignore"):
+                sq = sum(diff[..., k] * diff[..., k] for k in range(arr.shape[1]))
+            # each point's offset to itself
+            sq[np.arange(len(sq)), np.arange(i, i + len(sq))] = np.inf
+            least = min(least, float(sq.min()))
+        return math.sqrt(least)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         arr = np.asarray(self.points, dtype=float)
@@ -446,7 +469,10 @@ class CantorLike(CompactSet):
         """Distance to the nearer end of the middle gap holding each point, by descent.
 
         A point in no gap down to an interval shorter than its ulp takes the
-        distance to the nearer end of that interval.
+        distance to the nearer end of that interval.  While every remaining
+        point lies in the leftmost interval, below its first gap, a level
+        changes nothing but ``L``, so those levels take ``L *= ratio`` alone:
+        a tiny point costs a few dozen passes, not one per level down to it.
         """
         ratio, scale = self.ratio, self.scale
         x = pts[:, 0]
@@ -461,6 +487,12 @@ class CantorLike(CompactSet):
         ulp_top = float(np.spacing(scale))
         while idx.size:
             xa = xi[idx]
+            if not a.any():
+                # every point in the leftmost interval: while all lie below its first gap, a level only
+                # shrinks L, and L > x keeps each point above its ulp
+                top = float(xa.max())
+                while top < ratio * L:
+                    L *= ratio
             if L < ulp_top:
                 fine = L < np.spacing(xa)
                 # rounding may leave a point just past the end a + L
@@ -794,15 +826,39 @@ class SierpinskiGasket(CompactSet):
         inradius ``r > tau``, inverted triangles of inradius ``r - tau``; outside it
         ``d < tau`` is the outline's ``tau``-neighbourhood.  So a row's centres
         with ``d < tau`` are one interval's less those of the cores it crosses,
-        counted at ``tau -+ tol`` about each flip ``tau`` of the comparisons
-        (``t``, ``t -+ margin``), ``tol = _GRID_NEAR_FLIP (1 + t)``.  A row whose
-        intervals hold other centres at the two, one with a centre on a flip or
-        along a flat part of a flip curve (a core's top edge, the outline's
-        bottom offset), takes ``distances`` and the comparisons themselves.
-        The holes a row crosses are found level by level, depth first in
-        pieces of ``_GRID_CHUNK`` row-hole pairs; ``_GRID_BUDGET`` counts rows
-        and pairs.  A tube with ``t - margin`` under one cell takes the block
-        refinement.
+        counted at ``tau - tol`` for each flip ``tau`` of the comparisons
+        (``t``, ``t -+ margin``), ``tol = _GRID_NEAR_FLIP (1 + t)``.  A row with
+        a centre in ``[tau - tol, tau + tol)``, where rounding could decide a
+        comparison, takes ``distances`` and the comparisons themselves.
+
+        From ``tau - tol`` to ``tau + tol`` every end moves one way: the
+        outline's ends outward, a core's ends inward and its top edge
+        ``u = h/2 - tau`` down.  A band end ``(y - 2 tau) / sqrt3`` and a core
+        end ``centre -+ (u - 2 tau) / sqrt3`` move by ``4 tol / (sqrt3 cell)``
+        lattice steps; that is some 10^4 ulps of an end, which is at most
+        ``(1 + 2 t) / cell``, so ``reach``, twice it, covers the rounding of
+        both ends.  A row's count or first centre can change in the window
+        only if an end crosses an integer, so a row is flagged when, at some
+        flip, an integer lies within ``reach`` of an end on the side it moves
+        toward, or a core that holds centres has its top edge within
+        ``4 tol`` above ``u``.  A core whose half-width passes 0 in the window
+        holds a centre only if an integer lies within that half-width of its
+        centre, within ``reach`` of both ends.  The discs about the corners
+        have no such bound: an end moves without bound near a disc's edge,
+        and a disc can appear inside the window.  But the disc about
+        ``(0, 0)`` touches the band's line at ``y = tau/2`` and bends away from
+        it above, its end right of the band's by at least
+        ``(y - tau/2)^2 / (2 tau)``, and the apex's disc likewise below
+        ``y = sqrt3/2 + tau/2``.  A row more than a cell past those heights,
+        on the band's side, at every radius of every window, has that gap far
+        above the ends' rounding, so the band's end is the outline's there,
+        bit for bit.  The other rows, below ``(t + margin) / 2 + cell`` or
+        above ``sqrt3/2 + (t - margin) / 2 - cell``, count their interval
+        again at ``tau + tol`` and are flagged where its count or first centre
+        differs.  The holes a row crosses are found level by
+        level, depth first in pieces of ``_GRID_CHUNK`` row-hole pairs;
+        ``_GRID_BUDGET`` counts rows and pairs.  A tube with ``t - margin``
+        under one cell takes the block refinement.
         """
         if t - margin < cell:
             # the rows would descend to the cores of holes narrower than a cell: the blocks take a tube this thin
@@ -811,24 +867,51 @@ class SierpinskiGasket(CompactSet):
         if ny > _GRID_BUDGET:
             raise ResolutionTooCoarse(f"gasket row count exceeded the {_GRID_BUDGET} budget at cell={cell}")
         tol = _GRID_NEAR_FLIP * (1.0 + t)
-        taus = (np.array([[t - margin], [t], [t + margin]]) + [-tol, tol]).reshape(6, 1)
-        # a flip whose lower radius is not positive takes exact distances on every row that reaches it
-        core_taus = np.where(np.repeat(taus[::2] > 0.0, 2, axis=0), taus, np.nan)
-        deepest = float(taus[::2][taus[::2] > 0.0].min(initial=np.inf))
+        flips = np.array([[t - margin], [t], [t + margin]])
+        taus = flips - tol
+        reach = 8.0 * tol / (SQRT3 * cell)
+        # the heights past which the band's end is the outline's at every radius of every window
+        band_lo, band_hi = (t + margin) / 2.0 + cell, SQRT3 / 2.0 + (t - margin) / 2.0 - cell
 
-        def moved(first, last, crossed=True):
-            # the centres first to last, and the rows whose interval holds others at tau + tol than at tau - tol
-            count = np.where(crossed, np.maximum(last - first + 1.0, 0.0), 0.0)
-            return count, ((count[::2] != count[1::2]) | ((count[::2] > 0.0) & (first[::2] != first[1::2]))).any(0)
+        def exact_counts(redo):
+            # the counts of exact distances on whole rows, a piece of rows at a time
+            inside = boundary = 0
+            step = max(1, _GRID_CHUNK // nx)
+            for k in range(0, redo.size, step):
+                ix, iy = np.meshgrid(np.arange(nx), redo[k : k + step])
+                d = self.distances(np.column_stack((ox + (ix.ravel() + 0.5) * cell, oy + (iy.ravel() + 0.5) * cell)))
+                inside += int(np.count_nonzero(d < t))
+                boundary += int(np.count_nonzero(np.abs(d - t) <= margin))
+            return inside, boundary
 
+        def interval(outline):
+            # lattice indices i of the ends of the rows' intervals, the centres being at ox + (i + 0.5) cell
+            left = (outline - ox) / cell - 0.5
+            right = (1.0 - 2.0 * ox) / cell - 1.0 - left
+            first, last = np.ceil(left), np.floor(right)
+            lo, hi = np.minimum(np.maximum(first, 0), nx), np.minimum(np.maximum(last, -1), nx - 1)
+            return left, right, first, last, lo, np.maximum(hi - lo + 1.0, 0.0)
+
+        if not (taus > 0.0).all():
+            # a flip at or under 0, which only an infinite tol reaches, leaves every row to exact distances
+            return exact_counts(np.arange(ny))
+        deepest = float(taus.min())
         seen, inside_cells, boundary_cells = ny, 0, 0
         for start in range(0, ny, _GRID_CHUNK):
             rows = np.arange(start, min(start + _GRID_CHUNK, ny))
             y = oy + (rows + 0.5) * cell
-            # lattice indices i of the ends of each row's interval, the centres being at ox + (i + 0.5) cell
-            left = (_gasket_outline_left(y, taus) - ox) / cell - 0.5
-            right = (1.0 - 2.0 * ox) / cell - 1.0 - left
-            count, exact = moved(np.clip(np.ceil(left), 0, nx), np.clip(np.floor(right), -1, nx - 1))
+            # between those heights the outline is the band along the left edge alone; the rows
+            # past them take the whole outline, at tau + tol too
+            disc = np.flatnonzero((y <= band_lo) | (y >= band_hi))
+            outline = (y - 2.0 * taus) / SQRT3
+            both = _gasket_outline_left(y.take(disc), np.concatenate((taus, flips + tol)))
+            outline[:, disc] = both[:3]
+            left, right, first, last, lo, count = interval(outline)
+            # the band's ends move outward: an integer within reach below the left end or above the right
+            exact = ((np.ceil(left - reach) != first) | (np.floor(right + reach) != last)).any(0)
+            *_, lo_up, count_up = interval(both[3:])
+            lo, count_lo = lo[:, disc], count[:, disc]
+            exact[disc] = ((count_lo != count_up) | ((count_lo > 0.0) & (lo != lo_up))).any(0)
             level = np.flatnonzero((y >= 0.0) & (y <= SQRT3 / 2.0))
             stack = [(level, np.zeros(level.size), np.zeros(level.size), 1.0)] if deepest < 1.0 / (4.0 * SQRT3) else []
             while stack:
@@ -843,11 +926,9 @@ class SierpinskiGasket(CompactSet):
                 if near.size:
                     un, rn = u.take(near), r.take(near)
                     centre = (a.take(near) + side / 2.0 - ox) / cell - 0.5
-                    half = (un - 2.0 * core_taus) / (SQRT3 * cell)
-                    crossed = (half >= 0.0) & (un <= h / 2.0 - core_taus)
-                    cut, hit = moved(np.ceil(centre - half), np.floor(centre + half), crossed)
-                    spread = (rn + rows.size * np.arange(3)[:, None]).ravel()
-                    count[::2] -= np.bincount(spread, cut[::2].ravel(), 3 * rows.size).reshape(3, -1)
+                    cut, hit = _gasket_core_cuts(un, centre, taus, h / 2.0 - taus, reach, tol, cell)
+                    for k in range(3):
+                        count[k] -= np.bincount(rn, cut[k], rows.size)
                     exact[rn[hit]] = True
                 if side / (8.0 * SQRT3) > deepest:
                     # a row in the lower half crosses the two lower subtriangles, one in the upper half the top one
@@ -858,14 +939,9 @@ class SierpinskiGasket(CompactSet):
                     b = np.concatenate((b + np.where(low, 0.0, h / 2.0), b[two]))
                     for k in range(0, r.size, _GRID_CHUNK):
                         stack.append((r[k : k + _GRID_CHUNK], a[k : k + _GRID_CHUNK], b[k : k + _GRID_CHUNK], side / 2.0))
-            inside_cells += int(count[2].sum(where=~exact))
-            boundary_cells += int((count[4] - count[0]).sum(where=~exact))
-            redo = rows[exact]
-            for k in range(0, redo.size, max(1, _GRID_CHUNK // nx)):
-                ix, iy = np.meshgrid(np.arange(nx), redo[k : k + max(1, _GRID_CHUNK // nx)])
-                d = self.distances(np.column_stack((ox + (ix.ravel() + 0.5) * cell, oy + (iy.ravel() + 0.5) * cell)))
-                inside_cells += int(np.count_nonzero(d < t))
-                boundary_cells += int(np.count_nonzero(np.abs(d - t) <= margin))
+            inside, boundary = exact_counts(rows[exact])
+            inside_cells += inside + int(count[1].sum(where=~exact))
+            boundary_cells += boundary + int((count[2] - count[0]).sum(where=~exact))
         return inside_cells, boundary_cells
 
     # level-k holes: 3^(k-1) triangles of side 2^-k, filled at their inradius; the
@@ -1104,6 +1180,28 @@ def _gasket_edge_min(qx, qy):
     return e
 
 
+def _gasket_core_cuts(un, centre, taus, top, reach, tol, cell):
+    """Centres in each row's core at each radius ``tau``, and the rows flagged by the move of its ends.
+
+    The core spans ``centre -+ (u - 2 tau) / (sqrt3 cell)`` lattice steps about the hole's axis
+    ``centre``, for a row at height ``u <= top`` above the subtriangle's base; the flag rule is
+    :meth:`SierpinskiGasket._grid_counts`'s.  The arrays are reused in place: a heap that shrinks
+    and regrows between pieces pays a page fault per page.
+    """
+    half = un - 2.0 * taus
+    half /= SQRT3 * cell
+    x0 = centre - half
+    x1 = np.add(centre, half, out=half)
+    first, last = np.ceil(x0), np.floor(x1)
+    # a negative half-width leaves last < first
+    cut = last - first
+    cut += 1.0
+    np.maximum(cut, 0.0, out=cut)
+    cut *= un <= top
+    slack = np.minimum(np.subtract(first, x0, out=first), np.subtract(x1, last, out=last), out=first)
+    return cut, ((cut > 0.0) & ((slack < reach) | (un > top - 4.0 * tol))).any(0)
+
+
 def _gasket_outline_left(y: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Left end of each row ``y`` in the ``tau``-neighbourhood of the outline, one line per radius; inf off it.
 
@@ -1334,7 +1432,8 @@ _GRID_CHUNK = 1 << 14
 # the gasket's row count may take, before it gives up.
 _GRID_BUDGET = 8_000_000
 # Share of 1 + t within which a centre's distance lies near a flip of the grid's comparisons
-# and takes ``distances``: 2^12 times the reach of their roundings.
+# and takes ``distances``: 2^12 times the reach of their roundings.  The gasket's rows count
+# at tau - tol for each flip tau and flag a row whose ends could cross a centre by tau + tol.
 _GRID_NEAR_FLIP = 2.0**-40
 
 

@@ -18,7 +18,12 @@ that precision the cancellation leaves over 200 digits down to
 ``t = 1e-150``).
 
 The Monte Carlo tube oracle one radius at a time, as the library ran it
-before a curve's radii shared their draws.  And helpers that only the tests
+before a curve's radii shared their draws.  The gasket grid oracle's row
+count at six radii, ``tau -+ tol`` about each flip, as the library ran it
+before it bounded how far a row's ends can move.  The truncated tube
+formula one radius at a time, as the library ran it before it took all
+radii in one array.  The Cantor-set descent one level per pass, and the
+conjugate-closure check one pole at a time.  And helpers that only the tests
 ask for: a closed form's residue at a genuine pole as a ``Pole``, a closed
 form to and from JSON, a closed form of a scaled set, the real poles and
 largest real part of a tube series, and the distance from one point.
@@ -30,9 +35,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from fractalzeta import geometry as geo
 from fractalzeta.dimensions import Pole
 from fractalzeta.errors import NotAPole
 from fractalzeta.geometry import distances_to_set
+from fractalzeta.tube import tube_term
 from fractalzeta.zeta import ClosedFormZeta, ElementaryTerm, LatticeTerm
 
 _DIGITS = 300
@@ -278,6 +285,145 @@ def mc_tube_per_radius(set_, t, n_samples, seed, chunk=1 << 17):
     box_vol = float(np.prod(hi - lo))
     p = hits / n_samples
     return box_vol * p, box_vol * math.sqrt(max(p * (1.0 - p), 0.0) / n_samples)
+
+
+def _outline_left(y, taus):
+    """Left end of each row ``y`` in the ``tau``-neighbourhood of the gasket's outline, one line per radius."""
+    ya = y - _SQRT3 / 2.0
+    sq = taus * taus
+    disc = np.where(np.abs(y) <= taus, -np.sqrt(np.maximum(sq - y * y, 0.0)), np.inf)
+    apex = np.where(np.abs(ya) <= taus, 0.5 - np.sqrt(np.maximum(sq - ya * ya, 0.0)), np.inf)
+    band = np.where((taus > 0.0) & (2.0 * y >= taus) & (2.0 * ya <= taus), (y - 2.0 * taus) / _SQRT3, np.inf)
+    return np.minimum(np.minimum(disc, apex), band)
+
+
+def gasket_grid_counts_six_flips(t, cell):
+    """The gasket grid oracle's ``(inside, boundary, exact rows)`` by the six-radius row count.
+
+    Every row's interval, and every row-core pair, is evaluated at ``tau -+ tol``
+    about each flip ``tau`` of ``t - margin, t, t + margin``; a row whose counts
+    or first centres differ between the two takes exact distances.  The
+    library replaced it by the three radii ``tau - tol`` and a bound on how far
+    the ends can move.  Needs ``t - margin >= cell``.
+    """
+    gasket = geo.SierpinskiGasket()
+    lo, hi = gasket.bounds()
+    origin = lo - t - cell * geo._GRID_OFFSET
+    nx, ny = (np.ceil((hi + t - origin) / cell).astype(np.int64) + 1).tolist()
+    (ox, oy), margin = origin.tolist(), cell * math.sqrt(2.0) / 2.0
+    assert t - margin >= cell
+    tol = geo._GRID_NEAR_FLIP * (1.0 + t)
+    taus = (np.array([[t - margin], [t], [t + margin]]) + [-tol, tol]).reshape(6, 1)
+    core_taus = np.where(np.repeat(taus[::2] > 0.0, 2, axis=0), taus, np.nan)
+    deepest = float(taus[::2][taus[::2] > 0.0].min(initial=np.inf))
+
+    def moved(first, last, crossed=True):
+        count = np.where(crossed, np.maximum(last - first + 1.0, 0.0), 0.0)
+        return count, ((count[::2] != count[1::2]) | ((count[::2] > 0.0) & (first[::2] != first[1::2]))).any(0)
+
+    rows = np.arange(ny)
+    y = oy + (rows + 0.5) * cell
+    left = (_outline_left(y, taus) - ox) / cell - 0.5
+    right = (1.0 - 2.0 * ox) / cell - 1.0 - left
+    count, exact = moved(np.clip(np.ceil(left), 0, nx), np.clip(np.floor(right), -1, nx - 1))
+    level = np.flatnonzero((y >= 0.0) & (y <= _SQRT3 / 2.0))
+    stack = [(level, np.zeros(level.size), np.zeros(level.size), 1.0)] if deepest < 1.0 / (4.0 * _SQRT3) else []
+    while stack:
+        r, a, b, side = stack.pop()
+        h = side * (_SQRT3 / 2.0)
+        u = y.take(r) - b
+        near = np.flatnonzero((u >= 2.0 * deepest) & (u <= h / 2.0 - deepest))
+        if near.size:
+            un, rn = u.take(near), r.take(near)
+            centre = (a.take(near) + side / 2.0 - ox) / cell - 0.5
+            half = (un - 2.0 * core_taus) / (_SQRT3 * cell)
+            crossed = (half >= 0.0) & (un <= h / 2.0 - core_taus)
+            cut, hit = moved(np.ceil(centre - half), np.floor(centre + half), crossed)
+            spread = (rn + rows.size * np.arange(3)[:, None]).ravel()
+            count[::2] -= np.bincount(spread, cut[::2].ravel(), 3 * rows.size).reshape(3, -1)
+            exact[rn[hit]] = True
+        if side / (8.0 * _SQRT3) > deepest:
+            low = u < h / 2.0
+            two = np.flatnonzero(low)
+            r = np.concatenate((r, r[two]))
+            a = np.concatenate((a + np.where(low, 0.0, side / 4.0), a[two] + side / 2.0))
+            b = np.concatenate((b + np.where(low, 0.0, h / 2.0), b[two]))
+            # pieces of 2^14 row-hole pairs bound the memory
+            for k in range(0, r.size, 1 << 14):
+                stack.append((r[k : k + (1 << 14)], a[k : k + (1 << 14)], b[k : k + (1 << 14)], side / 2.0))
+    inside = int(count[2].sum(where=~exact))
+    boundary = int((count[4] - count[0]).sum(where=~exact))
+    redo = rows[exact]
+    for iy in redo:
+        d = gasket.distances(np.column_stack((ox + (np.arange(nx) + 0.5) * cell, np.full(nx, oy + (iy + 0.5) * cell))))
+        inside += int(np.count_nonzero(d < t))
+        boundary += int(np.count_nonzero(np.abs(d - t) <= margin))
+    return inside, boundary, redo
+
+
+def tube_formula_per_radius(series, t) -> float:
+    """The truncated tube formula at one radius, a ``tube_term`` call per pole added in series order.
+
+    Conjugate pairs combine as twice the real part of the Im > 0 member; the
+    library evaluates all radii in one array instead.
+    """
+    total = 0.0 + 0.0j
+    for p in series.poles:
+        if p.location.imag < -1e-12:
+            continue
+        term = tube_term(p, t, series.ambient_dim)
+        total += 2.0 * term.real + 0.0j if p.location.imag > 1e-12 else term
+    return float(total.real)
+
+
+def cantor_distances_per_level(set_, x):
+    """Distances to a middle-gap Cantor set by descent, one numpy pass per level.
+
+    The library's descent, before it stepped over the levels at which every
+    remaining point lies in the leftmost interval below its first gap.
+    """
+    ratio, scale = set_.ratio, set_.scale
+    out = np.maximum(np.maximum(-x, x - scale), 0.0)
+    inside = (x > 0.0) & (x < scale)
+    xi = x[inside]
+    res = np.empty(xi.shape)
+    idx = np.arange(xi.size)
+    a = np.zeros(xi.size)
+    L = scale
+    ulp_top = float(np.spacing(scale))
+    while idx.size:
+        xa = xi[idx]
+        if L < ulp_top:
+            fine = L < np.spacing(xa)
+            res[idx[fine]] = np.minimum(xa[fine] - a[fine], np.abs(a[fine] + L - xa[fine]))
+            keep = ~fine
+            xa, a, idx = xa[keep], a[keep], idx[keep]
+        g1 = a + ratio * L
+        g2 = a + (1.0 - ratio) * L
+        in_gap = (xa >= g1) & (xa <= g2)
+        res[idx[in_gap]] = np.minimum(xa[in_gap] - g1[in_gap], g2[in_gap] - xa[in_gap])
+        stay = ~in_gap
+        a = np.where(xa > g2, g2, a)[stay]
+        idx = idx[stay]
+        L *= ratio
+    out[inside] = res
+    return out
+
+
+def conjugate_closed_per_pole(poles) -> bool:
+    """Conjugate closure by a scan of the whole list for each nonreal pole, its first match within 1e-9 taken."""
+    for p in poles:
+        if abs(p.location.imag) <= 1e-9:
+            continue
+        target = p.location.conjugate()
+        match = [q for q in poles if abs(q.location - target) <= 1e-9]
+        if not match:
+            return False
+        q = match[0]
+        if p.residue is not None and q.residue is not None:
+            if abs(q.residue - p.residue.conjugate()) > 1e-8 * max(1.0, abs(p.residue)):
+                return False
+    return True
 
 
 def residues_closed_form(zeta, omega: complex) -> Pole:

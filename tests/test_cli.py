@@ -57,6 +57,28 @@ print("scipy" in sys.modules)
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_point_set_poles_and_zeta_eval_leave_scipy_unimported(tmp_path):
+    # a small point set's min_gap is taken by numpy; its k-d tree is built only for distances
+    config = write_config(
+        tmp_path,
+        set={"variant": "point_set", "points": [[0.0, 0.0], [1.0, 0.5]]},
+        seed=1,
+        delta=0.5,
+        s_values=[[2.5, 0.0], [1.0, 1.0], [-0.5, -2.0]],
+    )
+    script = f"""
+import sys
+from fractalzeta.cli import main
+assert main(["poles", "--config", {config!r}]) == 0
+assert main(["zeta-eval", "--config", {config!r}]) == 0
+print("scipy" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(fractalzeta.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_catalog_lists_five_variants(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,8 @@
 import math
+import numbers
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from fractalzeta.dimensions import (
     LanguidityEstimate,
     Pole,
     Window,
+    _is_complex,
     conjugate_closed,
     find_poles_argument_principle,
     languidity_probe,
@@ -27,9 +31,11 @@ from fractalzeta.geometry import (
     FractalStringBoundary,
     SierpinskiCarpet3D,
     SierpinskiGasket,
+    _is_integer,
+    _is_real,
 )
 from fractalzeta.zeta import ClosedFormZeta, catalog_zeta
-from references import residues_closed_form
+from references import conjugate_closed_per_pole, residues_closed_form
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_26 = math.log(26.0) / math.log(3.0)
@@ -1059,6 +1065,51 @@ def test_conjugate_closure_of_pole_lists():
         poles = [Pole(w, residue=r) for w, r in form.poles(30.0)]
         assert conjugate_closed(poles)
     assert not conjugate_closed([Pole(1.0 + 2.0j, residue=1.0 + 0.0j)])
+
+
+def test_conjugate_closed_rejects_what_is_not_a_sequence_of_poles():
+    ps = [Pole(1 - 2j, residue=1 - 1j), Pole(1 + 2j, residue=1 + 1j), Pole(5 + 1j, residue=1.0)]
+    assert not conjugate_closed(ps)
+    # a generator was consumed by the scan for the first pole's match, and came out True
+    with pytest.raises(ValueError):
+        conjugate_closed(p for p in ps)
+    # bare numbers raised an AttributeError
+    with pytest.raises(ValueError):
+        conjugate_closed([1 + 2j, 1 - 2j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 8))
+def test_conjugate_closed_equals_the_per_pole_scan(seed, n):
+    # partners at 0.9e-9 and 1.1e-9 from the conjugate, residues off by 1e-8 of their scale, and poles
+    # near the real axis, within and past 1e-9 of it
+    rng = np.random.default_rng(seed)
+    poles = []
+    for _ in range(n):
+        w = complex(rng.uniform(-3, 3), rng.choice([rng.uniform(-40, 40), 0.0, 0.9e-9, 1.1e-9]))
+        c = complex(rng.normal(), rng.normal()) * 10.0 ** rng.uniform(-3, 3)
+        poles.append(Pole(w, residue=c if rng.random() < 0.9 else None))
+        if rng.random() < 0.8:
+            shift = rng.choice([0.0, 0.9e-9, 1.1e-9]) * np.exp(2j * np.pi * rng.random())
+            scale = max(1.0, abs(c))
+            dc = rng.choice([0.0, 0.9e-8, 1.1e-8]) * scale * np.exp(2j * np.pi * rng.random())
+            poles.append(Pole(w.conjugate() + complex(shift), residue=c.conjugate() + complex(dc)))
+    order = rng.permutation(len(poles))
+    poles = [poles[i] for i in order]
+    assert conjugate_closed(poles) == conjugate_closed_per_pole(poles)
+    assert conjugate_closed(tuple(poles)) == conjugate_closed_per_pole(poles)
+
+
+@pytest.mark.parametrize(
+    "check, abc", [(_is_real, numbers.Real), (_is_integer, numbers.Integral), (_is_complex, numbers.Complex)]
+)
+def test_number_checks_keep_the_abc_truth_table(check, abc):
+    values = [
+        1.5, 2, True, False, np.float64(1.5), np.int64(2), np.bool_(True), Fraction(1, 3), Decimal("1.5"),
+        1 + 2j, np.complex128(1 + 2j), "1", None, math.inf, math.nan,
+    ]
+    for v in values:
+        assert check(v) == (isinstance(v, abc) and not isinstance(v, bool)), v
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.spatial
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fractalzeta import geometry as geo
@@ -28,6 +28,7 @@ from fractalzeta.geometry import (
 )
 from fractalzeta.zeta import default_delta
 from references import (
+    cantor_distances_per_level,
     cantor_segments,
     cantor_volume,
     carpet_distances_descent,
@@ -35,6 +36,7 @@ from references import (
     distance_to_set,
     fattened_length,
     gasket_distances_descent,
+    gasket_grid_counts_six_flips,
     gasket_volume,
     string_distances_list,
     string_points,
@@ -148,6 +150,23 @@ def test_cantor_distances_near_0_match_exact_integers(ratio):
     x = np.geomspace(5e-324, 1e-3, 400)
     d = distances_to_set(x[:, None], CantorLike(ratio))
     assert (d >= 0.0).all() and (d <= x).all()
+
+
+@pytest.mark.parametrize("ratio", [1.0 / 3.0, 0.1, 0.4999])
+def test_cantor_distances_step_over_the_leftmost_levels(ratio, monkeypatch):
+    # 200k uniform points, 100k u^20 and 10k log-spaced down to 1e-300: the levels at which every
+    # remaining point lies in the leftmost interval change nothing but L, so the bits are the same
+    set_, rng = CantorLike(ratio), np.random.default_rng(5)
+    x = np.concatenate((rng.random(200_000), rng.random(100_000) ** 20, np.geomspace(1e-300, 1e-5, 10_000)))
+    assert np.array_equal(set_.distances(x[:, None]), cantor_distances_per_level(set_, x))
+    # one point at a time, each in a few dozen passes, not one per level down to it (628 at 1e-300 on 1/3)
+    where, passes = np.where, []
+    monkeypatch.setattr(np, "where", lambda *args: passes.append(1) or where(*args))
+    points = np.geomspace(1e-300, 1e-5, 40)
+    for p, want in zip(points, cantor_distances_per_level(set_, points).tolist()):
+        passes.clear()
+        assert set_.distances(np.array([[p]])).tolist() == [want]
+        assert len(passes) <= 60
 
 
 def test_gasket_distance_against_subdivision_vertices():
@@ -658,6 +677,40 @@ def test_point_set_builds_one_kd_tree(monkeypatch):
     assert len(builds) == 1
 
 
+def _tree_min_gap(ps):
+    d, _ = scipy.spatial.cKDTree(np.asarray(ps.points)).query(np.asarray(ps.points), k=2)
+    return float(d[:, 1].min())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 9),
+    n=st.integers(2, 40),
+    near=st.floats(1e-17, 1e-2),
+    scale=st.floats(1e-150, 1e150),
+)
+@example(seed=0, dim=2, n=2, near=1.0, scale=1.0)
+def test_min_gap_has_the_k_d_trees_bits(seed, dim, n, near, scale):
+    # numpy up to 4000 points in at most 7 dimensions, the tree above: the same bits, near-duplicates too
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, dim)) * scale
+    j, k = rng.integers(0, n, 2)
+    pts[j] = pts[k] + rng.normal(size=dim) * (scale * near)
+    ps = PointSet(pts)
+    assert ps.min_gap == _tree_min_gap(ps)
+
+
+def test_min_gap_of_the_point_set_configs_has_the_k_d_trees_bits():
+    for points in ([[0.0, 0.0], [1.0, 0.5]], [[0.0, 0.0], [0.7, 0.2], [0.3, 0.9]], [[0.0], [0.3], [1.0]]):
+        ps = PointSet(points)
+        assert ps.min_gap == _tree_min_gap(ps)
+    # duplicate points, and a set past 4000 points, which the tree measures
+    assert PointSet([[0.5, 0.5], [0.1, 0.2], [0.5, 0.5]]).min_gap == 0.0
+    big = PointSet(np.random.default_rng(1).random((4001, 2)))
+    assert big.min_gap == _tree_min_gap(big)
+
+
 def test_far_points_keep_finite_arithmetic():
     near = np.array([[2.0, 0.5, 0.5], [0.5, 0.5, 0.5], [0.2, -0.3, 1.1]])
     carpet = SierpinskiCarpet3D()
@@ -939,6 +992,139 @@ def test_gasket_grid_budget_counts_rows_and_row_hole_pairs(monkeypatch):
     monkeypatch.setattr(geo, "_GRID_BUDGET", int(_grid_lattice(g, t, cell)[1]))
     with pytest.raises(ResolutionTooCoarse):
         tube_volume(g, t, method="grid", cell=cell)
+
+
+def _row_count_and_exact_rows(t, cell, monkeypatch):
+    """The gasket grid's ``(inside, boundary)`` cells at ``t`` and the rows that took exact distances."""
+    g = SierpinskiGasket()
+    exact = _spy(monkeypatch, SierpinskiGasket, "distances")
+    s = tube_volume(g, t, method="grid", cell=cell)
+    monkeypatch.undo()
+    oy = g.bounds()[0][1] - t - cell * geo._GRID_OFFSET
+    ys = np.concatenate([p[:, 1] for p in exact]) if exact else np.empty(0)
+    rows = np.unique(np.round((ys - oy) / cell - 0.5).astype(int))
+    return round(s.volume / cell**2), round(s.error_bound / cell**2), rows
+
+
+def _assert_row_count_matches_six_flips(t, cell, monkeypatch):
+    inside, boundary, rows = _row_count_and_exact_rows(t, cell, monkeypatch)
+    ref_inside, ref_boundary, ref_rows = gasket_grid_counts_six_flips(t, cell)
+    assert (inside, boundary) == (ref_inside, ref_boundary)
+    # every row that the six radii flag takes exact distances
+    assert set(ref_rows.tolist()) <= set(rows.tolist())
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=st.floats(3e-3, 0.28), cell=st.floats(2e-4, 2e-3))
+# rows 0, 8 and 21, within reach of the disc about (0, 0), have a centre near a flip
+@example(t=0.008, cell=5e-4)
+def test_gasket_row_count_at_three_flips_equals_six_flip_reference(t, cell):
+    assume(t - cell * math.sqrt(2.0) / 2.0 >= cell)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_row_count_matches_six_flips(t, cell, monkeypatch)
+
+
+@pytest.mark.parametrize("cell", [5e-4, 2.5e-4, 1e-3])
+@pytest.mark.parametrize("t", [0.01, 0.0125, 0.025, 0.05, 0.1, 0.125, 1.0 / (4.0 * SQRT3), 0.2, 0.25])
+def test_gasket_row_count_at_special_radii_equals_six_flip_reference(t, cell, monkeypatch):
+    # dyadic radii, and the big hole's inradius, at which a core closes
+    _assert_row_count_matches_six_flips(t, cell, monkeypatch)
+
+
+def _radius_with_a_centre_on_an_end(end, cell, y):
+    """A radius near 0.05 at which a lattice centre of the row near ``y`` lies on an interval end, and that row.
+
+    The lattice moves with ``t``: the centre ``(i, j)`` is at ``(X - t, Y - t)``.  The ends lie on the band
+    offset from the left edge, ``sqrt3 x = y - 2 t``, on the one from the right edge,
+    ``sqrt3 x = sqrt3 + 2 t - y``, and on the big hole's core, ``|x - 1/2| = (y - 2 t) / sqrt3``.
+    """
+    off, t0 = cell * geo._GRID_OFFSET, 0.05
+    x = {
+        "band_left": (y - 2.0 * t0) / SQRT3,
+        "band_right": 1.0 + (2.0 * t0 - y) / SQRT3,
+        "core_left": 0.5 - (y - 2.0 * t0) / SQRT3,
+        "core_right": 0.5 + (y - 2.0 * t0) / SQRT3,
+    }[end]
+    i, j = (round((v + t0 + off) / cell - 0.5) for v in (x, y))
+    X, Y = (i + 0.5) * cell - off, (j + 0.5) * cell - off
+    t = {
+        "band_left": (Y - SQRT3 * X) / (3.0 - SQRT3),
+        "band_right": (SQRT3 * X + Y - SQRT3) / (3.0 + SQRT3),
+        "core_left": (Y + SQRT3 * (X - 0.5)) / (3.0 + SQRT3),
+        "core_right": (Y - SQRT3 * (X - 0.5)) / (3.0 - SQRT3),
+    }[end]
+    return t, j
+
+
+@pytest.mark.parametrize("cell", [5e-4, 7.3e-4])
+@pytest.mark.parametrize("end, y", [("band_left", 0.4), ("band_right", 0.4), ("core_left", 0.3), ("core_right", 0.3)])
+def test_gasket_row_with_a_centre_on_an_interval_end_takes_exact_distances(end, y, cell, monkeypatch):
+    # the end moves across the centre within the tolerance about the flip t: the six radii flag the row,
+    # and so must the bound on the ends' move
+    t, j = _radius_with_a_centre_on_an_end(end, cell, y)
+    assert abs(t - 0.05) < cell
+    assert j in gasket_grid_counts_six_flips(t, cell)[2]
+    _assert_row_count_matches_six_flips(t, cell, monkeypatch)
+
+
+# (t, cell, volume, error_bound) of the gasket grid on the 48 radii of the benchmark's seed-1
+# gasket configs, recorded with the row count at six radii
+SEEDED_GASKET_GRID = [
+    (0.01, 0.0005, 0.26877475, 0.0075899999999999995),
+    (0.013894954943731374, 0.0005, 0.30890275, 0.006462),
+    (0.019306977288832496, 0.0005, 0.35455475, 0.005143249999999999),
+    (0.02682695795279726, 0.0005, 0.40833525, 0.00441),
+    (0.037275937203149395, 0.0005, 0.47103675, 0.00347725),
+    (0.0517947467923121, 0.0005, 0.5461805, 0.00315675),
+    (0.07196856730011521, 0.0005, 0.6382365, 0.00271375),
+    (0.1, 0.0005, 0.75445, 0.00264475),
+    (0.003, 0.00025, 0.1627870625, 0.007860124999999999),
+    (0.01068487069035907, 0.00025, 0.2762021875, 0.00362375),
+    (0.03805548722323143, 0.00025, 0.475079875, 0.0017329374999999999),
+    (0.13553932001294647, 0.00025, 0.8970504374999999, 0.0012844999999999998),
+    (0.004, 0.0003, 0.18363833999999998, 0.007890389999999999),
+    (0.006914293453427364, 0.0003, 0.23047991999999995, 0.0058134599999999995),
+    (0.011951863490027111, 0.0003, 0.28941543, 0.00419535),
+    (0.020659672871337992, 0.0003, 0.36450710999999997, 0.0030012299999999997),
+    (0.03571176022106075, 0.0003, 0.4622435999999999, 0.00219969),
+    (0.061730397476712016, 0.0003, 0.5931325799999999, 0.0017865899999999998),
+    (0.10670552078767466, 0.0003, 0.7816581899999999, 0.0015826499999999997),
+    (0.18444832095669397, 0.0003, 1.09336347, 0.0016384499999999996),
+    (0.006, 0.0004, 0.21700352, 0.00846),
+    (0.008153884984507543, 0.0004, 0.24700848, 0.00694544),
+    (0.011080973390096257, 0.0004, 0.28026496, 0.00585728),
+    (0.015058830423205579, 0.0004, 0.3194032, 0.0049640000000000005),
+    (0.02046466187867021, 0.0004, 0.36302896, 0.00410832),
+    (0.027811083200918813, 0.0004, 0.41457488000000003, 0.00356272),
+    (0.037794728952476944, 0.0004, 0.47361776, 0.00292384),
+    (0.051362312149855684, 0.0004, 0.54386864, 0.00266656),
+    (0.06980039763471624, 0.0004, 0.62891936, 0.00231328),
+    (0.0948574023643947, 0.0004, 0.73329696, 0.00219552),
+    (0.12890939146807132, 0.0004, 0.8708752000000001, 0.00208976),
+    (0.17518539190891852, 0.0004, 1.0551502400000001, 0.00214896),
+    (0.008, 0.0005, 0.24529099999999998, 0.008787),
+    (0.00969423319553544, 0.0005, 0.265372, 0.007689),
+    (0.011747269656177648, 0.0005, 0.28755074999999997, 0.0070855),
+    (0.01423509643222793, 0.0005, 0.31211025, 0.0063662499999999995),
+    (0.017249793046869008, 0.0005, 0.33848025, 0.0054937499999999995),
+    (0.020902939546384225, 0.0005, 0.3665785, 0.00498475),
+    (0.025329746304353536, 0.0005, 0.398211, 0.0045544999999999995),
+    (0.030694058432269383, 0.0005, 0.433156, 0.0040365),
+    (0.037194420019976276, 0.0005, 0.47059275, 0.00348725),
+    (0.045071422655792705, 0.0005, 0.5123067499999999, 0.00330775),
+    (0.054616610209974166, 0.0005, 0.5599185, 0.00309975),
+    (0.0661832694656439, 0.0005, 0.61330675, 0.0028469999999999997),
+    (0.08019950598036395, 0.0005, 0.67269525, 0.00269625),
+    (0.09718408914254836, 0.0005, 0.7429232499999999, 0.00266175),
+    (0.11776565288044585, 0.0005, 0.8264342499999999, 0.0026067499999999997),
+    (0.14270596268094016, 0.0005, 0.9253017499999999, 0.0025582499999999998),
+]
+
+
+def test_gasket_grid_pinned_on_seeded_radii():
+    for t, cell, volume, error_bound in SEEDED_GASKET_GRID:
+        s = tube_volume(SierpinskiGasket(), t, method="grid", cell=cell)
+        assert (s.volume, s.error_bound) == (volume, error_bound)
 
 
 def test_grid_lattice_past_int64_raises():

@@ -36,7 +36,7 @@ from fractalzeta.tube import (
     tube_term,
 )
 from fractalzeta.zeta import ClosedFormZeta, LatticeTerm, catalog_zeta, closed_form_eval
-from references import max_real_part, real_poles, scale_zeta
+from references import max_real_part, real_poles, scale_zeta, tube_formula_per_radius
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
 LOG3_2 = math.log(2.0) / math.log(3.0)
@@ -293,6 +293,57 @@ def test_compare_tube_formula_rows():
     assert len(cmp_.rows) == 8
     for row in cmp_.rows:
         assert row.rel_error == pytest.approx(row.abs_error / max(row.direct_volume, 2.3e-16))
+
+
+# the six catalog sets, each with its closed form's delta
+FORMULA_SETS = [
+    (SierpinskiGasket(), 0.5),
+    (SierpinskiCarpet3D(), 0.25),
+    (CantorLike(), 0.5),
+    (FractalStringBoundary.cantor_string(), 1.0 / 3.0),
+    (FractalStringBoundary(lengths=(0.5, 0.25, 0.25, 0.125)), 0.5),
+    (PointSet([[0.0, 0.0], [1.0, 0.5]]), 0.5),
+]
+
+
+@pytest.mark.parametrize("k", [0, 3, 20, 50])
+@pytest.mark.parametrize(
+    "set_, delta", FORMULA_SETS, ids=["gasket", "carpet", "cantor", "cantor-string", "explicit-string", "two-points"]
+)
+def test_formula_over_the_radius_grid_equals_the_per_radius_sum(set_, delta, k):
+    series = series_from_zeta(catalog_zeta(set_, delta), k, t_valid_max=set_.t_valid_max)
+    ts = np.geomspace(1e-4, 0.999 * min(set_.t_valid_max, 1.0), 40).tolist()
+    samples = [TubeSample(t, 1.0, TubeMethod.EXACT_CLOSED) for t in ts]
+    got = [row.formula_value for row in compare_tube_formula(series, samples).rows]
+    # bit for bit, at one radius and at all of them
+    assert got == [tube_formula_per_radius(series, t) for t in ts]
+    assert got == [tube_formula_truncated(series, t) for t in ts]
+
+
+def test_formula_over_the_radius_grid_with_a_double_pole_and_real_typed_poles():
+    # a double pole takes tube_term at each radius, as do poles whose location is not a complex
+    poles = (
+        Pole(1.5 + 0.0j, residue=2.0 + 0.0j),
+        Pole(0.5 + 3.0j, order=2, residue=0.3 - 0.2j, principal_part=(0.1 + 0.05j, 0.3 - 0.2j)),
+        Pole(0.5 - 3.0j, order=2, residue=0.3 + 0.2j, principal_part=(0.1 - 0.05j, 0.3 + 0.2j)),
+        Pole(1.0, residue=0.7),
+        Pole(0.25 + 7.0j, residue=1e-3 + 2e-3j),
+        Pole(0.25 - 7.0j, residue=1e-3 - 2e-3j),
+        Pole(0, residue=3),
+    )
+    series = TubeFormulaSeries(ambient_dim=2, poles=poles, truncation=0)
+    ts = np.geomspace(1e-5, 0.5, 40).tolist()
+    samples = [TubeSample(t, 1.0, TubeMethod.EXACT_CLOSED) for t in ts]
+    got = [row.formula_value for row in compare_tube_formula(series, samples).rows]
+    assert got == [tube_formula_per_radius(series, t) for t in ts]
+
+
+def test_compare_tube_formula_rejects_empty_samples():
+    # an empty comparison's summary and max_rel_error raised "max() arg is an empty sequence"
+    with pytest.raises(ValueError):
+        compare_tube_formula(gasket_series(3), [])
+    with pytest.raises(ValueError):
+        compare_tube_formula(gasket_series(3), ())
 
 
 # ---------------------------------------------------------------------------
