@@ -7,13 +7,13 @@ arbitrary evaluators they are located numerically by the argument
 principle.  A grid of cells shorter than 1 covers the window, each grid
 edge sampled once for the two cells that share it, and a cell that
 cannot be settled is halved.  A quiet cell, with no winding and small
-Simpson first and second moments from the nested samples of a coarse
-walk, ends on that walk's samples; the others evaluate the rest of their
-first round.  Every other cell's moments of ``d log f`` give its distinct
-zeros and poles through a Hankel pencil, each polished by Newton iteration
-with a central-difference derivative, the same for a closed form as for
-any function (the finder sees an evaluator only through its values), all
-the points of a level in one evaluator call per round.  Residues come
+Simpson first and second moments from its first round's nested samples,
+ends after that round.  Every other cell's moments of ``d log f`` give
+its distinct zeros and poles through a Hankel pencil, each polished by
+Newton iteration with a central-difference derivative, the same for a
+closed form as for any function (the finder sees an evaluator only
+through its values), all the points of a level in one evaluator call per
+round.  Residues come
 either from the closed-form term algebra or from one adaptive trapezoidal
 rule on circles (which converges geometrically for analytic integrands),
 ``_ring_residues``, which gives the whole principal part of a pole of any
@@ -81,16 +81,23 @@ class Window:
 
     ``imag_range`` is the vertical search band; ``screen_sup`` bounds the
     region on the left: only poles with real part at or right of the screen
-    are visible.
+    are visible.  Raises :class:`ValueError` for an ``imag_range`` that is
+    not a nonempty interval of real numbers and a ``screen_sup`` that is
+    neither None nor a real number other than NaN.
     """
 
     imag_range: tuple[float, float]
     screen_sup: Optional[float] = None
 
     def __post_init__(self):
-        lo, hi = self.imag_range
+        try:
+            lo, hi = self.imag_range
+        except (TypeError, ValueError):
+            lo = hi = None
         if not (_is_real(lo) and _is_real(hi) and lo < hi):
             raise ValueError(f"imag_range must be a nonempty interval of real numbers, got {self.imag_range!r}")
+        if not (self.screen_sup is None or (_is_real(self.screen_sup) and not math.isnan(self.screen_sup))):
+            raise ValueError(f"screen_sup must be None or a real number other than NaN, got {self.screen_sup!r}")
 
     def contains(self, w: complex) -> bool:
         lo, hi = self.imag_range
@@ -173,9 +180,13 @@ def residue_contour(
 
 
 def _is_complex(value) -> bool:
-    """A real or complex number that is not a ``bool``."""
-    # an exact complex, float or int is known by its type, before the slower ABC check
-    return type(value) in (complex, float, int) or (isinstance(value, numbers.Complex) and not isinstance(value, bool))
+    """A real or complex number that is not a ``bool`` and has a complex value (a real one as ``_is_real`` says)."""
+    # an exact complex is known by its type, before the slower ABC check
+    return (
+        type(value) is complex
+        or _is_real(value)
+        or (isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real))
+    )
 
 
 def _ring_residues(f, centers, radii, orders) -> list[tuple[complex, ...]]:
@@ -298,25 +309,16 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     and ``b``), while a lone pair below the floor in a cell under 1 has
     ``|s_2| <= 1.42 d`` and stays quiet; three or more pairs that cancel in
     both can still end quiet.  Only the other walks sum the higher moments.
-
-    The same test runs first one level coarser, on round 0's even samples
-    (12 per edge, corners among them): ``S48`` and ``S24`` from the 48-,
-    24- and 12-segment walks, against ``moment_tol / 2``, since the coarse
-    walk resolves a pair by a corner worse (for pairs 0.02 or more inside
-    the unit cell, the test reads at least 0.73 of the pair's offset on
-    the coarse walks, and 0.98 on round 0's).  A walk quiet there ends on
-    those samples; the others evaluate the odd samples of their edges and
-    run round 0 as above.  Each stage evaluates each distinct corner and
-    edge once, ``11 edges + corners`` points and then 12 per edge of the
-    cells left, each edge from its lesser end and reversed where walked
-    the other way.
+    Round 0 evaluates each distinct corner and edge once, ``23 edges +
+    corners`` points for a grid, each edge from its lesser end and reversed
+    where walked the other way.
     """
     corners = np.asarray(polygons, dtype=complex)
     n_poly, n_corner = corners.shape
     center = corners.sum(axis=1) / n_corner
     scale = 2.0 ** np.ceil(np.log2(np.abs(corners - center[:, None]).max(axis=1)))
-    # a multiple of 8, so the stride-2 and stride-4 samples of round 0 and of
-    # its coarse walk, corners among them, are the walks of the quiet exit either way
+    # a multiple of 4, so round 0's stride-2 and stride-4 samples, corners
+    # among them, are the 12- and 6-per-edge walks of the quiet exit either way
     per_edge = 24
     # corner ids in np.unique's order (by real, then imaginary part); an edge is a
     # pair of them, and its point k from the lesser end is sample per_edge - k the other way
@@ -329,14 +331,8 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     k = np.where((vid < nid)[..., None], k, per_edge - k)
     index = len(verts) - 1 + (per_edge - 1) * eid.reshape(vid.shape)[..., None] + k
     index[..., 0] = vid
-    # the coarse walk first: every other sample of each edge, each distinct one evaluated once
-    fine, index = index.reshape(n_poly, -1), index[..., ::2].reshape(n_poly, -1)
-    inner = len(verts) + (per_edge - 1) * np.arange(len(keys))[:, None] + np.arange(per_edge - 1)
-    at = np.empty(len(points), dtype=complex)
-    first = np.concatenate((np.arange(len(verts)), inner[:, 1::2].ravel()))
-    at[first] = f(points[first])
-    z, vals = points[index.ravel()], at[index.ravel()]
-    cell = np.repeat(np.arange(n_poly), index.shape[1])
+    z, vals = points[index.ravel()], f(points)[index.ravel()]
+    cell = np.repeat(np.arange(n_poly), n_corner * per_edge)
     out: list = [None] * n_poly
     done = np.zeros(n_poly, dtype=bool)
     # the moments of the last round with a resolved winding, and the moments
@@ -346,8 +342,7 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
     sums = lambda cell, t: np.bincount(cell, t.real, n_poly) + 1j * np.bincount(cell, t.imag, n_poly)
     # NaN (no earlier round to compare) is never stable
     stable = lambda a, b: (np.abs(a - b) <= 0.25 * moment_tol / scale).all(axis=0)
-    # round -1 is the coarse walk
-    for rnd in range(-1, 28):
+    for rnd in range(28):
         singular = ~np.isfinite(vals) | (np.abs(vals) < 1e-280)
         if singular.any():
             for c in np.unique(cell[singular]):
@@ -365,10 +360,10 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
         total = np.bincount(cell, dphi, n_poly) / (2.0 * math.pi)
         w = np.round(total)
         ok = smooth & (np.abs(total - w) <= 0.25)
-        if rnd <= 0 and ok.any():
+        if rnd == 0 and ok.any():
             # the quiet exit: the walks of every other and every fourth sample take
             # the skipped samples as their midpoints and sums of the fine increments as their own
-            step = (dphi - 1j * dlnr).reshape(-1, index.shape[1]) / (2.0 * math.pi)
+            step = (dphi - 1j * dlnr).reshape(-1, n_corner * per_edge) / (2.0 * math.pi)
             ids = cell[:: step.shape[1]]
             zc = z.reshape(step.shape) - center[ids, None]
             zm = 0.5 * (z + z[nxt]) - center[cell]
@@ -383,23 +378,10 @@ def _boundary_log_walks(f, polygons, moment_tol: float) -> list:
             s_full = full + (full - half) / 3.0
             s_half = half + (half - quarter) / 3.0
             err = np.abs(s_full) + 2.0 * np.abs(s_full - s_half)
-            bound = 0.5 * moment_tol if rnd < 0 else moment_tol
-            quiet = ids[ok[ids] & (w[ids] == 0) & (err[0] <= bound) & (err[1] <= 4.0 * bound)]
+            quiet = ids[ok[ids] & (w[ids] == 0) & (err[0] <= moment_tol) & (err[1] <= 4.0 * moment_tol)]
             for c in quiet:
                 out[c] = (0, None, scale[c])
             done[quiet] = True
-        if rnd < 0:
-            # round 0 on every sample for the rest, the odd ones evaluated once per distinct edge
-            rest = np.flatnonzero(~done)
-            if not rest.size:
-                break
-            index = fine[rest]
-            need = np.zeros(len(keys), dtype=bool)
-            need[eid.reshape(vid.shape)[rest]] = True
-            odd = inner[need, ::2].ravel()
-            at[odd] = f(points[odd])
-            z, vals, cell = points[index.ravel()], at[index.ravel()], np.repeat(rest, index.shape[1])
-            continue
         live = ok & ~done
         m = r = np.full((_MOMENTS, n_poly), np.nan, dtype=complex)
         if live.any():
@@ -591,10 +573,9 @@ def find_poles_argument_principle(
     edges.  An obstructed walk splits its cell.  A level's cells are walked
     together, each stopping once its moments or their Richardson
     extrapolations are stable; a quiet cell, with ``W = 0`` and Simpson
-    first and second moments that are small and agree with the coarser
-    ones, first from a coarse walk of 12 samples per edge and then from the
-    first round's 24 (see ``_boundary_log_walks``), stops there and is
-    discarded.
+    first and second moments from the first round's 24 samples per edge
+    that are small and agree with the coarser ones (see
+    ``_boundary_log_walks``), stops there and is discarded.
 
     Every other cell goes to one solver (``_moment_points``): the least
     number ``n <= 3`` of distinct zeros and poles that reproduces its

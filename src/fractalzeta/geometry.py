@@ -107,14 +107,22 @@ _POW2 = np.ldexp(1.0, np.arange(_DIGITS + 1))
 
 
 def _is_real(value) -> bool:
-    """A real number that is not a ``bool``."""
-    # an exact float or int is known by its type, before the slower ABC check
-    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    """A real number that is not a ``bool`` and has a float value, as an integer past the float range has not."""
+    # an exact float is known by its type, and an exact int before the slower ABC check
+    if type(value) is float:
+        return True
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _is_integer(value) -> bool:
-    """An integer that is not a ``bool``."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    """An integer that is not a ``bool`` and has a float value (see :func:`_is_real`)."""
+    return (type(value) is int or isinstance(value, numbers.Integral)) and _is_real(value)
 
 
 def _is_count(value) -> bool:
@@ -252,12 +260,14 @@ class CompactSet:
 
 
 def _as_point_tuple(points) -> tuple[tuple[float, ...], ...]:
+    if not isinstance(points, (tuple, list, np.ndarray)):
+        raise ValueError(f"points must be a list of points, got {points!r}")
     out = []
     for p in points:
-        q = tuple(float(c) for c in (p if isinstance(p, (tuple, list, np.ndarray)) else (p,)))
-        if not all(math.isfinite(c) for c in q):
-            raise ValueError("all coordinates must be finite")
-        out.append(q)
+        q = p if isinstance(p, (tuple, list, np.ndarray)) else (p,)
+        if not all(_is_real(c) and math.isfinite(c) for c in q):
+            raise ValueError("all coordinates must be finite real numbers")
+        out.append(tuple(float(c) for c in q))
     return tuple(out)
 
 
@@ -1332,9 +1342,18 @@ class _LevelTable:
         self._breaks = (math.nan, np.empty(0))
 
     def radii(self, floor: float) -> None:
-        """Add fill radii, 4096 levels at a time, until one of them is at most ``floor``."""
+        """Add fill radii, 4096 levels at a time, until one of them is at most ``floor``.
+
+        Raises :class:`ResolutionTooCoarse`, before the table grows, where
+        that takes over ``_LEVEL_BUDGET`` levels.
+        """
         if self.lead.size and -self.lead[-1] <= floor:
             return
+        # r1 rho^k falls to floor at k = ln(r1 / floor) / ln(1 / rho)
+        if math.log(self.r1) - math.log(floor) > -math.log(self.rho) * _LEVEL_BUDGET:
+            raise ResolutionTooCoarse(
+                f"fill radii of ratio {self.rho!r} need over the {_LEVEL_BUDGET} level budget to reach {floor!r}"
+            )
         k, grown = self.fill.size - 1, []
         while not grown or (grown[-1] > floor).all():
             grown.append(self.fill_at(np.arange(k, k + 4096)))
@@ -1379,6 +1398,12 @@ class _LevelTable:
             breaks.flags.writeable = False
             self._breaks = (floor, breaks)
         return self._breaks[1]
+
+
+# The most levels a hole family's table lists: a string of base 1.00001
+# takes about 5.5 million for its tube-zeta quadrature, and base 1 + 1e-9
+# about 2.3 billion for a tube a tenth of its first length
+_LEVEL_BUDGET = 1 << 23
 
 
 @lru_cache(maxsize=16)
@@ -1549,11 +1574,14 @@ def tube_volume(
     above R^3, :class:`FractalZetaError` for an exact volume past the set's
     ``exact_max`` (point-set balls that overlap in R^N, N > 1, and every
     radius of a point cloud there), and :class:`ValueError` for an unknown
-    method, a ``t`` or ``cell`` that is not a positive and finite real (a
-    ``bool`` included), for a ``t`` at
-    which the set's bounding box fattened by ``t`` has a volume past the
-    float range, and, for Monte Carlo, for an ``mc_samples`` that is not an
-    integer ``>= 1`` (a ``bool`` included).
+    method or one that is neither None nor a string, a ``t`` or ``cell``
+    that is not a positive and finite real (a ``bool`` included), for a
+    ``t`` at which the set's bounding box fattened by ``t`` has a volume
+    past the float range, and, for Monte Carlo, for an ``mc_samples`` that
+    is not an integer ``>= 1`` or a ``seed`` that is not one ``>= 0`` (a
+    ``bool`` included).  A self-similar set's exact volume raises
+    :class:`ResolutionTooCoarse` where it needs over ``_LEVEL_BUDGET``
+    (2^23) levels of holes.
     """
     return _measure(set_, [t], method, cell, mc_samples, seed)[0]
 
@@ -1568,17 +1596,19 @@ def _check_fattened_box(set_: CompactSet, t: float) -> None:
 def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeSample]:
     """:func:`tube_volume` at every radius of ``ts``, every input checked before any is measured.
 
-    The method is resolved through ``_METHOD_ALIASES``, then every radius
-    and the fattened box are checked, then ``cell`` (if a radius is grid
-    counted) and ``mc_samples`` (if one is sampled).  The exact radii take
+    The method, None or a string, is resolved through ``_METHOD_ALIASES``,
+    then every radius and the fattened box are checked, then ``cell`` (if a
+    radius is grid counted) and ``mc_samples`` and ``seed`` (if one is
+    sampled).  The exact radii take
     one ``exact_volumes`` call and the Monte Carlo radii one
     :func:`_mc_tubes` run; the grid counts one radius at a time.
     """
-    req = _METHOD_ALIASES.get(method or "auto", "unknown")
+    req = _METHOD_ALIASES.get(method or "auto", "unknown") if method is None or isinstance(method, str) else "unknown"
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
     if not all(_is_real(t) and math.isfinite(t) and t > 0 for t in ts):
         raise ValueError("t must be a positive and finite real number")
+    ts = [float(t) for t in ts]
     if ts:
         _check_fattened_box(set_, max(ts))
     far = TubeMethod.GRID_COUNT if set_.ambient_dim <= 3 else TubeMethod.MONTE_CARLO
@@ -1586,11 +1616,14 @@ def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeS
     if TubeMethod.GRID_COUNT in chosen:
         if cell is not None and not (_is_real(cell) and math.isfinite(cell) and cell > 0):
             raise ValueError("cell must be a positive and finite real number")
+        cell = None if cell is None else float(cell)
         if set_.ambient_dim > 3:
             raise ResolutionTooCoarse("grid counting is limited to ambient dimension <= 3")
     mc = [t for t, c in zip(ts, chosen) if c == TubeMethod.MONTE_CARLO]
     if mc and not (_is_integer(mc_samples) and mc_samples >= 1):
         raise ValueError("mc_samples must be an integer >= 1")
+    if mc and not _is_count(seed):
+        raise ValueError("seed must be an integer >= 0")
     exact = [t for t, c in zip(ts, chosen) if c == "exact"]
     volumes = iter(set_.exact_volumes(np.array(exact)).tolist() if exact else ())
     sampled = iter(_mc_tubes(set_, mc, mc_samples, seed) if mc else ())
@@ -1643,8 +1676,11 @@ def sample_tube_curve(
     is checked before anything is measured and each sample is bit for bit
     that of its own ``tube_volume`` call.
     """
-    ts = list(t_values)
-    if not all(_is_real(t) for t in ts):
+    try:
+        ts = list(t_values)
+    except TypeError:
+        ts = None
+    if ts is None or not all(_is_real(t) for t in ts):
         raise ValueError("t values must be real numbers")
     ts = [float(t) for t in ts]
     if any(b < a for a, b in zip(ts, ts[1:])):

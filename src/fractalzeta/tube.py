@@ -349,7 +349,7 @@ def measurability_criterion(
         "screen and languidity hypotheses assumed, not machine-verified",
     ]
     if languidity_kappa is not None:
-        notes.append(f"languidity probe: fitted kappa = {languidity_kappa:.6g}")
+        notes.append(f"languidity probe: fitted kappa = {float(languidity_kappa):.6g}")
 
     critical = tuple(p for p in poles if abs(p.location.real - d) <= tol)
     straddling = [p for p in poles if tol < abs(p.location.real - d) <= 2.0 * tol]

@@ -314,11 +314,15 @@ class ClosedFormZeta:
 
         Only the lattice indices near each ordinate are listed, so the cost
         does not grow with the ordinates' size; no ordinates list no poles.
-        Raises :class:`ValueError` for an ordinate or a ``reach`` that is not
-        a finite real number, a negative ``reach``, and where
+        Raises :class:`ValueError` for ordinates that are not a sequence, an
+        ordinate or a ``reach`` that is not a finite real number, a negative
+        ``reach``, and where
         ``poles(max |ordinate| + reach)`` does.
         """
-        ordinates = list(ordinates)
+        try:
+            ordinates = list(ordinates)
+        except TypeError:
+            raise ValueError(f"ordinates must be a sequence of finite reals, got {ordinates!r}") from None
         if not (all(map(_finite_real, ordinates)) and _finite_real(reach) and reach >= 0):
             raise ValueError(f"ordinates and reach must be finite reals, reach >= 0: {ordinates!r}, {reach!r}")
         if not ordinates:
@@ -438,16 +442,19 @@ class NumericZetaConfig:
 def _finite_s(s) -> complex:
     try:
         s = complex(s)
-    except TypeError:
-        raise ValueError(f"s must be a number, got {s!r}") from None
+    except (TypeError, OverflowError):
+        raise ValueError(f"s must be a number with a complex value, got {s!r}") from None
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise ValueError(f"s must be finite, got {s}")
     return s
 
 
 def _finite_points(s) -> np.ndarray:
-    """``s`` as a complex array; ValueError if an entry is not finite."""
-    s = np.asarray(s, dtype=complex)
+    """``s`` as a complex array; ValueError if an entry is not finite or has no complex value."""
+    try:
+        s = np.asarray(s, dtype=complex)
+    except OverflowError:
+        raise ValueError(f"s must have a complex value, got {s!r}") from None
     if not np.isfinite(s).all():
         raise ValueError(f"s must be finite, got {complex(s[~np.isfinite(s)][0])}")
     return s

@@ -438,12 +438,26 @@ def test_float_format_round_trips(tmp_path):
         ({"mc_samples": 1.5}, ("poles", "tube-compare")),
         ({"s_values": [["1.5", 0.0]]}, ("poles", "tube-compare")),
         ({"s_values": [[True, 0.0]]}, ("poles", "tube-compare")),
+        # a 400-digit integer died with OverflowError and a traceback, exit 1
+        ({"set": {"variant": "sierpinski_gasket"}, "band": 10**400}, ("poles", "tube-compare")),
+        ({"set": {"variant": "cantor_like", "scale": 10**400}}, ("poles", "tube-compare")),
+        (
+            {"set": {"variant": "string_boundary", "base": 3.0, "multiplicity": 2, "scale": -(10**400)}},
+            ("poles", "tube-compare"),
+        ),
+        ({"delta": 10**400}, ("poles", "tube-compare")),
+        ({"grid_cell": 10**400}, ("poles", "tube-compare")),
+        ({"t_grid": {"min": 1e-3, "max": 10**400, "count": 4}}, ("poles", "tube-compare")),
+        ({"s_values": [[10**400, 0.0]]}, ("poles", "tube-compare")),
+        ({"set": {"variant": "point_set", "points": [[10**400]]}}, ("poles", "tube-compare")),
     ],
     ids=[
         "set_list", "set_str", "t_grid_list", "seed_negative", "seed_str", "seed_float", "seed_bool",
         "truncation_float", "t_grid_count_huge", "mc_samples_huge",
         "band_bool", "threshold_bool", "delta_bool", "grid_cell_bool", "t_min_bool", "t_max_bool", "t_log_str",
         "oracle_list", "mc_samples_float", "s_value_str", "s_value_bool",
+        "band_past_float", "cantor_scale_past_float", "string_scale_past_float", "delta_past_float",
+        "grid_cell_past_float", "t_max_past_float", "s_value_past_float", "point_past_float",
     ],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, override, commands):
@@ -467,7 +481,8 @@ def test_seed_override_below_zero_is_config_error(tmp_path, capsys):
 
 # Values of the wrong type or out of range, for any field.
 _JUNK = [
-    None, True, "x", "1.5", "no", [], {}, [1, 2], math.nan, math.inf, -1, 0, 1.5, 2**63, 10**30, 1e308, -1e308, 5e-324,
+    None, True, "x", "1.5", "no", [], {}, [1, 2], math.nan, math.inf, -1, 0, 1.5, 2**63, 10**30, 10**400, 1e308, -1e308,
+    5e-324,
 ]
 
 # Cheap valid values: exact or auto oracles, at most 4 radii, small budgets.

@@ -425,8 +425,8 @@ def test_a_pair_is_resolved_in_its_unit_cell(monkeypatch, separation):
 
 
 def test_a_quiet_walk_ends_after_its_first_round():
-    # W = 0, and the Simpson M1 of the coarse 48-, 24- and 12-segment walks is
-    # about 1e-16: the walk ends on its first 48 samples, round 0's even ones
+    # W = 0, and the Simpson M1 of the 96-, 48- and 24-segment walks is
+    # about 1e-16: the walk ends on round 0's 96 samples
     from fractalzeta.dimensions import _boundary_log_walks, _rect_corners
 
     points = []
@@ -436,7 +436,7 @@ def test_a_quiet_walk_ends_after_its_first_round():
         return np.exp(s)
 
     [(w, s, _)] = _boundary_log_walks(f, [_rect_corners(0.0, 1.0, 0.0, 1.0)], 1e-6)
-    assert points == [48]
+    assert points == [96]
     assert w == 0 and s is None
 
 
@@ -470,9 +470,9 @@ def _simple_pole(p):
 
 
 def test_grid_round_zero_evaluates_each_corner_and_edge_once():
-    # 17 edges (3 x 3 horizontal, 4 x 2 vertical) and 12 corners: the 11 even
-    # inner points of round 0 per edge and each corner once, not 48 per cell
-    # (288); e^s has no pole or zero, so every cell ends quiet on its coarse walk
+    # 17 edges (3 x 3 horizontal, 4 x 2 vertical) and 12 corners: the 23 inner
+    # points of round 0 per edge and each corner once, not 96 per cell (576);
+    # e^s has no pole or zero, so every cell ends quiet after round 0
     xs, ys = _grid()
     assert (len(xs), len(ys)) == (4, 3)
     points = []
@@ -482,11 +482,11 @@ def test_grid_round_zero_evaluates_each_corner_and_edge_once():
         return np.exp(s)
 
     assert find_poles_argument_principle(f, GRID_RECT, tol=1e-9, moment_floor=1e-6) == []
-    assert len(points) == 17 * 11 + 12
+    assert len(points) == 17 * 23 + 12
     assert len(set(points)) == len(points)
 
 
-# over the coarse sample spacing of the grid's cells, a twelfth of a side under 1
+# over twice round 0's sample spacing of the grid's cells, a twelfth of a side under 1
 _COARSE = 1.0 / 12.0
 
 
@@ -502,9 +502,9 @@ def _by_a_line(lines):
     st.floats(0.0, 2.0 * math.pi),
 )
 def test_a_pair_by_a_grid_edge_or_corner_is_found(x, y, log_separation, angle):
-    # a pair at least 10 moment floors wide within a coarse spacing of a grid
-    # line (or two, by a corner), where the coarse walk samples it worst: the
-    # coarse quiet test passes it on to round 0 instead of ending it as quiet
+    # a pair at least 10 moment floors wide within two sample spacings of a
+    # grid line (or two, by a corner), where round 0's walks resolve it worst:
+    # the quiet test passes it on to the later rounds instead of ending it as quiet
     xs, ys = _grid()
     assume(min(abs(x - line) for line in xs) <= _COARSE or min(abs(y - line) for line in ys) <= _COARSE)
     p0 = complex(x, y)

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -26,7 +27,7 @@ from fractalzeta.geometry import (
     tube_volume,
     tube_volumes,
 )
-from fractalzeta.zeta import default_delta
+from fractalzeta.zeta import NumericZetaConfig, default_delta, tube_zeta_numeric
 from references import (
     cantor_distances_per_level,
     cantor_segments,
@@ -1844,3 +1845,80 @@ def test_json_rejects_fractional_multiplicity():
             set_from_json(data)
     again = set_from_json({"variant": "string_boundary", "base": 3.0, "multiplicity": 2.0})
     assert again == FractalStringBoundary.cantor_string()
+
+
+def test_the_number_checks_reject_a_number_past_the_float_range():
+    from fractalzeta.dimensions import _is_complex
+
+    for v in (10**400, -(10**400), Fraction(10**400), Fraction(-(10**400), 7)):
+        assert not (geo._is_real(v) or geo._is_integer(v) or _is_complex(v)), v
+    # the edge of the range, and a fraction that only its quotient keeps inside it
+    assert geo._is_real(2**1023) and geo._is_integer(-(2**1023)) and _is_complex(2**1023)
+    assert geo._is_real(Fraction(10**400, 10**399)) and not geo._is_real(2**1024)
+
+
+@pytest.mark.parametrize("seed", [0.5, True, math.inf, None, "1", 1.0])
+def test_a_sampled_tube_rejects_a_seed_that_is_not_a_count(seed):
+    # 0.5 and 1.0 gave seed 0's and 1's sample, True seed 1's; inf raised OverflowError, None and "1" TypeError
+    with pytest.raises(ValueError, match="seed"):
+        tube_volume(SierpinskiGasket(), 0.1, "mc", mc_samples=20_000, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        sample_tube_curve(SierpinskiGasket(), [0.05, 0.1], "mc", mc_samples=20_000, seed=seed)
+
+
+def test_an_unsampled_tube_ignores_its_seed():
+    assert tube_volume(SierpinskiGasket(), 0.1, "exact", seed=None) == tube_volume(SierpinskiGasket(), 0.1, "exact")
+
+
+def test_a_fraction_cell_or_radius_measures_as_its_float():
+    # the Fraction reached numpy as an object and raised a bare TypeError or AttributeError
+    gasket = SierpinskiGasket()
+    assert tube_volume(gasket, 0.1, "grid", cell=Fraction(1, 300)) == tube_volume(gasket, 0.1, "grid", cell=1 / 300)
+    assert tube_volume(gasket, Fraction(1, 10), "grid", cell=0.01) == tube_volume(gasket, 0.1, "grid", cell=0.01)
+
+
+@pytest.mark.parametrize("method", [["grid"], {"grid"}, 0], ids=["list", "set", "zero"])
+def test_a_method_that_is_not_a_string_raises_value_error(method):
+    # a list or a set raised TypeError: unhashable type, and 0 read as "auto"
+    with pytest.raises(ValueError, match="method"):
+        tube_volume(SierpinskiGasket(), 0.1, method)
+    with pytest.raises(ValueError, match="method"):
+        sample_tube_curve(SierpinskiGasket(), [0.05, 0.1], method)
+
+
+def test_a_tube_method_member_is_a_method_string():
+    gasket = SierpinskiGasket()
+    assert tube_volume(gasket, 0.1, TubeMethod.GRID_COUNT, cell=0.01) == tube_volume(gasket, 0.1, "grid", cell=0.01)
+
+
+def _thin_string(base):
+    return FractalStringBoundary(base=base, multiplicity=1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # about 2.3e9 levels of fill radii: it did not finish in 30 s
+        lambda: tube_volume(_thin_string(1 + 1e-9), 0.1 * _thin_string(1 + 1e-9).first_length),
+        # it listed fill radii down to 1e-280 until the memory ran out
+        lambda: tube_zeta_numeric(_thin_string(1 + 1e-13), 0.5 + 1j, NumericZetaConfig(delta=1.0, seed=1)),
+    ],
+    ids=["tube_volume", "tube_zeta_numeric"],
+)
+def test_a_string_too_thin_for_the_level_budget_raises_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ResolutionTooCoarse, match="level budget"):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("base", [1.001, 1.00001])
+def test_thin_strings_inside_the_level_budget_still_measure(base):
+    string = _thin_string(base)
+    t = 0.1 * string.first_length
+    # 2.3e3 and 2.3e5 levels
+    assert tube_volume(string, t).volume == pytest.approx(float(string_volume(string, t)), rel=1e-9)
+
+
+def test_a_thin_string_inside_the_level_budget_still_integrates():
+    assert np.isfinite(tube_zeta_numeric(_thin_string(1.001), 0.5 + 1j, NumericZetaConfig(delta=1.0, seed=1)))

@@ -1,10 +1,18 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fractalzeta.dimensions import Pole, Window, find_poles_argument_principle, languidity_probe, lattice_poles
+from fractalzeta.dimensions import (
+    Pole,
+    Window,
+    find_poles_argument_principle,
+    languidity_probe,
+    lattice_poles,
+    residue_contour,
+)
 from fractalzeta.errors import (
     DimensionCollision,
     InsufficientSamples,
@@ -19,6 +27,7 @@ from fractalzeta.geometry import (
     TubeMethod,
     TubeSample,
     sample_tube_curve,
+    set_from_json,
     tube_volume,
     tube_volumes,
 )
@@ -35,7 +44,14 @@ from fractalzeta.tube import (
     tube_formula_truncated,
     tube_term,
 )
-from fractalzeta.zeta import ClosedFormZeta, LatticeTerm, catalog_zeta, closed_form_eval
+from fractalzeta.zeta import (
+    ClosedFormZeta,
+    LatticeTerm,
+    NumericZetaConfig,
+    catalog_zeta,
+    closed_form_eval,
+    tube_zeta_numeric,
+)
 from references import max_real_part, real_poles, scale_zeta, tube_formula_per_radius
 
 LOG2_3 = math.log(3.0) / math.log(2.0)
@@ -610,6 +626,70 @@ NON_FINITE_CASES = {
     "TubeSample(method='x')": lambda: TubeSample(0.1, 1.0, "x"),
     # a bare TypeError
     "TubeSample(t='a')": lambda: TubeSample("a", 1.0, TubeMethod.EXACT_1D),
+    # an integer or a fraction past the float range raised a bare OverflowError
+    # from math.isfinite, float, complex or numpy, one module after another
+    "tube_volume(t=10**400)": lambda: tube_volume(SierpinskiGasket(), 10**400),
+    "tube_volume(t=Fraction(10**400))": lambda: tube_volume(SierpinskiGasket(), Fraction(10**400, 3)),
+    "tube_volume(cell=10**400)": lambda: tube_volume(SierpinskiGasket(), 0.1, "grid", cell=10**400),
+    "sample_tube_curve(t=10**400)": lambda: sample_tube_curve(SierpinskiGasket(), [0.1, 10**400]),
+    "CantorLike(scale=10**400)": lambda: CantorLike(scale=10**400),
+    "FractalStringBoundary(scale=-10**400)": lambda: FractalStringBoundary(base=3.0, multiplicity=2, scale=-(10**400)),
+    "FractalStringBoundary(lengths=(10**400,))": lambda: FractalStringBoundary(lengths=(10**400, 1.0)),
+    "PointSet([[10**400]])": lambda: PointSet([[0.0], [10**400]]),
+    "set_from_json(scale=10**400)": lambda: set_from_json({"variant": "cantor_like", "scale": 10**400}),
+    "catalog_zeta(delta=10**400)": lambda: catalog_zeta(SierpinskiGasket(), 10**400),
+    "NumericZetaConfig(delta=10**400)": lambda: NumericZetaConfig(delta=10**400, seed=1),
+    "closed_form_eval(s=10**400)": lambda: closed_form_eval(catalog_zeta(SierpinskiGasket(), 0.5), 10**400),
+    "ClosedFormZeta.evaluate(10**400)": lambda: catalog_zeta(SierpinskiGasket(), 0.5).evaluate(10**400),
+    "ClosedFormZeta.residue_at(-10**400)": lambda: catalog_zeta(SierpinskiGasket(), 0.5).residue_at(-(10**400)),
+    "ClosedFormZeta.poles(10**400)": lambda: catalog_zeta(SierpinskiGasket(), 0.5).poles(10**400),
+    "ClosedFormZeta.poles_near([10**400])": lambda: catalog_zeta(SierpinskiGasket(), 0.5).poles_near([10**400], 1.0),
+    "LatticeTerm(amplitude=10**400)": lambda: LatticeTerm(10**400, 1.0, (0.0,), (2.0, 3.0)),
+    "tube_zeta_numeric(s=10**400)": lambda: tube_zeta_numeric(
+        CantorLike(), 10**400, NumericZetaConfig(delta=0.5, seed=1)
+    ),
+    "Pole(10**400)": lambda: Pole(10**400),
+    "Pole(residue=-10**400)": lambda: Pole(1j, residue=-(10**400)),
+    "find_poles_argument_principle(rect=10**400)": lambda: find_poles_argument_principle(
+        catalog_zeta(SierpinskiGasket(), 0.5), (10**400, 1.0, 0.0, 1.0)
+    ),
+    "find_poles_argument_principle(tol=10**400)": lambda: find_poles_argument_principle(
+        catalog_zeta(SierpinskiGasket(), 0.5), (0.0, 1.0, 0.0, 1.0), tol=10**400
+    ),
+    "residue_contour(radius=10**400)": lambda: residue_contour(catalog_zeta(SierpinskiGasket(), 0.5), 1.0, 10**400),
+    "residue_contour(known_poles=[10**400])": lambda: residue_contour(
+        catalog_zeta(SierpinskiGasket(), 0.5), 1.0, known_poles=[10**400]
+    ),
+    "languidity_probe(abscissa=10**400)": lambda: languidity_probe(
+        catalog_zeta(SierpinskiGasket(), 0.5), 10**400, _HEIGHTS
+    ),
+    "lattice_poles(m=10**400)": lambda: lattice_poles(10**400, 3.0, Window((-1.0, 1.0))),
+    "Window(screen_sup=10**400)": lambda: Window((-5.0, 5.0), 10**400),
+    "minkowski_content_from_residue(10**400)": lambda: minkowski_content_from_residue(10**400, 2, 1.5),
+    "minkowski_content_from_residue(ambient_dim=10**400)": lambda: minkowski_content_from_residue(1.0, 10**400, 1.5),
+    "tube_term(t=10**400)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 10**400, 1),
+    "tube_term(ambient_dim=10**400)": lambda: tube_term(Pole(0j, residue=1.0 + 0j), 0.1, 10**400),
+    "truncation_tail_bound(truncation=10**400)": lambda: truncation_tail_bound(
+        catalog_zeta(SierpinskiGasket(), 0.5), 10**400, 0.1
+    ),
+    "series_from_zeta(t_valid_max=10**400)": lambda: series_from_zeta(
+        catalog_zeta(SierpinskiGasket(), 0.5), 5, 10**400
+    ),
+    "tube_formula_truncated(t=-10**400)": lambda: tube_formula_truncated(gasket_series(3), -(10**400)),
+    "measurability_criterion(band_height=10**400)": lambda: measurability_criterion(
+        [], 1.0, 1e-6, ambient_dim=2, band_height=10**400, lattice_period=1.0
+    ),
+    # a bare TypeError, or a string, a bool or a NaN accepted
+    "ClosedFormZeta.poles_near(0.5)": lambda: catalog_zeta(SierpinskiGasket(), 0.5).poles_near(0.5, 1.0),
+    "set_from_json(points=5)": lambda: set_from_json({"variant": "point_set", "points": 5}),
+    "PointSet([[None]])": lambda: PointSet([[None]]),
+    "PointSet(5)": lambda: PointSet(5),
+    "PointSet([['0.5']])": lambda: PointSet([["0.5"]]),
+    "PointSet([[True, 0.0]])": lambda: PointSet([[True, 0.0]]),
+    "sample_tube_curve(t_values=0.1)": lambda: sample_tube_curve(SierpinskiGasket(), 0.1),
+    "Window(screen_sup='1')": lambda: Window((-5.0, 5.0), "1"),
+    "Window(screen_sup=nan)": lambda: Window((-5.0, 5.0), math.nan),
+    "Window(imag_range=5.0)": lambda: Window(5.0),
 }
 
 
