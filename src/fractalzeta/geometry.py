@@ -447,6 +447,9 @@ class CantorLike(CompactSet):
             raise ValueError("ratio must be a real number in (0, 1/2)")
         if not (_is_real(self.scale) and math.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be positive and finite")
+        # a subnormal scale leaves no gap: (1 - 2 ratio) * 5e-324 rounds to 0
+        if not self.largest_gap > 0:
+            raise ValueError(f"scale {self.scale!r} leaves a middle gap that underflows to 0")
 
     variant = "cantor_like"
     delta_bound = "half the largest gap: (1 - 2 ratio) * scale / 2"

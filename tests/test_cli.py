@@ -450,6 +450,8 @@ def test_float_format_round_trips(tmp_path):
         ({"t_grid": {"min": 1e-3, "max": 10**400, "count": 4}}, ("poles", "tube-compare")),
         ({"s_values": [[10**400, 0.0]]}, ("poles", "tube-compare")),
         ({"set": {"variant": "point_set", "points": [[10**400]]}}, ("poles", "tube-compare")),
+        # a middle gap that underflows to 0 died with ZeroDivisionError, exit 1
+        ({"set": {"variant": "cantor_like", "scale": 5e-324}}, ("zeta-eval", "poles", "tube-compare", "measurability")),
     ],
     ids=[
         "set_list", "set_str", "t_grid_list", "seed_negative", "seed_str", "seed_float", "seed_bool",
@@ -458,6 +460,7 @@ def test_float_format_round_trips(tmp_path):
         "oracle_list", "mc_samples_float", "s_value_str", "s_value_bool",
         "band_past_float", "cantor_scale_past_float", "string_scale_past_float", "delta_past_float",
         "grid_cell_past_float", "t_max_past_float", "s_value_past_float", "point_past_float",
+        "cantor_scale_subnormal",
     ],
 )
 def test_malformed_config_field_is_config_error(tmp_path, capsys, override, commands):
@@ -561,6 +564,10 @@ def _configs(draw, out_dir):
     },
     command="zeta-eval",
 ).via("a string whose first length underflows to 0 had NaN distances")
+@example(
+    data={"set": {"variant": "cantor_like", "scale": 5e-324}, "seed": 0, "delta": 0.5, "s_values": [[2.5, 0.0]]},
+    command="zeta-eval",
+).via("a Cantor set whose middle gap underflows to 0 divided by zero")
 def test_cli_config_fuzz_exits_0_1_or_2(data, command):
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -1553,6 +1553,10 @@ def test_cantor_rejects_infinite_scale():
         CantorLike(ratio="0.1")
     with pytest.raises(ValueError):
         set_from_json({"variant": "cantor_like", "ratio": "0.1"})
+    # a subnormal scale whose middle gap rounds to 0 divided by zero in zeta_terms
+    with pytest.raises(ValueError):
+        CantorLike(scale=5e-324)
+    assert CantorLike(scale=1e-300).largest_gap > 0
 
 
 def test_string_rejects_nan_base():
