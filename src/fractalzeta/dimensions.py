@@ -13,11 +13,13 @@ its distinct zeros and poles through a Hankel pencil, each polished by
 Newton iteration with a central-difference derivative, the same for a
 closed form as for any function (the finder sees an evaluator only
 through its values), all the points of a level in one evaluator call per
-round.  Residues come
-either from the closed-form term algebra or from one adaptive trapezoidal
-rule on circles (which converges geometrically for analytic integrands),
-``_ring_residues``, which gives the whole principal part of a pole of any
-order, all the circles of a window in one evaluator call per node count.
+round.  Residues come either from the closed-form term algebra or from one
+adaptive trapezoidal rule on circles (which converges geometrically for
+analytic integrands), ``_ring_residues``, which gives the whole principal
+part of a pole of any order, all the circles of a window in one evaluator
+call per node count.  An evaluator maps a complex ndarray to a numeric one
+of the same shape, checked at every call; wrap a scalar ``f`` as
+``np.vectorize(f, otypes=[complex])``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .errors import (
 from .geometry import _is_integer, _is_real
 from .zeta import ClosedFormZeta, LatticeTerm, _finite_real, _lattice_ks
 
-Evaluator = Union[ClosedFormZeta, Callable[[complex], complex]]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -114,14 +116,14 @@ class LanguidityEstimate:
 
 
 def _vectorized(evaluator: Evaluator) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(evaluator, ClosedFormZeta):
-        return lambda s: np.asarray(evaluator.evaluate(s), dtype=complex)
+    if not callable(evaluator):
+        raise ValueError(f"evaluator must be callable, got {evaluator!r}")
 
     def call(s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=complex)
-        flat = s.ravel()
-        out = np.array([complex(evaluator(z)) for z in flat])
-        return out.reshape(s.shape)
+        out = evaluator(s)
+        if not (isinstance(out, np.ndarray) and out.shape == s.shape and out.dtype.kind in "iufc"):
+            raise ValueError(f"evaluator must map an array of shape {s.shape} to a numeric one, got {out!r:.60}")
+        return out.astype(complex, copy=False)
 
     return call
 
@@ -160,8 +162,9 @@ def residue_contour(
     is stable to 1e-10; drift up to 4096 nodes raises :class:`ContourContaminated`
     (another singularity inside or on the contour).  An ``omega`` or entry
     of ``known_poles`` that is not a finite number, ``known_poles`` that is
-    not a sequence, or a radius that is not a positive finite real number
-    (a ``bool`` is not) raises :class:`ValueError`.
+    not a sequence, a radius that is not a positive finite real number
+    (a ``bool`` is not), or an evaluator that does not map a complex
+    ndarray to a numeric ndarray of its shape raises :class:`ValueError`.
     """
     if not (_is_complex(omega) and cmath.isfinite(omega)):
         raise ValueError(f"omega must be a finite number, got {omega!r}")
@@ -562,20 +565,23 @@ def find_poles_argument_principle(
 ) -> list[Pole]:
     """Locate the poles of a meromorphic function inside an axis rectangle.
 
-    ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``.  Each cell is solved from
-    the boundary winding count ``W = Z - P`` and the centred moments of
-    ``d log f``, which see zero-pole pairs that cancel in the count (zeta
-    functions grow such zeros near every lattice pole).  The first
-    level is a grid over ``rect``, ``floor(side) + 1`` cells along a side
-    longer than 1, its lines off the equal spacing (``_grid_lines``), and
-    each grid edge sampled once for both its cells; later levels split a
-    cell in two at irrational fractions, so singularities stay off shared
-    edges.  An obstructed walk splits its cell.  A level's cells are walked
-    together, each stopping once its moments or their Richardson
-    extrapolations are stable; a quiet cell, with ``W = 0`` and Simpson
-    first and second moments from the first round's 24 samples per edge
-    that are small and agree with the coarser ones (see
-    ``_boundary_log_walks``), stops there and is discarded.
+    ``evaluator`` maps a complex ndarray to a numeric ndarray of its shape
+    (wrap a scalar ``f`` as ``np.vectorize(f, otypes=[complex])``), and its
+    exceptions propagate.  ``rect`` is ``(re_lo, re_hi, im_lo, im_hi)``.
+
+    Each cell is solved from the boundary winding count ``W = Z - P`` and
+    the centred moments of ``d log f``, which see zero-pole pairs that
+    cancel in the count (zeta functions grow such zeros near every lattice
+    pole).  The first level is a grid over ``rect``, ``floor(side) + 1``
+    cells along a side longer than 1, its lines off the equal spacing
+    (``_grid_lines``), and each grid edge sampled once for both its cells;
+    later levels split a cell in two at irrational fractions, so
+    singularities stay off shared edges.  An obstructed walk splits its
+    cell.  A level's cells are walked together, each stopping once its
+    moments or their Richardson extrapolations are stable; a quiet cell,
+    with ``W = 0`` and Simpson first and second moments from the first
+    round's 24 samples per edge that are small and agree with the coarser
+    ones (see ``_boundary_log_walks``), stops there and is discarded.
 
     Every other cell goes to one solver (``_moment_points``): the least
     number ``n <= 3`` of distinct zeros and poles that reproduces its
@@ -605,8 +611,8 @@ def find_poles_argument_principle(
     evaluator is non-finite or zero is obstructed and split again;
     :class:`ValueError` for a ``rect`` that is not four real
     numbers or is non-finite or empty, a ``tol`` or ``moment_floor`` that is
-    not a positive finite real number (a ``bool`` is not), or a ``rect``
-    whose grid has over 10^5 cells.
+    not a positive finite real number (a ``bool`` is not), a ``rect``
+    whose grid has over 10^5 cells, or an evaluator off that contract.
     """
     try:
         entries = tuple(rect)
@@ -698,7 +704,7 @@ def find_poles_argument_principle(
 
 
 def languidity_probe(
-    evaluator: Evaluator,
+    evaluator: ClosedFormZeta,
     screen_abscissa: float,
     heights: Sequence[float],
 ) -> LanguidityEstimate:
@@ -706,13 +712,15 @@ def languidity_probe(
 
     Fits ``log |zeta(sigma + i T)|`` against ``log T`` over the given
     heights (at least 8, spanning at least two decades); the slope
-    estimates the languidity exponent kappa.  For a closed form, heights
-    within 1 of the ordinate of a pole near the line are skipped and a
-    sample within 1e-3 of a pole raises :class:`PoleOnLine`; a black box
-    has no poles listed.  Raises :class:`ValueError` for an abscissa that
-    is not a finite real number, and for ``heights`` that are not a
-    sequence of real numbers or hold a non-finite one.
+    estimates the languidity exponent kappa.  Heights within 1 of the
+    ordinate of a pole near the line are skipped and a sample within 1e-3
+    of a pole raises :class:`PoleOnLine`, so the evaluator must be a
+    :class:`ClosedFormZeta`, which lists its poles.  Raises :class:`ValueError`
+    for any other evaluator, an abscissa that is not a finite real number,
+    and ``heights`` that are not a sequence of real numbers or hold a non-finite one.
     """
+    if not isinstance(evaluator, ClosedFormZeta):
+        raise ValueError(f"evaluator must be a ClosedFormZeta, got {evaluator!r}")
     if not _finite_real(screen_abscissa):
         raise ValueError(f"screen abscissa must be finite, got {screen_abscissa}")
     try:
@@ -729,25 +737,17 @@ def languidity_probe(
     if hs[-1] / hs[0] < 100.0:
         raise ValueError("heights must span at least two decades")
 
-    pole_locations = []
-    if isinstance(evaluator, ClosedFormZeta):
-        # only poles within 1 of a height in ordinate can skip it or sit on the line there
-        pole_locations = [w for w, _ in evaluator.poles_near(hs, 1.0)]
-
-    f = _vectorized(evaluator)
-    used: list[float] = []
+    # only poles within 1 of a height in ordinate can skip it or sit on the line there
+    pole_locations = [w for w, _ in evaluator.poles_near(hs, 1.0)]
+    near_line = [w for w in pole_locations if abs(w.real - screen_abscissa) < 0.5]
     for h in hs:
         s = complex(screen_abscissa, h)
-        dists = [abs(s - w) for w in pole_locations]
-        if dists and min(dists) < 1e-3:
+        if any(abs(s - w) < 1e-3 for w in pole_locations):
             raise PoleOnLine(f"sample at {s} sits within 1e-3 of a pole")
-        near_line = [w for w in pole_locations if abs(w.real - screen_abscissa) < 0.5]
-        if any(abs(h - w.imag) < 1.0 for w in near_line):
-            continue
-        used.append(h)
+    used = [h for h in hs if not any(abs(h - w.imag) < 1.0 for w in near_line)]
     if len(used) < 8:
         raise ValueError("too few usable heights after pole-ordinate exclusions")
-    vals = f(np.array([complex(screen_abscissa, h) for h in used]))
+    vals = evaluator(np.array([complex(screen_abscissa, h) for h in used]))
     logs = np.log(np.abs(vals))
     logt = np.log(np.array(used))
     kappa, intercept = np.polyfit(logt, logs, 1)

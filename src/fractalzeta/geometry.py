@@ -259,6 +259,11 @@ class CompactSet:
         return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
+def _check_set(set_) -> None:
+    if not isinstance(set_, CompactSet):
+        raise ValueError(f"set must be a CompactSet descriptor, got {set_!r}")
+
+
 def _as_point_tuple(points) -> tuple[tuple[float, ...], ...]:
     if not isinstance(points, (tuple, list, np.ndarray)):
         raise ValueError(f"points must be a list of points, got {points!r}")
@@ -1237,12 +1242,13 @@ def distances_to_set(points, set_: CompactSet) -> np.ndarray:
     ``2^-1022 max(1, scale)``, a Cantor interval below a point's ulp for
     its points; a self-similar string with ``base / multiplicity <= 1 +
     1e-12`` may miss a level.  A distance past the float range is ``inf``.
-    Raises :class:`ValueError` for an array that is not of integers or
-    floats, or an element of other input that is not a real number (a
-    ``bool`` in either).
+    Raises :class:`ValueError` for a set that is not a :class:`CompactSet`,
+    an array that is not of integers or floats, or an element of other
+    input that is not a real number (a ``bool`` in either).
     """
     if not (isinstance(points, np.ndarray) or all(map(_is_real, np.asarray(points, dtype=object).ravel()))):
         raise ValueError("points must be real numbers")
+    _check_set(set_)
     pts = np.atleast_2d(points)
     if pts.dtype.kind not in "iuf":
         raise ValueError(f"points must be an array of real numbers, not of {pts.dtype}")
@@ -1580,9 +1586,9 @@ def tube_volume(
     method or one that is neither None nor a string, a ``t`` or ``cell``
     that is not a positive and finite real (a ``bool`` included), for a
     ``t`` at which the set's bounding box fattened by ``t`` has a volume
-    past the float range, and, for Monte Carlo, for an ``mc_samples`` that
-    is not an integer ``>= 1`` or a ``seed`` that is not one ``>= 0`` (a
-    ``bool`` included).  A self-similar set's exact volume raises
+    past the float range, a set that is not a :class:`CompactSet`, and,
+    for Monte Carlo, for an ``mc_samples`` that is not an integer ``>= 1``
+    or a ``seed`` that is not one ``>= 0`` (a ``bool`` included).  A self-similar set's exact volume raises
     :class:`ResolutionTooCoarse` where it needs over ``_LEVEL_BUDGET``
     (2^23) levels of holes.
     """
@@ -1606,6 +1612,7 @@ def _measure(set_: CompactSet, ts, method, cell, mc_samples, seed) -> list[TubeS
     one ``exact_volumes`` call and the Monte Carlo radii one
     :func:`_mc_tubes` run; the grid counts one radius at a time.
     """
+    _check_set(set_)
     req = _METHOD_ALIASES.get(method or "auto", "unknown") if method is None or isinstance(method, str) else "unknown"
     if req == "unknown":
         raise ValueError(f"unknown tube-volume method {method!r}")
@@ -1648,13 +1655,15 @@ def tube_volumes(set_: CompactSet, ts) -> np.ndarray:
     Radii all up to the set's ``exact_max`` take one ``exact_volumes`` call
     (the self-similar sets by one gather from their level tables); any
     other array goes through the dispatcher of :func:`tube_volume`.
-    Raises :class:`ValueError` for an array that is not of integers or
-    floats, an element of other input that is not a real number (``bool``
-    included in both), a non-finite or non-positive radius and, as
-    ``tube_volume`` does, for one too large for a float volume.
+    Raises :class:`ValueError` for a set that is not a :class:`CompactSet`,
+    an array that is not of integers or floats, an element of other input
+    that is not a real number (``bool`` included in both), a non-finite or
+    non-positive radius and, as ``tube_volume`` does, for one too large for
+    a float volume.
     """
     if not (isinstance(ts, np.ndarray) or all(map(_is_real, np.asarray(ts, dtype=object).ravel()))):
         raise ValueError("t values must be real numbers")
+    _check_set(set_)
     ts = np.asarray(ts)
     if ts.dtype.kind not in "iuf":
         raise ValueError(f"t values must be an array of real numbers, not of {ts.dtype}")
@@ -1705,6 +1714,7 @@ def sample_tube_curve(
 
 def set_to_json(set_: CompactSet) -> dict:
     """Serialize a descriptor to the tagged-variant JSON schema."""
+    _check_set(set_)
     return set_.to_json()
 
 

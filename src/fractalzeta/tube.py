@@ -74,7 +74,12 @@ class TubeFormulaSeries:
 def series_from_zeta(
     zeta: ClosedFormZeta, truncation: int = 50, t_valid_max: float = math.inf
 ) -> TubeFormulaSeries:
-    """Build the truncated series from a closed form's pole structure."""
+    """Build the truncated series from a closed form's pole structure.
+
+    Raises :class:`ValueError` for a ``zeta`` that is not a :class:`ClosedFormZeta`.
+    """
+    if not isinstance(zeta, ClosedFormZeta):
+        raise ValueError(f"zeta must be a ClosedFormZeta, got {zeta!r}")
     poles = tuple(
         Pole(w, order=1, residue=res) for w, res in zeta.poles_for_truncation(truncation)
     )

@@ -373,8 +373,10 @@ def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
     Raises :class:`NearPole` when ``s`` is within 1e-12 of a pole, where
     residue machinery must be used instead, :class:`FractalZetaError` when
     the value overflows a float, and :class:`ValueError` for non-finite
-    ``s``.
+    ``s`` or a ``zeta`` that is not a :class:`ClosedFormZeta`.
     """
+    if not isinstance(zeta, ClosedFormZeta):
+        raise ValueError(f"zeta must be a ClosedFormZeta, got {zeta!r}")
     s = _finite_s(s)
     # the genuine poles are among the candidates, whose residues are only needed near one
     near = any(abs(s - w) < 1e-12 for w in zeta._candidates(_indices_near(s)))
@@ -393,6 +395,7 @@ def closed_form_eval(zeta: ClosedFormZeta, s: complex) -> complex:
 
 def default_delta(set_: CompactSet) -> float:
     """Default integration cutoff per catalog set (all above the closed-form bounds)."""
+    geometry._check_set(set_)
     return set_.default_delta
 
 
@@ -400,12 +403,13 @@ def catalog_zeta(set_: CompactSet, delta: Optional[float] = None) -> ClosedFormZ
     """Closed-form distance zeta function of a set, from its descriptor's ``zeta_terms``.
 
     ``delta`` defaults to the set's ``default_delta``.  Raises
-    :class:`ValueError` for a ``delta`` that is not a positive finite real
-    number (a ``bool`` is not),
+    :class:`ValueError` for a set that is not a :class:`CompactSet` and a
+    ``delta`` that is not a positive finite real number (a ``bool`` is not),
     :class:`NoClosedForm` for a set without a closed form (point clouds)
     and :class:`DeltaTooSmall` when ``delta`` violates the validity bound of
     the closed form (the descriptor's ``delta_bound``).
     """
+    geometry._check_set(set_)
     if delta is None:
         delta = set_.default_delta
     if not (_finite_real(delta) and delta > 0):
@@ -460,6 +464,12 @@ def _finite_points(s) -> np.ndarray:
     return s
 
 
+def _check_set_and_config(set_, cfg) -> None:
+    geometry._check_set(set_)
+    if not isinstance(cfg, NumericZetaConfig):
+        raise ValueError(f"cfg must be a NumericZetaConfig, got {cfg!r}")
+
+
 class ZetaEstimate(NamedTuple):
     value: complex
     half_width: float
@@ -476,9 +486,11 @@ def distance_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) 
     below the set's box dimension, where the integral diverges, and when a
     single sample dominates the weight sum; :class:`FractalZetaError`
     when the estimate overflows a float; :class:`ValueError` for non-finite
-    ``s`` and for a ``delta`` at which the fattened bounding box has a volume
-    past the float range.
+    ``s``, a set or ``cfg`` of the wrong type (as in :func:`tube_zeta_numeric`)
+    and a ``delta`` at which the fattened bounding box has a volume past the
+    float range.
     """
+    _check_set_and_config(set_, cfg)
     s = _finite_s(s)
     if s.real <= set_.box_dimension:
         raise VarianceOverflow(
@@ -808,10 +820,12 @@ def tube_zeta_numeric(set_: CompactSet, s: complex, cfg: NumericZetaConfig) -> c
     Raises :class:`QuadratureNonconvergent` when passes do not agree or a
     pass reaches ``t = 1e-280`` with its tail still not negligible, which
     is how ``Re s`` at or below the upper box dimension shows, and
-    :class:`ValueError` for non-finite ``s`` and, for a set with exact
-    volumes up to ``delta``, a ``delta`` at which the fattened bounding box
-    has a volume past the float range.
+    :class:`ValueError` for non-finite ``s``, a set that is not a
+    :class:`CompactSet` or a ``cfg`` that is not a :class:`NumericZetaConfig`
+    and, for a set with exact volumes up to ``delta``, a ``delta`` at which
+    the fattened bounding box has a volume past the float range.
     """
+    _check_set_and_config(set_, cfg)
     s = _finite_s(s)
     n_dim = set_.ambient_dim
     volumes = _node_volumes(set_, cfg.delta)
@@ -871,9 +885,11 @@ def functional_equation_residual(set_: CompactSet, s: complex, cfg: NumericZetaC
     one (Monte Carlo otherwise); the tube side is always assembled from the
     tube-volume oracle and the tube-zeta quadrature.  Returns
     ``|LHS - RHS| / (1 + |LHS|)``; raises :class:`ValueError` for
-    non-finite ``s`` and :class:`QuadratureNonconvergent` where the
-    quadrature does (see :func:`tube_zeta_numeric`).
+    non-finite ``s`` or a set or ``cfg`` of the wrong type, and
+    :class:`QuadratureNonconvergent` where the quadrature does (see
+    :func:`tube_zeta_numeric`).
     """
+    _check_set_and_config(set_, cfg)
     s = _finite_s(s)
     n_dim = set_.ambient_dim
     try:

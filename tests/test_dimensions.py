@@ -1,3 +1,4 @@
+import cmath
 import math
 import numbers
 import warnings
@@ -176,16 +177,16 @@ def test_find_poles_splits_a_negative_winding_cell_that_hides_a_pair():
 
 
 class _PointBudget:
-    """Scalar evaluator that raises after ``limit`` points, so a missing guard fails instead of hanging."""
+    """Evaluator that raises after ``limit`` points, so a missing guard fails instead of hanging."""
 
     def __init__(self, f, limit=10**5):
         self.f, self.left = f, limit
 
     def __call__(self, s):
-        self.left -= 1
+        self.left -= np.size(s)
         if self.left < 0:
             raise RuntimeError("evaluator point budget exhausted")
-        return complex(self.f(s))
+        return self.f(s)
 
 
 @pytest.mark.parametrize("value", [math.nan, 0.0], ids=["nan", "zero"])
@@ -194,9 +195,46 @@ def test_an_evaluator_that_is_nan_or_zero_over_a_region_raises(value):
     # past 1.7 GB in 5 min, before the budget of cells walked below the grid
     from fractalzeta.errors import NonIsolable
 
-    evaluator = _PointBudget(lambda s: value, limit=10**6)
+    evaluator = _PointBudget(lambda s: np.full(np.shape(s), value, dtype=complex), limit=10**6)
     with pytest.raises(NonIsolable, match="cells walked below the grid"):
         find_poles_argument_principle(evaluator, (0.0, 1.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda s: 1.0,  # ran as the constant function 1, one call per point
+        lambda s: np.ones(np.size(s) + 1, dtype=complex),
+        lambda s: np.full(np.shape(s), "1"),
+        lambda s: list(np.exp(s)),
+    ],
+    ids=["scalar", "wrong_shape", "strings", "list"],
+)
+def test_an_evaluator_that_does_not_return_a_numeric_array_of_its_shape_raises(evaluator):
+    with pytest.raises(ValueError, match="evaluator"):
+        find_poles_argument_principle(evaluator, (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="evaluator"):
+        residue_contour(evaluator, 0.5, 0.1)
+
+
+def test_an_evaluator_error_propagates_unchanged():
+    # a scalar math function on the finder's array raises TypeError inside the caller's code
+    f = lambda s: 1.0 / (math.exp(s) - 2.0)
+    with pytest.raises(TypeError):
+        find_poles_argument_principle(f, (0.0, 1.0, -0.5, 0.5))
+    with pytest.raises(TypeError):
+        residue_contour(f, math.log(2.0), 0.1)
+
+
+def test_a_scalar_function_in_np_vectorize_finds_the_poles_of_its_array_form():
+    # the README's recipe for a function of one complex number
+    p, q, tol = 0.3 + 0.4j, 0.7 + 0.2j, 1e-9
+    scalar = np.vectorize(lambda s: cmath.exp(s) / ((s - p) * (s - q) ** 2), otypes=[complex])
+    array = lambda s: np.exp(s) / ((s - p) * (s - q) ** 2)
+    got = find_poles_argument_principle(scalar, (0.0, 1.0, 0.0, 1.0), tol)
+    want = find_poles_argument_principle(array, (0.0, 1.0, 0.0, 1.0), tol)
+    assert [w.order for w in got] == [w.order for w in want] == [1, 2]
+    assert all(abs(g.location - w.location) <= tol for g, w in zip(got, want))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +516,7 @@ def test_grid_round_zero_evaluates_each_corner_and_edge_once():
     points = []
 
     def f(s):
-        points.append(s)
+        points.extend(s.tolist())
         return np.exp(s)
 
     assert find_poles_argument_principle(f, GRID_RECT, tol=1e-9, moment_floor=1e-6) == []
@@ -760,6 +798,8 @@ def test_a_newton_level_makes_one_evaluator_call_per_round(monkeypatch):
         return polished
 
     monkeypatch.setattr(ClosedFormZeta, "evaluate", counting)
+    # __call__ is bound to the original evaluate when the class is created
+    monkeypatch.setattr(ClosedFormZeta, "__call__", counting)
     monkeypatch.setattr(dimensions, "_newton_on_reciprocal", spying)
     poles = find_poles_argument_principle(form, (-0.5, 2.0, -10.0, 10.0), tol=1e-9, moment_floor=1e-6)
     assert len(poles) == 4
@@ -1132,10 +1172,10 @@ def test_languidity_carpet():
     assert -1.3 <= est.kappa <= -0.7
 
 
-def test_languidity_constant_function():
-    est = languidity_probe(lambda s: 1.0 + 0.0j, 1.0, HEIGHTS)
-    assert abs(est.kappa) < 1e-12
-    assert est.constant == pytest.approx(1.0)
+def test_languidity_rejects_a_function_that_is_not_a_closed_form():
+    # a black box lists no poles, so the fit would run across them unseen
+    with pytest.raises(ValueError, match="ClosedFormZeta"):
+        languidity_probe(lambda s: np.ones(np.shape(s), dtype=complex), 1.0, HEIGHTS)
 
 
 def test_languidity_pole_on_line():

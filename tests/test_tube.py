@@ -26,8 +26,10 @@ from fractalzeta.geometry import (
     SierpinskiGasket,
     TubeMethod,
     TubeSample,
+    distances_to_set,
     sample_tube_curve,
     set_from_json,
+    set_to_json,
     tube_volume,
     tube_volumes,
 )
@@ -50,6 +52,9 @@ from fractalzeta.zeta import (
     NumericZetaConfig,
     catalog_zeta,
     closed_form_eval,
+    default_delta,
+    distance_zeta_numeric,
+    functional_equation_residual,
     tube_zeta_numeric,
 )
 from references import max_real_part, real_poles, scale_zeta, tube_formula_per_radius
@@ -690,6 +695,28 @@ NON_FINITE_CASES = {
     "Window(screen_sup='1')": lambda: Window((-5.0, 5.0), "1"),
     "Window(screen_sup=nan)": lambda: Window((-5.0, 5.0), math.nan),
     "Window(imag_range=5.0)": lambda: Window(5.0),
+    # a bare AttributeError from a descriptor that is not a CompactSet or a
+    # config that is not a NumericZetaConfig, a bare TypeError from an int evaluator
+    "tube_volume(set=5)": lambda: tube_volume(5, 0.1),
+    "tube_volumes(set=5)": lambda: tube_volumes(5, [0.1]),
+    "sample_tube_curve(set=5)": lambda: sample_tube_curve(5, [0.1]),
+    "distances_to_set(set=5)": lambda: distances_to_set(np.zeros((1, 2)), 5),
+    "catalog_zeta(5)": lambda: catalog_zeta(5),
+    "series_from_zeta(5)": lambda: series_from_zeta(5),
+    "distance_zeta_numeric(set=5)": lambda: distance_zeta_numeric(5, 3.0, NumericZetaConfig(delta=0.5, seed=1)),
+    "distance_zeta_numeric(cfg=5)": lambda: distance_zeta_numeric(SierpinskiGasket(), 3.0, 5),
+    "tube_zeta_numeric(set=5)": lambda: tube_zeta_numeric(5, 3.0, NumericZetaConfig(delta=0.5, seed=1)),
+    "tube_zeta_numeric(cfg=5)": lambda: tube_zeta_numeric(SierpinskiGasket(), 3.0, 5),
+    "functional_equation_residual(set=5)": lambda: functional_equation_residual(
+        5, 3.0, NumericZetaConfig(delta=0.5, seed=1)
+    ),
+    "functional_equation_residual(cfg=5)": lambda: functional_equation_residual(SierpinskiGasket(), 3.0, 5),
+    "find_poles_argument_principle(evaluator=5)": lambda: find_poles_argument_principle(5, (0.0, 1.0, 0.0, 1.0)),
+    "residue_contour(evaluator=5)": lambda: residue_contour(5, 1.0),
+    "languidity_probe(evaluator=5)": lambda: languidity_probe(5, 2.0, _HEIGHTS),
+    "closed_form_eval(zeta=5)": lambda: closed_form_eval(5, 1.0),
+    "default_delta(5)": lambda: default_delta(5),
+    "set_to_json(5)": lambda: set_to_json(5),
 }
 
 
